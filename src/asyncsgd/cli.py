@@ -132,9 +132,12 @@ def build_problem(cfg: dict, fallback_seed: int):
     seed = _as_int(cfg, "seed", "config.problem", default=fallback_seed, minimum=0)
     if kind == "least-squares":
         if "csv" in cfg:
-            return problems.least_squares_from_csv(
-                cfg["csv"], noise=cfg.get("noise", "additive"),
-                sigma=_as_float(cfg, "sigma", "config.problem", default=1.0, minimum=0.0))
+            sigma = _as_float(cfg, "sigma", "config.problem", default=1.0, minimum=0.0)
+            try:
+                return problems.least_squares_from_csv(
+                    cfg["csv"], noise=cfg.get("noise", "additive"), sigma=sigma)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"config.problem.csv: cannot load {cfg['csv']}: {exc}") from None
         return problems.least_squares(
             dim=_as_int(cfg, "dim", "config.problem", minimum=1),
             num_samples=cfg.get("num_samples"),
@@ -181,7 +184,10 @@ def trace_for_run(cfg: dict, horizon: int | None, run_seed: int) -> scheduler.Ar
     if kind == "trace-csv":
         if "path" not in cfg:
             raise ConfigError("config.speed_model.path is required for trace-csv")
-        trace = scheduler.ArrivalTrace.read_csv(cfg["path"], cfg.get("num_workers"))
+        try:
+            trace = scheduler.ArrivalTrace.read_csv(cfg["path"], cfg.get("num_workers"))
+        except OSError as exc:
+            raise ConfigError(f"config.speed_model.path: cannot read {cfg['path']}: {exc}") from None
         if horizon is not None and horizon != trace.horizon:
             raise ConfigError(
                 f"horizon {horizon} does not match trace of length {trace.horizon}")
@@ -505,10 +511,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    worker_counts = tuple(int(w) for w in args.workers.split(","))
-    horizons = tuple(int(k) for k in args.horizons.split(","))
-    report = invariants.run_suite(worker_counts=worker_counts, horizons=horizons,
+    report = invariants.run_suite(worker_counts=args.workers, horizons=args.horizons,
                                   base_seed=args.base_seed, inject=args.inject_bug)
+    if not report.runs:
+        raise ConfigError("check: no case in the grid; every horizon is below its "
+                          "worker count")
     lines = [
         ("gap identity", report.identity_ok,
          f"max residual {report.max_identity_residual:.3e} (tol {report.identity_tol:g})"),
@@ -557,6 +564,18 @@ def cmd_live(args) -> int:
 # parser
 
 
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """argparse type: a comma-separated list of positive integers."""
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}") from None
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"values must be positive integers, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asyncsgd",
@@ -586,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="run the randomized invariant suite")
-    p.add_argument("--workers", default="1,2,5,16",
+    p.add_argument("--workers", type=_positive_ints, default=(1, 2, 5, 16),
                    help="comma-separated worker counts (default 1,2,5,16)")
-    p.add_argument("--horizons", default="50,500",
+    p.add_argument("--horizons", type=_positive_ints, default=(50, 500),
                    help="comma-separated horizons (default 50,500)")
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--inject-bug", default=None, choices=["prev-off-by-one"],

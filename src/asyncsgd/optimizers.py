@@ -1,17 +1,22 @@
 """Optimizer loops: asynchronous trace replay, a synchronous minibatch
 baseline, and a thread-backed live executor sharing the same bookkeeping.
 
-The asynchronous loop replays an arrival trace. A worker's gradient is
-evaluated lazily at arrival time, against the iterate stored when the worker
-was dispatched; because every worker draws from its own seed substream, the
-result is identical to eager evaluation at dispatch time, and runs are
-reproducible regardless of interleaving. Keeping one (dispatch iteration,
-dispatch point) pair per worker costs O(M d) memory.
-
-Each gradient's eventual stepsize (the stepsize it is consumed with, or the
-terminal-delay stepsize if it is still in flight when the run ends) is
-recorded next to the trace; weighted averages over iterates are accumulated
-as running sums at assignment time, so no iterate history is needed for them.
+The asynchronous replay is a column engine. The arrival trace is fixed
+before a run starts, and with it everything that depends only on the trace:
+the dispatch iteration p_k of every arriving gradient (checked against the
+recorded delays), its stepsize gamma_k = gamma(tau_k), every gradient's
+eventual stepsize (the stepsize it is consumed with, or the terminal-delay
+stepsize if it is still in flight when the run ends), and the gradient
+noise. The noise comes from the problem's split oracle: `draw` takes a
+worker's samples from its own seed substream as one block, sized from the
+worker's arrival count, and `sample_grad` evaluates one gradient given its
+sample. Block draws equal one-at-a-time draws, so a gradient evaluated
+lazily at arrival time against the iterate stored at dispatch is identical
+to eager evaluation at dispatch time, and runs are reproducible regardless
+of interleaving. The loop then only applies the updates in order, keeping
+one dispatch point per worker (O(M d) memory); weighted averages over
+iterates are accumulated as running sums, so no iterate history is needed
+for them.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class RunRecord:
 
 
 def _check_divergence(x: np.ndarray, k: int, limit: float) -> None:
-    norm2 = float(x @ x)
+    norm2 = float(x.dot(x))
     # a single comparison catches overflow, inf and nan alike
     if not norm2 <= limit * limit:
         raise DivergedError(k, math.sqrt(norm2) if math.isfinite(norm2) else math.inf)
@@ -108,16 +113,42 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
     return [np.random.default_rng([seed, m]) for m in range(1, num_workers + 1)]
 
 
+# steps whose gradient samples are drawn as one block; bounds the noise
+# buffer to _CHUNK x dim values however long the trace is
+_CHUNK = 4096
+
+
+def _draw_chunk(problem, rngs, workers: np.ndarray):
+    """The gradient samples consumed by a run of arrivals, one per row.
+
+    Each worker's samples come from its own generator as one block, in its
+    arrival order, and are scattered back to the rows it arrives at. Returns
+    None if the problem's gradients are exact.
+    """
+    order = np.argsort(workers, kind="stable")
+    counts = np.bincount(workers, minlength=len(rngs) + 1)[1:]
+    blocks = [problem.draw(rngs[m], int(c)) for m, c in enumerate(counts) if c]
+    if blocks[0] is None:
+        return None
+    drawn = np.concatenate(blocks)
+    samples = np.empty_like(drawn)
+    samples[order] = drawn
+    return samples.tolist() if samples.ndim == 1 else samples
+
+
 def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
               *, keep_iterates: bool = False, diagnostics: bool = False,
               metrics: bool = True, divergence_norm: float = 1e12) -> RunRecord:
     """Replay an arrival trace through the delayed-update loop.
 
-    diagnostics=True additionally memoizes every dispatched gradient (the
-    never-consumed in-flight ones are evaluated at the end from the same
-    substreams), which the virtual-iterate checker consumes; it implies
-    keep_iterates. Raises DivergedError when the iterate norm passes
-    divergence_norm or goes non-finite.
+    Everything the trace fixes is computed as a column before the loop: the
+    dispatch iteration of every arriving gradient, its stepsize and
+    eventual stepsize, and its gradient sample. The loop itself only applies
+    the updates in order. diagnostics=True additionally memoizes every
+    dispatched gradient (the never-consumed in-flight ones are evaluated at
+    the end from the same substreams), which the virtual-iterate checker
+    consumes; it implies keep_iterates. Raises DivergedError when the
+    iterate norm passes divergence_norm or goes non-finite.
     """
     horizon = trace.horizon
     m_count = trace.num_workers
@@ -137,11 +168,21 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     rngs = worker_streams(seed, m_count)
     fstar = problem.fstar if problem.fstar is not None else 0.0
 
-    # per-worker in-flight state: (dispatch iteration, dispatch point)
-    state = [(0, x.copy()) for _ in range(m_count)]
-    gammas = np.empty(horizon)
+    # columns: dispatch iteration p_k (checked against the recorded taus),
+    # stepsize gamma_k, and the eventual stepsize of every dispatch, which is
+    # the stepsize its gradient is consumed with at the worker's next arrival
+    prevs = trace.dispatches()
+    gammas = schedule.gammas(trace.taus)
+    consumed = prevs > 0
     gamma_hats = np.full(horizon, np.nan)
+    gamma_hats[prevs[consumed] - 1] = gammas[consumed]
     gamma_hat_initial = np.full(m_count, np.nan)
+    gamma_hat_initial[trace.workers[~consumed] - 1] = gammas[~consumed]
+    # gradients still in flight at the end are priced with the terminal delay
+    last = np.zeros(m_count, dtype=np.int64)
+    last[trace.workers - 1] = np.arange(1, horizon + 1)
+    terminal = schedule.gammas(np.maximum(1, horizon - last))
+
     fgaps = np.empty(horizon) if metrics else None
     gradnorms2 = np.empty(horizon) if metrics else None
     iterates = np.empty((horizon + 1, problem.dim)) if keep_iterates else None
@@ -150,51 +191,46 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     gradients = {} if diagnostics else None
     uniform_sum = np.zeros(problem.dim)
     weighted_sum = np.zeros(problem.dim)
-    evals = 0
+    evals = horizon
+    sample_grad = problem.sample_grad
+    points = [x] * m_count   # the iterate each worker was last dispatched at
 
-    for i in range(horizon):
-        k = i + 1
-        m = int(trace.workers[i])
-        p, xp = state[m - 1]
-        if k - p != trace.taus[i]:
-            raise LedgerError(
-                f"trace row {k}: delay {trace.taus[i]} inconsistent with replay ({k - p})"
-            )
-        g = problem.stoch_grad(xp, rngs[m - 1], worker=m)
-        evals += 1
-        gamma = schedule.gamma(k, int(trace.taus[i]))
-        x = x - gamma * g
-        _check_divergence(x, k, divergence_norm)
+    for start in range(0, horizon, _CHUNK):
+        stop = min(start + _CHUNK, horizon)
+        workers = trace.workers[start:stop]
+        samples = _draw_chunk(problem, rngs, workers)
+        if samples is None:
+            samples = [None] * (stop - start)
+        for k, m, p, gamma, sample in zip(range(start + 1, stop + 1), workers.tolist(),
+                                          prevs[start:stop].tolist(),
+                                          gammas[start:stop].tolist(), samples):
+            xp = points[m - 1]
+            g = sample_grad(xp, sample, m)
+            x = x - gamma * g
+            _check_divergence(x, k, divergence_norm)
+            if p:
+                weighted_sum += gamma * xp
+            uniform_sum += x
+            if metrics:
+                fgaps[k - 1] = problem.value(x) - fstar
+                mean_grad = problem.grad(x)
+                gradnorms2[k - 1] = float(mean_grad.dot(mean_grad))
+            if keep_iterates:
+                iterates[k] = x
+            if diagnostics:
+                gradients[(p, m)] = g
+            points[m - 1] = x
 
-        gammas[i] = gamma
-        if p == 0:
-            gamma_hat_initial[m - 1] = gamma
-        else:
-            gamma_hats[p - 1] = gamma
-            weighted_sum += gamma * xp
-        uniform_sum += x
-        if metrics:
-            fgaps[i] = problem.value(x) - fstar
-            mean_grad = problem.grad(x)
-            gradnorms2[i] = float(mean_grad @ mean_grad)
-        if keep_iterates:
-            iterates[k] = x
-        if diagnostics:
-            gradients[(p, m)] = g
-        state[m - 1] = (k, x.copy())
-
-    # price the gradients still in flight with the terminal-delay rule
     for m in range(1, m_count + 1):
-        p, xp = state[m - 1]
-        tau_terminal = max(1, horizon - p)
-        gamma = schedule.gamma(horizon, tau_terminal)
+        p = int(last[m - 1])
+        gamma = float(terminal[m - 1])
         if p == 0:
             gamma_hat_initial[m - 1] = gamma
         else:
             gamma_hats[p - 1] = gamma
-            weighted_sum += gamma * xp
+            weighted_sum += gamma * points[m - 1]
         if diagnostics and p < horizon:
-            gradients[(p, m)] = problem.stoch_grad(xp, rngs[m - 1], worker=m)
+            gradients[(p, m)] = problem.stoch_grad(points[m - 1], rngs[m - 1], worker=m)
             evals += 1
 
     return RunRecord(

@@ -36,7 +36,21 @@ def _rho_prime(t):
 
 
 class Problem:
-    """Shared oracle interface. Subclasses fill in the constants."""
+    """Shared oracle interface. Subclasses fill in the constants.
+
+    A stochastic gradient is split in two: `draw` takes the randomness of
+    the next gradients from a worker's generator as one block, and
+    `sample_grad` evaluates one gradient given its drawn sample. Drawing a
+    block equals drawing one sample at a time from the same generator, so a
+    trace replay can draw every worker's noise before its loop and still
+    match per-step `stoch_grad` calls bit for bit.
+
+    The default split covers the two noise modes used here. With noise
+    "rows", a sample is a row index and `_row_grad(i, x)` the gradient of
+    that row's loss. With noise "additive", a sample is a Gaussian vector
+    with E||sample||^2 = sigma^2 added to the mean gradient `_grad(x, worker)`;
+    at sigma == 0 nothing is drawn and the sample is None.
+    """
 
     dim: int
     smoothness: float
@@ -46,16 +60,42 @@ class Problem:
     fstar: float | None = None
     xstar: np.ndarray | None = None
     zeta: float = 0.0        # worker-gradient dissimilarity, 0 if homogeneous
+    noise: str = "additive"
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
     def grad(self, x: np.ndarray) -> np.ndarray:
+        return self._grad(x)
+
+    def _grad(self, x: np.ndarray, worker: int | None = None) -> np.ndarray:
+        """Mean gradient of the objective, or of worker's own objective."""
         raise NotImplementedError
+
+    def _row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray | None:
+        """The next `count` gradient samples of a worker's generator, stacked
+        along axis 0, or None if gradients are exact."""
+        if self.noise == "rows":
+            return rng.integers(self.num_samples, size=count)
+        if self.sigma == 0.0:
+            return None
+        # per-coordinate std sigma/sqrt(dim) makes E||noise||^2 = sigma^2 exactly
+        return rng.standard_normal((count, self.dim)) * (self.sigma / math.sqrt(self.dim))
+
+    def sample_grad(self, x: np.ndarray, sample, worker: int | None = None) -> np.ndarray:
+        """Stochastic gradient at x given one sample from `draw`."""
+        if self.noise == "rows":
+            return self._row_grad(sample, x)
+        mean = self._grad(x, worker)
+        return mean if sample is None else mean + sample
 
     def stoch_grad(self, x: np.ndarray, rng: np.random.Generator,
                    worker: int | None = None) -> np.ndarray:
-        raise NotImplementedError
+        block = self.draw(rng, 1)
+        return self.sample_grad(x, None if block is None else block[0], worker)
 
     def constants_for(self, x0: np.ndarray, num_workers: int, horizon: int) -> ProblemConstants:
         """Bundle the problem constants with run shape and x0-dependent terms."""
@@ -74,12 +114,45 @@ class Problem:
         )
 
 
-def _additive_noise(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    # per-coordinate std sigma/sqrt(dim) makes E||noise||^2 = sigma^2 exactly
-    return rng.standard_normal(dim) * (sigma / math.sqrt(dim))
+def _data(mat, rhs) -> tuple[np.ndarray, np.ndarray]:
+    mat = np.asarray(mat, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if mat.ndim != 2 or rhs.ndim != 1 or mat.shape[0] != rhs.shape[0]:
+        raise ProblemError(f"bad data shapes {mat.shape} / {rhs.shape}")
+    return mat, rhs
 
 
-class LeastSquares(Problem):
+def _check_sigma(sigma: float) -> float:
+    if sigma < 0 or not math.isfinite(sigma):
+        raise ProblemError(f"sigma must be finite and >= 0, got {sigma}")
+    return float(sigma)
+
+
+class _Quadratic(Problem):
+    """F(x) = ||Ax - b||^2 / (2 scale), with constants read off the data."""
+
+    def _fit(self, mat: np.ndarray, rhs: np.ndarray, scale: float) -> None:
+        self.mat = mat
+        self.rhs = rhs
+        self.scale = scale
+        self.num_samples, self.dim = mat.shape
+        self._gram = mat.T @ mat / scale
+        self._cross = mat.T @ rhs / scale
+        eigs = np.linalg.eigvalsh(self._gram)
+        self.smoothness = float(eigs[-1])
+        self.strong_convexity = float(max(eigs[0], 0.0))  # singular data only zeroes mu
+        self.xstar = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        self.fstar = self.value(self.xstar)
+
+    def value(self, x):
+        r = self.mat @ x - self.rhs
+        return 0.5 * float(r @ r) / self.scale
+
+    def _grad(self, x, worker=None):
+        return self._gram.dot(x) - self._cross
+
+
+class LeastSquares(_Quadratic):
     """F(x) = ||Ax - b||^2 / (2n) with additive or row-sampling noise.
 
     Additive mode returns grad F(x) plus isotropic Gaussian noise with
@@ -91,38 +164,22 @@ class LeastSquares(Problem):
 
     def __init__(self, mat: np.ndarray, rhs: np.ndarray, noise: str = "additive",
                  sigma: float = 1.0, probe_seed: int = 0):
-        mat = np.asarray(mat, dtype=np.float64)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if mat.ndim != 2 or rhs.ndim != 1 or mat.shape[0] != rhs.shape[0]:
-            raise ProblemError(f"bad data shapes {mat.shape} / {rhs.shape}")
+        mat, rhs = _data(mat, rhs)
         if mat.shape[0] < 1:
             raise ProblemError("need at least one sample row")
         if noise not in ("additive", "rows"):
             raise ProblemError(f"unknown noise mode {noise!r}")
-        if sigma < 0 or not math.isfinite(sigma):
-            raise ProblemError(f"sigma must be finite and >= 0, got {sigma}")
-        self.mat = mat
-        self.rhs = rhs
+        sigma = _check_sigma(sigma)
         self.noise = noise
-        self.num_samples, self.dim = mat.shape
-        self._gram = mat.T @ mat / self.num_samples
-        self._cross = mat.T @ rhs / self.num_samples
-        eigs = np.linalg.eigvalsh(self._gram)
-        self.smoothness = float(eigs[-1])
-        self.strong_convexity = float(max(eigs[0], 0.0))  # singular data only zeroes mu
-        self.xstar = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        self.fstar = self.value(self.xstar)
+        self._fit(mat, rhs, mat.shape[0])
         if noise == "additive":
-            self.sigma = float(sigma)
+            self.sigma = sigma
         else:
             self.sigma = math.sqrt(self._probe_row_noise(probe_seed))
 
-    def value(self, x):
-        r = self.mat @ x - self.rhs
-        return 0.5 * float(r @ r) / self.num_samples
-
-    def grad(self, x):
-        return self._gram @ x - self._cross
+    def _row_grad(self, i, x):
+        row = self.mat[i]
+        return row * (float(row @ x) - self.rhs[i])
 
     def row_noise_power(self, x) -> float:
         """Exact E||g - grad F(x)||^2 under row sampling, by summing all rows."""
@@ -139,15 +196,6 @@ class LeastSquares(Problem):
             probes.append(self.xstar + step / max(np.linalg.norm(step), 1e-12))
         return max(self.row_noise_power(p) for p in probes)
 
-    def stoch_grad(self, x, rng, worker=None):
-        if self.noise == "rows":
-            i = int(rng.integers(self.num_samples))
-            row = self.mat[i]
-            return row * (float(row @ x) - self.rhs[i])
-        mean = self.grad(x)
-        if self.sigma == 0.0:
-            return mean
-        return mean + _additive_noise(self.dim, self.sigma, rng)
 
 
 def least_squares(dim: int, num_samples: int | None = None, noise: str = "additive",
@@ -191,10 +239,7 @@ class BoundedNonconvex(Problem):
 
     def __init__(self, mat: np.ndarray, rhs: np.ndarray, noise: str = "rows",
                  sigma: float | None = None):
-        mat = np.asarray(mat, dtype=np.float64)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if mat.ndim != 2 or rhs.ndim != 1 or mat.shape[0] != rhs.shape[0]:
-            raise ProblemError(f"bad data shapes {mat.shape} / {rhs.shape}")
+        mat, rhs = _data(mat, rhs)
         if noise not in ("additive", "rows"):
             raise ProblemError(f"unknown noise mode {noise!r}")
         self.mat = mat
@@ -216,18 +261,12 @@ class BoundedNonconvex(Problem):
     def value(self, x):
         return float(np.mean(_rho(self.mat @ x - self.rhs)))
 
-    def grad(self, x):
+    def _grad(self, x, worker=None):
         return self.mat.T @ _rho_prime(self.mat @ x - self.rhs) / self.num_samples
 
-    def stoch_grad(self, x, rng, worker=None):
-        if self.noise == "rows":
-            i = int(rng.integers(self.num_samples))
-            row = self.mat[i]
-            return row * _rho_prime(float(row @ x) - self.rhs[i])
-        mean = self.grad(x)
-        if self.sigma == 0.0:
-            return mean
-        return mean + _additive_noise(self.dim, self.sigma, rng)
+    def _row_grad(self, i, x):
+        row = self.mat[i]
+        return row * _rho_prime(float(row @ x) - self.rhs[i])
 
 
 def bounded_nonconvex(dim: int, num_samples: int | None = None, noise: str = "rows",
@@ -242,7 +281,7 @@ def bounded_nonconvex(dim: int, num_samples: int | None = None, noise: str = "ro
     return BoundedNonconvex(mat, rhs, noise=noise, sigma=sigma)
 
 
-class HeterogeneousQuadratics(Problem):
+class HeterogeneousQuadratics(_Quadratic):
     """Per-worker objectives F_m(x) = 0.5 ||Ax - b||^2 + c_m.x sharing one
     quadratic, with sum_m c_m = 0 so the mean objective is the plain
     quadratic, and ||c_m|| = zeta exactly for every worker.
@@ -250,48 +289,27 @@ class HeterogeneousQuadratics(Problem):
 
     def __init__(self, mat: np.ndarray, rhs: np.ndarray, shifts: np.ndarray,
                  sigma: float = 0.0):
-        mat = np.asarray(mat, dtype=np.float64)
-        rhs = np.asarray(rhs, dtype=np.float64)
+        mat, rhs = _data(mat, rhs)
         shifts = np.asarray(shifts, dtype=np.float64)
-        if mat.ndim != 2 or rhs.ndim != 1 or mat.shape[0] != rhs.shape[0]:
-            raise ProblemError(f"bad data shapes {mat.shape} / {rhs.shape}")
         if shifts.ndim != 2 or shifts.shape[1] != mat.shape[1]:
             raise ProblemError("worker shifts must be (num_workers, dim)")
-        if sigma < 0 or not math.isfinite(sigma):
-            raise ProblemError(f"sigma must be finite and >= 0, got {sigma}")
-        self.mat = mat
-        self.rhs = rhs
+        self.sigma = _check_sigma(sigma)
         self.shifts = shifts
-        self.sigma = float(sigma)
-        self.num_samples, self.dim = mat.shape
         self.num_workers = shifts.shape[0]
-        self._gram = mat.T @ mat
-        self._cross = mat.T @ rhs
-        eigs = np.linalg.eigvalsh(self._gram)
-        self.smoothness = float(eigs[-1])
-        self.strong_convexity = float(max(eigs[0], 0.0))
-        self.xstar = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        self.fstar = self.value(self.xstar)
+        self._fit(mat, rhs, 1.0)
         norms = np.linalg.norm(shifts, axis=1)
         self.zeta = float(norms[0]) if norms.size else 0.0
 
-    def value(self, x):
-        r = self.mat @ x - self.rhs
-        return 0.5 * float(r @ r)
-
-    def grad(self, x):
-        return self._gram @ x - self._cross
-
-    def worker_grad(self, worker: int, x) -> np.ndarray:
+    def _grad(self, x, worker=None):
+        mean = super()._grad(x)
+        if worker is None:
+            return mean
         if not 1 <= worker <= self.num_workers:
             raise ProblemError(f"unknown worker id {worker} (have 1..{self.num_workers})")
-        return self.grad(x) + self.shifts[worker - 1]
+        return mean + self.shifts[worker - 1]
 
-    def stoch_grad(self, x, rng, worker=None):
-        mean = self.grad(x) if worker is None else self.worker_grad(worker, x)
-        if self.sigma == 0.0:
-            return mean
-        return mean + _additive_noise(self.dim, self.sigma, rng)
+    def worker_grad(self, worker: int, x) -> np.ndarray:
+        return self._grad(x, worker)
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

@@ -66,8 +66,20 @@ def _check_tau(tau: int) -> None:
         raise ScheduleError(f"delay must be >= 1, got {tau}")
 
 
+def _check_taus(taus) -> np.ndarray:
+    taus = np.asarray(taus, dtype=np.int64)
+    if taus.size and taus.min() < 1:
+        raise ScheduleError(f"delay must be >= 1, got {taus.min()}")
+    return taus
+
+
 class StepSchedule:
-    """Base class: a stepsize as a function of (iteration, delay)."""
+    """Base class: a stepsize as a function of (iteration, delay).
+
+    gamma(k, tau) prices one gradient; gammas(taus) prices a whole delay
+    column with the same floating-point operations, so gammas(taus)[i] ==
+    gamma(k, taus[i]) bit for bit. No rule depends on k.
+    """
 
     tag = "base"
     adaptive = False
@@ -78,13 +90,29 @@ class StepSchedule:
     def gamma(self, k: int, tau: int) -> float:
         raise NotImplementedError
 
+    def gammas(self, taus) -> np.ndarray:
+        raise NotImplementedError
+
     def _require(self, **checks):
         for what, ok in checks.items():
             if not ok:
                 raise ScheduleError(f"{self.tag}: requires {what}")
 
 
-class ConstantStep(StepSchedule):
+class _FixedStep(StepSchedule):
+    """A rule whose stepsize `self.step` ignores both k and tau."""
+
+    step: float
+
+    def gamma(self, k: int, tau: int) -> float:
+        _check_tau(tau)
+        return self.step
+
+    def gammas(self, taus) -> np.ndarray:
+        return np.full(len(_check_taus(taus)), self.step)
+
+
+class ConstantStep(_FixedStep):
     """Externally tuned constant stepsize (grid-search mode)."""
 
     tag = "constant"
@@ -95,12 +123,8 @@ class ConstantStep(StepSchedule):
             raise ScheduleError(f"constant step must be positive, got {step}")
         self.step = float(step)
 
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return self.step
 
-
-class ConstLipschitz(StepSchedule):
+class ConstLipschitz(_FixedStep):
     """gamma = B / (G sqrt(K M)), for G-Lipschitz convex objectives."""
 
     tag = "const-lipschitz"
@@ -115,12 +139,8 @@ class ConstLipschitz(StepSchedule):
         )
         self.step = c.init_distance / (c.lipschitz * math.sqrt(c.horizon * c.num_workers))
 
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return self.step
 
-
-class LipschitzSmooth(StepSchedule):
+class LipschitzSmooth(_FixedStep):
     """gamma = min{ 1/(2ML), sqrt(Delta/(L sigma^2 K)), (Delta/(L^2 M^2 G^2 K))^(1/3) }."""
 
     tag = "lipschitz-smooth"
@@ -143,16 +163,30 @@ class LipschitzSmooth(StepSchedule):
             branches.append(math.sqrt(c.init_gap / (l * c.sigma**2 * k)))
         self.step = min(branches)
 
+
+class _DelayAdaptive(StepSchedule):
+    """gamma_k = min{ 1/(c L tau), cap }: stale gradients get steps shrinking
+    like 1/tau, fresh ones are capped. Subclasses set c and the cap."""
+
+    adaptive = True
+    delay_factor: float
+    cap: float
+
     def gamma(self, k: int, tau: int) -> float:
         _check_tau(tau)
-        return self.step
+        return min(1.0 / (self.delay_factor * self.constants.smoothness * tau), self.cap)
+
+    def gammas(self, taus) -> np.ndarray:
+        taus = _check_taus(taus)
+        return np.minimum(1.0 / (self.delay_factor * self.constants.smoothness * taus),
+                          self.cap)
 
 
-class AdaptiveConvex(StepSchedule):
+class AdaptiveConvex(_DelayAdaptive):
     """gamma_k = min{ 1/(4 L tau), 1/(4ML), B/(sigma sqrt(K)) }."""
 
     tag = "adaptive-convex"
-    adaptive = True
+    delay_factor = 4.0
 
     def __init__(self, constants: ProblemConstants):
         super().__init__(constants)
@@ -166,10 +200,6 @@ class AdaptiveConvex(StepSchedule):
             self._require(positive_init_distance=c.init_distance > 0)
             cap = min(cap, c.init_distance / (c.sigma * math.sqrt(c.horizon)))
         self.cap = cap
-
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return min(1.0 / (4.0 * self.constants.smoothness * tau), self.cap)
 
     def stepsize_sum_bound(self) -> float:
         """Per-trace lower bound on the sum of eventual stepsizes:
@@ -202,11 +232,21 @@ class AdaptiveStronglyConvex(StepSchedule):
             cap = min(cap, 504.0 * math.log(math.e + mu**2 * k**2 * b**2 / c.sigma**2) / (mu * k))
         self.cap = cap
 
+    def _decay(self, tau: int) -> float:
+        c = self.constants
+        return math.exp(-c.strong_convexity * tau / (4.0 * c.num_workers * c.smoothness))
+
     def gamma(self, k: int, tau: int) -> float:
         _check_tau(tau)
-        c = self.constants
-        decayed = math.exp(-c.strong_convexity * tau / (4.0 * c.num_workers * c.smoothness))
-        return min(decayed / (4.0 * c.smoothness * tau), self.cap)
+        return min(self._decay(tau) / (4.0 * self.constants.smoothness * tau), self.cap)
+
+    def gammas(self, taus) -> np.ndarray:
+        taus = _check_taus(taus)
+        # np.exp and math.exp can differ in the last bit, so the decay goes
+        # through math.exp once per distinct delay
+        distinct, where = np.unique(taus, return_inverse=True)
+        decayed = np.array([self._decay(t) for t in distinct.tolist()])[where]
+        return np.minimum(decayed / (4.0 * self.constants.smoothness * taus), self.cap)
 
     def log_weighted_sum_bound(self) -> float:
         """log of the per-trace lower bound on sum_k gamma_hat_k * W_k where
@@ -219,11 +259,11 @@ class AdaptiveStronglyConvex(StepSchedule):
         return max(flat, grown)
 
 
-class AdaptiveNonconvex(StepSchedule):
+class AdaptiveNonconvex(_DelayAdaptive):
     """gamma_k = min{ 1/(4 L tau), 1/(2ML), sqrt(Delta/(K L sigma^2)) }."""
 
     tag = "adaptive-nonconvex"
-    adaptive = True
+    delay_factor = 4.0
 
     def __init__(self, constants: ProblemConstants):
         super().__init__(constants)
@@ -238,21 +278,17 @@ class AdaptiveNonconvex(StepSchedule):
             cap = min(cap, math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2)))
         self.cap = cap
 
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return min(1.0 / (4.0 * self.constants.smoothness * tau), self.cap)
-
     def stepsize_sum_bound(self) -> float:
         """Per-trace lower bound on the sum of eventual stepsizes: K gmax / 9."""
         return self.constants.horizon * self.cap / 9.0
 
 
-class AdaptiveHeterogeneous(StepSchedule):
+class AdaptiveHeterogeneous(_DelayAdaptive):
     """gamma_k = min{ 1/(8 L tau), 1/(4ML), sqrt(Delta/(K L sigma^2)) },
     for per-worker objectives whose gradients differ by at most zeta."""
 
     tag = "adaptive-heterogeneous"
-    adaptive = True
+    delay_factor = 8.0
 
     def __init__(self, constants: ProblemConstants):
         super().__init__(constants)
@@ -266,10 +302,6 @@ class AdaptiveHeterogeneous(StepSchedule):
             self._require(positive_init_gap=c.init_gap > 0)
             cap = min(cap, math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2)))
         self.cap = cap
-
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return min(1.0 / (8.0 * self.constants.smoothness * tau), self.cap)
 
     def stepsize_sum_bound(self) -> float:
         """Per-trace lower bound on the sum of eventual stepsizes: K gmax / 18."""

@@ -241,6 +241,33 @@ def test_trace_csv_round_trip(tmp_path, capsys):
     assert back.horizon == 25
 
 
+def test_trace_csv_rows_out_of_order_are_rejected(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("k,worker,tau,time\n5,1,1,1.0\n9,1,1,2.0\n1,1,1,3.0\n")
+    base = base_config(speed_model={"kind": "trace-csv", "path": str(trace_path)})
+    del base["horizon"]
+    code, _, err = run_cli(capsys, ["simulate", "--config", write_config(tmp_path, base)])
+    assert code == 2
+    assert "row 1" in err and "k is 5" in err
+
+
+def test_missing_trace_csv_file_is_a_config_error(tmp_path, capsys):
+    base = base_config(speed_model={"kind": "trace-csv",
+                                    "path": str(tmp_path / "absent.csv")})
+    del base["horizon"]
+    code, _, err = run_cli(capsys, ["simulate", "--config", write_config(tmp_path, base)])
+    assert code == 2
+    assert "config.speed_model.path" in err and "Traceback" not in err
+
+
+def test_missing_problem_csv_file_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(
+        problem={"kind": "least-squares", "csv": str(tmp_path / "absent.csv")}))
+    code, _, err = run_cli(capsys, ["simulate", "--config", cfg])
+    assert code == 2
+    assert "config.problem.csv" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -339,6 +366,20 @@ def test_check_fails_with_injected_bug(capsys):
                                        "prev-off-by-one"])
     assert code == 1
     assert "FAIL" in stdout and "failed:" in stdout
+
+
+@pytest.mark.parametrize("argv", [["--horizons", "0"], ["--workers", "a"],
+                                  ["--workers", "2,-1"], ["--horizons", ""]])
+def test_check_rejects_bad_lists(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *argv])
+    assert exc.value.code == 2
+    assert "positive integers" in capsys.readouterr().err
+
+
+def test_check_with_an_empty_grid_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, ["check", "--workers", "16", "--horizons", "5"])
+    assert code == 2 and "no case" in err
 
 
 def test_live_subcommand(capsys):
