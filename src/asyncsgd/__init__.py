@@ -1,16 +1,15 @@
 """Deterministic simulator and analysis toolkit for SGD under arbitrary
-gradient delays: delay bookkeeping, event-driven worker schedules,
+gradient delays: event-driven worker schedules and their delay columns,
 delay-adaptive stepsize rules, synthetic objectives with known constants,
 replayable optimizer loops and virtual-iterate diagnostics."""
 
-from .ledger import DelayLedger, LedgerError
 from .optimizers import DivergedError, RunRecord, run_async, run_live, run_minibatch, worker_streams
 from .problems import (BoundedNonconvex, HeterogeneousQuadratics, LeastSquares,
                        ProblemError, bounded_nonconvex, heterogeneous_quadratics,
                        least_squares, least_squares_from_csv)
-from .scheduler import (ArrivalTrace, FixedSpeeds, RandomSpeeds, SpeedModelError,
-                        StragglerSpeeds, simulate_trace, speedup_factor, steps_in_time,
-                        trace_from_workers)
+from .scheduler import (ArrivalTrace, FixedSpeeds, LedgerError, RandomSpeeds,
+                        SpeedModelError, StragglerSpeeds, simulate_trace, speedup_factor,
+                        steps_in_time, trace_from_workers)
 from .schedules import (DEFAULT_OUTPUT_RULE, OUTPUT_RULES, AdaptiveConvex,
                         AdaptiveHeterogeneous, AdaptiveNonconvex,
                         AdaptiveStronglyConvex, ConstantStep, ConstLipschitz,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrivalTrace", "AdaptiveConvex", "AdaptiveHeterogeneous", "AdaptiveNonconvex",
     "AdaptiveStronglyConvex", "BoundedNonconvex", "ConstLipschitz", "ConstantStep",
-    "DEFAULT_OUTPUT_RULE", "DelayLedger", "DiagnosticsError", "DivergedError",
+    "DEFAULT_OUTPUT_RULE", "DiagnosticsError", "DivergedError",
     "FixedSpeeds", "HeterogeneousQuadratics", "LeastSquares", "LedgerError",
     "LipschitzSmooth", "OUTPUT_RULES", "ProblemConstants", "ProblemError",
     "RandomSpeeds", "RunRecord", "ScheduleError", "SpeedModelError", "StepSchedule",

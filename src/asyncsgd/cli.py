@@ -22,10 +22,9 @@ import sys
 import numpy as np
 
 from . import invariants, problems, scheduler, schedules
-from .ledger import LedgerError
 from .optimizers import DivergedError, run_async, run_live, run_minibatch
 from .problems import ProblemError
-from .scheduler import SpeedModelError
+from .scheduler import LedgerError, SpeedModelError
 from .schedules import (DEFAULT_OUTPUT_RULE, ScheduleError, expected_sampled_metric,
                         select_output)
 from .virtual import track
@@ -67,9 +66,12 @@ def _check_keys(obj: dict, where: str, required=(), optional=()) -> None:
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
-def _as_int(obj, key, where, default=None, minimum=None):
+_REQUIRED = object()
+
+
+def _as_int(obj, key, where, default=_REQUIRED, minimum=None):
     if key not in obj:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"{where}.{key} is required")
         return default
     v = obj[key]
@@ -80,9 +82,9 @@ def _as_int(obj, key, where, default=None, minimum=None):
     return v
 
 
-def _as_float(obj, key, where, default=None, minimum=None):
+def _as_float(obj, key, where, default=_REQUIRED, minimum=None):
     if key not in obj:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"{where}.{key} is required")
         return default
     v = obj[key]
@@ -96,12 +98,27 @@ def _as_float(obj, key, where, default=None, minimum=None):
     return v
 
 
-def _as_number_list(obj, key, where):
+def _as_number_list(obj, key, where, integers=False):
     v = obj.get(key)
+    kinds, name = (int, "integers") if integers else ((int, float), "numbers")
     if (not isinstance(v, list) or not v
-            or any(isinstance(s, bool) or not isinstance(s, (int, float)) for s in v)):
-        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
-    return [float(s) for s in v]
+            or any(isinstance(s, bool) or not isinstance(s, kinds) for s in v)):
+        raise ConfigError(f"{where}.{key} must be a non-empty list of {name}")
+    return list(v) if integers else [float(s) for s in v]
+
+
+def _as_bool(obj, key, where, default):
+    v = obj.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
+    return v
+
+
+def _out_dir(args, config: dict) -> str | None:
+    out = args.out if args.out is not None else config.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"config.out must be a path string, got {out!r}")
+    return out
 
 
 def resolve_seed(args, config: dict) -> int:
@@ -130,6 +147,8 @@ def build_problem(cfg: dict, fallback_seed: int):
                           "num_workers", "target_smoothness", "csv"))
     kind = cfg["kind"]
     seed = _as_int(cfg, "seed", "config.problem", default=fallback_seed, minimum=0)
+    num_samples = _as_int(cfg, "num_samples", "config.problem", default=None, minimum=1)
+    target_smoothness = _as_float(cfg, "target_smoothness", "config.problem", default=None)
     if kind == "least-squares":
         if "csv" in cfg:
             sigma = _as_float(cfg, "sigma", "config.problem", default=1.0, minimum=0.0)
@@ -140,27 +159,27 @@ def build_problem(cfg: dict, fallback_seed: int):
                 raise ConfigError(f"config.problem.csv: cannot load {cfg['csv']}: {exc}") from None
         return problems.least_squares(
             dim=_as_int(cfg, "dim", "config.problem", minimum=1),
-            num_samples=cfg.get("num_samples"),
+            num_samples=num_samples,
             noise=cfg.get("noise", "additive"),
             sigma=_as_float(cfg, "sigma", "config.problem", default=1.0, minimum=0.0),
             seed=seed,
-            target_smoothness=cfg.get("target_smoothness"))
+            target_smoothness=target_smoothness)
     if kind == "bounded-nonconvex":
         return problems.bounded_nonconvex(
             dim=_as_int(cfg, "dim", "config.problem", minimum=1),
-            num_samples=cfg.get("num_samples"),
+            num_samples=num_samples,
             noise=cfg.get("noise", "rows"),
-            sigma=cfg.get("sigma"),
+            sigma=_as_float(cfg, "sigma", "config.problem", default=None, minimum=0.0),
             seed=seed)
     if kind == "heterogeneous-quadratics":
         return problems.heterogeneous_quadratics(
             dim=_as_int(cfg, "dim", "config.problem", minimum=1),
             num_workers=_as_int(cfg, "num_workers", "config.problem", minimum=1),
             zeta=_as_float(cfg, "zeta", "config.problem", minimum=0.0),
-            num_samples=cfg.get("num_samples"),
+            num_samples=num_samples,
             sigma=_as_float(cfg, "sigma", "config.problem", default=0.0, minimum=0.0),
             seed=seed,
-            target_smoothness=cfg.get("target_smoothness"))
+            target_smoothness=target_smoothness)
     raise ConfigError(
         f"config.problem.kind: unknown kind {kind!r}; known: "
         "['least-squares', 'bounded-nonconvex', 'heterogeneous-quadratics']")
@@ -171,11 +190,10 @@ def trace_for_run(cfg: dict, horizon: int | None, run_seed: int) -> scheduler.Ar
                 optional=("seconds", "distribution", "means", "sigma", "seed", "base",
                           "straggler", "slowdown", "num_workers", "workers", "path"))
     kind = cfg["kind"]
+    num_workers = _as_int(cfg, "num_workers", "config.speed_model", default=None, minimum=1)
     if kind == "explicit":
-        workers = cfg.get("workers")
-        if not isinstance(workers, list) or not workers:
-            raise ConfigError("config.speed_model.workers must be a non-empty list")
-        trace = scheduler.trace_from_workers(workers, cfg.get("num_workers"))
+        workers = _as_number_list(cfg, "workers", "config.speed_model", integers=True)
+        trace = scheduler.trace_from_workers(workers, num_workers)
         if horizon is not None and horizon != trace.horizon:
             raise ConfigError(
                 f"horizon {horizon} does not match explicit worker list of "
@@ -185,7 +203,7 @@ def trace_for_run(cfg: dict, horizon: int | None, run_seed: int) -> scheduler.Ar
         if "path" not in cfg:
             raise ConfigError("config.speed_model.path is required for trace-csv")
         try:
-            trace = scheduler.ArrivalTrace.read_csv(cfg["path"], cfg.get("num_workers"))
+            trace = scheduler.ArrivalTrace.read_csv(cfg["path"], num_workers)
         except OSError as exc:
             raise ConfigError(f"config.speed_model.path: cannot read {cfg['path']}: {exc}") from None
         if horizon is not None and horizon != trace.horizon:
@@ -232,10 +250,10 @@ def resolve_x0(cfg: dict | None, problem, seed: int) -> np.ndarray:
         step = rng.standard_normal(problem.dim)
         return problem.xstar + distance * step / np.linalg.norm(step)
     if kind == "explicit":
-        values = cfg.get("values")
-        if not isinstance(values, list) or len(values) != problem.dim:
+        values = _as_number_list(cfg, "values", "config.x0")
+        if len(values) != problem.dim:
             raise ConfigError(f"config.x0.values must be a list of {problem.dim} numbers")
-        return np.array([float(v) for v in values])
+        return np.array(values)
     raise ConfigError(f"config.x0.kind: unknown kind {kind!r}; known: "
                       "['zeros', 'offset', 'explicit']")
 
@@ -248,9 +266,10 @@ def build_schedule(cfg: dict, problem, x0, num_workers: int, horizon: int):
         valid = {f.name for f in dataclasses.fields(schedules.ProblemConstants)}
         _check_keys(overrides, "config.schedule.overrides", optional=tuple(valid))
         constants = dataclasses.replace(constants, **{
-            k: (int(v) if k in ("num_workers", "horizon") else float(v))
-            for k, v in overrides.items()})
-    step = cfg.get("step")
+            k: (_as_int if k in ("num_workers", "horizon") else _as_float)(
+                overrides, k, "config.schedule.overrides")
+            for k in overrides})
+    step = _as_float(cfg, "step", "config.schedule", default=None)
     try:
         return schedules.make_schedule(cfg["kind"], constants, step)
     except ScheduleError as exc:
@@ -316,8 +335,9 @@ def cmd_simulate(args) -> int:
                                 or horizon < 1):
         raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
     repetitions = _as_int(config, "repetitions", "config", default=1, minimum=1)
-    diagnostics = bool(config.get("diagnostics", False)) or args.diagnostics
-    out_dir = args.out if args.out is not None else config.get("out")
+    diagnostics = _as_bool(config, "diagnostics", "config", False) or args.diagnostics
+    keep_iterates = _as_bool(config, "keep_iterates", "config", False)
+    out_dir = _out_dir(args, config)
 
     problem = build_problem(config["problem"], seed)
     x0 = resolve_x0(config.get("x0"), problem, seed)
@@ -333,7 +353,7 @@ def cmd_simulate(args) -> int:
         schedule = build_schedule(config["schedule"], problem, x0,
                                   trace.num_workers, trace.horizon)
         the_rule = rule or DEFAULT_OUTPUT_RULE[schedule.tag]
-        keep = (bool(config.get("keep_iterates", False)) or diagnostics
+        keep = (keep_iterates or diagnostics
                 or the_rule in ("exp-weighted", "sampled"))
         summary, record = _run_once(problem, trace, schedule, x0, run_seed,
                                     diagnostics=diagnostics, keep_iterates=keep,
@@ -378,7 +398,7 @@ def cmd_compare(args) -> int:
     seconds = _as_number_list(config, "seconds", "config")
     duration = _as_float(config, "duration", "config", minimum=0.0)
     repetitions = _as_int(config, "repetitions", "config", default=1, minimum=1)
-    out_dir = args.out if args.out is not None else config.get("out")
+    out_dir = _out_dir(args, config)
 
     async_steps, sync_rounds = scheduler.steps_in_time(seconds, duration)
     payload = {
@@ -415,7 +435,7 @@ def cmd_compare(args) -> int:
                                keep_iterates=rule in ("exp-weighted", "sampled"),
                                rule=rule)
         async_runs.append(summary)
-        step = config.get("minibatch_step")
+        step = _as_float(config, "minibatch_step", "config", default=None)
         if step is None:
             step = schedule.gamma(1, 1)   # freshest-gradient stepsize
         mini = run_minibatch(problem, len(seconds), sync_rounds, float(step), x0,
@@ -454,7 +474,7 @@ def _sweep_job(config: dict, horizon: int, rep: int) -> dict:
     summary, _ = _run_once(problem, trace, schedule, x0, seed,
                            diagnostics=False,
                            keep_iterates=rule in ("exp-weighted", "sampled"),
-                           rule=rule, metrics=bool(config.get("metrics", True)))
+                           rule=rule, metrics=config.get("metrics", True))
     summary["horizon"] = horizon
     summary["rep"] = rep
     return summary
@@ -467,20 +487,23 @@ def cmd_sweep(args) -> int:
                 optional=("seed", "repetitions", "x0", "output_rule", "out",
                           "parallel", "metrics"))
     seed = resolve_seed(args, config)
-    config = dict(config, seed=seed)
+    config = dict(config, seed=seed, metrics=_as_bool(config, "metrics", "config", True))
     horizons = config["horizons"]
     if (not isinstance(horizons, list) or not horizons
             or any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in horizons)):
         raise ConfigError("config.horizons must be a non-empty list of positive integers")
     repetitions = _as_int(config, "repetitions", "config", default=1, minimum=1)
-    out_dir = args.out if args.out is not None else config.get("out")
+    out_dir = _out_dir(args, config)
     parallel = config.get("parallel", True)
+    if not isinstance(parallel, bool):
+        parallel = _as_int(config, "parallel", "config", minimum=1)
 
     jobs = [(horizon, rep) for horizon in horizons for rep in range(repetitions)]
     if parallel in (False, 1) or len(jobs) == 1:
         per_run = [_sweep_job(config, h, r) for h, r in jobs]
     else:
-        workers = parallel if isinstance(parallel, int) else min(8, os.cpu_count() or 1)
+        workers = min(len(jobs),
+                      parallel if isinstance(parallel, int) else min(8, os.cpu_count() or 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_run = list(pool.map(_sweep_job, *zip(*[(config, h, r) for h, r in jobs])))
 

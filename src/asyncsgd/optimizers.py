@@ -1,13 +1,14 @@
 """Optimizer loops: asynchronous trace replay, a synchronous minibatch
-baseline, and a thread-backed live executor sharing the same bookkeeping.
+baseline, and a thread-backed live executor whose realized arrival order is
+replayed through the same engine.
 
 The asynchronous replay is a column engine. The arrival trace is fixed
 before a run starts, and with it everything that depends only on the trace:
-the dispatch iteration p_k of every arriving gradient (checked against the
-recorded delays), its stepsize gamma_k = gamma(tau_k), every gradient's
-eventual stepsize (the stepsize it is consumed with, or the terminal-delay
-stepsize if it is still in flight when the run ends), and the gradient
-noise. The noise comes from the problem's split oracle: `draw` takes a
+the dispatch iteration p_k of every arriving gradient (the trace's
+`dispatches()` column, checked against the recorded delays), its stepsize
+gamma_k = gamma(tau_k), every gradient's eventual stepsize (the stepsize it
+is consumed with, or the terminal-delay stepsize if it is still in flight
+when the run ends), and the gradient noise. The noise comes from the problem's split oracle: `draw` takes a
 worker's samples from its own seed substream as one block, sized from the
 worker's arrival count, and `sample_grad` evaluates one gradient given its
 sample. Block draws equal one-at-a-time draws, so a gradient evaluated
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ledger import DelayLedger, LedgerError
-from .scheduler import ArrivalTrace
+from .scheduler import ArrivalTrace, LedgerError
 from .schedules import StepSchedule
 
 
@@ -331,9 +331,10 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     """Actually-threaded variant of the asynchronous loop.
 
     Each thread computes gradients against its own dispatch snapshot and a
-    single lock serializes (record arrival, update, re-dispatch). The arrival
-    order is scheduler-dependent and therefore not reproducible; everything
-    downstream of the realized order behaves exactly like run_async.
+    single lock serializes (number the arrival, update, re-dispatch). The
+    arrival order is scheduler-dependent and therefore not reproducible; the
+    realized order becomes an ArrivalTrace, which checks its delays, and its
+    replay through run_async must reproduce the live iterate exactly.
     """
     if horizon < 1:
         raise LedgerError(f"need at least one arrival, got {horizon}")
@@ -346,10 +347,10 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
             f"problem defines {pool} worker objectives but run asks for {num_workers}"
         )
     rngs = worker_streams(seed, num_workers)
-    ledger = DelayLedger(num_workers)
+    dispatched_at = [0] * num_workers   # iteration each worker was last dispatched at
     lock = threading.Lock()
     shared = {"x": x0.copy(), "failure": None}
-    rows = []          # (worker, tau, gamma, arrival time, x_k copy)
+    rows = []          # (worker, tau, gamma, arrival time); arrival k is row k
     t0 = _time.perf_counter()
 
     def work(m: int) -> None:
@@ -362,9 +363,11 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
                     shared["failure"] = shared["failure"] or exc
                 return
             with lock:
-                if shared["failure"] is not None or ledger.arrival_count >= horizon:
+                if shared["failure"] is not None or len(rows) >= horizon:
                     return
-                k, tau = ledger.record_arrival(m)
+                k = len(rows) + 1
+                tau = k - dispatched_at[m - 1]
+                dispatched_at[m - 1] = k
                 try:
                     gamma = schedule.gamma(k, tau)
                     shared["x"] = shared["x"] - gamma * g

@@ -1,6 +1,10 @@
 """Discrete-event simulation of parallel workers with configurable
 compute-time models, plus the closed-form step-count model used to compare
 asynchronous and synchronous execution for a fixed wall-clock budget.
+
+`ArrivalTrace` is the one place that defines delays: arrival k's gradient
+was dispatched at p_k, the same worker's previous arrival (0 if none), and
+its delay is tau_k = k - p_k. The delay-budget checks use the same columns.
 """
 
 from __future__ import annotations
@@ -11,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import DelayLedger, LedgerError
+
+class LedgerError(ValueError):
+    """Contract violation in delay bookkeeping (bad worker id, bad delay or
+    inconsistent trace columns)."""
 
 
 class SpeedModelError(ValueError):
@@ -32,7 +39,6 @@ class FixedSpeeds:
     """Worker m takes exactly seconds[m-1] per gradient, every time."""
 
     seconds: tuple[float, ...]
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "seconds", _check_seconds(self.seconds))
@@ -101,7 +107,6 @@ class StragglerSpeeds:
     straggler: int
     slowdown: float
     num_workers: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_workers < 1:
@@ -122,9 +127,7 @@ class StragglerSpeeds:
             for m in range(1, self.num_workers + 1)
         )
 
-    def block_samplers(self):
-        """Per worker, a function of n giving its next n compute times."""
-        return [lambda n, s=s: np.full(n, s) for s in self.seconds]
+    block_samplers = FixedSpeeds.block_samplers
 
 
 SpeedModel = FixedSpeeds | RandomSpeeds | StragglerSpeeds
@@ -198,11 +201,28 @@ class ArrivalTrace:
                 f"but the arrival order gives {delays[i]}")
         return prevs
 
-    def validate(self) -> DelayLedger:
-        """Check the columns and replay them through a fresh ledger, whose
-        delay-budget invariants can then be queried."""
+    def validate(self) -> "ArrivalTrace":
+        """Check the columns again (they are mutable) and return the trace,
+        whose delay-budget invariants can then be queried."""
         self.dispatches()
-        return DelayLedger.replay(self.workers.tolist(), self.num_workers)
+        return self
+
+    def delay_budget_slack(self) -> int:
+        """Minimum over prefixes K' = 1..K+1 of K'M minus the delays of the
+        first K'-1 arrivals and of the M gradients in flight at K'. Arrival k
+        moves its worker's dispatch point from p_k to k, so the in-flight
+        delays sum to K'M - sum_{k<K'} (k - p_k) and the margin at K' is
+        sum_{k<K'} (k - p_k - tau_k): 0 at every prefix of a valid trace."""
+        terms = np.arange(1, self.horizon + 1) - self.dispatches() - self.taus
+        return int(np.cumsum(terms).min(initial=0))
+
+    def long_delay_count_ok(self) -> bool:
+        """At most min(k/3, max(k - 3M, 0)) of the first k arrivals, for
+        every k, may carry a delay larger than 3M."""
+        m3 = 3 * self.num_workers
+        ks = np.arange(1, self.horizon + 1)
+        long_counts = np.cumsum(self.taus > m3)
+        return bool(np.all(long_counts <= np.minimum(ks / 3, np.maximum(ks - m3, 0))))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -165,12 +165,35 @@ class LipschitzSmooth(_FixedStep):
 
 
 class _DelayAdaptive(StepSchedule):
-    """gamma_k = min{ 1/(c L tau), cap }: stale gradients get steps shrinking
-    like 1/tau, fresh ones are capped. Subclasses set c and the cap."""
+    """gamma_k = min{ 1/(c L tau), 1/(cap_factor M L), noise cap }: stale
+    gradients get steps shrinking like 1/tau, fresh ones are capped.
+
+    Subclasses set c (delay_factor) and cap_factor. The noise cap, present
+    only when sigma > 0, is sqrt(Delta/(K L sigma^2)) unless a subclass
+    overrides `_noise_cap`; the eventual stepsizes then sum to at least
+    K gmax / sum_divisor.
+    """
 
     adaptive = True
     delay_factor: float
-    cap: float
+    cap_factor: float
+    sum_divisor: float
+
+    def __init__(self, constants: ProblemConstants):
+        super().__init__(constants)
+        c = constants
+        self._require(
+            positive_smoothness=c.smoothness > 0,
+            horizon_at_least_num_workers=c.horizon >= c.num_workers,
+        )
+        cap = 1.0 / (self.cap_factor * c.num_workers * c.smoothness)
+        if c.sigma > 0:
+            cap = min(cap, self._noise_cap(c))
+        self.cap = cap
+
+    def _noise_cap(self, c: ProblemConstants) -> float:
+        self._require(positive_init_gap=c.init_gap > 0)
+        return math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2))
 
     def gamma(self, k: int, tau: int) -> float:
         _check_tau(tau)
@@ -181,25 +204,21 @@ class _DelayAdaptive(StepSchedule):
         return np.minimum(1.0 / (self.delay_factor * self.constants.smoothness * taus),
                           self.cap)
 
+    def stepsize_sum_bound(self) -> float:
+        """Per-trace lower bound on the sum of eventual stepsizes: K gmax / sum_divisor."""
+        return self.constants.horizon * self.cap / self.sum_divisor
+
 
 class AdaptiveConvex(_DelayAdaptive):
     """gamma_k = min{ 1/(4 L tau), 1/(4ML), B/(sigma sqrt(K)) }."""
 
     tag = "adaptive-convex"
     delay_factor = 4.0
+    cap_factor = 4.0
 
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_smoothness=c.smoothness > 0,
-            horizon_at_least_num_workers=c.horizon >= c.num_workers,
-        )
-        cap = 1.0 / (4.0 * c.num_workers * c.smoothness)
-        if c.sigma > 0:
-            self._require(positive_init_distance=c.init_distance > 0)
-            cap = min(cap, c.init_distance / (c.sigma * math.sqrt(c.horizon)))
-        self.cap = cap
+    def _noise_cap(self, c: ProblemConstants) -> float:
+        self._require(positive_init_distance=c.init_distance > 0)
+        return c.init_distance / (c.sigma * math.sqrt(c.horizon))
 
     def stepsize_sum_bound(self) -> float:
         """Per-trace lower bound on the sum of eventual stepsizes:
@@ -260,52 +279,24 @@ class AdaptiveStronglyConvex(StepSchedule):
 
 
 class AdaptiveNonconvex(_DelayAdaptive):
-    """gamma_k = min{ 1/(4 L tau), 1/(2ML), sqrt(Delta/(K L sigma^2)) }."""
+    """gamma_k = min{ 1/(4 L tau), 1/(2ML), sqrt(Delta/(K L sigma^2)) };
+    eventual stepsizes sum to at least K gmax / 9."""
 
     tag = "adaptive-nonconvex"
     delay_factor = 4.0
-
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_smoothness=c.smoothness > 0,
-            horizon_at_least_num_workers=c.horizon >= c.num_workers,
-        )
-        cap = 1.0 / (2.0 * c.num_workers * c.smoothness)
-        if c.sigma > 0:
-            self._require(positive_init_gap=c.init_gap > 0)
-            cap = min(cap, math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2)))
-        self.cap = cap
-
-    def stepsize_sum_bound(self) -> float:
-        """Per-trace lower bound on the sum of eventual stepsizes: K gmax / 9."""
-        return self.constants.horizon * self.cap / 9.0
+    cap_factor = 2.0
+    sum_divisor = 9.0
 
 
 class AdaptiveHeterogeneous(_DelayAdaptive):
     """gamma_k = min{ 1/(8 L tau), 1/(4ML), sqrt(Delta/(K L sigma^2)) },
-    for per-worker objectives whose gradients differ by at most zeta."""
+    for per-worker objectives whose gradients differ by at most zeta;
+    eventual stepsizes sum to at least K gmax / 18."""
 
     tag = "adaptive-heterogeneous"
     delay_factor = 8.0
-
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_smoothness=c.smoothness > 0,
-            horizon_at_least_num_workers=c.horizon >= c.num_workers,
-        )
-        cap = 1.0 / (4.0 * c.num_workers * c.smoothness)
-        if c.sigma > 0:
-            self._require(positive_init_gap=c.init_gap > 0)
-            cap = min(cap, math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2)))
-        self.cap = cap
-
-    def stepsize_sum_bound(self) -> float:
-        """Per-trace lower bound on the sum of eventual stepsizes: K gmax / 18."""
-        return self.constants.horizon * self.cap / 18.0
+    cap_factor = 4.0
+    sum_divisor = 18.0
 
 
 SCHEDULES = {
@@ -322,7 +313,7 @@ def make_schedule(tag: str, constants: ProblemConstants, step: float | None = No
         if step is None:
             raise ScheduleError("constant schedule needs an explicit step")
         return ConstantStep(constants, step)
-    if tag not in SCHEDULES:
+    if not isinstance(tag, str) or tag not in SCHEDULES:
         known = sorted(SCHEDULES) + [ConstantStep.tag]
         raise ScheduleError(f"unknown schedule {tag!r}; known: {known}")
     if step is not None:
@@ -348,12 +339,23 @@ DEFAULT_OUTPUT_RULE = {
 }
 
 
-def log_weighted_stepsize_sum(gamma_hats, mu: float) -> float:
-    """log of sum_k gamma_hat_k * exp(mu * cumsum(gamma_hat)_k), overflow safe."""
+def _positive(gamma_hats) -> np.ndarray:
     gamma_hats = np.asarray(gamma_hats, dtype=np.float64)
     if np.any(gamma_hats <= 0):
         raise ScheduleError("eventual stepsizes must be positive")
-    logs = np.log(gamma_hats) + mu * np.cumsum(gamma_hats)
+    return gamma_hats
+
+
+def _log_exp_weights(gamma_hats, mu: float) -> np.ndarray:
+    """log(gamma_hat_k) + mu * cumsum(gamma_hat)_k, the unnormalized log
+    weights of the exponentially weighted average."""
+    gamma_hats = _positive(gamma_hats)
+    return np.log(gamma_hats) + mu * np.cumsum(gamma_hats)
+
+
+def log_weighted_stepsize_sum(gamma_hats, mu: float) -> float:
+    """log of sum_k gamma_hat_k * exp(mu * cumsum(gamma_hat)_k), overflow safe."""
+    logs = _log_exp_weights(gamma_hats, mu)
     peak = float(np.max(logs))
     return peak + math.log(float(np.sum(np.exp(logs - peak))))
 
@@ -373,13 +375,10 @@ def output_weights(rule: str, gamma_hats, mu: float = 0.0) -> np.ndarray:
     if rule == "uniform":
         return np.full(len(gamma_hats), 1.0 / len(gamma_hats))
     if rule in ("weighted", "sampled"):
-        if np.any(gamma_hats <= 0):
-            raise ScheduleError("eventual stepsizes must be positive")
+        gamma_hats = _positive(gamma_hats)
         return gamma_hats / gamma_hats.sum()
     if rule == "exp-weighted":
-        if np.any(gamma_hats <= 0):
-            raise ScheduleError("eventual stepsizes must be positive")
-        logs = np.log(gamma_hats) + mu * np.cumsum(gamma_hats)
+        logs = _log_exp_weights(gamma_hats, mu)
         logs -= logs.max()
         w = np.exp(logs)
         return w / w.sum()

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from asyncsgd import DelayLedger, LedgerError, RandomSpeeds, RunRecord
+from asyncsgd import LedgerError, RandomSpeeds, RunRecord
 
 
 def prev_arrival(workers, k, m):
@@ -145,17 +145,19 @@ def scalar_samplers(model):
 def heap_trace(model, horizon):
     """Event-loop reference for simulate_trace: a heap holds each worker's
     next finish time, popped in (time, worker id) order; a popped worker's
-    next finish time is its last one plus one fresh draw. Delays come from a
-    ledger replay. Returns (workers, taus, times)."""
+    next finish time is its last one plus one fresh draw. A worker's delay
+    is k minus its previous arrival (0 if none). Returns (workers, taus,
+    times)."""
     draws = scalar_samplers(model)
     heap = [(draws[m - 1](), m) for m in range(1, len(draws) + 1)]
     heapq.heapify(heap)
-    ledger = DelayLedger(len(draws))
+    last_arrival = {}
     workers, taus, times = [], [], []
-    for _ in range(horizon):
+    for k in range(1, horizon + 1):
         t, m = heapq.heappop(heap)
         workers.append(m)
-        taus.append(ledger.record_arrival(m)[1])
+        taus.append(k - last_arrival.get(m, 0))
+        last_arrival[m] = k
         times.append(t)
         heapq.heappush(heap, (t + draws[m - 1](), m))
     return (np.array(workers, dtype=np.int64), np.array(taus, dtype=np.int64),

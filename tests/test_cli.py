@@ -350,6 +350,48 @@ def test_sweep_rejects_bad_horizons(tmp_path, capsys):
     assert code == 2 and "horizons" in err
 
 
+BAD_FIELDS = [
+    ("simulate", "num_samples",
+     {"problem": {"kind": "least-squares", "dim": 3, "num_samples": "ten"}}),
+    ("simulate", "target_smoothness",
+     {"problem": {"kind": "least-squares", "dim": 3, "target_smoothness": "1"}}),
+    ("simulate", "step", {"schedule": {"kind": "constant", "step": "0.1"}}),
+    ("simulate", "smoothness",
+     {"schedule": {"kind": "adaptive-convex", "overrides": {"smoothness": "x"}}}),
+    ("simulate", "sigma", {"problem": {"kind": "bounded-nonconvex", "dim": 3, "sigma": "a"},
+                           "schedule": {"kind": "adaptive-nonconvex"},
+                           "x0": {"kind": "zeros"}}),
+    ("simulate", "workers", {"speed_model": {"kind": "explicit", "workers": [1, "a"]}}),
+    ("simulate", "num_workers",
+     {"speed_model": {"kind": "explicit", "workers": [1, 2], "num_workers": "3"}}),
+    ("simulate", "num_workers", {"speed_model": {"kind": "trace-csv", "num_workers": "3"}}),
+    ("simulate", "values", {"x0": {"kind": "explicit", "values": ["a", 1, 2]}}),
+    ("simulate", "diagnostics", {"diagnostics": "no"}),
+    ("simulate", "keep_iterates", {"keep_iterates": 1}),
+    ("simulate", "schedule", {"schedule": {"kind": ["constant"]}}),
+    ("simulate", "config.out", {"out": 5}),
+    ("sweep", "parallel", {"parallel": -1}),
+    ("sweep", "parallel", {"parallel": "2"}),
+    ("sweep", "metrics", {"metrics": "no"}),
+]
+
+
+@pytest.mark.parametrize("command, key, overrides", BAD_FIELDS,
+                         ids=[f"{c}-{k}-{i}" for i, (c, k, _) in enumerate(BAD_FIELDS)])
+def test_bad_field_type_is_a_config_error(tmp_path, capsys, command, key, overrides):
+    cfg = json.loads(json.dumps(overrides))   # a fresh copy per case
+    cfg = base_config(**cfg) if command == "simulate" else sweep_config(**cfg)
+    speed = cfg["speed_model"]
+    if speed["kind"] == "trace-csv":
+        speed["path"] = str(tmp_path / "trace.csv")
+        simulate_trace(FixedSpeeds((1.0, 2.0)), 30).write_csv(speed["path"])
+    if speed["kind"] in ("explicit", "trace-csv"):
+        del cfg["horizon"]   # the trace fixes the horizon itself
+    code, _, err = run_cli(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check and live
 

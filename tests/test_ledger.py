@@ -1,68 +1,41 @@
-import csv
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsgd import DelayLedger, LedgerError
+import asyncsgd
+from asyncsgd import ArrivalTrace, LedgerError, trace_from_workers
 from reference import naive_budget_slack, naive_delays, prev_arrival
 
 
 def test_round_robin_delays():
-    ledger = DelayLedger(2)
-    assert ledger.record_arrival(1) == (1, 1)
-    assert ledger.record_arrival(2) == (2, 2)
-    assert ledger.record_arrival(1) == (3, 2)
-    assert ledger.record_arrival(2) == (4, 2)
-    assert ledger.history == [(1, 1, 0), (2, 2, 0), (3, 1, 1), (4, 2, 2)]
+    trace = trace_from_workers([1, 2, 1, 2], 2)
+    assert trace.taus.tolist() == [1, 2, 2, 2]
+    assert trace.dispatches().tolist() == [0, 0, 1, 2]
 
 
 def test_single_worker_delays_all_one():
-    ledger = DelayLedger.replay([1] * 20)
-    assert [k - d for k, _, d in ledger.history] == [1] * 20
-
-
-def test_tau_of_inflight_tracks_dispatch():
-    ledger = DelayLedger(3)
-    assert ledger.tau_of_inflight(2, 1) == 1
-    ledger.record_arrival(2)
-    assert ledger.tau_of_inflight(2, 5) == 4
-    assert ledger.tau_of_inflight(1, 5) == 5
-
-
-def test_tau_terminal_clamped_at_one():
-    ledger = DelayLedger(2)
-    ledger.record_arrival(1)  # worker 1 re-dispatched at k=1
-    assert ledger.tau_terminal(1, 1) == 1  # horizon == dispatch, clamp
-    assert ledger.tau_terminal(1, 10) == 9
-    assert ledger.tau_terminal(2, 10) == 10
+    assert trace_from_workers([1] * 20).taus.tolist() == [1] * 20
 
 
 def test_worker_id_validation():
-    ledger = DelayLedger(2)
+    for bad in (0, 3):
+        with pytest.raises(LedgerError, match="unknown worker id"):
+            ArrivalTrace(np.array([1, bad]), np.array([1, 2]), np.array([1.0, 2.0]), 2)
     with pytest.raises(LedgerError):
-        ledger.record_arrival(0)
-    with pytest.raises(LedgerError):
-        ledger.record_arrival(3)
-    with pytest.raises(LedgerError):
-        ledger.record_arrival("1")
-    with pytest.raises(LedgerError):
-        DelayLedger(0)
+        ArrivalTrace(np.array([1]), np.array([1]), np.array([1.0]), 0)
 
 
 def test_budget_tight_for_single_worker():
     # M=1 alternates nothing: every prefix meets the budget with slack 0
-    ledger = DelayLedger.replay([1] * 7)
-    assert ledger.delay_budget_slack() == 0
-    assert ledger.delay_budget_ok()
+    assert trace_from_workers([1] * 7).delay_budget_slack() == 0
 
 
 def test_budget_matches_definition_on_adversarial_order():
     # worker 2 sits out for a long stretch
     workers = [1] * 12 + [2] + [1] * 3
-    ledger = DelayLedger.replay(workers, num_workers=2)
-    assert ledger.delay_budget_slack() == naive_budget_slack(workers, 2)
-    assert ledger.delay_budget_ok()
+    trace = trace_from_workers(workers, 2)
+    assert trace.delay_budget_slack() == naive_budget_slack(workers, 2) == 0
 
 
 worker_sequences = st.integers(min_value=1, max_value=5).flatmap(
@@ -77,27 +50,28 @@ worker_sequences = st.integers(min_value=1, max_value=5).flatmap(
 @given(worker_sequences)
 def test_budget_slack_matches_definition(case):
     num_workers, workers = case
-    ledger = DelayLedger.replay(workers, num_workers=num_workers)
-    assert ledger.delay_budget_slack() == naive_budget_slack(workers, num_workers)
+    trace = trace_from_workers(workers, num_workers)
+    assert trace.delay_budget_slack() == naive_budget_slack(workers, num_workers)
 
 
 @settings(max_examples=200, deadline=None)
 @given(worker_sequences)
 def test_budget_never_violated_and_delays_definitional(case):
-    # any arrival order at all satisfies the budget; delays match the
-    # definitional quadratic scan
+    # realized plus in-flight delays account for every iteration exactly, so
+    # any arrival order at all meets the budget with slack exactly 0; delays
+    # match the definitional quadratic scan
     num_workers, workers = case
-    ledger = DelayLedger.replay(workers, num_workers=num_workers)
-    assert ledger.delay_budget_ok()
-    assert [k - d for k, _, d in ledger.history] == naive_delays(workers)
+    trace = trace_from_workers(workers, num_workers)
+    assert trace.validate() is trace
+    assert trace.delay_budget_slack() == 0
+    assert trace.taus.tolist() == naive_delays(workers)
 
 
 @settings(max_examples=200, deadline=None)
 @given(worker_sequences)
 def test_long_delay_count_capped(case):
     num_workers, workers = case
-    ledger = DelayLedger.replay(workers, num_workers=num_workers)
-    assert ledger.long_delay_count_ok()
+    assert trace_from_workers(workers, num_workers).long_delay_count_ok()
     # and the cap is what the definition says, checked independently
     m3 = 3 * num_workers
     long_count = 0
@@ -108,23 +82,24 @@ def test_long_delay_count_capped(case):
         assert long_count <= min(k / 3, max(k - m3, 0))
 
 
+def test_long_delay_count_flags_a_violation():
+    # every valid trace meets the cap, so break one: a delay above 3M = 6 at
+    # k = 1 already exceeds min(1/3, max(1 - 6, 0)) = 0
+    trace = trace_from_workers([1, 2] * 10, 2)
+    assert trace.long_delay_count_ok()
+    trace.taus = trace.taus.copy()
+    trace.taus[0] = 7
+    assert not trace.long_delay_count_ok()
+
+
 def test_replay_infers_worker_count():
-    ledger = DelayLedger.replay([1, 3, 2])
-    assert ledger.num_workers == 3
+    trace = trace_from_workers([1, 3, 2])
+    assert trace.num_workers == 3
+    assert trace.taus.tolist() == [1, 2, 3]
     with pytest.raises(LedgerError):
-        DelayLedger.replay([])
+        trace_from_workers([])
 
 
-def test_csv_export(tmp_path):
-    ledger = DelayLedger.replay([1, 2, 2, 1])
-    path = tmp_path / "ledger.csv"
-    ledger.write_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "worker", "prev", "tau"]
-    assert rows[1:] == [
-        ["1", "1", "0", "1"],
-        ["2", "2", "0", "2"],
-        ["3", "2", "2", "1"],
-        ["4", "1", "1", "3"],
-    ]
+def test_every_exported_name_resolves():
+    missing = [name for name in asyncsgd.__all__ if not hasattr(asyncsgd, name)]
+    assert missing == []
