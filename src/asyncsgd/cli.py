@@ -7,6 +7,16 @@ demo). Runs are configured by a JSON file; a few flags override config
 fields. The ASYNC_SGD_SEED environment variable overrides every other seed
 source. Exit codes: 0 success, 1 invariant or run failure, 2 usage or
 config errors.
+
+Config checking is declarative. Each config section, and each kind of a
+section that has kinds, has one table below that lists every key it accepts
+with its type and lower bound, and one reader (`_read`) checks a section
+against its table. A key its table does not list, including a key that only
+another kind reads, is a config error naming its dotted path. Config keys
+equal the library's keyword names, so a builder is a table lookup plus a
+call. simulate, compare and sweep share one run path: `_read_command` checks
+the top level and builds the problem and the start point once, and `_run`
+builds each run's schedule, picks its output rule, runs and summarizes.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config reader
 
 
 def _load_config(path) -> dict:
@@ -55,73 +65,155 @@ def _load_config(path) -> dict:
     return config
 
 
-def _check_keys(obj: dict, where: str, required=(), optional=()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "a JSON object", bool | int: "true, false or an integer"}
+
+
+def _check(value, kind, lower, path: str):
+    """`value` checked against a table type (see the config tables below)."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+        return [_check(v, kind[0], lower, f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise ConfigError(f"{path} must be one of {list(kind)}, got {value!r}")
+        return value
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) and kind in (int, float)):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:   # an integer literal beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value}")
+    if lower is not None and not isinstance(value, bool) and value < lower:
+        raise ConfigError(f"{path} must be >= {lower}, got {value}")
+    return value
+
+
+def _read(cfg, where: str, table: dict, **fallback) -> dict:
+    """Check the config section `cfg` against its table and return its values:
+    each key the section sets, then each default the table, or else
+    `fallback`, gives for a key it leaves out. Raises ConfigError naming the
+    dotted path of an unknown, missing, mistyped or out-of-range key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {missing}")
-
-
-_REQUIRED = object()
-
-
-def _as_int(obj, key, where, default=_REQUIRED, minimum=None):
-    if key not in obj:
-        if default is _REQUIRED:
+        raise ConfigError(f"{where}: unknown keys {unknown}; known: {sorted(table)}")
+    values = {}
+    for key, (kind, lower, *default) in table.items():
+        if key in cfg:
+            values[key] = _check(cfg[key], kind, lower, f"{where}.{key}")
+        elif default == [...]:
             raise ConfigError(f"{where}.{key} is required")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {v}")
-    return v
+        elif default:
+            values[key] = default[0]
+        elif key in fallback:
+            values[key] = fallback[key]
+    return values
 
 
-def _as_float(obj, key, where, default=_REQUIRED, minimum=None):
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be finite")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {v}")
-    return v
+def _read_kind(cfg, where: str, kinds: dict, **fallback):
+    """Read a section whose `kind` picks its (constructor, table) in `kinds`;
+    return the constructor and the section's other values."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(f"{where} must be a JSON object with a kind, got {cfg!r}")
+    make, table = kinds[_check(cfg["kind"], tuple(kinds), None, f"{where}.kind")]
+    return make, _read({k: v for k, v in cfg.items() if k != "kind"}, where, table, **fallback)
 
 
-def _as_number_list(obj, key, where, integers=False):
-    v = obj.get(key)
-    kinds, name = (int, "integers") if integers else ((int, float), "numbers")
-    if (not isinstance(v, list) or not v
-            or any(isinstance(s, bool) or not isinstance(s, kinds) for s in v)):
-        raise ConfigError(f"{where}.{key} must be a non-empty list of {name}")
-    return list(v) if integers else [float(s) for s in v]
+def _file_reader(load, where: str):
+    """`load(path, ...)` with the path read from the key `where` names,
+    reporting a file it cannot load as a config error."""
+    def read(**kwargs):
+        path = kwargs.pop(where.rpartition(".")[2])
+        try:
+            return load(path, **kwargs)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{where}: cannot load {path}: {exc}") from None
+    return read
 
 
-def _as_bool(obj, key, where, default):
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
-    return v
+def _explicit_x0(problem, values) -> np.ndarray:
+    if len(values) != problem.dim:
+        raise ConfigError(f"config.x0.values must be a list of {problem.dim} numbers")
+    return np.array(values)
 
 
-def _out_dir(args, config: dict) -> str | None:
-    out = args.out if args.out is not None else config.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"config.out must be a path string, got {out!r}")
-    return out
+# ---------------------------------------------------------------------------
+# config tables
+#
+# A table maps each key a section (or one kind of it) accepts to
+# (type, lower bound) or (type, lower bound, default). A type is int, float
+# (any JSON number, read as a finite float), bool, str, dict (a JSON
+# object), bool | int, a list [int] or [float] (non-empty, the bound applying
+# to each entry), or a tuple of the accepted strings. The default ... marks
+# a required key. A key without a default that the config leaves out is not
+# passed on, so the library's own default applies; the problem, speed-model
+# and start-point seeds fall back to the run seed instead.
+
+PROBLEMS = {   # kind: (constructor, table)
+    "least-squares": (problems.least_squares, {
+        "dim": (int, 1, ...), "num_samples": (int, 1), "noise": (str, None),
+        "sigma": (float, 0.0), "seed": (int, 0), "target_smoothness": (float, None)}),
+    "bounded-nonconvex": (problems.bounded_nonconvex, {
+        "dim": (int, 1, ...), "num_samples": (int, 1), "noise": (str, None),
+        "sigma": (float, 0.0), "seed": (int, 0)}),
+    "heterogeneous-quadratics": (problems.heterogeneous_quadratics, {
+        "dim": (int, 1, ...), "num_workers": (int, 1, ...), "zeta": (float, 0.0, ...),
+        "num_samples": (int, 1), "sigma": (float, 0.0), "seed": (int, 0),
+        "target_smoothness": (float, None)}),
+}
+# a least-squares problem that sets `csv` loads its data from that file
+LEAST_SQUARES_CSV = (_file_reader(problems.least_squares_from_csv, "config.problem.csv"), {
+    "csv": (str, None, ...), "noise": (str, None), "sigma": (float, 0.0)})
+
+SPEED_MODELS = {   # kind: (speed model or trace constructor, table)
+    "fixed": (scheduler.FixedSpeeds, {"seconds": ([float], None, ...)}),
+    "random": (scheduler.RandomSpeeds, {
+        "distribution": (str, None, "exponential"), "means": ([float], None, ...),
+        "sigma": (float, None), "seed": (int, 0)}),
+    "straggler": (scheduler.StragglerSpeeds, {
+        "base": (float, None, 1.0), "straggler": (int, None, ...),
+        "slowdown": (float, None, ...), "num_workers": (int, 1, ...)}),
+    "explicit": (scheduler.trace_from_workers, {
+        "workers": ([int], None, ...), "num_workers": (int, 1)}),
+    "trace-csv": (_file_reader(scheduler.ArrivalTrace.read_csv, "config.speed_model.path"), {
+        "path": (str, None, ...), "num_workers": (int, 1)}),
+}
+
+X0_KINDS = {   # kind: (constructor taking the problem first, table)
+    "zeros": (lambda problem: np.zeros(problem.dim), {}),
+    "offset": (problems.offset_start, {"distance": (float, 0.0), "seed": (int, 0)}),
+    "explicit": (_explicit_x0, {"values": ([float], None, ...)}),
+}
+
+SCHEDULE = {"kind": (str, None, ...), "step": (float, None), "overrides": (dict, None, {})}
+OVERRIDES = {f.name: (type(f.default), None)
+             for f in dataclasses.fields(schedules.ProblemConstants)}
+
+TOP_LEVEL = {"problem": (dict, None, ...), "schedule": (dict, None, ...),
+            "x0": (dict, None), "seed": (int, 0, 0), "repetitions": (int, 1, 1),
+            "out": (str, None)}
+SIMULATE = {**TOP_LEVEL, "speed_model": (dict, None, ...), "horizon": (int, 1),
+            "diagnostics": (bool, None, False), "keep_iterates": (bool, None, False),
+            "output_rule": (schedules.OUTPUT_RULES, None)}
+COMPARE = {**TOP_LEVEL, "seconds": ([float], None, ...), "duration": (float, 0.0, ...),
+           "minibatch_step": (float, None)}
+SWEEP = {**TOP_LEVEL, "speed_model": (dict, None, ...), "horizons": ([int], 1, ...),
+         "output_rule": (schedules.OUTPUT_RULES, None),
+         "parallel": (bool | int, 1, True), "metrics": (bool, None, True)}
 
 
-def resolve_seed(args, config: dict) -> int:
+# ---------------------------------------------------------------------------
+# builders
+
+
+def resolve_seed(args, config_seed: int = 0) -> int:
     env = os.environ.get("ASYNC_SGD_SEED")
     if env is not None:
         try:
@@ -131,170 +223,94 @@ def resolve_seed(args, config: dict) -> int:
     elif getattr(args, "seed", None) is not None:
         seed = args.seed
     else:
-        seed = _as_int(config, "seed", "config", default=0)
+        seed = config_seed
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
-# ---------------------------------------------------------------------------
-# builders
-
-
 def build_problem(cfg: dict, fallback_seed: int):
-    _check_keys(cfg, "config.problem", required=("kind",),
-                optional=("dim", "num_samples", "noise", "sigma", "seed", "zeta",
-                          "num_workers", "target_smoothness", "csv"))
-    kind = cfg["kind"]
-    seed = _as_int(cfg, "seed", "config.problem", default=fallback_seed, minimum=0)
-    num_samples = _as_int(cfg, "num_samples", "config.problem", default=None, minimum=1)
-    target_smoothness = _as_float(cfg, "target_smoothness", "config.problem", default=None)
-    if kind == "least-squares":
-        if "csv" in cfg:
-            sigma = _as_float(cfg, "sigma", "config.problem", default=1.0, minimum=0.0)
-            try:
-                return problems.least_squares_from_csv(
-                    cfg["csv"], noise=cfg.get("noise", "additive"), sigma=sigma)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"config.problem.csv: cannot load {cfg['csv']}: {exc}") from None
-        return problems.least_squares(
-            dim=_as_int(cfg, "dim", "config.problem", minimum=1),
-            num_samples=num_samples,
-            noise=cfg.get("noise", "additive"),
-            sigma=_as_float(cfg, "sigma", "config.problem", default=1.0, minimum=0.0),
-            seed=seed,
-            target_smoothness=target_smoothness)
-    if kind == "bounded-nonconvex":
-        return problems.bounded_nonconvex(
-            dim=_as_int(cfg, "dim", "config.problem", minimum=1),
-            num_samples=num_samples,
-            noise=cfg.get("noise", "rows"),
-            sigma=_as_float(cfg, "sigma", "config.problem", default=None, minimum=0.0),
-            seed=seed)
-    if kind == "heterogeneous-quadratics":
-        return problems.heterogeneous_quadratics(
-            dim=_as_int(cfg, "dim", "config.problem", minimum=1),
-            num_workers=_as_int(cfg, "num_workers", "config.problem", minimum=1),
-            zeta=_as_float(cfg, "zeta", "config.problem", minimum=0.0),
-            num_samples=num_samples,
-            sigma=_as_float(cfg, "sigma", "config.problem", default=0.0, minimum=0.0),
-            seed=seed,
-            target_smoothness=target_smoothness)
-    raise ConfigError(
-        f"config.problem.kind: unknown kind {kind!r}; known: "
-        "['least-squares', 'bounded-nonconvex', 'heterogeneous-quadratics']")
+    kinds = PROBLEMS
+    if isinstance(cfg, dict) and cfg.get("kind") == "least-squares" and "csv" in cfg:
+        kinds = {"least-squares": LEAST_SQUARES_CSV}
+    make, values = _read_kind(cfg, "config.problem", kinds, seed=fallback_seed)
+    return make(**values)
 
 
 def trace_for_run(cfg: dict, horizon: int | None, run_seed: int) -> scheduler.ArrivalTrace:
-    _check_keys(cfg, "config.speed_model", required=("kind",),
-                optional=("seconds", "distribution", "means", "sigma", "seed", "base",
-                          "straggler", "slowdown", "num_workers", "workers", "path"))
-    kind = cfg["kind"]
-    num_workers = _as_int(cfg, "num_workers", "config.speed_model", default=None, minimum=1)
-    if kind == "explicit":
-        workers = _as_number_list(cfg, "workers", "config.speed_model", integers=True)
-        trace = scheduler.trace_from_workers(workers, num_workers)
-        if horizon is not None and horizon != trace.horizon:
+    make, values = _read_kind(cfg, "config.speed_model", SPEED_MODELS, seed=run_seed)
+    made = make(**values)
+    if isinstance(made, scheduler.ArrivalTrace):
+        if horizon is not None and horizon != made.horizon:
             raise ConfigError(
-                f"horizon {horizon} does not match explicit worker list of "
-                f"length {trace.horizon}")
-        return trace
-    if kind == "trace-csv":
-        if "path" not in cfg:
-            raise ConfigError("config.speed_model.path is required for trace-csv")
-        try:
-            trace = scheduler.ArrivalTrace.read_csv(cfg["path"], num_workers)
-        except OSError as exc:
-            raise ConfigError(f"config.speed_model.path: cannot read {cfg['path']}: {exc}") from None
-        if horizon is not None and horizon != trace.horizon:
-            raise ConfigError(
-                f"horizon {horizon} does not match trace of length {trace.horizon}")
-        return trace
+                f"horizon {horizon} does not match the {cfg['kind']} trace of length "
+                f"{made.horizon}")
+        return made
     if horizon is None:
         raise ConfigError("config.horizon is required unless the trace is explicit")
-    seed = _as_int(cfg, "seed", "config.speed_model", default=run_seed, minimum=0)
-    if kind == "fixed":
-        model = scheduler.FixedSpeeds(tuple(_as_number_list(cfg, "seconds", "config.speed_model")))
-    elif kind == "random":
-        model = scheduler.RandomSpeeds(
-            distribution=cfg.get("distribution", "exponential"),
-            means=tuple(_as_number_list(cfg, "means", "config.speed_model")),
-            sigma=_as_float(cfg, "sigma", "config.speed_model", default=1.0),
-            seed=seed)
-    elif kind == "straggler":
-        model = scheduler.StragglerSpeeds(
-            base=_as_float(cfg, "base", "config.speed_model", default=1.0),
-            straggler=_as_int(cfg, "straggler", "config.speed_model"),
-            slowdown=_as_float(cfg, "slowdown", "config.speed_model"),
-            num_workers=_as_int(cfg, "num_workers", "config.speed_model", minimum=1))
-    else:
-        raise ConfigError(
-            f"config.speed_model.kind: unknown kind {kind!r}; known: "
-            "['fixed', 'random', 'straggler', 'explicit', 'trace-csv']")
-    return scheduler.simulate_trace(model, horizon)
+    return scheduler.simulate_trace(made, horizon)
 
 
 def resolve_x0(cfg: dict | None, problem, seed: int) -> np.ndarray:
-    if cfg is None:
-        cfg = {"kind": "zeros"}
-    _check_keys(cfg, "config.x0", required=("kind",),
-                optional=("distance", "seed", "values"))
-    kind = cfg["kind"]
-    if kind == "zeros":
-        return np.zeros(problem.dim)
-    if kind == "offset":
-        if problem.xstar is None:
-            raise ConfigError("config.x0: offset start needs a problem with a known minimizer")
-        distance = _as_float(cfg, "distance", "config.x0", default=1.0, minimum=0.0)
-        rng = np.random.default_rng([_as_int(cfg, "seed", "config.x0", default=seed, minimum=0), 11])
-        step = rng.standard_normal(problem.dim)
-        return problem.xstar + distance * step / np.linalg.norm(step)
-    if kind == "explicit":
-        values = _as_number_list(cfg, "values", "config.x0")
-        if len(values) != problem.dim:
-            raise ConfigError(f"config.x0.values must be a list of {problem.dim} numbers")
-        return np.array(values)
-    raise ConfigError(f"config.x0.kind: unknown kind {kind!r}; known: "
-                      "['zeros', 'offset', 'explicit']")
+    make, values = _read_kind({"kind": "zeros"} if cfg is None else cfg, "config.x0",
+                              X0_KINDS, seed=seed)
+    return make(problem, **values)
 
 
 def build_schedule(cfg: dict, problem, x0, num_workers: int, horizon: int):
-    _check_keys(cfg, "config.schedule", required=("kind",), optional=("step", "overrides"))
-    constants = problem.constants_for(x0, num_workers, horizon)
-    overrides = cfg.get("overrides", {})
-    if overrides:
-        valid = {f.name for f in dataclasses.fields(schedules.ProblemConstants)}
-        _check_keys(overrides, "config.schedule.overrides", optional=tuple(valid))
-        constants = dataclasses.replace(constants, **{
-            k: (_as_int if k in ("num_workers", "horizon") else _as_float)(
-                overrides, k, "config.schedule.overrides")
-            for k in overrides})
-    step = _as_float(cfg, "step", "config.schedule", default=None)
+    values = _read(cfg, "config.schedule", SCHEDULE)
+    overrides = _read(values["overrides"], "config.schedule.overrides", OVERRIDES)
+    constants = dataclasses.replace(problem.constants_for(x0, num_workers, horizon),
+                                    **overrides)
     try:
-        return schedules.make_schedule(cfg["kind"], constants, step)
+        return schedules.make_schedule(values["kind"], constants, values.get("step"))
     except ScheduleError as exc:
         raise ConfigError(f"config.schedule: {exc}") from exc
 
 
-def _write_json(payload: dict, out_dir: str | None, name: str, quiet: bool = False) -> None:
+def _write_json(payload: dict, out_dir: str | None, name: str) -> None:
     text = json.dumps(payload, indent=2)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text + "\n")
-    if not quiet:
-        print(text)
+    print(text)
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# the run path shared by simulate, compare and sweep
 
 
-def _run_once(problem, trace, schedule, x0, run_seed: int, *, diagnostics: bool,
-              keep_iterates: bool, rule: str, metrics: bool = True) -> tuple[dict, object]:
+def _read_command(args, table: dict) -> dict:
+    """The command's checked top-level config, with the flags applied, the
+    seed resolved, the problem and start point built and --out created."""
+    config = _load_config(args.config)
+    flags = {"horizon": getattr(args, "horizon", None), "out": args.out,
+             "diagnostics": getattr(args, "diagnostics", False) or None}
+    config.update({key: value for key, value in flags.items() if value is not None})
+    cmd = _read(config, "config", table)
+    cmd["seed"] = resolve_seed(args, cmd["seed"])
+    cmd["problem"] = build_problem(cmd["problem"], cmd["seed"])
+    cmd["x0"] = resolve_x0(cmd.get("x0"), cmd["problem"], cmd["seed"])
+    if cmd.get("out"):
+        try:
+            os.makedirs(cmd["out"], exist_ok=True)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config.out: cannot create {cmd['out']!r}: {exc}") from None
+    return cmd
+
+
+def _run(cmd: dict, trace, run_seed: int) -> tuple[dict, object]:
+    """Replay `trace` with the command's problem, start point and schedule
+    config, and summarize the run."""
+    problem, x0 = cmd["problem"], cmd["x0"]
+    schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
+    rule = cmd.get("output_rule") or DEFAULT_OUTPUT_RULE[schedule.tag]
+    diagnostics = cmd.get("diagnostics", False)
+    # the exp-weighted and sampled outputs are read from the iterate history
+    keep = cmd.get("keep_iterates", False) or diagnostics or rule in ("exp-weighted", "sampled")
     record = run_async(problem, trace, schedule, x0, seed=run_seed,
-                       diagnostics=diagnostics, keep_iterates=keep_iterates,
-                       metrics=metrics)
+                       diagnostics=diagnostics, keep_iterates=keep,
+                       metrics=cmd.get("metrics", True))
     fstar = problem.fstar if problem.fstar is not None else 0.0
     summary = {
         "seed": run_seed,
@@ -323,44 +339,20 @@ def _run_once(problem, trace, schedule, x0, run_seed: int, *, diagnostics: bool,
     return summary, record
 
 
+# ---------------------------------------------------------------------------
+# simulate
+
+
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, "config",
-                required=("problem", "speed_model", "schedule"),
-                optional=("seed", "horizon", "repetitions", "x0", "diagnostics",
-                          "keep_iterates", "output_rule", "out"))
-    seed = resolve_seed(args, config)
-    horizon = args.horizon if args.horizon is not None else config.get("horizon")
-    if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, int)
-                                or horizon < 1):
-        raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
-    repetitions = _as_int(config, "repetitions", "config", default=1, minimum=1)
-    diagnostics = _as_bool(config, "diagnostics", "config", False) or args.diagnostics
-    keep_iterates = _as_bool(config, "keep_iterates", "config", False)
-    out_dir = _out_dir(args, config)
-
-    problem = build_problem(config["problem"], seed)
-    x0 = resolve_x0(config.get("x0"), problem, seed)
-    rule = config.get("output_rule")
-    if rule is not None and rule not in schedules.OUTPUT_RULES:
-        raise ConfigError(f"config.output_rule: unknown rule {rule!r}; "
-                          f"known: {list(schedules.OUTPUT_RULES)}")
-
+    cmd = _read_command(args, SIMULATE)
+    out_dir = cmd.get("out")
     runs = []
-    for rep in range(repetitions):
-        run_seed = seed + rep
-        trace = trace_for_run(config["speed_model"], horizon, run_seed)
-        schedule = build_schedule(config["schedule"], problem, x0,
-                                  trace.num_workers, trace.horizon)
-        the_rule = rule or DEFAULT_OUTPUT_RULE[schedule.tag]
-        keep = (keep_iterates or diagnostics
-                or the_rule in ("exp-weighted", "sampled"))
-        summary, record = _run_once(problem, trace, schedule, x0, run_seed,
-                                    diagnostics=diagnostics, keep_iterates=keep,
-                                    rule=the_rule)
+    for rep in range(cmd["repetitions"]):
+        run_seed = cmd["seed"] + rep
+        trace = trace_for_run(cmd["speed_model"], cmd.get("horizon"), run_seed)
+        summary, record = _run(cmd, trace, run_seed)
         summary["rep"] = rep
         if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
             csv_path = os.path.join(out_dir, f"run_{rep:03d}.csv")
             record.write_csv(csv_path)
             summary["csv"] = csv_path
@@ -369,9 +361,9 @@ def cmd_simulate(args) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
-        "seed": seed,
-        "repetitions": repetitions,
-        "num_workers": int(runs and record.num_workers or 0),
+        "seed": cmd["seed"],
+        "repetitions": cmd["repetitions"],
+        "num_workers": int(record.num_workers),
         "horizon": int(record.horizon),
         "schedule": record.schedule.tag,
         "runs": runs,
@@ -390,23 +382,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, "config",
-                required=("problem", "seconds", "duration", "schedule"),
-                optional=("seed", "x0", "minibatch_step", "repetitions", "out"))
-    seed = resolve_seed(args, config)
-    seconds = _as_number_list(config, "seconds", "config")
-    duration = _as_float(config, "duration", "config", minimum=0.0)
-    repetitions = _as_int(config, "repetitions", "config", default=1, minimum=1)
-    out_dir = _out_dir(args, config)
-
-    async_steps, sync_rounds = scheduler.steps_in_time(seconds, duration)
+    cmd = _read_command(args, COMPARE)
+    seconds = cmd["seconds"]
+    async_steps, sync_rounds = scheduler.steps_in_time(seconds, cmd["duration"])
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "compare",
-        "seed": seed,
+        "seed": cmd["seed"],
         "seconds": seconds,
-        "duration": duration,
+        "duration": cmd["duration"],
         "num_workers": len(seconds),
         "async_steps": async_steps,
         "sync_rounds": sync_rounds,
@@ -416,29 +400,19 @@ def cmd_compare(args) -> int:
     if payload["degenerate"]:
         payload["note"] = ("wall-time budget too small for at least one side; "
                            "no runs executed")
-        _write_json(payload, out_dir, "compare.json")
+        _write_json(payload, cmd.get("out"), "compare.json")
         return 0
     payload["step_speedup"] = async_steps / (len(seconds) * sync_rounds)
 
-    problem = build_problem(config["problem"], seed)
-    x0 = resolve_x0(config.get("x0"), problem, seed)
-    fstar = problem.fstar if problem.fstar is not None else 0.0
+    trace = scheduler.simulate_trace(scheduler.FixedSpeeds(seconds), async_steps)
     async_runs, mini_runs = [], []
-    for rep in range(repetitions):
-        run_seed = seed + rep
-        trace = scheduler.simulate_trace(scheduler.FixedSpeeds(tuple(seconds)), async_steps)
-        schedule = build_schedule(config["schedule"], problem, x0,
-                                  len(seconds), async_steps)
-        rule = DEFAULT_OUTPUT_RULE[schedule.tag]
-        summary, _ = _run_once(problem, trace, schedule, x0, run_seed,
-                               diagnostics=False,
-                               keep_iterates=rule in ("exp-weighted", "sampled"),
-                               rule=rule)
+    for rep in range(cmd["repetitions"]):
+        run_seed = cmd["seed"] + rep
+        summary, record = _run(cmd, trace, run_seed)
         async_runs.append(summary)
-        step = _as_float(config, "minibatch_step", "config", default=None)
-        if step is None:
-            step = schedule.gamma(1, 1)   # freshest-gradient stepsize
-        mini = run_minibatch(problem, len(seconds), sync_rounds, float(step), x0,
+        # by default the minibatch baseline takes the freshest-gradient stepsize
+        step = float(cmd.get("minibatch_step", record.schedule.gamma(1, 1)))
+        mini = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step, cmd["x0"],
                              seed=run_seed, seconds=seconds)
         mini_runs.append({
             "seed": run_seed,
@@ -455,7 +429,7 @@ def cmd_compare(args) -> int:
         "runs": mini_runs,
         "mean_final_fgap": float(np.mean([r["final_fgap"] for r in mini_runs])),
     }
-    _write_json(payload, out_dir, "compare.json")
+    _write_json(payload, cmd.get("out"), "compare.json")
     return 0
 
 
@@ -463,49 +437,29 @@ def cmd_compare(args) -> int:
 # sweep
 
 
-def _sweep_job(config: dict, horizon: int, rep: int) -> dict:
-    seed = _as_int(config, "seed", "config", default=0) + rep
-    problem = build_problem(config["problem"], _as_int(config, "seed", "config", default=0))
-    x0 = resolve_x0(config.get("x0"), problem, _as_int(config, "seed", "config", default=0))
-    trace = trace_for_run(config["speed_model"], horizon, seed)
-    schedule = build_schedule(config["schedule"], problem, x0,
-                              trace.num_workers, horizon)
-    rule = config.get("output_rule") or DEFAULT_OUTPUT_RULE[schedule.tag]
-    summary, _ = _run_once(problem, trace, schedule, x0, seed,
-                           diagnostics=False,
-                           keep_iterates=rule in ("exp-weighted", "sampled"),
-                           rule=rule, metrics=config.get("metrics", True))
+def _sweep_job(cmd: dict, horizon: int, rep: int) -> dict:
+    """One sweep run: repetition `rep` at `horizon`, seeded seed + rep."""
+    run_seed = cmd["seed"] + rep
+    summary, _ = _run(cmd, trace_for_run(cmd["speed_model"], horizon, run_seed), run_seed)
     summary["horizon"] = horizon
     summary["rep"] = rep
     return summary
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, "config",
-                required=("problem", "speed_model", "schedule", "horizons"),
-                optional=("seed", "repetitions", "x0", "output_rule", "out",
-                          "parallel", "metrics"))
-    seed = resolve_seed(args, config)
-    config = dict(config, seed=seed, metrics=_as_bool(config, "metrics", "config", True))
-    horizons = config["horizons"]
-    if (not isinstance(horizons, list) or not horizons
-            or any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in horizons)):
-        raise ConfigError("config.horizons must be a non-empty list of positive integers")
-    repetitions = _as_int(config, "repetitions", "config", default=1, minimum=1)
-    out_dir = _out_dir(args, config)
-    parallel = config.get("parallel", True)
-    if not isinstance(parallel, bool):
-        parallel = _as_int(config, "parallel", "config", minimum=1)
-
+    cmd = _read_command(args, SWEEP)
+    horizons, repetitions = cmd["horizons"], cmd["repetitions"]
     jobs = [(horizon, rep) for horizon in horizons for rep in range(repetitions)]
-    if parallel in (False, 1) or len(jobs) == 1:
-        per_run = [_sweep_job(config, h, r) for h, r in jobs]
+    # parallel: true is a pool of up to 8 processes, an integer an explicit
+    # pool size; neither exceeds the CPU count or the number of jobs
+    parallel = cmd["parallel"]
+    workers = 1 if parallel is False else min(8 if parallel is True else parallel,
+                                              os.cpu_count() or 1, len(jobs))
+    if workers == 1:
+        per_run = [_sweep_job(cmd, h, r) for h, r in jobs]
     else:
-        workers = min(len(jobs),
-                      parallel if isinstance(parallel, int) else min(8, os.cpu_count() or 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(_sweep_job, *zip(*[(config, h, r) for h, r in jobs])))
+            per_run = list(pool.map(_sweep_job, [cmd] * len(jobs), *zip(*jobs)))
 
     aggregate = {}
     for horizon in horizons:
@@ -519,13 +473,13 @@ def cmd_sweep(args) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "sweep",
-        "seed": seed,
+        "seed": cmd["seed"],
         "horizons": horizons,
         "repetitions": repetitions,
         "runs": per_run,
         "aggregate": aggregate,
     }
-    _write_json(payload, out_dir, "sweep.json")
+    _write_json(payload, cmd.get("out"), "sweep.json")
     return 0
 
 
@@ -560,11 +514,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_live(args) -> int:
-    seed = resolve_seed(args, {})
+    seed = resolve_seed(args)
     problem = problems.least_squares(dim=4, num_samples=40, sigma=0.5, seed=seed)
-    rng = np.random.default_rng([seed, 11])
-    step = rng.standard_normal(problem.dim)
-    x0 = problem.xstar + step / np.linalg.norm(step)
+    x0 = problems.offset_start(problem, 1.0, seed)
     constants = problem.constants_for(x0, args.workers, args.horizon)
     schedule = schedules.make_schedule("adaptive-convex", constants)
     record = run_live(problem, schedule, args.workers, args.horizon, x0, seed=seed)

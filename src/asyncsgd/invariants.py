@@ -50,12 +50,6 @@ def make_speed_model(kind: str, num_workers: int, seed: int) -> scheduler.SpeedM
     raise ValueError(f"unknown speed kind {kind!r}")
 
 
-def _offset_start(problem, distance: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, 11])
-    step = rng.standard_normal(problem.dim)
-    return problem.xstar + distance * step / np.linalg.norm(step)
-
-
 def make_case(tag: str, num_workers: int, seed: int):
     """Problem, start point and schedule constants for one suite case."""
     if tag == "adaptive-heterogeneous":
@@ -64,7 +58,7 @@ def make_case(tag: str, num_workers: int, seed: int):
             sigma=0.5, seed=seed)
     else:
         problem = problems.least_squares(dim=4, num_samples=24, sigma=1.0, seed=seed)
-    x0 = _offset_start(problem, 1.0, seed)
+    x0 = problems.offset_start(problem, 1.0, seed)
     return problem, x0
 
 

@@ -119,6 +119,8 @@ def _data(mat, rhs) -> tuple[np.ndarray, np.ndarray]:
     rhs = np.asarray(rhs, dtype=np.float64)
     if mat.ndim != 2 or rhs.ndim != 1 or mat.shape[0] != rhs.shape[0]:
         raise ProblemError(f"bad data shapes {mat.shape} / {rhs.shape}")
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise ProblemError("data must be finite; found a nan or inf entry")
     return mat, rhs
 
 
@@ -126,6 +128,16 @@ def _check_sigma(sigma: float) -> float:
     if sigma < 0 or not math.isfinite(sigma):
         raise ProblemError(f"sigma must be finite and >= 0, got {sigma}")
     return float(sigma)
+
+
+def offset_start(problem: Problem, distance: float = 1.0, seed: int = 0) -> np.ndarray:
+    """The start point x* + distance * u / ||u||, at exactly `distance` from
+    the minimizer in the direction of a standard normal u drawn from
+    default_rng([seed, 11])."""
+    if problem.xstar is None:
+        raise ProblemError("an offset start needs a problem with a known minimizer")
+    step = np.random.default_rng([seed, 11]).standard_normal(problem.dim)
+    return problem.xstar + distance * step / np.linalg.norm(step)
 
 
 class _Quadratic(Problem):
@@ -138,6 +150,8 @@ class _Quadratic(Problem):
         self.num_samples, self.dim = mat.shape
         self._gram = mat.T @ mat / scale
         self._cross = mat.T @ rhs / scale
+        if not (np.isfinite(self._gram).all() and np.isfinite(self._cross).all()):
+            raise ProblemError("the data overflows: A^T A or A^T b is not finite")
         eigs = np.linalg.eigvalsh(self._gram)
         self.smoothness = float(eigs[-1])
         self.strong_convexity = float(max(eigs[0], 0.0))  # singular data only zeroes mu

@@ -75,8 +75,10 @@ class RandomSpeeds:
             raise SpeedModelError("need at least one worker mean")
         if any(not math.isfinite(s) or s <= 0 for s in self.means):
             raise SpeedModelError(f"mean compute times must be positive and finite: {self.means}")
-        if self.distribution == "lognormal" and self.sigma <= 0:
-            raise SpeedModelError("lognormal shape sigma must be positive")
+        if self.distribution == "lognormal" and not (
+                self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
+            raise SpeedModelError(
+                f"lognormal shape sigma must be positive with a finite square, got {self.sigma}")
 
     @property
     def num_workers(self) -> int:
@@ -275,7 +277,10 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
     m_count = model.num_workers
     samplers = model.block_samplers()
     means = np.asarray(model.means if isinstance(model, RandomSpeeds) else model.seconds)
-    share = (1.0 / means) / np.sum(1.0 / means)
+    # each worker's share of arrivals is proportional to 1/mean; scaling by
+    # the smallest mean keeps a tiny mean from overflowing 1/mean
+    rates = means.min() / means
+    share = rates / rates.sum()
     # about the expected number of arrivals per worker, with a margin
     draws = [sampler(math.ceil(1.05 * horizon * w) + 4)
              for sampler, w in zip(samplers, share)]
@@ -300,16 +305,16 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
     return ArrivalTrace(workers, taus, times[first], m_count)
 
 
-def trace_from_workers(worker_ids, num_workers: int | None = None) -> ArrivalTrace:
+def trace_from_workers(workers, num_workers: int | None = None) -> ArrivalTrace:
     """Adversarial trace: an explicit arrival order with synthetic unit times."""
-    worker_ids = np.array([int(w) for w in worker_ids], dtype=np.int64)
+    workers = np.array([int(w) for w in workers], dtype=np.int64)
     if num_workers is None:
-        if not len(worker_ids):
+        if not len(workers):
             raise LedgerError("cannot infer worker count from an empty sequence")
-        num_workers = int(worker_ids.max())
-    taus = np.arange(1, len(worker_ids) + 1) - dispatch_iterations(worker_ids)
-    times = np.arange(1, len(worker_ids) + 1, dtype=np.float64)
-    return ArrivalTrace(worker_ids, taus, times, num_workers)
+        num_workers = int(workers.max())
+    taus = np.arange(1, len(workers) + 1) - dispatch_iterations(workers)
+    times = np.arange(1, len(workers) + 1, dtype=np.float64)
+    return ArrivalTrace(workers, taus, times, num_workers)
 
 
 def steps_in_time(seconds, duration: float) -> tuple[int, int]:

@@ -318,7 +318,10 @@ def make_schedule(tag: str, constants: ProblemConstants, step: float | None = No
         raise ScheduleError(f"unknown schedule {tag!r}; known: {known}")
     if step is not None:
         raise ScheduleError(f"schedule {tag!r} does not take an explicit step")
-    return SCHEDULES[tag](constants)
+    try:
+        return SCHEDULES[tag](constants)
+    except (OverflowError, ZeroDivisionError) as exc:   # e.g. sigma**2 past 1e308
+        raise ScheduleError(f"{tag}: constants outside the float range: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from asyncsgd import ArrivalTrace, FixedSpeeds, simulate_trace
+from asyncsgd import ArrivalTrace, FixedSpeeds, cli, simulate_trace
 from asyncsgd.cli import main
 
 
@@ -268,6 +271,34 @@ def test_missing_problem_csv_file_is_a_config_error(tmp_path, capsys):
     assert "config.problem.csv" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"problem": {"kind": "least-squares", "dim": 3, "target_smoothness": 1e308}},
+    # the noise caps divide by sigma**2, which underflows to 0 or overflows
+    {"problem": {"kind": "heterogeneous-quadratics", "dim": 3, "num_workers": 2,
+                 "zeta": 0.5, "sigma": 5e-324},
+     "schedule": {"kind": "adaptive-heterogeneous"}},
+    {"problem": {"kind": "bounded-nonconvex", "dim": 3, "sigma": 1e308},
+     "schedule": {"kind": "adaptive-nonconvex"}, "x0": {"kind": "zeros"}},
+    {"speed_model": {"kind": "random", "distribution": "lognormal", "means": [1, 2],
+                     "sigma": 1e308}},
+], ids=["gram-overflow", "tiny-sigma", "huge-sigma", "huge-lognormal-sigma"])
+def test_values_outside_the_float_range_are_input_errors(tmp_path, capsys, overrides):
+    code, _, err = run_cli(capsys, ["simulate", "--config",
+                                    write_config(tmp_path, base_config(**overrides))])
+    assert code == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_data_csv_is_rejected(tmp_path, capsys, bad):
+    data = tmp_path / "data.csv"
+    data.write_text(f"1.0,2.0,0.5\n0.0,{bad},1.0\n3.0,1.0,2.0\n")
+    cfg = write_config(tmp_path, base_config(
+        problem={"kind": "least-squares", "csv": str(data)}))
+    code, _, err = run_cli(capsys, ["simulate", "--config", cfg])
+    assert code == 2
+    assert "finite" in err and "SVD" not in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -344,6 +375,43 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert out_a["runs"] == out_b["runs"]
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("parallel, cpus, horizons, size", [
+    (True, 4, [6, 12, 18], 4),      # min(8, CPUs, jobs)
+    (True, 16, [6, 12, 18, 24, 30], 8),
+    (1000, 4, [6, 12, 18], 4),      # an explicit count is capped by the CPUs
+    (1000, 16, [6, 12], 4),         # ... and by the jobs
+    (3, 16, [6, 12, 18], 3),
+])
+def test_sweep_pool_size(tmp_path, capsys, monkeypatch, parallel, cpus, horizons, size):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    pooled = write_config(tmp_path, sweep_config(parallel=parallel, horizons=horizons),
+                          name="pooled.json")
+    serial = write_config(tmp_path, sweep_config(horizons=horizons), name="serial.json")
+    code, stdout, _ = run_cli(capsys, ["sweep", "--config", pooled])
+    assert code == 0 and FakePool.sizes == [size]
+    assert stdout == run_cli(capsys, ["sweep", "--config", serial])[1]
+
+
 def test_sweep_rejects_bad_horizons(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep_config(horizons=[6, 0]))
     code, _, err = run_cli(capsys, ["sweep", "--config", cfg])
@@ -376,20 +444,116 @@ BAD_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("command, key, overrides", BAD_FIELDS,
-                         ids=[f"{c}-{k}-{i}" for i, (c, k, _) in enumerate(BAD_FIELDS)])
-def test_bad_field_type_is_a_config_error(tmp_path, capsys, command, key, overrides):
+def run_case(tmp_path, capsys, command, overrides):
+    """Run `command` on its base config with `overrides` applied; a trace-csv
+    speed model without a path gets a valid trace file."""
     cfg = json.loads(json.dumps(overrides))   # a fresh copy per case
     cfg = base_config(**cfg) if command == "simulate" else sweep_config(**cfg)
     speed = cfg["speed_model"]
-    if speed["kind"] == "trace-csv":
+    if speed["kind"] == "trace-csv" and "path" not in speed:
         speed["path"] = str(tmp_path / "trace.csv")
         simulate_trace(FixedSpeeds((1.0, 2.0)), 30).write_csv(speed["path"])
     if speed["kind"] in ("explicit", "trace-csv"):
-        del cfg["horizon"]   # the trace fixes the horizon itself
-    code, _, err = run_cli(capsys, [command, "--config", write_config(tmp_path, cfg)])
+        cfg.pop("horizon", None)   # the trace fixes the horizon itself
+    return run_cli(capsys, [command, "--config", write_config(tmp_path, cfg)])
+
+
+@pytest.mark.parametrize("command, key, overrides", BAD_FIELDS,
+                         ids=[f"{c}-{k}-{i}" for i, (c, k, _) in enumerate(BAD_FIELDS)])
+def test_bad_field_type_is_a_config_error(tmp_path, capsys, command, key, overrides):
+    code, _, err = run_case(tmp_path, capsys, command, overrides)
     assert code == 2
     assert key in err and "Traceback" not in err
+
+
+# keys the chosen kind never reads, and values of a valid type that no kind
+# can use: each is a config error naming the key
+UNREAD_KEYS = [
+    ("simulate", "zeta", {"problem": {"kind": "least-squares", "dim": 3, "zeta": 0.5}}),
+    ("simulate", "dim", {"problem": {"kind": "least-squares", "csv": "data.csv", "dim": 3}}),
+    ("simulate", "noise", {"problem": {"kind": "heterogeneous-quadratics", "dim": 3,
+                                       "num_workers": 2, "zeta": 0.5, "noise": "rows"},
+                           "schedule": {"kind": "adaptive-heterogeneous"}}),
+    ("simulate", "target_smoothness",
+     {"problem": {"kind": "bounded-nonconvex", "dim": 3, "target_smoothness": 2.0},
+      "schedule": {"kind": "adaptive-nonconvex"}, "x0": {"kind": "zeros"}}),
+    ("simulate", "num_workers",
+     {"speed_model": {"kind": "fixed", "seconds": [1, 2], "num_workers": 5}}),
+    ("simulate", "means", {"speed_model": {"kind": "fixed", "seconds": [1, 2], "means": [1, 2]}}),
+    ("simulate", "distance", {"x0": {"kind": "zeros", "distance": 1.0}}),
+    ("simulate", "path", {"speed_model": {"kind": "trace-csv", "path": 0}}),
+    ("sweep", "output_rule", {"output_rule": "bogus"}),
+]
+
+
+@pytest.mark.parametrize("command, key, overrides", UNREAD_KEYS,
+                         ids=[f"{c}-{k}-{i}" for i, (c, k, _) in enumerate(UNREAD_KEYS)])
+def test_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                      command, key, overrides):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("data.csv", np.arange(12.0).reshape(4, 3) % 5, delimiter=",")
+    code, _, err = run_case(tmp_path, capsys, command, overrides)
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: one key of one section replaced or added, including keys
+# that only another kind reads; sweeps stay serial and horizons stay <= 64
+
+
+FUZZ_KEYS = sorted((
+    {key for _, table in [*cli.PROBLEMS.values(), cli.LEAST_SQUARES_CSV,
+                          *cli.SPEED_MODELS.values(), *cli.X0_KINDS.values()]
+     for key in table}
+    | set(cli.SCHEDULE) | set(cli.OVERRIDES) | set(cli.SIMULATE) | set(cli.COMPARE)
+    | set(cli.SWEEP) | {"kind"}) - {"parallel"})
+FUZZ_SCALARS = st.one_of(
+    st.integers(-2, 64),
+    st.sampled_from([-1.0, 0.0, 5e-324, 1e-310, 0.5, 1.0, 1e308, math.nan]))
+FUZZ_VALUES = st.one_of(
+    FUZZ_SCALARS, st.text(max_size=4), st.none(), st.booleans(),
+    st.lists(FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_SCALARS, max_size=2))
+
+
+FUZZ_BASES = [
+    ("simulate", base_config()),
+    ("simulate", base_config(
+        problem={"kind": "heterogeneous-quadratics", "dim": 3, "num_workers": 2,
+                 "zeta": 0.5, "sigma": 0.3},
+        speed_model={"kind": "random", "distribution": "lognormal", "means": [1.0, 2.0]},
+        schedule={"kind": "adaptive-heterogeneous"})),
+    ("simulate", base_config(
+        problem={"kind": "bounded-nonconvex", "dim": 3},
+        speed_model={"kind": "straggler", "straggler": 2, "slowdown": 5.0, "num_workers": 2},
+        schedule={"kind": "adaptive-nonconvex"}, x0={"kind": "zeros"})),
+    ("sweep", sweep_config()),
+]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(FUZZ_BASES),
+       section=st.sampled_from([None, "problem", "speed_model", "schedule", "x0",
+                                "overrides"]),
+       key=st.sampled_from(FUZZ_KEYS), value=FUZZ_VALUES)
+def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch,
+                                                  base, section, key, value):
+    monkeypatch.chdir(tmp_path)   # an "out" value writes here
+    command, cfg = base[0], json.loads(json.dumps(base[1]))
+    if section == "overrides":
+        cfg["schedule"]["overrides"] = {key: value}
+    else:
+        (cfg if section is None else cfg[section])[key] = value
+    try:
+        code = main([command, "--config", write_config(tmp_path, cfg, name="fuzz.json")])
+    except SystemExit as exc:   # argparse's usage error
+        assert exc.code == 2
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert code != 1 or "run failed:" in err
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ def test_trace_equals_heap_event_loop_on_long_skewed_runs():
         (StragglerSpeeds(1.0, 2, 4999.0, 2), 5000),
         (RandomSpeeds("lognormal", (1.0, 1.0, 9.0), sigma=2.0, seed=3), 6000),
         (RandomSpeeds("exponential", tuple(np.linspace(1.0, 2.0, 64)), seed=1), 5000),
+        # a compute time so small that its reciprocal overflows
+        (FixedSpeeds((1e-310, 1.0)), 50),
+        (RandomSpeeds("exponential", (1e-310, 1.0), seed=2), 50),
     ]:
         trace = simulate_trace(model, horizon)
         workers, taus, times = heap_trace(model, horizon)
