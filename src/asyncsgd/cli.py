@@ -35,8 +35,7 @@ from . import invariants, problems, scheduler, schedules
 from .optimizers import DivergedError, run_async, run_live, run_minibatch
 from .problems import ProblemError
 from .scheduler import LedgerError, SpeedModelError
-from .schedules import (DEFAULT_OUTPUT_RULE, ScheduleError, expected_sampled_metric,
-                        select_output)
+from .schedules import ScheduleError, expected_sampled_metric, select_output
 from .virtual import track
 
 SCHEMA_VERSION = 1
@@ -200,8 +199,7 @@ TOP_LEVEL = {"problem": (dict, None, ...), "schedule": (dict, None, ...),
             "x0": (dict, None), "seed": (int, 0, 0), "repetitions": (int, 1, 1),
             "out": (str, None)}
 SIMULATE = {**TOP_LEVEL, "speed_model": (dict, None, ...), "horizon": (int, 1),
-            "diagnostics": (bool, None, False), "keep_iterates": (bool, None, False),
-            "output_rule": (schedules.OUTPUT_RULES, None)}
+            "diagnostics": (bool, None, False), "output_rule": (schedules.OUTPUT_RULES, None)}
 COMPARE = {**TOP_LEVEL, "seconds": ([float], None, ...), "duration": (float, 0.0, ...),
            "minibatch_step": (float, None)}
 SWEEP = {**TOP_LEVEL, "speed_model": (dict, None, ...), "horizons": ([int], 1, ...),
@@ -304,10 +302,10 @@ def _run(cmd: dict, trace, run_seed: int) -> tuple[dict, object]:
     config, and summarize the run."""
     problem, x0 = cmd["problem"], cmd["x0"]
     schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
-    rule = cmd.get("output_rule") or DEFAULT_OUTPUT_RULE[schedule.tag]
+    rule = cmd.get("output_rule") or schedule.output_rule
     diagnostics = cmd.get("diagnostics", False)
     # the exp-weighted and sampled outputs are read from the iterate history
-    keep = cmd.get("keep_iterates", False) or diagnostics or rule in ("exp-weighted", "sampled")
+    keep = diagnostics or rule in ("exp-weighted", "sampled")
     record = run_async(problem, trace, schedule, x0, seed=run_seed,
                        diagnostics=diagnostics, keep_iterates=keep,
                        metrics=cmd.get("metrics", True))
@@ -606,7 +604,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ProblemError, ScheduleError, SpeedModelError, LedgerError) as exc:
+    except (ProblemError, ScheduleError, SpeedModelError, LedgerError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergedError as exc:

@@ -134,20 +134,13 @@ def check_case(tag: str, num_workers: int, horizon: int, speed_kind: str,
 
     residual = track(record, inject=inject).max_rel_residual
 
-    if tag == "adaptive-strongly-convex":
-        total = schedules.log_weighted_stepsize_sum(
-            record.gamma_hats, constants.strong_convexity)
-        margin = total - schedule.log_weighted_sum_bound()
-    else:
-        margin = float(np.sum(record.gamma_hats)) - schedule.stepsize_sum_bound()
-
     label = f"{tag} M={num_workers} K={horizon} {speed_kind} seed={seed}"
     return CaseResult(
         label=label,
         identity_residual=residual,
         budget_slack=trace.delay_budget_slack(),
         long_delay_ok=trace.long_delay_count_ok(),
-        sum_margin=margin,
+        sum_margin=schedule.sum_margin(record.gamma_hats),
     )
 
 

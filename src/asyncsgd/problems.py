@@ -148,8 +148,9 @@ class _Quadratic(Problem):
         self.rhs = rhs
         self.scale = scale
         self.num_samples, self.dim = mat.shape
-        self._gram = mat.T @ mat / scale
-        self._cross = mat.T @ rhs / scale
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            self._gram = mat.T @ mat / scale
+            self._cross = mat.T @ rhs / scale
         if not (np.isfinite(self._gram).all() and np.isfinite(self._cross).all()):
             raise ProblemError("the data overflows: A^T A or A^T b is not finite")
         eigs = np.linalg.eigvalsh(self._gram)

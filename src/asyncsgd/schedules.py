@@ -1,20 +1,32 @@
 """Stepsize rules for delayed-gradient SGD and the matching output selectors.
 
-Each rule is a deterministic function of the iteration index k and the delay
-tau of the arriving gradient, parameterized by problem constants. The
-delay-adaptive rules shrink the step of very stale gradients like 1/tau while
+Every rule is one formula in the delay tau of the arriving gradient,
+
+    gamma(tau) = min( exp(-decay * tau / (c M L)) / (c L tau), cap ),
+
+with c the delay factor, M the number of workers and L the smoothness. The
+delay-adaptive rules shrink the step of stale gradients like 1/tau while
 capping the step of fresh ones, which removes any need to know the maximum
-delay in advance.
+delay in advance; only the strongly convex rule has a decay. The fixed rules
+have no delay branch (c = 0) and always return the cap. No rule reads the
+iteration index.
+
+`RULES` lists each schedule tag once. Its entry checks the tag's requirements
+on the problem constants and returns the cap, delay factor, decay and the
+per-trace lower bound on the eventual stepsizes, and names the output rule
+the tag's guarantee is stated for.
 
 Convention for degenerate constants: a min-branch whose formula divides by
 zero (for example the noise branch when sigma == 0) is treated as absent
-rather than an error.
+rather than an error. A cap that is not positive and finite is an error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,11 +59,8 @@ class ProblemConstants:
     horizon: int = 1
 
     def __post_init__(self):
-        names = [
-            "smoothness", "strong_convexity", "lipschitz", "sigma",
-            "init_distance", "init_gap",
-        ]
-        for name in names:
+        for name in ("smoothness", "strong_convexity", "lipschitz", "sigma", "init_distance",
+                     "init_gap"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ScheduleError(f"{name} must be finite and >= 0, got {v}")
@@ -61,267 +70,202 @@ class ProblemConstants:
             raise ScheduleError(f"horizon must be >= 1, got {self.horizon}")
 
 
-def _check_tau(tau: int) -> None:
-    if tau < 1:
-        raise ScheduleError(f"delay must be >= 1, got {tau}")
-
-
-def _check_taus(taus) -> np.ndarray:
-    taus = np.asarray(taus, dtype=np.int64)
-    if taus.size and taus.min() < 1:
-        raise ScheduleError(f"delay must be >= 1, got {taus.min()}")
-    return taus
-
-
+@dataclass(eq=False)
 class StepSchedule:
-    """Base class: a stepsize as a function of (iteration, delay).
+    """A stepsize rule: the module's formula with c = delay_factor. sum_bound
+    is the per-trace lower bound that `sum_margin` checks (None for the fixed
+    rules), output_rule the averaging rule the guarantee is stated for."""
 
-    gamma(k, tau) prices one gradient; gammas(taus) prices a whole delay
-    column with the same floating-point operations, so gammas(taus)[i] ==
-    gamma(k, taus[i]) bit for bit. No rule depends on k.
-    """
+    tag: str
+    constants: ProblemConstants
+    cap: float
+    delay_factor: float = 0.0
+    decay: float = 0.0
+    sum_bound: float | None = None
+    output_rule: str = "weighted"
 
-    tag = "base"
-    adaptive = False
-
-    def __init__(self, constants: ProblemConstants):
-        self.constants = constants
-
-    def gamma(self, k: int, tau: int) -> float:
-        raise NotImplementedError
-
-    def gammas(self, taus) -> np.ndarray:
-        raise NotImplementedError
-
-    def _require(self, **checks):
-        for what, ok in checks.items():
-            if not ok:
-                raise ScheduleError(f"{self.tag}: requires {what}")
-
-
-class _FixedStep(StepSchedule):
-    """A rule whose stepsize `self.step` ignores both k and tau."""
-
-    step: float
-
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return self.step
+    def __post_init__(self):
+        if not (math.isfinite(self.cap) and self.cap > 0):
+            raise ScheduleError(
+                f"{self.tag}: the stepsize cap must be positive and finite, got {self.cap}")
 
     def gammas(self, taus) -> np.ndarray:
-        return np.full(len(_check_taus(taus)), self.step)
+        """The stepsizes of a whole delay column."""
+        taus = np.asarray(taus, dtype=np.int64)
+        if taus.size and taus.min() < 1:
+            raise ScheduleError(f"delay must be >= 1, got {taus.min()}")
+        if not self.delay_factor:
+            return np.full(len(taus), self.cap)
+        c = self.constants
+        top = 1.0
+        if self.decay:
+            # np.exp and math.exp can differ in the last bit; the decay goes
+            # through math.exp once per distinct delay
+            length = self.delay_factor * c.num_workers * c.smoothness
+            distinct, where = np.unique(taus, return_inverse=True)
+            top = np.array([math.exp(-self.decay * t / length) for t in distinct.tolist()])[where]
+        with np.errstate(over="ignore"):   # 1/(c L tau) past 1e308 is inf, and the cap binds
+            return np.minimum(top / (self.delay_factor * c.smoothness * taus), self.cap)
+
+    def gamma(self, k: int, tau: int) -> float:
+        """The stepsize of one gradient of delay tau; no rule reads k."""
+        return float(self.gammas([tau])[0])
+
+    def sum_margin(self, gamma_hats) -> float:
+        """The eventual stepsizes' sum minus `sum_bound`; for a decaying rule the
+        log of sum_k gamma_hat_k exp(decay * cumsum(gamma_hat)_k) minus it."""
+        if self.decay:
+            return log_weighted_stepsize_sum(gamma_hats, self.decay) - self.sum_bound
+        return float(np.sum(gamma_hats)) - self.sum_bound
 
 
-class ConstantStep(_FixedStep):
-    """Externally tuned constant stepsize (grid-search mode)."""
-
-    tag = "constant"
-
-    def __init__(self, constants: ProblemConstants, step: float):
-        super().__init__(constants)
-        if not math.isfinite(step) or step <= 0:
-            raise ScheduleError(f"constant step must be positive, got {step}")
-        self.step = float(step)
+# ---------------------------------------------------------------------------
+# the rule table
 
 
-class ConstLipschitz(_FixedStep):
+def _require(**checks):
+    for what, ok in checks.items():
+        if not ok:
+            raise ScheduleError(f"requires {what}")
+
+
+def _const_lipschitz(c: ProblemConstants) -> dict:
     """gamma = B / (G sqrt(K M)), for G-Lipschitz convex objectives."""
-
-    tag = "const-lipschitz"
-
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_init_distance=c.init_distance > 0,
-            positive_lipschitz=c.lipschitz > 0,
-            horizon_at_least_num_workers=c.horizon >= c.num_workers,
-        )
-        self.step = c.init_distance / (c.lipschitz * math.sqrt(c.horizon * c.num_workers))
+    _require(positive_init_distance=c.init_distance > 0, positive_lipschitz=c.lipschitz > 0,
+             horizon_at_least_num_workers=c.horizon >= c.num_workers)
+    return {"cap": c.init_distance / (c.lipschitz * math.sqrt(c.horizon * c.num_workers))}
 
 
-class LipschitzSmooth(_FixedStep):
+def _lipschitz_smooth(c: ProblemConstants) -> dict:
     """gamma = min{ 1/(2ML), sqrt(Delta/(L sigma^2 K)), (Delta/(L^2 M^2 G^2 K))^(1/3) }."""
-
-    tag = "lipschitz-smooth"
-
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_smoothness=c.smoothness > 0,
-            positive_lipschitz=c.lipschitz > 0,
-            positive_init_gap=c.init_gap > 0,
-            horizon_at_least_num_workers=c.horizon >= c.num_workers,
-        )
-        l, m, k = c.smoothness, c.num_workers, c.horizon
-        branches = [
-            1.0 / (2.0 * m * l),
-            (c.init_gap / (l**2 * m**2 * c.lipschitz**2 * k)) ** (1.0 / 3.0),
-        ]
-        if c.sigma > 0:
-            branches.append(math.sqrt(c.init_gap / (l * c.sigma**2 * k)))
-        self.step = min(branches)
+    _require(positive_smoothness=c.smoothness > 0, positive_lipschitz=c.lipschitz > 0,
+             positive_init_gap=c.init_gap > 0,
+             horizon_at_least_num_workers=c.horizon >= c.num_workers)
+    l, m, k = c.smoothness, c.num_workers, c.horizon
+    branches = [1.0 / (2.0 * m * l),
+                (c.init_gap / (l**2 * m**2 * c.lipschitz**2 * k)) ** (1.0 / 3.0)]
+    if c.sigma > 0:
+        branches.append(math.sqrt(c.init_gap / (l * c.sigma**2 * k)))
+    return {"cap": min(branches)}
 
 
-class _DelayAdaptive(StepSchedule):
-    """gamma_k = min{ 1/(c L tau), 1/(cap_factor M L), noise cap }: stale
-    gradients get steps shrinking like 1/tau, fresh ones are capped.
-
-    Subclasses set c (delay_factor) and cap_factor. The noise cap, present
-    only when sigma > 0, is sqrt(Delta/(K L sigma^2)) unless a subclass
-    overrides `_noise_cap`; the eventual stepsizes then sum to at least
-    K gmax / sum_divisor.
-    """
-
-    adaptive = True
-    delay_factor: float
-    cap_factor: float
-    sum_divisor: float
-
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_smoothness=c.smoothness > 0,
-            horizon_at_least_num_workers=c.horizon >= c.num_workers,
-        )
-        cap = 1.0 / (self.cap_factor * c.num_workers * c.smoothness)
-        if c.sigma > 0:
-            cap = min(cap, self._noise_cap(c))
-        self.cap = cap
-
-    def _noise_cap(self, c: ProblemConstants) -> float:
-        self._require(positive_init_gap=c.init_gap > 0)
-        return math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2))
-
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return min(1.0 / (self.delay_factor * self.constants.smoothness * tau), self.cap)
-
-    def gammas(self, taus) -> np.ndarray:
-        taus = _check_taus(taus)
-        return np.minimum(1.0 / (self.delay_factor * self.constants.smoothness * taus),
-                          self.cap)
-
-    def stepsize_sum_bound(self) -> float:
-        """Per-trace lower bound on the sum of eventual stepsizes: K gmax / sum_divisor."""
-        return self.constants.horizon * self.cap / self.sum_divisor
+def _cap(c: ProblemConstants, cap_factor: float, noise_cap) -> float:
+    """1/(cap_factor M L), lowered to noise_cap(c) when sigma > 0."""
+    _require(positive_smoothness=c.smoothness > 0,
+             horizon_at_least_num_workers=c.horizon >= c.num_workers)
+    cap = 1.0 / (cap_factor * c.num_workers * c.smoothness)
+    return min(cap, noise_cap(c)) if c.sigma > 0 else cap
 
 
-class AdaptiveConvex(_DelayAdaptive):
-    """gamma_k = min{ 1/(4 L tau), 1/(4ML), B/(sigma sqrt(K)) }."""
-
-    tag = "adaptive-convex"
-    delay_factor = 4.0
-    cap_factor = 4.0
-
-    def _noise_cap(self, c: ProblemConstants) -> float:
-        self._require(positive_init_distance=c.init_distance > 0)
-        return c.init_distance / (c.sigma * math.sqrt(c.horizon))
-
-    def stepsize_sum_bound(self) -> float:
-        """Per-trace lower bound on the sum of eventual stepsizes:
-        min{ K/(36 L M), B sqrt(K)/(3 sigma) }, second branch absent at sigma=0."""
-        c = self.constants
-        bound = c.horizon / (36.0 * c.smoothness * c.num_workers)
-        if c.sigma > 0:
-            bound = min(bound, c.init_distance * math.sqrt(c.horizon) / (3.0 * c.sigma))
-        return bound
+def _distance_noise_cap(c: ProblemConstants) -> float:
+    """B/(sigma sqrt(K))."""
+    _require(positive_init_distance=c.init_distance > 0)
+    return c.init_distance / (c.sigma * math.sqrt(c.horizon))
 
 
-class AdaptiveStronglyConvex(StepSchedule):
-    """gamma_k = min{ exp(-mu tau/(4ML)) / (4 L tau), 1/(8ML),
-    504 ln(e + mu^2 K^2 B^2 / sigma^2) / (mu K) }."""
-
-    tag = "adaptive-strongly-convex"
-    adaptive = True
-
-    def __init__(self, constants: ProblemConstants):
-        super().__init__(constants)
-        c = constants
-        self._require(
-            positive_smoothness=c.smoothness > 0,
-            positive_strong_convexity=c.strong_convexity > 0,
-            horizon_at_least_3x_num_workers=c.horizon >= 3 * c.num_workers,
-        )
-        cap = 1.0 / (8.0 * c.num_workers * c.smoothness)
-        if c.sigma > 0:
-            mu, k, b = c.strong_convexity, c.horizon, c.init_distance
-            cap = min(cap, 504.0 * math.log(math.e + mu**2 * k**2 * b**2 / c.sigma**2) / (mu * k))
-        self.cap = cap
-
-    def _decay(self, tau: int) -> float:
-        c = self.constants
-        return math.exp(-c.strong_convexity * tau / (4.0 * c.num_workers * c.smoothness))
-
-    def gamma(self, k: int, tau: int) -> float:
-        _check_tau(tau)
-        return min(self._decay(tau) / (4.0 * self.constants.smoothness * tau), self.cap)
-
-    def gammas(self, taus) -> np.ndarray:
-        taus = _check_taus(taus)
-        # np.exp and math.exp can differ in the last bit, so the decay goes
-        # through math.exp once per distinct delay
-        distinct, where = np.unique(taus, return_inverse=True)
-        decayed = np.array([self._decay(t) for t in distinct.tolist()])[where]
-        return np.minimum(decayed / (4.0 * self.constants.smoothness * taus), self.cap)
-
-    def log_weighted_sum_bound(self) -> float:
-        """log of the per-trace lower bound on sum_k gamma_hat_k * W_k where
-        W_k = exp(mu * cumulative gamma_hat through k):
-        max{ K gmax / 42, (gmax/7) exp(K mu gmax / 504) }."""
-        c = self.constants
-        gmax = self.cap
-        flat = math.log(c.horizon * gmax / 42.0)
-        grown = math.log(gmax / 7.0) + c.horizon * c.strong_convexity * gmax / 504.0
-        return max(flat, grown)
+def _gap_noise_cap(c: ProblemConstants) -> float:
+    """sqrt(Delta/(K L sigma^2))."""
+    _require(positive_init_gap=c.init_gap > 0)
+    return math.sqrt(c.init_gap / (c.horizon * c.smoothness * c.sigma**2))
 
 
-class AdaptiveNonconvex(_DelayAdaptive):
-    """gamma_k = min{ 1/(4 L tau), 1/(2ML), sqrt(Delta/(K L sigma^2)) };
+def _adaptive_convex(c: ProblemConstants) -> dict:
+    """gamma = min{ 1/(4 L tau), 1/(4ML), B/(sigma sqrt(K)) }; eventual stepsizes
+    sum to at least min{ K/(36 L M), B sqrt(K)/(3 sigma) }, second branch
+    absent at sigma = 0."""
+    cap = _cap(c, 4.0, _distance_noise_cap)
+    bound = c.horizon / (36.0 * c.smoothness * c.num_workers)
+    if c.sigma > 0:
+        bound = min(bound, c.init_distance * math.sqrt(c.horizon) / (3.0 * c.sigma))
+    return {"cap": cap, "delay_factor": 4.0, "sum_bound": bound}
+
+
+def _adaptive_strongly_convex(c: ProblemConstants) -> dict:
+    """gamma = min{ exp(-mu tau/(4ML)) / (4 L tau), 1/(8ML),
+    504 ln(e + mu^2 K^2 B^2 / sigma^2) / (mu K) }. The bound is the log of the
+    per-trace lower bound on sum_k gamma_hat_k W_k, W_k = exp(mu * cumulative
+    gamma_hat through k): max{ K gmax / 42, (gmax/7) exp(K mu gmax / 504) }."""
+    _require(positive_smoothness=c.smoothness > 0,
+             positive_strong_convexity=c.strong_convexity > 0,
+             horizon_at_least_3x_num_workers=c.horizon >= 3 * c.num_workers)
+    mu, k, b = c.strong_convexity, c.horizon, c.init_distance
+    gmax = 1.0 / (8.0 * c.num_workers * c.smoothness)
+    if c.sigma > 0:
+        gmax = min(gmax, 504.0 * math.log(math.e + mu**2 * k**2 * b**2 / c.sigma**2) / (mu * k))
+    bound = (max(math.log(k * gmax / 42.0), math.log(gmax / 7.0) + k * mu * gmax / 504.0)
+             if gmax > 0 else None)   # gmax <= 0 is rejected by StepSchedule
+    return {"cap": gmax, "delay_factor": 4.0, "decay": mu, "sum_bound": bound}
+
+
+def _adaptive_nonconvex(c: ProblemConstants) -> dict:
+    """gamma = min{ 1/(4 L tau), 1/(2ML), sqrt(Delta/(K L sigma^2)) };
     eventual stepsizes sum to at least K gmax / 9."""
-
-    tag = "adaptive-nonconvex"
-    delay_factor = 4.0
-    cap_factor = 2.0
-    sum_divisor = 9.0
+    cap = _cap(c, 2.0, _gap_noise_cap)
+    return {"cap": cap, "delay_factor": 4.0, "sum_bound": c.horizon * cap / 9.0}
 
 
-class AdaptiveHeterogeneous(_DelayAdaptive):
-    """gamma_k = min{ 1/(8 L tau), 1/(4ML), sqrt(Delta/(K L sigma^2)) },
-    for per-worker objectives whose gradients differ by at most zeta;
-    eventual stepsizes sum to at least K gmax / 18."""
-
-    tag = "adaptive-heterogeneous"
-    delay_factor = 8.0
-    cap_factor = 4.0
-    sum_divisor = 18.0
+def _adaptive_heterogeneous(c: ProblemConstants) -> dict:
+    """gamma = min{ 1/(8 L tau), 1/(4ML), sqrt(Delta/(K L sigma^2)) }, for
+    per-worker objectives whose gradients differ by at most zeta; eventual
+    stepsizes sum to at least K gmax / 18."""
+    cap = _cap(c, 4.0, _gap_noise_cap)
+    return {"cap": cap, "delay_factor": 8.0, "sum_bound": c.horizon * cap / 18.0}
 
 
-SCHEDULES = {
-    cls.tag: cls
-    for cls in (
-        ConstLipschitz, LipschitzSmooth, AdaptiveConvex,
-        AdaptiveStronglyConvex, AdaptiveNonconvex, AdaptiveHeterogeneous,
-    )
+class Rule(NamedTuple):
+    """One schedule tag: `params(constants)` (plus the step, if `takes_step`)
+    checks the tag's requirements and returns StepSchedule's fields."""
+
+    params: Callable[..., dict]
+    output_rule: str
+    takes_step: bool = False
+
+
+RULES = {
+    "constant": Rule(lambda c, step: {"cap": float(step)}, "weighted", takes_step=True),
+    "const-lipschitz": Rule(_const_lipschitz, "uniform"),
+    "lipschitz-smooth": Rule(_lipschitz_smooth, "sampled"),
+    "adaptive-convex": Rule(_adaptive_convex, "weighted"),
+    "adaptive-strongly-convex": Rule(_adaptive_strongly_convex, "exp-weighted"),
+    "adaptive-nonconvex": Rule(_adaptive_nonconvex, "sampled"),
+    "adaptive-heterogeneous": Rule(_adaptive_heterogeneous, "sampled"),
 }
+
+# which averaging rule each schedule's guarantee is stated for
+DEFAULT_OUTPUT_RULE = {tag: rule.output_rule for tag, rule in RULES.items()}
 
 
 def make_schedule(tag: str, constants: ProblemConstants, step: float | None = None) -> StepSchedule:
-    if tag == ConstantStep.tag:
-        if step is None:
-            raise ScheduleError("constant schedule needs an explicit step")
-        return ConstantStep(constants, step)
-    if not isinstance(tag, str) or tag not in SCHEDULES:
-        known = sorted(SCHEDULES) + [ConstantStep.tag]
-        raise ScheduleError(f"unknown schedule {tag!r}; known: {known}")
-    if step is not None:
+    rule = RULES.get(tag) if isinstance(tag, str) else None
+    if rule is None:
+        raise ScheduleError(f"unknown schedule {tag!r}; known: {sorted(RULES)}")
+    if rule.takes_step and step is None:
+        raise ScheduleError(f"{tag} schedule needs an explicit step")
+    if step is not None and not rule.takes_step:
         raise ScheduleError(f"schedule {tag!r} does not take an explicit step")
     try:
-        return SCHEDULES[tag](constants)
-    except (OverflowError, ZeroDivisionError) as exc:   # e.g. sigma**2 past 1e308
+        params = rule.params(constants, step) if rule.takes_step else rule.params(constants)
+    except ScheduleError as exc:
+        raise ScheduleError(f"{tag}: {exc}") from None
+    except (ArithmeticError, ValueError) as exc:   # e.g. sigma**2 past 1e308
         raise ScheduleError(f"{tag}: constants outside the float range: {exc}") from None
+    return StepSchedule(tag, constants, output_rule=rule.output_rule, **params)
+
+
+def _named(name: str, tag: str):
+    made = functools.partial(make_schedule, tag)
+    made.__name__ = name   # a partial has no name of its own; pytest ids read it
+    return made
+
+
+# the public per-rule constructors: make_schedule with the tag bound
+ConstantStep = _named("ConstantStep", "constant")
+ConstLipschitz = _named("ConstLipschitz", "const-lipschitz")
+LipschitzSmooth = _named("LipschitzSmooth", "lipschitz-smooth")
+AdaptiveConvex = _named("AdaptiveConvex", "adaptive-convex")
+AdaptiveStronglyConvex = _named("AdaptiveStronglyConvex", "adaptive-strongly-convex")
+AdaptiveNonconvex = _named("AdaptiveNonconvex", "adaptive-nonconvex")
+AdaptiveHeterogeneous = _named("AdaptiveHeterogeneous", "adaptive-heterogeneous")
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +273,6 @@ def make_schedule(tag: str, constants: ProblemConstants, step: float | None = No
 
 
 OUTPUT_RULES = ("uniform", "weighted", "exp-weighted", "sampled")
-
-# which averaging rule each schedule's guarantee is stated for
-DEFAULT_OUTPUT_RULE = {
-    "const-lipschitz": "uniform",
-    "lipschitz-smooth": "sampled",
-    "adaptive-convex": "weighted",
-    "adaptive-strongly-convex": "exp-weighted",
-    "adaptive-nonconvex": "sampled",
-    "adaptive-heterogeneous": "sampled",
-    "constant": "weighted",
-}
 
 
 def _positive(gamma_hats) -> np.ndarray:

@@ -70,6 +70,38 @@ def eventual_stepsizes(workers, gammas, schedule, horizon):
     return hats, initial
 
 
+def reference_gamma(schedule, tau):
+    """gamma(tau) from each rule's own scalar formula, written out per tag
+    from the paper's definitions rather than through the library's one
+    parametrized rule."""
+    c, tag = schedule.constants, schedule.tag
+    l, m, k = c.smoothness, c.num_workers, c.horizon
+    if tag == "constant":
+        return schedule.cap
+    if tag == "const-lipschitz":
+        return c.init_distance / (c.lipschitz * math.sqrt(k * m))
+    if tag == "lipschitz-smooth":
+        branches = [1.0 / (2.0 * m * l),
+                    (c.init_gap / (l**2 * m**2 * c.lipschitz**2 * k)) ** (1.0 / 3.0)]
+        if c.sigma > 0:
+            branches.append(math.sqrt(c.init_gap / (l * c.sigma**2 * k)))
+        return min(branches)
+    if tag == "adaptive-strongly-convex":
+        mu, b = c.strong_convexity, c.init_distance
+        cap = 1.0 / (8.0 * m * l)
+        if c.sigma > 0:
+            cap = min(cap, 504.0 * math.log(math.e + mu**2 * k**2 * b**2 / c.sigma**2) / (mu * k))
+        return min(math.exp(-mu * tau / (4.0 * m * l)) / (4.0 * l * tau), cap)
+    delay_factor, cap_factor = {"adaptive-convex": (4.0, 4.0), "adaptive-nonconvex": (4.0, 2.0),
+                                "adaptive-heterogeneous": (8.0, 4.0)}[tag]
+    cap = 1.0 / (cap_factor * m * l)
+    if c.sigma > 0 and tag == "adaptive-convex":
+        cap = min(cap, c.init_distance / (c.sigma * math.sqrt(k)))
+    elif c.sigma > 0:
+        cap = min(cap, math.sqrt(c.init_gap / (k * l * c.sigma**2)))
+    return min(1.0 / (delay_factor * l * tau), cap)
+
+
 def eager_async_run(problem, workers, schedule, x0, seed):
     """Algorithm reference: gradients drawn eagerly at dispatch time.
 

@@ -288,6 +288,33 @@ def test_values_outside_the_float_range_are_input_errors(tmp_path, capsys, overr
     assert code == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    # the noise cap B/(sigma sqrt(K)) underflows to 0
+    {"schedule": {"kind": "adaptive-convex", "overrides": {"sigma": 1e308}}},
+    # B/(G sqrt(K M)) underflows to 0
+    {"schedule": {"kind": "const-lipschitz", "overrides": {"lipschitz": 1e308}}},
+], ids=["adaptive-convex-huge-sigma", "const-lipschitz-huge-lipschitz"])
+def test_zero_stepsize_is_an_input_error(tmp_path, capsys, overrides):
+    code, _, err = run_cli(capsys, ["simulate", "--config",
+                                    write_config(tmp_path, base_config(**overrides))])
+    assert code == 2
+    assert "config.schedule" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    # 15 x 10^13 floats (1.07 PiB) and a first trace block of 0.6 x 1.05 x
+    # 10^14 floats (458 TiB) are both past the 128 TiB user address space, so
+    # the allocation fails at once under every overcommit policy
+    {"problem": {"kind": "least-squares", "dim": 10**13, "num_samples": 15, "sigma": 0.5}},
+    {"horizon": 10**14},
+], ids=["huge-dim", "huge-horizon"])
+def test_allocation_failure_is_an_input_error(tmp_path, capsys, overrides):
+    code, _, err = run_cli(capsys, ["simulate", "--config",
+                                    write_config(tmp_path, base_config(**overrides))])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_data_csv_is_rejected(tmp_path, capsys, bad):
     data = tmp_path / "data.csv"

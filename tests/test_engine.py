@@ -1,7 +1,7 @@
 """Property tests of the column-wise replay engine against per-step oracles:
 the merged trace against the heap event loop, vectorized delays against
-their definition, stepsize columns against per-call gamma, and run_async
-against eager evaluation and the per-step replay, all bit for bit."""
+their definition, stepsize columns against per-rule scalar formulas, and
+run_async against eager evaluation and the per-step replay, all bit for bit."""
 
 import numpy as np
 import pytest
@@ -30,7 +30,8 @@ from asyncsgd import (
     trace_from_workers,
 )
 from asyncsgd.scheduler import dispatch_iterations
-from reference import eager_async_run, heap_trace, naive_delays, prev_arrival, replay_async
+from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival,
+                       reference_gamma, replay_async)
 
 
 def same_bits(a, b):
@@ -139,19 +140,19 @@ def rules(draw):
 @given(rules(), st.lists(st.integers(min_value=1, max_value=10**6), max_size=200))
 def test_stepsize_column_equals_per_call_gamma(schedule, taus):
     column = schedule.gammas(np.array(taus, dtype=np.int64))
-    per_call = np.array([schedule.gamma(k, tau) for k, tau in enumerate(taus, start=1)])
-    assert same_bits(column, per_call.reshape(column.shape))
+    oracle = np.array([reference_gamma(schedule, tau) for tau in taus])
+    assert same_bits(column, oracle.reshape(column.shape))
 
 
 def test_strongly_convex_column_on_many_delays():
     # np.exp and math.exp disagree in the last bit on a few percent of
-    # inputs; the column must follow math.exp like gamma does
+    # inputs; the column must follow math.exp like the scalar formula does
     c = ProblemConstants(smoothness=0.7, strong_convexity=0.05, sigma=1.0,
                          init_distance=1.0, num_workers=3, horizon=20_000)
     schedule = AdaptiveStronglyConvex(c)
     taus = np.arange(1, 20_001)
     column = schedule.gammas(taus)
-    assert same_bits(column, np.array([schedule.gamma(1, t) for t in taus.tolist()]))
+    assert same_bits(column, np.array([reference_gamma(schedule, t) for t in taus.tolist()]))
 
 
 def test_stepsize_column_rejects_zero_delay():

@@ -83,7 +83,7 @@ def test_adaptive_convex_values():
     assert sched.cap == pytest.approx(1 / 24, rel=1e-15)
     assert sched.gamma(5, 1) == pytest.approx(1 / 24, rel=1e-15)
     assert sched.gamma(5, 10) == pytest.approx(0.0125, rel=1e-15)
-    assert sched.stepsize_sum_bound() == pytest.approx(0.2962962962962963, rel=1e-15)
+    assert sched.sum_bound == pytest.approx(0.2962962962962963, rel=1e-15)
 
 
 def test_adaptive_convex_sigma_zero_needs_no_distance():
@@ -99,7 +99,7 @@ def test_adaptive_strongly_convex_values():
     assert sched.gamma(1, 1) == pytest.approx(1 / 32, rel=1e-15)
     # past the cap crossover the step decays exponentially in the delay
     assert sched.gamma(1, 20) == pytest.approx(0.0033453839282436893, rel=1e-14)
-    assert sched.log_weighted_sum_bound() == pytest.approx(-3.109060958860994, rel=1e-13)
+    assert sched.sum_bound == pytest.approx(-3.109060958860994, rel=1e-13)
 
 
 def test_adaptive_strongly_convex_requirements():
@@ -114,7 +114,7 @@ def test_adaptive_nonconvex_values():
     sched = AdaptiveNonconvex(c)
     assert sched.cap == pytest.approx(0.07071067811865475, rel=1e-15)
     assert sched.gamma(1, 5) == pytest.approx(0.05, rel=1e-15)
-    assert sched.stepsize_sum_bound() == pytest.approx(0.7856742013183862, rel=1e-15)
+    assert sched.sum_bound == pytest.approx(0.7856742013183862, rel=1e-15)
 
 
 def test_adaptive_heterogeneous_values():
@@ -123,7 +123,7 @@ def test_adaptive_heterogeneous_values():
     # fresh gradients step half as large as the nonconvex rule
     assert sched.gamma(1, 1) == pytest.approx(0.07071067811865475, rel=1e-15)
     assert sched.gamma(1, 3) == pytest.approx(1 / 24, rel=1e-15)
-    assert sched.stepsize_sum_bound() == pytest.approx(0.3928371006591931, rel=1e-15)
+    assert sched.sum_bound == pytest.approx(0.3928371006591931, rel=1e-15)
 
 
 def test_sigma_zero_drops_gap_requirement_for_nonconvex_rules():
@@ -161,7 +161,7 @@ def test_constant_step():
 def test_make_schedule_dispatch():
     c = consts()
     assert make_schedule("adaptive-convex", c).tag == "adaptive-convex"
-    assert make_schedule("constant", c, step=0.1).step == 0.1
+    assert make_schedule("constant", c, step=0.1).cap == 0.1
     with pytest.raises(ScheduleError):
         make_schedule("constant", c)
     with pytest.raises(ScheduleError):

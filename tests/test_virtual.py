@@ -95,7 +95,7 @@ def test_gap_norm_bounded_by_inflight_stepsizes():
     schedule = ConstLipschitz(constants)
     record = run_async(problem, trace, schedule, np.zeros(3), seed=2, diagnostics=True)
     vt = track(record)
-    bound = 2 * schedule.step * problem.lipschitz
+    bound = 2 * schedule.cap * problem.lipschitz
     assert np.all(np.linalg.norm(vt.gaps, axis=1) <= bound + 1e-12)
     assert vt.max_rel_residual <= 1e-10
 
