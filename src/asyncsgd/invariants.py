@@ -4,11 +4,14 @@ Replays runs across worker counts, horizons, speed models and adaptive
 schedules, then verifies on every trace:
 
   * the virtual-iterate gap identity, at relative tolerance 1e-10,
-  * the delay budget (sum of realized delays plus in-flight delays is at
-    most K*M on every prefix) and the cap on how many delays exceed 3M,
-    both read from the trace's dispatch and delay columns,
   * the per-trace lower bounds on the sum of eventual stepsizes that the
     delay-adaptive rules guarantee by construction.
+
+The delay budget and the cap on delays above 3M are not checked here: a
+trace derives its delays from its arrival order, and every order meets both
+(see `ArrivalTrace.delay_budget_slack` and `long_delay_count_ok`). A case
+whose rule rejects its worker count and horizon is skipped, as the rule
+table says.
 
 The same suite backs the command line `check` subcommand and the test suite.
 """
@@ -66,8 +69,6 @@ def make_case(tag: str, num_workers: int, seed: int):
 class CaseResult:
     label: str
     identity_residual: float
-    budget_slack: int
-    long_delay_ok: bool
     sum_margin: float    # stepsize sum minus its guaranteed bound (log scale
                          # for the strongly convex weighted variant)
 
@@ -90,20 +91,12 @@ class SuiteReport:
         return self.max_identity_residual <= self.identity_tol
 
     @property
-    def budget_ok(self) -> bool:
-        return all(r.budget_slack >= 0 for r in self.results)
-
-    @property
-    def long_delay_ok(self) -> bool:
-        return all(r.long_delay_ok for r in self.results)
-
-    @property
     def sum_bounds_ok(self) -> bool:
         return all(r.sum_margin >= 0.0 for r in self.results)
 
     @property
     def all_ok(self) -> bool:
-        return self.identity_ok and self.budget_ok and self.long_delay_ok and self.sum_bounds_ok
+        return self.identity_ok and self.sum_bounds_ok
 
     def failures(self) -> list[str]:
         out = []
@@ -111,10 +104,6 @@ class SuiteReport:
             reasons = []
             if r.identity_residual > self.identity_tol:
                 reasons.append(f"identity residual {r.identity_residual:.3e}")
-            if r.budget_slack < 0:
-                reasons.append(f"budget slack {r.budget_slack}")
-            if not r.long_delay_ok:
-                reasons.append("long-delay count")
             if r.sum_margin < 0.0:
                 reasons.append(f"stepsize sum margin {r.sum_margin:.3e}")
             if reasons:
@@ -123,12 +112,17 @@ class SuiteReport:
 
 
 def check_case(tag: str, num_workers: int, horizon: int, speed_kind: str,
-               seed: int, inject: str | None = None) -> CaseResult:
+               seed: int, inject: str | None = None) -> CaseResult | None:
+    """One suite case, or None if the rule `tag` rejects the case's constants
+    (for example a horizon below its worker count)."""
     problem, x0 = make_case(tag, num_workers, seed)
+    try:
+        schedule = schedules.make_schedule(
+            tag, problem.constants_for(x0, num_workers, horizon))
+    except schedules.ScheduleError:
+        return None
     model = make_speed_model(speed_kind, num_workers, seed)
     trace = scheduler.simulate_trace(model, horizon)
-    constants = problem.constants_for(x0, num_workers, horizon)
-    schedule = schedules.make_schedule(tag, constants)
     record = run_async(problem, trace, schedule, x0, seed=seed,
                        diagnostics=True, metrics=False)
 
@@ -138,8 +132,6 @@ def check_case(tag: str, num_workers: int, horizon: int, speed_kind: str,
     return CaseResult(
         label=label,
         identity_residual=residual,
-        budget_slack=trace.delay_budget_slack(),
-        long_delay_ok=trace.long_delay_count_ok(),
         sum_margin=schedule.sum_margin(record.gamma_hats),
     )
 
@@ -152,12 +144,11 @@ def run_suite(worker_counts=(1, 2, 5, 16), horizons=(50, 500),
     for tag in schedule_tags:
         for m_count in worker_counts:
             for horizon in horizons:
-                needed = 3 * m_count if tag == "adaptive-strongly-convex" else m_count
-                if horizon < needed:
-                    continue
                 for kind in speed_kinds:
-                    seed = base_seed * 1_000_000 + index
+                    result = check_case(tag, m_count, horizon, kind,
+                                        base_seed * 1_000_000 + index, inject=inject)
+                    if result is None:   # the rule rejects (tag, M, K); no seed is used
+                        break
+                    report.results.append(result)
                     index += 1
-                    report.results.append(
-                        check_case(tag, m_count, horizon, kind, seed, inject=inject))
     return report

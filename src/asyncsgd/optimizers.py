@@ -4,20 +4,20 @@ replayed through the same engine.
 
 The asynchronous replay is a column engine. The arrival trace is fixed
 before a run starts, and with it everything that depends only on the trace:
-the dispatch iteration p_k of every arriving gradient (the trace's
-`dispatches()` column, checked against the recorded delays), its stepsize
-gamma_k = gamma(tau_k), every gradient's eventual stepsize (the stepsize it
-is consumed with, or the terminal-delay stepsize if it is still in flight
-when the run ends), and the gradient noise. The noise comes from the problem's split oracle: `draw` takes a
-worker's samples from its own seed substream as one block, sized from the
-worker's arrival count, and `sample_grad` evaluates one gradient given its
-sample. Block draws equal one-at-a-time draws, so a gradient evaluated
-lazily at arrival time against the iterate stored at dispatch is identical
-to eager evaluation at dispatch time, and runs are reproducible regardless
-of interleaving. The loop then only applies the updates in order, keeping
-one dispatch point per worker (O(M d) memory); weighted averages over
-iterates are accumulated as running sums, so no iterate history is needed
-for them.
+the dispatch iteration p_k of every arriving gradient and its delay (the
+trace's `prevs` and `taus` columns, derived once when the trace was built),
+its stepsize gamma_k = gamma(tau_k), every gradient's eventual stepsize (the
+stepsize it is consumed with, or the terminal-delay stepsize if it is still
+in flight when the run ends), and the gradient noise. The noise comes from
+the problem's split oracle: `draw` takes a worker's samples from its own
+seed substream as one block, sized from the worker's arrival count, and
+`sample_grad` evaluates one gradient given its sample. Block draws equal
+one-at-a-time draws, so a gradient evaluated lazily at arrival time against
+the iterate stored at dispatch is identical to eager evaluation at dispatch
+time, and runs are reproducible regardless of interleaving. The loop then
+only applies the updates in order, keeping one dispatch point per worker
+(O(M d) memory); weighted averages over iterates are accumulated as running
+sums, so no iterate history is needed for them.
 """
 
 from __future__ import annotations
@@ -168,10 +168,10 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     rngs = worker_streams(seed, m_count)
     fstar = problem.fstar if problem.fstar is not None else 0.0
 
-    # columns: dispatch iteration p_k (checked against the recorded taus),
-    # stepsize gamma_k, and the eventual stepsize of every dispatch, which is
-    # the stepsize its gradient is consumed with at the worker's next arrival
-    prevs = trace.dispatches()
+    # columns: dispatch iteration p_k, stepsize gamma_k, and the eventual
+    # stepsize of every dispatch, which is the stepsize its gradient is
+    # consumed with at the worker's next arrival
+    prevs = trace.prevs
     gammas = schedule.gammas(trace.taus)
     consumed = prevs > 0
     gamma_hats = np.full(horizon, np.nan)
@@ -333,8 +333,9 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     Each thread computes gradients against its own dispatch snapshot and a
     single lock serializes (number the arrival, update, re-dispatch). The
     arrival order is scheduler-dependent and therefore not reproducible; the
-    realized order becomes an ArrivalTrace, which checks its delays, and its
-    replay through run_async must reproduce the live iterate exactly.
+    realized order becomes an ArrivalTrace, whose delays must equal the ones
+    recorded under the lock, and its replay through run_async must
+    reproduce the live iterate exactly.
     """
     if horizon < 1:
         raise LedgerError(f"need at least one arrival, got {horizon}")
@@ -389,7 +390,8 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     workers = np.array([r[0] for r in rows], dtype=np.int64)
     taus = np.array([r[1] for r in rows], dtype=np.int64)
     times = np.array([r[3] for r in rows])
-    trace = ArrivalTrace(workers, taus, np.maximum.accumulate(times), num_workers)
+    trace = ArrivalTrace(workers, np.maximum.accumulate(times),
+                         num_workers).check_recorded_taus(taus)
     # replay the realized order; this recomputes identical updates and fills
     # in metrics, eventual stepsizes and (optionally) iterate history
     record = run_async(problem, trace, schedule, x0, seed,

@@ -2,16 +2,19 @@
 compute-time models, plus the closed-form step-count model used to compare
 asynchronous and synchronous execution for a fixed wall-clock budget.
 
-`ArrivalTrace` is the one place that defines delays: arrival k's gradient
-was dispatched at p_k, the same worker's previous arrival (0 if none), and
-its delay is tau_k = k - p_k. The delay-budget checks use the same columns.
+`ArrivalTrace` is the one place that defines delays. A trace is built from
+the arrival order alone: arrival k's gradient was dispatched at p_k, the
+same worker's previous arrival (0 if none), and its delay is tau_k = k - p_k.
+Both columns are derived once, when the trace is built, so no delay can
+disagree with the order; only a delay column recorded elsewhere (a trace
+CSV, a live run) is compared with them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,38 +104,23 @@ class RandomSpeeds:
         return draws
 
 
-@dataclass(frozen=True)
-class StragglerSpeeds:
-    """All workers take `base` seconds except one, slowed by `slowdown`."""
-
-    base: float
-    straggler: int
-    slowdown: float
-    num_workers: int
-
-    def __post_init__(self):
-        if self.num_workers < 1:
-            raise SpeedModelError("need at least one worker")
-        if not 1 <= self.straggler <= self.num_workers:
-            raise SpeedModelError(
-                f"straggler id {self.straggler} out of range 1..{self.num_workers}"
-            )
-        if not math.isfinite(self.base) or self.base <= 0:
-            raise SpeedModelError("base compute time must be positive and finite")
-        if not math.isfinite(self.slowdown) or self.slowdown < 1:
-            raise SpeedModelError("slowdown factor must be >= 1")
-
-    @property
-    def seconds(self) -> tuple[float, ...]:
-        return tuple(
-            self.base * self.slowdown if m == self.straggler else self.base
-            for m in range(1, self.num_workers + 1)
-        )
-
-    block_samplers = FixedSpeeds.block_samplers
+def StragglerSpeeds(base: float, straggler: int, slowdown: float,
+                    num_workers: int) -> FixedSpeeds:
+    """The fixed speeds of `num_workers` workers that all take `base` seconds
+    except worker `straggler`, which takes `base * slowdown`."""
+    if num_workers < 1:
+        raise SpeedModelError("need at least one worker")
+    if not 1 <= straggler <= num_workers:
+        raise SpeedModelError(f"straggler id {straggler} out of range 1..{num_workers}")
+    if not math.isfinite(base) or base <= 0:
+        raise SpeedModelError("base compute time must be positive and finite")
+    if not math.isfinite(slowdown) or slowdown < 1:
+        raise SpeedModelError("slowdown factor must be >= 1")
+    return FixedSpeeds(tuple(base * slowdown if m == straggler else base
+                             for m in range(1, num_workers + 1)))
 
 
-SpeedModel = FixedSpeeds | RandomSpeeds | StragglerSpeeds
+SpeedModel = FixedSpeeds | RandomSpeeds
 
 
 def dispatch_iterations(workers) -> np.ndarray:
@@ -150,63 +138,67 @@ def dispatch_iterations(workers) -> np.ndarray:
     return prevs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrivalTrace:
     """Arrival order of gradients: one row per update iteration k = 1..K.
 
-    workers[k-1] is the arriving worker id, taus[k-1] its gradient's delay,
-    times[k-1] the arrival wall-clock time (non-decreasing).
+    workers[k-1] is the arriving worker id and times[k-1] the arrival
+    wall-clock time (non-decreasing). The constructor checks both and
+    derives, in one pass, prevs[k-1] = p_k, the iteration the arriving
+    gradient was dispatched at, and taus[k-1] = k - p_k, its delay. All four
+    columns are read-only views; the caller's arrays are not copied.
+    Raises LedgerError, naming the first bad row, if a worker id is outside
+    1..M or the times decrease.
     """
 
     workers: np.ndarray
-    taus: np.ndarray
     times: np.ndarray
     num_workers: int
+    prevs: np.ndarray = field(init=False)
+    taus: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.workers = np.asarray(self.workers, dtype=np.int64)
-        self.taus = np.asarray(self.taus, dtype=np.int64)
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.dispatches()
+        workers = np.asarray(self.workers, dtype=np.int64)
+        times = np.asarray(self.times, dtype=np.float64)
+        if len(workers) != len(times):
+            raise LedgerError("trace columns have mismatched lengths")
+        if self.num_workers < 1:
+            raise LedgerError(f"need at least one worker, got {self.num_workers}")
+        bad = np.flatnonzero((workers < 1) | (workers > self.num_workers))
+        if bad.size:
+            raise LedgerError(
+                f"trace row {bad[0] + 1}: unknown worker id {workers[bad[0]]} "
+                f"(valid ids are 1..{self.num_workers})")
+        bad = np.flatnonzero(np.diff(times) < 0)
+        if bad.size:
+            raise LedgerError(f"trace row {bad[0] + 2}: arrival times must be non-decreasing")
+        prevs = dispatch_iterations(workers)
+        columns = {"workers": workers, "times": times, "prevs": prevs,
+                   "taus": np.arange(1, len(workers) + 1) - prevs}
+        for name, column in columns.items():
+            view = column.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def horizon(self) -> int:
         return len(self.workers)
 
-    def dispatches(self) -> np.ndarray:
-        """Check the columns in one vectorized pass and return p_k, the
-        iteration each arriving gradient was dispatched at.
-
-        Raises LedgerError, naming the first bad row, if a worker id is
-        outside 1..M, the times decrease, or a recorded delay is not k - p_k.
-        """
-        horizon = len(self.workers)
-        if not (horizon == len(self.taus) == len(self.times)):
-            raise LedgerError("trace columns have mismatched lengths")
-        if self.num_workers < 1:
-            raise LedgerError(f"need at least one worker, got {self.num_workers}")
-        bad = np.flatnonzero((self.workers < 1) | (self.workers > self.num_workers))
-        if bad.size:
-            raise LedgerError(
-                f"trace row {bad[0] + 1}: unknown worker id {self.workers[bad[0]]} "
-                f"(valid ids are 1..{self.num_workers})")
-        bad = np.flatnonzero(np.diff(self.times) < 0)
-        if bad.size:
-            raise LedgerError(f"trace row {bad[0] + 2}: arrival times must be non-decreasing")
-        prevs = dispatch_iterations(self.workers)
-        delays = np.arange(1, horizon + 1) - prevs
-        bad = np.flatnonzero(delays != self.taus)
+    def check_recorded_taus(self, taus) -> "ArrivalTrace":
+        """Return the trace if a delay column recorded outside it (a trace
+        CSV, a live run) equals the one its arrival order gives; else raise
+        LedgerError naming the first row where they differ."""
+        bad = np.flatnonzero(np.asarray(taus) != self.taus)
         if bad.size:
             i = bad[0]
             raise LedgerError(
-                f"trace row {i + 1}: recorded delay {self.taus[i]} "
-                f"but the arrival order gives {delays[i]}")
-        return prevs
+                f"trace row {i + 1}: recorded delay {taus[i]} "
+                f"but the arrival order gives {self.taus[i]}")
+        return self
 
     def validate(self) -> "ArrivalTrace":
-        """Check the columns again (they are mutable) and return the trace,
-        whose delay-budget invariants can then be queried."""
-        self.dispatches()
+        """Return the trace. Its columns were checked and derived when it was
+        built and cannot change, so there is nothing left to check."""
         return self
 
     def delay_budget_slack(self) -> int:
@@ -214,15 +206,19 @@ class ArrivalTrace:
         first K'-1 arrivals and of the M gradients in flight at K'. Arrival k
         moves its worker's dispatch point from p_k to k, so the in-flight
         delays sum to K'M - sum_{k<K'} (k - p_k) and the margin at K' is
-        sum_{k<K'} (k - p_k - tau_k): 0 at every prefix of a valid trace."""
-        terms = np.arange(1, self.horizon + 1) - self.dispatches() - self.taus
+        sum_{k<K'} (k - p_k - tau_k): 0 at every prefix, since tau_k is
+        derived as k - p_k. Kept as an identity for tests to check."""
+        terms = np.arange(1, self.horizon + 1) - self.prevs - self.taus
         return int(np.cumsum(terms).min(initial=0))
 
     def long_delay_count_ok(self) -> bool:
         """At most min(k/3, max(k - 3M, 0)) of the first k arrivals, for
-        every k, may carry a delay larger than 3M."""
+        every k, may carry a delay larger than 3M. Every arrival order meets
+        this: per worker the delays telescope, so the first k sum to at most
+        kM and fewer than k/3 of them exceed 3M; and tau_j <= j, so none of
+        the first 3M does. Kept as an identity for tests to check."""
         m3 = 3 * self.num_workers
-        ks = np.arange(1, self.horizon + 1)
+        ks = np.arange(1, len(self.taus) + 1)
         long_counts = np.cumsum(self.taus > m3)
         return bool(np.all(long_counts <= np.minimum(ks / 3, np.maximum(ks - m3, 0))))
 
@@ -259,8 +255,9 @@ class ArrivalTrace:
                         "(rows must be k = 1..K in order)")
         if num_workers is None:
             num_workers = max(workers) if workers else 1
-        return cls(np.array(workers, dtype=np.int64), np.array(taus, dtype=np.int64),
-                   np.array(times, dtype=np.float64), num_workers)
+        trace = cls(np.array(workers, dtype=np.int64), np.array(times, dtype=np.float64),
+                    num_workers)
+        return trace.check_recorded_taus(taus)
 
 
 def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
@@ -270,7 +267,8 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
     running sums of its compute-time draws; the arrival order merges every
     worker's finish times, with ties broken toward the lowest worker index
     (exact binary64 comparison). Deterministic for a given (model, seed,
-    horizon).
+    horizon). Raises SpeedModelError if one of the first `horizon` finish
+    times overflows.
     """
     if horizon < 0:
         raise LedgerError(f"horizon must be >= 0, got {horizon}")
@@ -286,7 +284,8 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
              for sampler, w in zip(samplers, share)]
     while True:
         counts = np.array([len(d) for d in draws])
-        times = np.concatenate([np.cumsum(d) for d in draws])
+        with np.errstate(over="ignore"):   # checked below, on the K arrivals
+            times = np.concatenate([np.cumsum(d) for d in draws])
         ids = np.repeat(np.arange(1, m_count + 1), counts)
         # the blocks are concatenated in worker order, so a stable sort by
         # time alone breaks ties toward the lower id, as a (time, id) key does
@@ -300,9 +299,12 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
         # sum its finish times again from the first draw
         for m in short:
             draws[m] = np.concatenate([draws[m], samplers[m](len(draws[m]))])
-    workers = ids[first]
-    taus = np.arange(1, horizon + 1) - dispatch_iterations(workers)
-    return ArrivalTrace(workers, taus, times[first], m_count)
+    times = times[first]
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise SpeedModelError(
+            f"arrival {bad[0] + 1} finishes past the float range; compute times are too large")
+    return ArrivalTrace(ids[first], times, m_count)
 
 
 def trace_from_workers(workers, num_workers: int | None = None) -> ArrivalTrace:
@@ -312,9 +314,7 @@ def trace_from_workers(workers, num_workers: int | None = None) -> ArrivalTrace:
         if not len(workers):
             raise LedgerError("cannot infer worker count from an empty sequence")
         num_workers = int(workers.max())
-    taus = np.arange(1, len(workers) + 1) - dispatch_iterations(workers)
-    times = np.arange(1, len(workers) + 1, dtype=np.float64)
-    return ArrivalTrace(workers, taus, times, num_workers)
+    return ArrivalTrace(workers, np.arange(1, len(workers) + 1, dtype=np.float64), num_workers)
 
 
 def steps_in_time(seconds, duration: float) -> tuple[int, int]:

@@ -31,8 +31,7 @@ class VirtualTrack:
 
     virtual_iterates: np.ndarray   # (K, d), virtual point at each iteration
     gaps: np.ndarray               # (K, d), real minus virtual
-    reconstructions: np.ndarray    # (K, d), in-flight sums from bookkeeping
-    rel_residuals: np.ndarray      # (K,), ||gap - reconstruction|| / (1 + ||gap||)
+    rel_residuals: np.ndarray      # (K,), ||gap - in-flight sum|| / (1 + ||gap||)
     terms_per_iteration: np.ndarray  # (K,), in-flight summands, always M - 1
 
     @property
@@ -69,7 +68,6 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
 
     virtual = np.empty((horizon, dim))
     gaps = np.empty((horizon, dim))
-    recons = np.empty((horizon, dim))
     residuals = np.empty(horizon)
     terms = np.empty(horizon, dtype=np.int64)
 
@@ -94,7 +92,6 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
             recon += eventual_step(p, m) * record.gradients[(p, m)]
             count += 1
         gaps[i] = gap
-        recons[i] = recon
         terms[i] = count
         residuals[i] = float(np.linalg.norm(gap - recon)) / (1.0 + float(np.linalg.norm(gap)))
         if k < horizon:
@@ -102,7 +99,7 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
             xhat = xhat - float(record.gamma_hats[k - 1]) * record.gradients[(k, arriving)]
         dispatched_at[arriving - 1] = k
 
-    out = VirtualTrack(virtual, gaps, recons, residuals, terms)
+    out = VirtualTrack(virtual, gaps, residuals, terms)
     if attach:
         record.vres = residuals
     return out

@@ -5,6 +5,7 @@ tolerance. Tolerances are frozen from calibration runs; every setup is fully
 seeded, so reruns measure identical numbers.
 """
 
+import itertools
 import json
 import time
 
@@ -26,7 +27,7 @@ from asyncsgd import (
     trace_from_workers,
 )
 from asyncsgd.cli import main as cli_main
-from asyncsgd.invariants import run_suite
+from asyncsgd.invariants import SCHEDULE_TAGS, SPEED_KINDS, make_speed_model, run_suite
 from reference import sequential_sgd
 
 
@@ -63,10 +64,16 @@ def test_criterion_01_gap_identity(suite):
 
 def test_criterion_02_delay_budget(suite):
     rep, _ = suite
-    slack = min(r.budget_slack for r in rep.results)
-    ok = rep.budget_ok and rep.long_delay_ok
+    # the suite's traces, built again: no default-grid case is skipped, so
+    # case i of the grid is seeded i
+    grid = itertools.product(SCHEDULE_TAGS, (1, 2, 5, 16), (50, 500), SPEED_KINDS)
+    traces = [simulate_trace(make_speed_model(kind, m_count, seed), horizon)
+              for seed, (_, m_count, horizon, kind) in enumerate(grid)]
+    slack = min(t.delay_budget_slack() for t in traces)
+    ok = len(traces) == rep.runs and slack >= 0 and all(
+        t.long_delay_count_ok() for t in traces)
     report(2, "delay budget", ok,
-           f"min prefix slack {slack} >= 0 and long-delay cap on {rep.runs} traces")
+           f"min prefix slack {slack} >= 0 and long-delay cap on {len(traces)} traces")
 
 
 def test_criterion_03_stepsize_sum_bounds(suite):

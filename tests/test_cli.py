@@ -281,7 +281,10 @@ def test_missing_problem_csv_file_is_a_config_error(tmp_path, capsys):
      "schedule": {"kind": "adaptive-nonconvex"}, "x0": {"kind": "zeros"}},
     {"speed_model": {"kind": "random", "distribution": "lognormal", "means": [1, 2],
                      "sigma": 1e308}},
-], ids=["gram-overflow", "tiny-sigma", "huge-sigma", "huge-lognormal-sigma"])
+    # every worker's second finish time overflows to inf
+    {"speed_model": {"kind": "fixed", "seconds": [1e308, 1e308]}},
+], ids=["gram-overflow", "tiny-sigma", "huge-sigma", "huge-lognormal-sigma",
+        "finish-time-overflow"])
 def test_values_outside_the_float_range_are_input_errors(tmp_path, capsys, overrides):
     code, _, err = run_cli(capsys, ["simulate", "--config",
                                     write_config(tmp_path, base_config(**overrides))])
@@ -590,7 +593,12 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch,
 def test_check_passes_on_small_grid(capsys):
     code, stdout, _ = run_cli(capsys, ["check", "--workers", "2", "--horizons", "30"])
     assert code == 0
-    assert stdout.count("PASS") == 4 and "FAIL" not in stdout
+    assert stdout.count("PASS") == 2 and "FAIL" not in stdout
+    # the strongly convex rule rejects K = 50 < 3M = 60, so its 5 cases at
+    # M = 20 are skipped: 4 x 5 + 3 x 5 runs
+    code, stdout, _ = run_cli(capsys, ["check", "--workers", "2,20", "--horizons", "50"])
+    assert code == 0
+    assert stdout.count("PASS  ") == 2 and stdout.count("[35 runs]") == 2
 
 
 def test_check_fails_with_injected_bug(capsys):

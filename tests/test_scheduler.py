@@ -104,6 +104,17 @@ def test_straggler_validation():
         StragglerSpeeds(base=1.0, straggler=1, slowdown=0.5, num_workers=3)
     with pytest.raises(SpeedModelError):
         StragglerSpeeds(base=-1.0, straggler=1, slowdown=2.0, num_workers=3)
+    with pytest.raises(SpeedModelError, match="positive and finite"):
+        StragglerSpeeds(base=1e300, straggler=1, slowdown=1e10, num_workers=3)   # inf
+
+
+def test_finish_times_past_the_float_range_are_rejected():
+    # each worker's second finish time overflows to inf
+    with pytest.raises(SpeedModelError, match="arrival 3 finishes past the float range"):
+        simulate_trace(FixedSpeeds((1e308, 1e308)), 8)
+    # the overflowing draws lie beyond the horizon, so the trace is finite
+    trace = simulate_trace(FixedSpeeds((1e308, 1.0)), 8)
+    assert trace.workers.tolist() == [2] * 8
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,14 +129,17 @@ def test_trace_from_workers_matches_definition(workers):
     assert trace.times.tolist() == list(range(1, len(workers) + 1))
 
 
-def test_trace_rejects_wrong_taus():
-    with pytest.raises(LedgerError):
-        ArrivalTrace(np.array([1, 1]), np.array([1, 2]), np.array([1.0, 2.0]), 1)
+def test_trace_rejects_wrong_taus(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("k,worker,tau,time\n1,1,1,1.0\n2,2,2,1.5\n3,1,1,2.0\n")
+    with pytest.raises(LedgerError) as exc:
+        ArrivalTrace.read_csv(path)
+    assert str(exc.value) == "trace row 3: recorded delay 1 but the arrival order gives 2"
 
 
 def test_trace_rejects_decreasing_times():
     with pytest.raises(LedgerError):
-        ArrivalTrace(np.array([1, 1]), np.array([1, 1]), np.array([2.0, 1.0]), 1)
+        ArrivalTrace(np.array([1, 1]), np.array([2.0, 1.0]), 1)
 
 
 def test_trace_csv_round_trip(tmp_path):
