@@ -52,6 +52,11 @@ class RunRecord:
     iteration 0. uniform_sum and weighted_sum are running sums of x_k and
     gamma_hat_k * x_k over k = 1..K, enough to form averaged outputs without
     iterate history.
+
+    Under diagnostics, gradients is the dense store of every evaluated
+    dispatch, one (M+K-1, d) array: row m-1 holds worker m's dispatch at
+    iteration 0 and row M+k-1 the gradient dispatched at iteration k, for
+    k = 1..K-1 (the dispatch at K is never evaluated).
     """
 
     num_workers: int
@@ -70,7 +75,7 @@ class RunRecord:
     seed: int
     schedule: StepSchedule | None = None
     iterates: np.ndarray | None = None
-    gradients: dict | None = None
+    gradients: np.ndarray | None = None
     vres: np.ndarray | None = None
     gradient_evals: int = 0
 
@@ -144,10 +149,12 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     Everything the trace fixes is computed as a column before the loop: the
     dispatch iteration of every arriving gradient, its stepsize and
     eventual stepsize, and its gradient sample. The loop itself only applies
-    the updates in order. diagnostics=True additionally memoizes every
-    dispatched gradient (the never-consumed in-flight ones are evaluated at
-    the end from the same substreams), which the virtual-iterate checker
-    consumes; it implies keep_iterates. Raises DivergedError when the
+    the updates in order. diagnostics=True additionally keeps every
+    dispatched gradient in one (M+K-1, d) array: row m-1 for worker m's
+    dispatch at iteration 0, row M+k-1 for the dispatch at iteration k < K.
+    The rows still in flight at the end are evaluated then, from the same
+    substreams. The virtual-iterate checker reads this store; diagnostics
+    implies keep_iterates. Raises DivergedError when the
     iterate norm passes divergence_norm or goes non-finite.
     """
     horizon = trace.horizon
@@ -188,7 +195,9 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     iterates = np.empty((horizon + 1, problem.dim)) if keep_iterates else None
     if keep_iterates:
         iterates[0] = x
-    gradients = {} if diagnostics else None
+    # dense store of the evaluated dispatches: row m-1 for worker m's
+    # dispatch at iteration 0, row M+p-1 for the dispatch at iteration p
+    gradients = np.empty((m_count + horizon - 1, problem.dim)) if diagnostics else None
     uniform_sum = np.zeros(problem.dim)
     weighted_sum = np.zeros(problem.dim)
     evals = horizon
@@ -218,7 +227,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
             if keep_iterates:
                 iterates[k] = x
             if diagnostics:
-                gradients[(p, m)] = g
+                gradients[m_count + p - 1 if p else m - 1] = g
             points[m - 1] = x
 
     for m in range(1, m_count + 1):
@@ -230,7 +239,8 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
             gamma_hats[p - 1] = gamma
             weighted_sum += gamma * points[m - 1]
         if diagnostics and p < horizon:
-            gradients[(p, m)] = problem.stoch_grad(points[m - 1], rngs[m - 1], worker=m)
+            gradients[m_count + p - 1 if p else m - 1] = problem.stoch_grad(
+                points[m - 1], rngs[m - 1], worker=m)
             evals += 1
 
     return RunRecord(

@@ -148,7 +148,7 @@ class ArrivalTrace:
     gradient was dispatched at, and taus[k-1] = k - p_k, its delay. All four
     columns are read-only views; the caller's arrays are not copied.
     Raises LedgerError, naming the first bad row, if a worker id is outside
-    1..M or the times decrease.
+    1..M, a time is not finite or the times decrease.
     """
 
     workers: np.ndarray
@@ -169,6 +169,10 @@ class ArrivalTrace:
             raise LedgerError(
                 f"trace row {bad[0] + 1}: unknown worker id {workers[bad[0]]} "
                 f"(valid ids are 1..{self.num_workers})")
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            raise LedgerError(
+                f"trace row {bad[0] + 1}: arrival time {times[bad[0]]} is not finite")
         bad = np.flatnonzero(np.diff(times) < 0)
         if bad.size:
             raise LedgerError(f"trace row {bad[0] + 2}: arrival times must be non-decreasing")

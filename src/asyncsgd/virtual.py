@@ -7,10 +7,21 @@ weighted sum of the gradients currently in flight, one term per worker other
 than the one arriving. Recomputing that sum from the run's bookkeeping and
 comparing against the recorded gap catches wrong dispatch pointers, wrong
 stepsize assignment and missed in-flight gradients at machine precision.
+
+The tracker reads the run's dense gradient store, one (M+K-1, d) array in
+which row m-1 holds worker m's dispatch at iteration 0 and row M+k-1 the
+gradient dispatched at iteration k < K. It walks the horizon in blocks of
+_BLOCK iterations with no per-step Python work: the virtual iterates are one
+np.subtract.accumulate per block, the store row each worker holds is a
+forward fill of the block's arrivals, and the in-flight sum is added worker
+by worker in id order, which is the order a per-step loop adds in. Its
+output therefore equals that loop (`reference_track` in tests/reference.py)
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +34,10 @@ class DiagnosticsError(ValueError):
 
 
 INJECTABLE_BUGS = ("prev-off-by-one",)
+
+# iterations per block of the tracker; bounds its scratch arrays to a few
+# (_BLOCK, d) and (_BLOCK, M) arrays however long the run is
+_BLOCK = 128
 
 
 @dataclass
@@ -42,9 +57,9 @@ class VirtualTrack:
 def track(record: RunRecord, attach: bool = False, inject: str | None = None) -> VirtualTrack:
     """Rebuild the virtual sequence from a diagnostics-mode run record.
 
-    Needs a record produced with diagnostics=True (memoized gradients and
-    iterate history). inject enables a deliberately seeded bookkeeping bug,
-    used to demonstrate that the identity check fails loudly: the
+    Needs a record produced with diagnostics=True (the dense gradient store
+    and iterate history). inject enables a deliberately seeded bookkeeping
+    bug, used to demonstrate that the identity check fails loudly: the
     "prev-off-by-one" mode reads each in-flight gradient's eventual stepsize
     from the slot one dispatch later. attach=True stores the residual column
     on the record for CSV export.
@@ -57,47 +72,64 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
     horizon = record.horizon
     m_count = record.num_workers
     dim = record.x0.shape[0]
+    store = record.gradients
+    if store.shape != (m_count + horizon - 1, dim):
+        raise DiagnosticsError(
+            f"gradient store has shape {store.shape}, expected {(m_count + horizon - 1, dim)}")
 
-    def eventual_step(dispatch: int, worker: int) -> float:
-        if inject == "prev-off-by-one":
-            slot = min(dispatch + 1, horizon)
-            return float(record.gamma_hats[slot - 1])
-        if dispatch == 0:
-            return float(record.gamma_hat_initial[worker - 1])
-        return float(record.gamma_hats[dispatch - 1])
+    # eventual stepsize of every store row, as the virtual sequence prices it
+    # and as the reconstruction reads it
+    price = np.concatenate([record.gamma_hat_initial, record.gamma_hats[:horizon - 1]])
+    if inject == "prev-off-by-one":
+        # dispatch p is priced at slot min(p + 1, K), which is p + 1 for every
+        # stored dispatch p < K
+        recon_price = np.concatenate([np.full(m_count, record.gamma_hats[0]),
+                                      record.gamma_hats[1:]])
+    else:
+        recon_price = price
 
     virtual = np.empty((horizon, dim))
     gaps = np.empty((horizon, dim))
     residuals = np.empty(horizon)
-    terms = np.empty(horizon, dtype=np.int64)
+    terms = np.full(horizon, m_count - 1, dtype=np.int64)
 
     # dispatch 0 happened for every worker; each of those gradients was either
-    # consumed during the run or evaluated terminally, so all M are memoized
-    xhat = record.x0.copy()
-    for m in range(1, m_count + 1):
-        xhat = xhat - float(record.gamma_hat_initial[m - 1]) * record.gradients[(0, m)]
+    # consumed during the run or evaluated terminally, so all M rows are set
+    head = np.concatenate([record.x0[None], price[:m_count, None] * store[:m_count]])
+    virtual[0] = np.subtract.accumulate(head, axis=0)[-1]
 
-    dispatched_at = [0] * m_count
-    for i in range(horizon):
-        k = i + 1
-        arriving = int(record.workers[i])
-        virtual[i] = xhat
-        gap = record.iterates[k] - xhat
-        recon = np.zeros(dim)
-        count = 0
-        for m in range(1, m_count + 1):
-            if m == arriving:
-                continue
-            p = dispatched_at[m - 1]
-            recon += eventual_step(p, m) * record.gradients[(p, m)]
-            count += 1
-        gaps[i] = gap
-        terms[i] = count
-        residuals[i] = float(np.linalg.norm(gap - recon)) / (1.0 + float(np.linalg.norm(gap)))
-        if k < horizon:
-            # advance by the gradient dispatched at k, priced at its eventual step
-            xhat = xhat - float(record.gamma_hats[k - 1]) * record.gradients[(k, arriving)]
-        dispatched_at[arriving - 1] = k
+    ids = np.arange(1, m_count + 1)
+    held = np.arange(m_count)[None]   # store row each worker holds in flight
+    for start in range(0, horizon, _BLOCK):
+        stop = min(start + _BLOCK, horizon)
+        # x_hat_k = x_hat_{k-1} - gamma_hat_{k-1} g_{k-1}, subtracted in sequence
+        # from the last virtual point of the previous block
+        lo = max(start - 1, 0)
+        steps = slice(m_count + lo, m_count + stop - 1)
+        np.subtract.accumulate(
+            np.concatenate([virtual[lo:lo + 1], price[steps, None] * store[steps]]),
+            axis=0, out=virtual[lo:stop])
+        arriving = record.workers[start:stop]
+        # each arrival k moves its worker's row to M+k-1; carry the rest forward
+        moved = np.where(arriving[:, None] == ids,
+                         m_count + np.arange(start, stop)[:, None], -1)
+        rows = np.maximum.accumulate(np.concatenate([held, moved]), axis=0)
+        held = rows[-1:]
+        rows = rows[:-1]
+        # in-flight sum over the workers other than the arriving one, added in
+        # worker id order; a reduce over a gathered (n, M, d) block would add
+        # pairwise (numpy does so at d=1) and differ in the last bits
+        recon = np.zeros((stop - start, dim))
+        for m in range(m_count):
+            r = rows[:, m]
+            np.add(recon, recon_price[r, None] * store[r], out=recon,
+                   where=(arriving != m + 1)[:, None])
+        gap = np.subtract(record.iterates[start + 1:stop + 1], virtual[start:stop],
+                          out=gaps[start:stop])
+        miss = gap - recon
+        # the norm of a vector is sqrt(a.dot(a)), as np.linalg.norm takes it
+        residuals[start:stop] = [math.sqrt(a.dot(a)) / (1.0 + math.sqrt(b.dot(b)))
+                                 for a, b in zip(miss, gap)]
 
     out = VirtualTrack(virtual, gaps, residuals, terms)
     if attach:

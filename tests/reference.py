@@ -15,6 +15,12 @@ import numpy as np
 from asyncsgd import LedgerError, RandomSpeeds, RunRecord
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and every bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def prev_arrival(workers, k, m):
     """Largest j < k with workers[j-1] == m, else 0. Definitional scan."""
     for j in range(k - 1, 0, -1):
@@ -135,17 +141,73 @@ def eager_async_run(problem, workers, schedule, x0, seed):
     return np.array(xs), np.array(gammas), gradients
 
 
+def store_row(num_workers, dispatch, worker):
+    """Row of a diagnostics run's gradient store holding the gradient that
+    `worker` was dispatched with at iteration `dispatch`."""
+    return worker - 1 if dispatch == 0 else num_workers + dispatch - 1
+
+
 def naive_virtual(x0, workers, gradients, hats, initial, horizon):
     """Virtual sequence straight from its definition."""
-    num_workers = max(workers)
+    num_workers = len(initial)
     xhat = np.array(x0, dtype=np.float64)
     for m in range(1, num_workers + 1):
-        xhat = xhat - initial[m - 1] * gradients[(0, m)]
+        xhat = xhat - initial[m - 1] * gradients[store_row(num_workers, 0, m)]
     out = [xhat.copy()]
     for k in range(1, horizon):
-        xhat = xhat - hats[k - 1] * gradients[(k, workers[k - 1])]
+        xhat = xhat - hats[k - 1] * gradients[store_row(num_workers, k, workers[k - 1])]
         out.append(xhat.copy())
     return np.array(out)
+
+
+def reference_track(record, inject=None):
+    """Per-step reference for virtual.track: walks the run one arrival at a
+    time, keeps each worker's dispatch iteration, and re-sums the in-flight
+    gradients of every worker but the arriving one, in worker id order.
+    Returns (virtual_iterates, gaps, rel_residuals, terms_per_iteration)."""
+    horizon = record.horizon
+    m_count = record.num_workers
+    dim = record.x0.shape[0]
+
+    def eventual_step(dispatch, worker):
+        if inject == "prev-off-by-one":
+            slot = min(dispatch + 1, horizon)
+            return float(record.gamma_hats[slot - 1])
+        if dispatch == 0:
+            return float(record.gamma_hat_initial[worker - 1])
+        return float(record.gamma_hats[dispatch - 1])
+
+    def gradient(dispatch, worker):
+        return record.gradients[store_row(m_count, dispatch, worker)]
+
+    virtual = np.empty((horizon, dim))
+    gaps = np.empty((horizon, dim))
+    residuals = np.empty(horizon)
+    terms = np.empty(horizon, dtype=np.int64)
+    xhat = record.x0.copy()
+    for m in range(1, m_count + 1):
+        xhat = xhat - float(record.gamma_hat_initial[m - 1]) * gradient(0, m)
+    dispatched_at = [0] * m_count
+    for i in range(horizon):
+        k = i + 1
+        arriving = int(record.workers[i])
+        virtual[i] = xhat
+        gap = record.iterates[k] - xhat
+        recon = np.zeros(dim)
+        count = 0
+        for m in range(1, m_count + 1):
+            if m == arriving:
+                continue
+            p = dispatched_at[m - 1]
+            recon += eventual_step(p, m) * gradient(p, m)
+            count += 1
+        gaps[i] = gap
+        terms[i] = count
+        residuals[i] = float(np.linalg.norm(gap - recon)) / (1.0 + float(np.linalg.norm(gap)))
+        if k < horizon:
+            xhat = xhat - float(record.gamma_hats[k - 1]) * gradient(k, arriving)
+        dispatched_at[arriving - 1] = k
+    return virtual, gaps, residuals, terms
 
 
 def sequential_sgd(problem, horizon, gamma_fn, x0, seed):

@@ -254,6 +254,16 @@ def test_trace_csv_rows_out_of_order_are_rejected(tmp_path, capsys):
     assert "row 1" in err and "k is 5" in err
 
 
+def test_trace_csv_non_finite_times_are_rejected(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("k,worker,tau,time\n1,1,1,nan\n2,2,2,1.5\n3,1,2,inf\n4,2,2,inf\n")
+    base = base_config(speed_model={"kind": "trace-csv", "path": str(trace_path)})
+    del base["horizon"]
+    code, _, err = run_cli(capsys, ["simulate", "--config", write_config(tmp_path, base)])
+    assert code == 2
+    assert "row 1" in err and "not finite" in err and "Traceback" not in err
+
+
 def test_missing_trace_csv_file_is_a_config_error(tmp_path, capsys):
     base = base_config(speed_model={"kind": "trace-csv",
                                     "path": str(tmp_path / "absent.csv")})

@@ -31,12 +31,7 @@ from asyncsgd import (
 )
 from asyncsgd.scheduler import dispatch_iterations
 from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival,
-                       reference_gamma, replay_async)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       reference_gamma, replay_async, same_bits, store_row)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +202,14 @@ def test_run_async_equals_eager_and_per_step_replay(kind, diagnostics, workers, 
         assert same_bits(getattr(record, name), getattr(ref, name)), name
     assert record.gradient_evals == ref.gradient_evals
     if diagnostics:
-        assert record.gradients.keys() == ref.gradients.keys()
-        for key, g in record.gradients.items():
-            assert same_bits(g, ref.gradients[key])
-            assert same_bits(g, gradients[key])
+        # the per-step replay keeps a dict keyed by (dispatch, worker); every
+        # key names one row of the dense store, and every row is named once
+        m_count = trace.num_workers
+        rows = {key: store_row(m_count, *key) for key in ref.gradients}
+        assert sorted(rows.values()) == list(range(len(record.gradients)))
+        for key, row in rows.items():
+            assert same_bits(record.gradients[row], ref.gradients[key])
+            assert same_bits(record.gradients[row], gradients[key])
     else:
         assert record.gradients is None
 

@@ -30,6 +30,13 @@ def test_worker_id_validation():
         ArrivalTrace(np.array([1]), np.array([1.0]), 0)
 
 
+def test_non_finite_times_are_rejected():
+    with pytest.raises(LedgerError, match="row 1: arrival time nan is not finite"):
+        ArrivalTrace([1, 2, 1], [np.nan, 1.5, 2.0], 2)
+    with pytest.raises(LedgerError, match="row 3: arrival time inf is not finite"):
+        ArrivalTrace([1, 2, 1], [1.0, 1.5, np.inf], 2)
+
+
 def test_budget_tight_for_single_worker():
     # M=1 alternates nothing: every prefix meets the budget with slack 0
     assert trace_from_workers([1] * 7).delay_budget_slack() == 0

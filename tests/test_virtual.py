@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asyncsgd import (
     ConstLipschitz,
@@ -17,7 +21,7 @@ from asyncsgd import (
     trace_from_workers,
     track,
 )
-from reference import naive_virtual
+from reference import naive_virtual, reference_track, same_bits
 
 
 def diagnostics_run(problem, trace, tag="adaptive-convex", x0=None, seed=5):
@@ -128,3 +132,70 @@ def test_track_requires_diagnostics_mode():
     diag = run_async(problem, trace, schedule, np.zeros(2), seed=0, diagnostics=True)
     with pytest.raises(DiagnosticsError):
         track(diag, inject="future-off-by-one")
+    diag.gradients = diag.gradients[:-1]
+    with pytest.raises(DiagnosticsError, match="gradient store has shape"):
+        track(diag)
+
+
+@st.composite
+def tracker_cases(draw):
+    """(dim, M, arrival order, seed). Only workers 1..active ever arrive, so
+    workers active+1..M never return; the horizons 127, 128, 129 and 257 sit
+    on the tracker's block edges."""
+    m_count = draw(st.integers(min_value=1, max_value=10))
+    active = draw(st.integers(min_value=1, max_value=m_count))
+    horizon = draw(st.one_of(st.sampled_from([127, 128, 129, 257]),
+                             st.integers(min_value=1, max_value=300)))
+    workers = draw(st.lists(st.integers(min_value=1, max_value=active),
+                            min_size=horizon, max_size=horizon))
+    return draw(st.sampled_from([1, 3])), m_count, workers, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tracker_cases())
+@example((1, 8, [(k * 5) % 8 + 1 for k in range(129)], 1))
+@example((1, 10, [(k * 3) % 7 + 1 for k in range(257)], 2))
+@example((3, 9, [1, 2, 3] * 42 + [4], 3))
+def test_track_equals_per_step_reference_bit_for_bit(case):
+    dim, m_count, workers, seed = case
+    problem = least_squares(dim=dim, num_samples=12, sigma=0.7, seed=seed % 97)
+    trace = trace_from_workers(workers, num_workers=m_count)
+    x0 = np.ones(dim)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(
+        x0, m_count, max(trace.horizon, m_count)))
+    record = run_async(problem, trace, schedule, x0, seed=seed, diagnostics=True)
+    for inject in (None, "prev-off-by-one"):
+        vt = track(record, inject=inject)
+        got = (vt.virtual_iterates, vt.gaps, vt.rel_residuals, vt.terms_per_iteration)
+        for name, a, b in zip(("virtual_iterates", "gaps", "rel_residuals",
+                               "terms_per_iteration"), got, reference_track(record, inject)):
+            assert same_bits(a, b), (name, inject)
+
+
+def test_tracker_and_store_memory():
+    # the diagnostics-wide shape: d=50, M=64, K=5000
+    problem = least_squares(dim=50, num_samples=200, noise="rows", seed=13)
+    trace = simulate_trace(RandomSpeeds("lognormal", tuple(np.linspace(1.0, 4.0, 64)),
+                                        seed=13), 5000)
+    x0 = np.zeros(50)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 64, 5000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plain = run_async(problem, trace, schedule, x0, seed=1, keep_iterates=True)
+        kept_plain = tracemalloc.get_traced_memory()[0] - base
+        del plain
+        base = tracemalloc.get_traced_memory()[0]
+        record = run_async(problem, trace, schedule, x0, seed=1, diagnostics=True)
+        kept_diag = tracemalloc.get_traced_memory()[0] - base
+        # what diagnostics keeps on top of the iterate history is the store
+        assert kept_diag - kept_plain <= (64 + 5000 - 1) * 50 * 8 + 64 * 1024
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        vt = track(record)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (vt.virtual_iterates, vt.gaps, vt.rel_residuals,
+                                      vt.terms_per_iteration))
+    assert peak - outputs <= 1024 * 1024
