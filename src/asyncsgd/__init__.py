@@ -10,27 +10,20 @@ from .problems import (BoundedNonconvex, HeterogeneousQuadratics, LeastSquares,
 from .scheduler import (ArrivalTrace, FixedSpeeds, LedgerError, RandomSpeeds,
                         SpeedModelError, StragglerSpeeds, simulate_trace, speedup_factor,
                         steps_in_time, trace_from_workers)
-from .schedules import (DEFAULT_OUTPUT_RULE, OUTPUT_RULES, AdaptiveConvex,
-                        AdaptiveHeterogeneous, AdaptiveNonconvex,
-                        AdaptiveStronglyConvex, ConstantStep, ConstLipschitz,
-                        LipschitzSmooth, ProblemConstants, ScheduleError,
-                        StepSchedule, expected_sampled_metric,
-                        log_weighted_stepsize_sum, make_schedule, output_weights,
-                        select_output)
-from .virtual import DiagnosticsError, VirtualTrack, max_identity_residual, track
+from .schedules import (OUTPUT_RULES, ProblemConstants, ScheduleError, StepSchedule,
+                        expected_sampled_metric, log_weighted_stepsize_sum, make_schedule,
+                        output_weights, select_output)
+from .virtual import DiagnosticsError, VirtualTrack, track
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalTrace", "AdaptiveConvex", "AdaptiveHeterogeneous", "AdaptiveNonconvex",
-    "AdaptiveStronglyConvex", "BoundedNonconvex", "ConstLipschitz", "ConstantStep",
-    "DEFAULT_OUTPUT_RULE", "DiagnosticsError", "DivergedError",
+    "ArrivalTrace", "BoundedNonconvex", "DiagnosticsError", "DivergedError",
     "FixedSpeeds", "HeterogeneousQuadratics", "LeastSquares", "LedgerError",
-    "LipschitzSmooth", "OUTPUT_RULES", "ProblemConstants", "ProblemError",
-    "RandomSpeeds", "RunRecord", "ScheduleError", "SpeedModelError", "StepSchedule",
-    "StragglerSpeeds", "VirtualTrack", "bounded_nonconvex", "expected_sampled_metric",
-    "heterogeneous_quadratics", "least_squares", "least_squares_from_csv",
-    "log_weighted_stepsize_sum", "make_schedule", "max_identity_residual",
+    "OUTPUT_RULES", "ProblemConstants", "ProblemError", "RandomSpeeds", "RunRecord",
+    "ScheduleError", "SpeedModelError", "StepSchedule", "StragglerSpeeds", "VirtualTrack",
+    "bounded_nonconvex", "expected_sampled_metric", "heterogeneous_quadratics",
+    "least_squares", "least_squares_from_csv", "log_weighted_stepsize_sum", "make_schedule",
     "output_weights", "run_async", "run_live", "run_minibatch", "select_output",
     "simulate_trace", "speedup_factor", "steps_in_time", "trace_from_workers",
     "track", "worker_streams",

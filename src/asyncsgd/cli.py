@@ -297,6 +297,15 @@ def _read_command(args, table: dict) -> dict:
     return cmd
 
 
+def _final_metrics(problem, record) -> dict:
+    """The objective gap and squared gradient norm at the run's last iterate,
+    equal bit for bit to the last entries of its metric columns."""
+    fstar = problem.fstar if problem.fstar is not None else 0.0
+    grad = problem.grad(record.x_final)
+    return {"final_fgap": problem.value(record.x_final) - fstar,
+            "final_gradnorm2": float(grad.dot(grad))}
+
+
 def _run(cmd: dict, trace, run_seed: int) -> tuple[dict, object]:
     """Replay `trace` with the command's problem, start point and schedule
     config, and summarize the run."""
@@ -312,10 +321,7 @@ def _run(cmd: dict, trace, run_seed: int) -> tuple[dict, object]:
     fstar = problem.fstar if problem.fstar is not None else 0.0
     summary = {
         "seed": run_seed,
-        "final_fgap": float(record.fgaps[-1]) if record.fgaps is not None
-        else problem.value(record.x_final) - fstar,
-        "final_gradnorm2": float(record.gradnorms2[-1]) if record.gradnorms2 is not None
-        else float(np.sum(problem.grad(record.x_final) ** 2)),
+        **_final_metrics(problem, record),
         "max_tau": int(np.max(record.taus)),
         "mean_tau": float(np.mean(record.taus)),
         "stepsize_sum": float(np.sum(record.gamma_hats)),
@@ -409,15 +415,11 @@ def cmd_compare(args) -> int:
         summary, record = _run(cmd, trace, run_seed)
         async_runs.append(summary)
         # by default the minibatch baseline takes the freshest-gradient stepsize
-        step = float(cmd.get("minibatch_step", record.schedule.gamma(1, 1)))
+        step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
         mini = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step, cmd["x0"],
                              seed=run_seed, seconds=seconds)
-        mini_runs.append({
-            "seed": run_seed,
-            "step": float(step),
-            "final_fgap": float(mini.fgaps[-1]),
-            "final_gradnorm2": float(mini.gradnorms2[-1]),
-        })
+        mini_runs.append({"seed": run_seed, "step": float(step),
+                          **_final_metrics(cmd["problem"], mini)})
     payload["async"] = {
         "runs": async_runs,
         "mean_final_fgap": float(np.mean([r["final_fgap"] for r in async_runs])),
@@ -493,7 +495,7 @@ def cmd_check(args) -> int:
                           "worker count")
     lines = [
         ("gap identity", report.identity_ok,
-         f"max residual {report.max_identity_residual:.3e} (tol {report.identity_tol:g})"),
+         f"max residual {report.max_identity_residual:.3e} (tol {invariants.IDENTITY_TOL:g})"),
         ("stepsize sums", report.sum_bounds_ok,
          f"min margin {min(r.sum_margin for r in report.results):.3e}"),
     ]
@@ -524,7 +526,7 @@ def cmd_live(args) -> int:
         "horizon": args.horizon,
         "arrivals_per_worker": counts,
         "max_tau": int(np.max(record.taus)),
-        "final_fgap": float(record.fgaps[-1]),
+        "final_fgap": _final_metrics(problem, record)["final_fgap"],
     }
     _write_json(payload, None, "live.json")
     return 0
@@ -532,6 +534,13 @@ def cmd_live(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: a non-negative integer, written in digits only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _positive_ints(text: str) -> tuple[int, ...]:
@@ -579,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated worker counts (default 1,2,5,16)")
     p.add_argument("--horizons", type=_positive_ints, default=(50, 500),
                    help="comma-separated horizons (default 50,500)")
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--base-seed", type=_non_negative_int, default=0)
     p.add_argument("--inject-bug", default=None, choices=INJECTABLE_BUGS,
                    help="corrupt the bookkeeping on purpose; the suite must fail")
     p.set_defaults(func=cmd_check)

@@ -54,7 +54,8 @@ def make_speed_model(kind: str, num_workers: int, seed: int) -> scheduler.SpeedM
 
 
 def make_case(tag: str, num_workers: int, seed: int):
-    """Problem, start point and schedule constants for one suite case."""
+    """The problem and start point of one suite case: heterogeneous
+    quadratics for the heterogeneous rule, least squares for the others."""
     if tag == "adaptive-heterogeneous":
         problem = problems.heterogeneous_quadratics(
             dim=4, num_workers=num_workers, zeta=0.5 if num_workers > 1 else 0.0,
@@ -76,7 +77,6 @@ class CaseResult:
 @dataclass
 class SuiteReport:
     results: list[CaseResult] = field(default_factory=list)
-    identity_tol: float = IDENTITY_TOL
 
     @property
     def runs(self) -> int:
@@ -88,7 +88,7 @@ class SuiteReport:
 
     @property
     def identity_ok(self) -> bool:
-        return self.max_identity_residual <= self.identity_tol
+        return self.max_identity_residual <= IDENTITY_TOL
 
     @property
     def sum_bounds_ok(self) -> bool:
@@ -102,7 +102,7 @@ class SuiteReport:
         out = []
         for r in self.results:
             reasons = []
-            if r.identity_residual > self.identity_tol:
+            if r.identity_residual > IDENTITY_TOL:
                 reasons.append(f"identity residual {r.identity_residual:.3e}")
             if r.sum_margin < 0.0:
                 reasons.append(f"stepsize sum margin {r.sum_margin:.3e}")
@@ -125,26 +125,19 @@ def check_case(tag: str, num_workers: int, horizon: int, speed_kind: str,
     trace = scheduler.simulate_trace(model, horizon)
     record = run_async(problem, trace, schedule, x0, seed=seed,
                        diagnostics=True, metrics=False)
-
-    residual = track(record, inject=inject).max_rel_residual
-
-    label = f"{tag} M={num_workers} K={horizon} {speed_kind} seed={seed}"
-    return CaseResult(
-        label=label,
-        identity_residual=residual,
-        sum_margin=schedule.sum_margin(record.gamma_hats),
-    )
+    return CaseResult(label=f"{tag} M={num_workers} K={horizon} {speed_kind} seed={seed}",
+                      identity_residual=track(record, inject=inject).max_rel_residual,
+                      sum_margin=schedule.sum_margin(record.gamma_hats))
 
 
 def run_suite(worker_counts=(1, 2, 5, 16), horizons=(50, 500),
-              speed_kinds=SPEED_KINDS, schedule_tags=SCHEDULE_TAGS,
               base_seed: int = 0, inject: str | None = None) -> SuiteReport:
     report = SuiteReport()
     index = 0
-    for tag in schedule_tags:
+    for tag in SCHEDULE_TAGS:
         for m_count in worker_counts:
             for horizon in horizons:
-                for kind in speed_kinds:
+                for kind in SPEED_KINDS:
                     result = check_case(tag, m_count, horizon, kind,
                                         base_seed * 1_000_000 + index, inject=inject)
                     if result is None:   # the rule rejects (tag, M, K); no seed is used

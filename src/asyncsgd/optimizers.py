@@ -113,6 +113,20 @@ def _check_divergence(x: np.ndarray, k: int, limit: float) -> None:
         raise DivergedError(k, math.sqrt(norm2) if math.isfinite(norm2) else math.inf)
 
 
+def _start(problem, x0, num_workers: int) -> np.ndarray:
+    """The start point as a new float array, after checking it has the
+    problem's dimension and that a problem with per-worker objectives has
+    one for each of the run's workers."""
+    pool = getattr(problem, "num_workers", None)
+    if pool is not None and pool != num_workers:
+        raise LedgerError(
+            f"problem defines {pool} worker objectives but the run has {num_workers} workers")
+    x = np.array(x0, dtype=np.float64)
+    if x.shape != (problem.dim,):
+        raise LedgerError(f"x0 must have shape ({problem.dim},), got {x.shape}")
+    return x
+
+
 def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
     """One independent generator per worker, indexed by (seed, worker id)."""
     return [np.random.default_rng([seed, m]) for m in range(1, num_workers + 1)]
@@ -161,17 +175,8 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     m_count = trace.num_workers
     if horizon < 1:
         raise LedgerError("need a trace with at least one arrival")
-    pool = getattr(problem, "num_workers", None)
-    if pool is not None and pool != m_count:
-        raise LedgerError(
-            f"problem defines {pool} worker objectives but trace has {m_count} workers"
-        )
-    if diagnostics:
-        keep_iterates = True
-
-    x = np.array(x0, dtype=np.float64).copy()
-    if x.shape != (problem.dim,):
-        raise LedgerError(f"x0 must have shape ({problem.dim},), got {x.shape}")
+    x0 = x = _start(problem, x0, m_count)
+    keep_iterates = keep_iterates or diagnostics
     rngs = worker_streams(seed, m_count)
     fstar = problem.fstar if problem.fstar is not None else 0.0
 
@@ -253,7 +258,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
         times=trace.times,
         fgaps=fgaps,
         gradnorms2=gradnorms2,
-        x0=np.array(x0, dtype=np.float64),
+        x0=x0,
         x_final=x,
         uniform_sum=uniform_sum,
         weighted_sum=weighted_sum,
@@ -266,8 +271,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
-                  seed: int = 0, *, seconds=None, keep_iterates: bool = False,
-                  metrics: bool = True, divergence_norm: float = 1e12) -> RunRecord:
+                  seed: int = 0, *, seconds=None, divergence_norm: float = 1e12) -> RunRecord:
     """Lockstep baseline: every round averages one gradient from each worker.
 
     Wall-clock time per round is the slowest worker's compute time (1.0 if no
@@ -282,17 +286,12 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
     if not math.isfinite(step) or step <= 0:
         raise LedgerError(f"step must be positive and finite, got {step}")
     round_time = 1.0 if seconds is None else max(float(s) for s in seconds)
-    x = np.array(x0, dtype=np.float64).copy()
-    if x.shape != (problem.dim,):
-        raise LedgerError(f"x0 must have shape ({problem.dim},), got {x.shape}")
+    x0 = x = _start(problem, x0, num_workers)
     rngs = worker_streams(seed, num_workers)
     fstar = problem.fstar if problem.fstar is not None else 0.0
 
-    fgaps = np.empty(rounds) if metrics else None
-    gradnorms2 = np.empty(rounds) if metrics else None
-    iterates = np.empty((rounds + 1, problem.dim)) if keep_iterates else None
-    if keep_iterates:
-        iterates[0] = x
+    fgaps = np.empty(rounds)
+    gradnorms2 = np.empty(rounds)
     uniform_sum = np.zeros(problem.dim)
     weighted_sum = np.zeros(problem.dim)
     evals = 0
@@ -307,12 +306,9 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
         _check_divergence(x, r, divergence_norm)
         uniform_sum += x
         weighted_sum += step * x
-        if metrics:
-            fgaps[r - 1] = problem.value(x) - fstar
-            mean_grad = problem.grad(x)
-            gradnorms2[r - 1] = float(mean_grad @ mean_grad)
-        if keep_iterates:
-            iterates[r] = x
+        fgaps[r - 1] = problem.value(x) - fstar
+        mean_grad = problem.grad(x)
+        gradnorms2[r - 1] = float(mean_grad @ mean_grad)
 
     return RunRecord(
         num_workers=num_workers,
@@ -324,20 +320,17 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
         times=round_time * np.arange(1, rounds + 1, dtype=np.float64),
         fgaps=fgaps,
         gradnorms2=gradnorms2,
-        x0=np.array(x0, dtype=np.float64),
+        x0=x0,
         x_final=x,
         uniform_sum=uniform_sum,
         weighted_sum=weighted_sum,
         seed=seed,
-        schedule=None,
-        iterates=iterates,
         gradient_evals=evals,
     )
 
 
 def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
-             x0, seed: int = 0, *, keep_iterates: bool = True,
-             divergence_norm: float = 1e12) -> RunRecord:
+             x0, seed: int = 0, *, divergence_norm: float = 1e12) -> RunRecord:
     """Actually-threaded variant of the asynchronous loop.
 
     Each thread computes gradients against its own dispatch snapshot and a
@@ -349,14 +342,7 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     """
     if horizon < 1:
         raise LedgerError(f"need at least one arrival, got {horizon}")
-    x0 = np.array(x0, dtype=np.float64)
-    if x0.shape != (problem.dim,):
-        raise LedgerError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
-    pool = getattr(problem, "num_workers", None)
-    if pool is not None and pool != num_workers:
-        raise LedgerError(
-            f"problem defines {pool} worker objectives but run asks for {num_workers}"
-        )
+    x0 = _start(problem, x0, num_workers)
     rngs = worker_streams(seed, num_workers)
     dispatched_at = [0] * num_workers   # iteration each worker was last dispatched at
     lock = threading.Lock()
@@ -380,7 +366,7 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
                 tau = k - dispatched_at[m - 1]
                 dispatched_at[m - 1] = k
                 try:
-                    gamma = schedule.gamma(k, tau)
+                    gamma = schedule.gamma(tau)
                     shared["x"] = shared["x"] - gamma * g
                     _check_divergence(shared["x"], k, divergence_norm)
                 except Exception as exc:
@@ -403,9 +389,9 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     trace = ArrivalTrace(workers, np.maximum.accumulate(times),
                          num_workers).check_recorded_taus(taus)
     # replay the realized order; this recomputes identical updates and fills
-    # in metrics, eventual stepsizes and (optionally) iterate history
+    # in metrics, eventual stepsizes and iterate history
     record = run_async(problem, trace, schedule, x0, seed,
-                       keep_iterates=keep_iterates, divergence_norm=divergence_norm)
+                       keep_iterates=True, divergence_norm=divergence_norm)
     if not np.allclose(record.x_final, shared["x"], rtol=0, atol=0, equal_nan=True):
         raise LedgerError("live run and its replay disagree")
     return record

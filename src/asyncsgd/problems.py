@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .scheduler import _fits
 from .schedules import ProblemConstants
 
 
@@ -130,6 +131,15 @@ def _check_sigma(sigma: float) -> float:
     return float(sigma)
 
 
+def _gaussian_data(seed: int, num_samples: int, dim: int):
+    """default_rng(seed) after drawing from it a standard normal
+    (num_samples, dim) design and then a standard normal target."""
+    if not _fits(num_samples * dim):
+        raise ProblemError(f"{num_samples} x {dim} data are more than one array can hold")
+    rng = np.random.default_rng(seed)
+    return rng, rng.standard_normal((num_samples, dim)), rng.standard_normal(num_samples)
+
+
 def offset_start(problem: Problem, distance: float = 1.0, seed: int = 0) -> np.ndarray:
     """The start point x* + distance * u / ||u||, at exactly `distance` from
     the minimizer in the direction of a standard normal u drawn from
@@ -224,9 +234,7 @@ def least_squares(dim: int, num_samples: int | None = None, noise: str = "additi
         num_samples = 10 * dim
     if num_samples < 1:
         raise ProblemError(f"num_samples must be >= 1, got {num_samples}")
-    rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((num_samples, dim))
-    rhs = rng.standard_normal(num_samples)
+    _, mat, rhs = _gaussian_data(seed, num_samples, dim)
     if target_smoothness is not None:
         if target_smoothness <= 0:
             raise ProblemError("target_smoothness must be positive")
@@ -290,9 +298,7 @@ def bounded_nonconvex(dim: int, num_samples: int | None = None, noise: str = "ro
         raise ProblemError(f"dim must be >= 1, got {dim}")
     if num_samples is None:
         num_samples = 10 * dim
-    rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((num_samples, dim))
-    rhs = rng.standard_normal(num_samples)
+    _, mat, rhs = _gaussian_data(seed, num_samples, dim)
     return BoundedNonconvex(mat, rhs, noise=noise, sigma=sigma)
 
 
@@ -322,9 +328,6 @@ class HeterogeneousQuadratics(_Quadratic):
         if not 1 <= worker <= self.num_workers:
             raise ProblemError(f"unknown worker id {worker} (have 1..{self.num_workers})")
         return mean + self.shifts[worker - 1]
-
-    def worker_grad(self, worker: int, x) -> np.ndarray:
-        return self._grad(x, worker)
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,
@@ -356,11 +359,11 @@ def heterogeneous_quadratics(dim: int, num_workers: int, zeta: float,
         raise ProblemError(f"num_workers must be >= 1, got {num_workers}")
     if zeta < 0 or not math.isfinite(zeta):
         raise ProblemError(f"zeta must be finite and >= 0, got {zeta}")
+    if not _fits(num_workers * dim):
+        raise ProblemError(f"{num_workers} x {dim} worker shifts are more than one array can hold")
     if num_samples is None:
         num_samples = 2 * dim
-    rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((num_samples, dim))
-    rhs = rng.standard_normal(num_samples)
+    rng, mat, rhs = _gaussian_data(seed, num_samples, dim)
     if target_smoothness is not None:
         if target_smoothness <= 0:
             raise ProblemError("target_smoothness must be positive")

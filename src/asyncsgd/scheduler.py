@@ -28,6 +28,12 @@ class SpeedModelError(ValueError):
     """Invalid speed-model configuration."""
 
 
+def _fits(count: int) -> bool:
+    """Whether one numpy array can hold `count` float64 values; past that
+    numpy raises ValueError, not MemoryError."""
+    return count * 8 <= np.iinfo(np.intp).max
+
+
 def _check_seconds(seconds) -> tuple[float, ...]:
     seconds = tuple(float(s) for s in seconds)
     if not seconds:
@@ -116,8 +122,11 @@ def StragglerSpeeds(base: float, straggler: int, slowdown: float,
         raise SpeedModelError("base compute time must be positive and finite")
     if not math.isfinite(slowdown) or slowdown < 1:
         raise SpeedModelError("slowdown factor must be >= 1")
-    return FixedSpeeds(tuple(base * slowdown if m == straggler else base
-                             for m in range(1, num_workers + 1)))
+    if not _fits(num_workers):
+        raise SpeedModelError(f"{num_workers} workers are more than one array can hold")
+    seconds = np.full(num_workers, base, dtype=np.float64)
+    seconds[straggler - 1] = base * slowdown
+    return FixedSpeeds(tuple(seconds.tolist()))
 
 
 SpeedModel = FixedSpeeds | RandomSpeeds
@@ -276,6 +285,8 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
     """
     if horizon < 0:
         raise LedgerError(f"horizon must be >= 0, got {horizon}")
+    if not _fits(2 * horizon):   # the first draws take about 1.05 horizon values
+        raise LedgerError(f"horizon {horizon} is more than one array can hold")
     m_count = model.num_workers
     samplers = model.block_samplers()
     means = np.asarray(model.means if isinstance(model, RandomSpeeds) else model.seconds)

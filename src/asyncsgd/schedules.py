@@ -23,7 +23,6 @@ rather than an error. A cap that is not positive and finite is an error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -107,8 +106,8 @@ class StepSchedule:
         with np.errstate(over="ignore"):   # 1/(c L tau) past 1e308 is inf, and the cap binds
             return np.minimum(top / (self.delay_factor * c.smoothness * taus), self.cap)
 
-    def gamma(self, k: int, tau: int) -> float:
-        """The stepsize of one gradient of delay tau; no rule reads k."""
+    def gamma(self, tau: int) -> float:
+        """The stepsize of one gradient of delay tau."""
         return float(self.gammas([tau])[0])
 
     def sum_margin(self, gamma_hats) -> float:
@@ -231,11 +230,10 @@ RULES = {
     "adaptive-heterogeneous": Rule(_adaptive_heterogeneous, "sampled"),
 }
 
-# which averaging rule each schedule's guarantee is stated for
-DEFAULT_OUTPUT_RULE = {tag: rule.output_rule for tag, rule in RULES.items()}
-
 
 def make_schedule(tag: str, constants: ProblemConstants, step: float | None = None) -> StepSchedule:
+    """The schedule of `tag` for `constants`, built from its `RULES` entry;
+    `step` is the constant rule's stepsize and taken by no other rule."""
     rule = RULES.get(tag) if isinstance(tag, str) else None
     if rule is None:
         raise ScheduleError(f"unknown schedule {tag!r}; known: {sorted(RULES)}")
@@ -250,22 +248,6 @@ def make_schedule(tag: str, constants: ProblemConstants, step: float | None = No
     except (ArithmeticError, ValueError) as exc:   # e.g. sigma**2 past 1e308
         raise ScheduleError(f"{tag}: constants outside the float range: {exc}") from None
     return StepSchedule(tag, constants, output_rule=rule.output_rule, **params)
-
-
-def _named(name: str, tag: str):
-    made = functools.partial(make_schedule, tag)
-    made.__name__ = name   # a partial has no name of its own; pytest ids read it
-    return made
-
-
-# the public per-rule constructors: make_schedule with the tag bound
-ConstantStep = _named("ConstantStep", "constant")
-ConstLipschitz = _named("ConstLipschitz", "const-lipschitz")
-LipschitzSmooth = _named("LipschitzSmooth", "lipschitz-smooth")
-AdaptiveConvex = _named("AdaptiveConvex", "adaptive-convex")
-AdaptiveStronglyConvex = _named("AdaptiveStronglyConvex", "adaptive-strongly-convex")
-AdaptiveNonconvex = _named("AdaptiveNonconvex", "adaptive-nonconvex")
-AdaptiveHeterogeneous = _named("AdaptiveHeterogeneous", "adaptive-heterogeneous")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ class VirtualTrack:
     virtual_iterates: np.ndarray   # (K, d), virtual point at each iteration
     gaps: np.ndarray               # (K, d), real minus virtual
     rel_residuals: np.ndarray      # (K,), ||gap - in-flight sum|| / (1 + ||gap||)
-    terms_per_iteration: np.ndarray  # (K,), in-flight summands, always M - 1
 
     @property
     def max_rel_residual(self) -> float:
@@ -91,7 +90,6 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
     virtual = np.empty((horizon, dim))
     gaps = np.empty((horizon, dim))
     residuals = np.empty(horizon)
-    terms = np.full(horizon, m_count - 1, dtype=np.int64)
 
     # dispatch 0 happened for every worker; each of those gradients was either
     # consumed during the run or evaluated terminally, so all M rows are set
@@ -131,12 +129,8 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
         residuals[start:stop] = [math.sqrt(a.dot(a)) / (1.0 + math.sqrt(b.dot(b)))
                                  for a, b in zip(miss, gap)]
 
-    out = VirtualTrack(virtual, gaps, residuals, terms)
+    out = VirtualTrack(virtual, gaps, residuals)
     if attach:
         record.vres = residuals
     return out
 
-
-def max_identity_residual(record: RunRecord, inject: str | None = None) -> float:
-    """Largest relative mismatch between recorded gaps and their in-flight sums."""
-    return track(record, inject=inject).max_rel_residual

@@ -67,12 +67,12 @@ def eventual_stepsizes(workers, gammas, schedule, horizon):
     for k in range(1, horizon + 1):
         nxt = next_arrival(workers, k + 1, workers[k - 1])
         hats[k - 1] = gammas[nxt - 1] if nxt is not None else \
-            schedule.gamma(horizon, max(1, horizon - k))
+            schedule.gamma(max(1, horizon - k))
     initial = np.empty(num_workers)
     for m in range(1, num_workers + 1):
         nxt = next_arrival(workers, 1, m)
         initial[m - 1] = gammas[nxt - 1] if nxt is not None else \
-            schedule.gamma(horizon, max(1, horizon))
+            schedule.gamma(max(1, horizon))
     return hats, initial
 
 
@@ -131,7 +131,7 @@ def eager_async_run(problem, workers, schedule, x0, seed):
     for k, m in enumerate(workers, start=1):
         _, g = inflight[m]
         tau = k - prev_arrival(workers, k, m)
-        gamma = schedule.gamma(k, tau)
+        gamma = schedule.gamma(tau)
         x = x - gamma * g
         xs.append(x.copy())
         gammas.append(gamma)
@@ -164,7 +164,7 @@ def reference_track(record, inject=None):
     """Per-step reference for virtual.track: walks the run one arrival at a
     time, keeps each worker's dispatch iteration, and re-sums the in-flight
     gradients of every worker but the arriving one, in worker id order.
-    Returns (virtual_iterates, gaps, rel_residuals, terms_per_iteration)."""
+    Returns (virtual_iterates, gaps, rel_residuals)."""
     horizon = record.horizon
     m_count = record.num_workers
     dim = record.x0.shape[0]
@@ -183,7 +183,6 @@ def reference_track(record, inject=None):
     virtual = np.empty((horizon, dim))
     gaps = np.empty((horizon, dim))
     residuals = np.empty(horizon)
-    terms = np.empty(horizon, dtype=np.int64)
     xhat = record.x0.copy()
     for m in range(1, m_count + 1):
         xhat = xhat - float(record.gamma_hat_initial[m - 1]) * gradient(0, m)
@@ -194,20 +193,17 @@ def reference_track(record, inject=None):
         virtual[i] = xhat
         gap = record.iterates[k] - xhat
         recon = np.zeros(dim)
-        count = 0
         for m in range(1, m_count + 1):
             if m == arriving:
                 continue
             p = dispatched_at[m - 1]
             recon += eventual_step(p, m) * gradient(p, m)
-            count += 1
         gaps[i] = gap
-        terms[i] = count
         residuals[i] = float(np.linalg.norm(gap - recon)) / (1.0 + float(np.linalg.norm(gap)))
         if k < horizon:
             xhat = xhat - float(record.gamma_hats[k - 1]) * gradient(k, arriving)
         dispatched_at[arriving - 1] = k
-    return virtual, gaps, residuals, terms
+    return virtual, gaps, residuals
 
 
 def sequential_sgd(problem, horizon, gamma_fn, x0, seed):
@@ -261,7 +257,7 @@ def heap_trace(model, horizon):
 def replay_async(problem, trace, schedule, x0, seed, *, keep_iterates=False,
                  diagnostics=False, metrics=True, divergence_norm=1e12):
     """Per-step reference for run_async: every arrival checks its delay,
-    calls stoch_grad at the stored dispatch point and gamma(k, tau), and
+    calls stoch_grad at the stored dispatch point and gamma(tau), and
     keeps a (dispatch iteration, dispatch point copy) pair per worker."""
     horizon, m_count = trace.horizon, trace.num_workers
     keep_iterates = keep_iterates or diagnostics
@@ -289,7 +285,7 @@ def replay_async(problem, trace, schedule, x0, seed, *, keep_iterates=False,
             raise LedgerError(f"trace row {k}: delay {trace.taus[i]} inconsistent with replay")
         g = problem.stoch_grad(xp, rngs[m - 1], worker=m)
         evals += 1
-        gamma = schedule.gamma(k, int(trace.taus[i]))
+        gamma = schedule.gamma(int(trace.taus[i]))
         x = x - gamma * g
         if not float(x @ x) <= divergence_norm**2:
             raise RuntimeError(f"diverged at {k}")
@@ -311,7 +307,7 @@ def replay_async(problem, trace, schedule, x0, seed, *, keep_iterates=False,
         state[m - 1] = (k, x.copy())
     for m in range(1, m_count + 1):
         p, xp = state[m - 1]
-        gamma = schedule.gamma(horizon, max(1, horizon - p))
+        gamma = schedule.gamma(max(1, horizon - p))
         if p == 0:
             gamma_hat_initial[m - 1] = gamma
         else:

@@ -304,7 +304,7 @@ def test_criterion_10_single_worker_degeneracy():
     identical = 0
     for seed in range(10):
         record = run_async(problem, trace, schedule, x0, seed=seed, metrics=False)
-        x_ref = sequential_sgd(problem, horizon, lambda k: schedule.gamma(k, 1),
+        x_ref = sequential_sgd(problem, horizon, lambda k: schedule.gamma(1),
                                x0, seed)
         identical += int(np.array_equal(record.x_final, x_ref))
     report(10, "single-worker degeneracy", identical == 10,

@@ -1,0 +1,57 @@
+"""The public surface: the names `asyncsgd` exports, and the entry points the
+benchmark in perfbench/ drives the package through."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import asyncsgd
+import asyncsgd.cli
+import asyncsgd.invariants
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_exported_names_are_pinned():
+    assert sorted(asyncsgd.__all__) == [
+        "ArrivalTrace", "BoundedNonconvex", "DiagnosticsError", "DivergedError",
+        "FixedSpeeds", "HeterogeneousQuadratics", "LeastSquares", "LedgerError",
+        "OUTPUT_RULES", "ProblemConstants", "ProblemError", "RandomSpeeds", "RunRecord",
+        "ScheduleError", "SpeedModelError", "StepSchedule", "StragglerSpeeds",
+        "VirtualTrack", "bounded_nonconvex", "expected_sampled_metric",
+        "heterogeneous_quadratics", "least_squares", "least_squares_from_csv",
+        "log_weighted_stepsize_sum", "make_schedule", "output_weights", "run_async",
+        "run_live", "run_minibatch", "select_output", "simulate_trace", "speedup_factor",
+        "steps_in_time", "trace_from_workers", "track", "worker_streams",
+    ]
+    for name in asyncsgd.__all__:
+        assert getattr(asyncsgd, name) is not None, name
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, leaving no bytecode in perfbench/."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.modules[spec.name] = module   # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_workloads_run_clean(tmp_path, monkeypatch):
+    monkeypatch.delenv("ASYNC_SGD_SEED", raising=False)
+    # perfbench times each sweep job and check case through these two
+    # functions; without them it splits a unit's time evenly, silently
+    assert callable(asyncsgd.cli._sweep_job)
+    assert callable(asyncsgd.invariants.check_case)
+    workloads = load_workloads().WORKLOADS
+    for name in ("diagnostics-wide", "check-suite"):
+        workload = workloads[name](0, str(tmp_path))
+        unit = workload.run(workload.setup())
+        assert unit.failures == [], name
+        assert unit.updates > 0 and unit.run_s, name

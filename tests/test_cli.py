@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import resource
 import shutil
 import subprocess
 import sys
@@ -320,12 +321,45 @@ def test_zero_stepsize_is_an_input_error(tmp_path, capsys, overrides):
     # the allocation fails at once under every overcommit policy
     {"problem": {"kind": "least-squares", "dim": 10**13, "num_samples": 15, "sigma": 0.5}},
     {"horizon": 10**14},
-], ids=["huge-dim", "huge-horizon"])
+    # sizes past numpy's limit of 2**63 - 1 bytes per array, where numpy
+    # raises ValueError at once instead of MemoryError
+    {"problem": {"kind": "least-squares", "dim": 2**40, "sigma": 0.5}},
+    {"horizon": 2**62},
+    {"problem": {"kind": "least-squares", "dim": 3, "num_samples": 10**30}},
+    {"problem": {"kind": "heterogeneous-quadratics", "dim": 3, "num_workers": 10**30,
+                 "zeta": 0.5}, "schedule": {"kind": "adaptive-heterogeneous"}},
+], ids=["huge-dim", "huge-horizon", "dim-past-array-limit", "horizon-past-array-limit",
+        "num-samples-past-array-limit", "hetero-workers-past-array-limit"])
 def test_allocation_failure_is_an_input_error(tmp_path, capsys, overrides):
     code, _, err = run_cli(capsys, ["simulate", "--config",
                                     write_config(tmp_path, base_config(**overrides))])
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_compare_duration_past_the_array_limit_is_an_input_error(tmp_path, capsys):
+    cfg = {"problem": {"kind": "least-squares", "dim": 2, "num_samples": 10},
+           "seconds": [1.0, 3.0], "duration": 1e300, "schedule": {"kind": "adaptive-convex"}}
+    code, _, err = run_cli(capsys, ["compare", "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert "one array can hold" in err and "Traceback" not in err
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_straggler_worker_count_past_the_array_limit_is_an_input_error(tmp_path):
+    # in a subprocess with a timeout and a 2 GiB address space: building
+    # 10**30 speeds one at a time would run until memory ran out
+    cfg = write_config(tmp_path, base_config(speed_model={
+        "kind": "straggler", "straggler": 1, "slowdown": 2.0, "num_workers": 10**30}))
+    proc = subprocess.run([sys.executable, "-m", "asyncsgd.cli", "simulate", "--config", cfg],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 2
+    assert "workers are more than one array can hold" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -450,6 +484,20 @@ def test_sweep_pool_size(tmp_path, capsys, monkeypatch, parallel, cpus, horizons
     code, stdout, _ = run_cli(capsys, ["sweep", "--config", pooled])
     assert code == 0 and FakePool.sizes == [size]
     assert stdout == run_cli(capsys, ["sweep", "--config", serial])[1]
+
+
+def test_sweep_final_metrics_do_not_depend_on_the_metric_columns(tmp_path, capsys):
+    runs = {}
+    for metrics in (True, False):
+        cfg = write_config(tmp_path, sweep_config(
+            problem={"kind": "least-squares", "dim": 10, "num_samples": 30, "sigma": 0.5},
+            horizons=[40, 90], repetitions=4, metrics=metrics))
+        code, stdout, _ = run_cli(capsys, ["sweep", "--config", cfg])
+        assert code == 0
+        runs[metrics] = json.loads(stdout)["runs"]
+    for on, off in zip(runs[True], runs[False]):
+        for key in ("final_fgap", "final_gradnorm2", "output_fgap"):
+            assert on[key] == off[key], key
 
 
 def test_sweep_rejects_bad_horizons(tmp_path, capsys):
@@ -626,6 +674,14 @@ def test_check_rejects_bad_lists(capsys, argv):
         main(["check", *argv])
     assert exc.value.code == 2
     assert "positive integers" in capsys.readouterr().err
+
+
+def test_check_rejects_a_negative_base_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--base-seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "non-negative integer" in err and "Traceback" not in err
 
 
 def test_check_with_an_empty_grid_is_a_usage_error(capsys):

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (
-    AdaptiveConvex,
-    AdaptiveHeterogeneous,
-    AdaptiveNonconvex,
-    AdaptiveStronglyConvex,
-    ConstantStep,
-    ConstLipschitz,
     FixedSpeeds,
-    LipschitzSmooth,
     ProblemConstants,
     RandomSpeeds,
     ScheduleError,
@@ -123,12 +116,12 @@ def rules(draw):
         num_workers=num_workers,
         horizon=draw(st.integers(min_value=3 * num_workers, max_value=10**6)),
     )
-    cls = draw(st.sampled_from([ConstLipschitz, LipschitzSmooth, AdaptiveConvex,
-                                AdaptiveStronglyConvex, AdaptiveNonconvex,
-                                AdaptiveHeterogeneous, ConstantStep]))
-    if cls is ConstantStep:
-        return ConstantStep(c, draw(st.floats(min_value=1e-6, max_value=1.0)))
-    return cls(c)
+    tag = draw(st.sampled_from(["const-lipschitz", "lipschitz-smooth", "adaptive-convex",
+                                "adaptive-strongly-convex", "adaptive-nonconvex",
+                                "adaptive-heterogeneous", "constant"]))
+    if tag == "constant":
+        return make_schedule(tag, c, draw(st.floats(min_value=1e-6, max_value=1.0)))
+    return make_schedule(tag, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +137,7 @@ def test_strongly_convex_column_on_many_delays():
     # inputs; the column must follow math.exp like the scalar formula does
     c = ProblemConstants(smoothness=0.7, strong_convexity=0.05, sigma=1.0,
                          init_distance=1.0, num_workers=3, horizon=20_000)
-    schedule = AdaptiveStronglyConvex(c)
+    schedule = make_schedule("adaptive-strongly-convex", c)
     taus = np.arange(1, 20_001)
     column = schedule.gammas(taus)
     assert same_bits(column, np.array([reference_gamma(schedule, t) for t in taus.tolist()]))
@@ -152,7 +145,7 @@ def test_strongly_convex_column_on_many_delays():
 
 def test_stepsize_column_rejects_zero_delay():
     c = ProblemConstants(smoothness=1.0, num_workers=1, horizon=10)
-    for schedule in (AdaptiveConvex(c), ConstantStep(c, 0.1)):
+    for schedule in (make_schedule("adaptive-convex", c), make_schedule("constant", c, 0.1)):
         with pytest.raises(ScheduleError):
             schedule.gammas(np.array([1, 0, 2]))
 

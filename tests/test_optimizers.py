@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from asyncsgd import (
-    ConstantStep,
     DivergedError,
     FixedSpeeds,
     LedgerError,
@@ -67,7 +66,7 @@ def test_single_worker_is_plain_sequential_sgd():
     trace = trace_from_workers([1] * 40)
     schedule, x0 = convex_setup(problem, trace)
     record = run_async(problem, trace, schedule, x0, seed=12)
-    x_ref = sequential_sgd(problem, 40, lambda k: schedule.gamma(k, 1), x0, seed=12)
+    x_ref = sequential_sgd(problem, 40, lambda k: schedule.gamma(1), x0, seed=12)
     np.testing.assert_array_equal(record.x_final, x_ref)
     assert record.taus.tolist() == [1] * 40
 
@@ -105,8 +104,8 @@ def test_terminal_stepsize_for_worker_that_never_arrives():
     record = run_async(problem, trace, schedule, x0, seed=2)
     # worker 2's initial gradient is still in flight at the end, priced with
     # the terminal delay K - 0 = 3; worker 1's last dispatch gets delay 1
-    assert record.gamma_hat_initial[1] == schedule.gamma(3, 3)
-    assert record.gamma_hats[2] == schedule.gamma(3, 1)
+    assert record.gamma_hat_initial[1] == schedule.gamma(3)
+    assert record.gamma_hats[2] == schedule.gamma(1)
 
 
 def test_running_sums_match_iterate_history():
@@ -140,7 +139,7 @@ def test_divergence_is_detected():
                             target_smoothness=1.0)
     trace = trace_from_workers([1] * 200)
     constants = problem.constants_for(np.ones(2), 1, 200)
-    schedule = ConstantStep(constants, 3.0)   # far past 2/L, blows up
+    schedule = make_schedule("constant", constants, 3.0)   # far past 2/L, blows up
     with pytest.raises(DivergedError) as exc:
         run_async(problem, trace, schedule, np.ones(2), seed=0, divergence_norm=1e6)
     assert exc.value.iteration >= 1
@@ -193,7 +192,7 @@ def test_minibatch_single_worker_equals_async_single_worker():
     mini = run_minibatch(problem, num_workers=1, rounds=25, step=0.05, x0=x0, seed=7)
     trace = trace_from_workers([1] * 25)
     constants = problem.constants_for(x0, 1, 25)
-    record = run_async(problem, trace, ConstantStep(constants, 0.05), x0, seed=7)
+    record = run_async(problem, trace, make_schedule("constant", constants, 0.05), x0, seed=7)
     np.testing.assert_array_equal(mini.x_final, record.x_final)
 
 
@@ -220,6 +219,20 @@ def test_minibatch_record_layout():
         run_minibatch(problem, num_workers=0, rounds=4, step=0.02, x0=np.zeros(2))
     with pytest.raises(LedgerError):
         run_minibatch(problem, num_workers=2, rounds=0, step=0.02, x0=np.zeros(2))
+
+
+def test_minibatch_rejects_a_worker_pool_mismatch():
+    # 3 worker objectives averaged over 2 workers would optimize another
+    # objective; run_async and run_live reject the same mismatch
+    hetero = heterogeneous_quadratics(dim=2, num_workers=3, zeta=0.1, seed=1)
+    with pytest.raises(LedgerError, match="3 worker objectives"):
+        run_minibatch(hetero, num_workers=2, rounds=4, step=0.02, x0=np.zeros(2))
+    with pytest.raises(LedgerError, match="3 worker objectives"):
+        run_live(hetero, None, 2, 4, np.zeros(2))
+    with pytest.raises(LedgerError, match="x0 must have shape"):
+        run_minibatch(hetero, num_workers=3, rounds=4, step=0.02, x0=np.zeros(3))
+    record = run_minibatch(hetero, num_workers=3, rounds=4, step=0.02, x0=np.zeros(2))
+    assert record.gradient_evals == 12
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +289,7 @@ def test_live_propagates_divergence():
     problem = least_squares(dim=2, num_samples=10, sigma=0.0, seed=0,
                             target_smoothness=1.0)
     constants = problem.constants_for(np.ones(2), 2, 500)
-    schedule = ConstantStep(constants, 3.0)
+    schedule = make_schedule("constant", constants, 3.0)
     with pytest.raises(DivergedError):
         run_live(problem, schedule, 2, 500, np.ones(2), seed=0, divergence_norm=1e6)
 

@@ -222,7 +222,7 @@ def test_worker_gradients_differ_by_their_shifts():
     p = heterogeneous_quadratics(dim=4, num_workers=5, zeta=0.7, seed=3)
     x = np.array([1.0, -2.0, 0.5, 0.0])
     base = p.grad(x)
-    per_worker = np.array([p.worker_grad(m, x) for m in range(1, 6)])
+    per_worker = np.array([p.sample_grad(x, None, m) for m in range(1, 6)])
     np.testing.assert_array_equal(per_worker, base + p.shifts)
     np.testing.assert_allclose(per_worker.mean(axis=0), base, atol=1e-12)
 
@@ -231,10 +231,10 @@ def test_stoch_grad_routes_through_worker_objectives():
     p = heterogeneous_quadratics(dim=4, num_workers=3, zeta=0.5, sigma=0.0, seed=3)
     x = np.ones(4)
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(p.stoch_grad(x, rng, worker=2), p.worker_grad(2, x))
+    np.testing.assert_array_equal(p.stoch_grad(x, rng, worker=2), p.sample_grad(x, None, 2))
     np.testing.assert_array_equal(p.stoch_grad(x, rng), p.grad(x))
     with pytest.raises(ProblemError):
-        p.worker_grad(4, x)
+        p.sample_grad(x, None, 4)
 
 
 def test_unscaled_quadratic_has_no_sample_averaging():

@@ -5,16 +5,8 @@ import numpy as np
 import pytest
 
 from asyncsgd import (
-    DEFAULT_OUTPUT_RULE,
     OUTPUT_RULES,
-    AdaptiveConvex,
-    AdaptiveHeterogeneous,
-    AdaptiveNonconvex,
-    AdaptiveStronglyConvex,
-    ConstantStep,
-    ConstLipschitz,
     FixedSpeeds,
-    LipschitzSmooth,
     ProblemConstants,
     ScheduleError,
     expected_sampled_metric,
@@ -26,8 +18,15 @@ from asyncsgd import (
     select_output,
     simulate_trace,
 )
+from asyncsgd.schedules import RULES
 
-ADAPTIVE = (AdaptiveConvex, AdaptiveStronglyConvex, AdaptiveNonconvex, AdaptiveHeterogeneous)
+ADAPTIVE = ("adaptive-convex", "adaptive-strongly-convex", "adaptive-nonconvex",
+            "adaptive-heterogeneous")
+
+
+def rule_id(tag):
+    """The test id of a schedule tag: adaptive-convex -> AdaptiveConvex."""
+    return "".join(word.capitalize() for word in tag.split("-"))
 
 
 def consts(**kw):
@@ -49,113 +48,113 @@ def test_constants_validation():
 
 
 def test_const_lipschitz_value():
-    sched = ConstLipschitz(consts(init_distance=1.0, lipschitz=1.0, horizon=100, num_workers=4))
-    assert sched.gamma(1, 1) == 0.05
-    assert sched.gamma(99, 37) == 0.05  # flat in both arguments
+    sched = make_schedule("const-lipschitz", consts(init_distance=1.0, lipschitz=1.0,
+                                                    horizon=100, num_workers=4))
+    assert sched.gamma(1) == 0.05
+    assert sched.gamma(37) == 0.05  # flat in the delay
 
 
 def test_const_lipschitz_requirements():
     with pytest.raises(ScheduleError):
-        ConstLipschitz(consts(init_distance=0.0))
+        make_schedule("const-lipschitz", consts(init_distance=0.0))
     with pytest.raises(ScheduleError):
-        ConstLipschitz(consts(lipschitz=0.0))
+        make_schedule("const-lipschitz", consts(lipschitz=0.0))
     with pytest.raises(ScheduleError):
-        ConstLipschitz(consts(horizon=3, num_workers=4))
+        make_schedule("const-lipschitz", consts(horizon=3, num_workers=4))
 
 
 def test_lipschitz_smooth_min_of_three():
     c = consts(smoothness=2.0, num_workers=3, horizon=48, lipschitz=1.5,
                init_gap=2.0, sigma=0.5)
-    sched = LipschitzSmooth(c)
+    sched = make_schedule("lipschitz-smooth", c)
     # cube-root branch is the active one for these constants
-    assert sched.gamma(1, 1) == pytest.approx(0.08012497612818936, rel=1e-15)
+    assert sched.gamma(1) == pytest.approx(0.08012497612818936, rel=1e-15)
 
 
 def test_lipschitz_smooth_drops_noise_branch_at_sigma_zero():
     c = consts(smoothness=2.0, num_workers=3, horizon=48, lipschitz=1.5,
                init_gap=2.0, sigma=0.0)
-    assert LipschitzSmooth(c).gamma(1, 1) == pytest.approx(0.08012497612818936, rel=1e-15)
+    assert make_schedule("lipschitz-smooth", c).gamma(1) == pytest.approx(
+        0.08012497612818936, rel=1e-15)
 
 
 def test_adaptive_convex_values():
     c = consts(smoothness=2.0, num_workers=3, horizon=64, init_distance=1.5, sigma=2.0)
-    sched = AdaptiveConvex(c)
+    sched = make_schedule("adaptive-convex", c)
     assert sched.cap == pytest.approx(1 / 24, rel=1e-15)
-    assert sched.gamma(5, 1) == pytest.approx(1 / 24, rel=1e-15)
-    assert sched.gamma(5, 10) == pytest.approx(0.0125, rel=1e-15)
+    assert sched.gamma(1) == pytest.approx(1 / 24, rel=1e-15)
+    assert sched.gamma(10) == pytest.approx(0.0125, rel=1e-15)
     assert sched.sum_bound == pytest.approx(0.2962962962962963, rel=1e-15)
 
 
 def test_adaptive_convex_sigma_zero_needs_no_distance():
     c = consts(smoothness=2.0, num_workers=3, sigma=0.0, init_distance=0.0)
-    assert AdaptiveConvex(c).cap == pytest.approx(1 / 24, rel=1e-15)
+    assert make_schedule("adaptive-convex", c).cap == pytest.approx(1 / 24, rel=1e-15)
 
 
 def test_adaptive_strongly_convex_values():
     c = consts(smoothness=2.0, strong_convexity=0.5, num_workers=2, horizon=60,
                init_distance=1.0, sigma=1.0)
-    sched = AdaptiveStronglyConvex(c)
+    sched = make_schedule("adaptive-strongly-convex", c)
     assert sched.cap == pytest.approx(1 / 32, rel=1e-15)
-    assert sched.gamma(1, 1) == pytest.approx(1 / 32, rel=1e-15)
+    assert sched.gamma(1) == pytest.approx(1 / 32, rel=1e-15)
     # past the cap crossover the step decays exponentially in the delay
-    assert sched.gamma(1, 20) == pytest.approx(0.0033453839282436893, rel=1e-14)
+    assert sched.gamma(20) == pytest.approx(0.0033453839282436893, rel=1e-14)
     assert sched.sum_bound == pytest.approx(-3.109060958860994, rel=1e-13)
 
 
 def test_adaptive_strongly_convex_requirements():
     with pytest.raises(ScheduleError):
-        AdaptiveStronglyConvex(consts(strong_convexity=0.0))
+        make_schedule("adaptive-strongly-convex", consts(strong_convexity=0.0))
     with pytest.raises(ScheduleError):
-        AdaptiveStronglyConvex(consts(num_workers=2, horizon=5))
+        make_schedule("adaptive-strongly-convex", consts(num_workers=2, horizon=5))
 
 
 def test_adaptive_nonconvex_values():
     c = consts(smoothness=1.0, num_workers=2, horizon=100, init_gap=0.5, sigma=1.0)
-    sched = AdaptiveNonconvex(c)
+    sched = make_schedule("adaptive-nonconvex", c)
     assert sched.cap == pytest.approx(0.07071067811865475, rel=1e-15)
-    assert sched.gamma(1, 5) == pytest.approx(0.05, rel=1e-15)
+    assert sched.gamma(5) == pytest.approx(0.05, rel=1e-15)
     assert sched.sum_bound == pytest.approx(0.7856742013183862, rel=1e-15)
 
 
 def test_adaptive_heterogeneous_values():
     c = consts(smoothness=1.0, num_workers=2, horizon=100, init_gap=0.5, sigma=1.0)
-    sched = AdaptiveHeterogeneous(c)
+    sched = make_schedule("adaptive-heterogeneous", c)
     # fresh gradients step half as large as the nonconvex rule
-    assert sched.gamma(1, 1) == pytest.approx(0.07071067811865475, rel=1e-15)
-    assert sched.gamma(1, 3) == pytest.approx(1 / 24, rel=1e-15)
+    assert sched.gamma(1) == pytest.approx(0.07071067811865475, rel=1e-15)
+    assert sched.gamma(3) == pytest.approx(1 / 24, rel=1e-15)
     assert sched.sum_bound == pytest.approx(0.3928371006591931, rel=1e-15)
 
 
 def test_sigma_zero_drops_gap_requirement_for_nonconvex_rules():
     c = consts(init_gap=0.0, sigma=0.0, smoothness=1.0, num_workers=2)
-    assert AdaptiveNonconvex(c).cap == 0.25
-    assert AdaptiveHeterogeneous(c).cap == 0.125
+    assert make_schedule("adaptive-nonconvex", c).cap == 0.25
+    assert make_schedule("adaptive-heterogeneous", c).cap == 0.125
     with pytest.raises(ScheduleError):
-        AdaptiveNonconvex(consts(init_gap=0.0, sigma=1.0))
+        make_schedule("adaptive-nonconvex", consts(init_gap=0.0, sigma=1.0))
 
 
-@pytest.mark.parametrize("cls", ADAPTIVE)
-def test_adaptive_steps_shrink_with_delay(cls):
-    sched = cls(consts(horizon=300, num_workers=3))
-    gammas = [sched.gamma(7, tau) for tau in range(1, 120)]
+@pytest.mark.parametrize("tag", ADAPTIVE, ids=rule_id)
+def test_adaptive_steps_shrink_with_delay(tag):
+    sched = make_schedule(tag, consts(horizon=300, num_workers=3))
+    gammas = [sched.gamma(tau) for tau in range(1, 120)]
     assert all(g > 0 for g in gammas)
     assert all(a >= b for a, b in zip(gammas, gammas[1:]))
-    # the rule reads only the delay, never the iteration index
-    assert sched.gamma(1, 13) == sched.gamma(299, 13)
 
 
-@pytest.mark.parametrize("cls", ADAPTIVE + (ConstLipschitz, LipschitzSmooth))
-def test_delay_must_be_positive(cls):
-    sched = cls(consts(horizon=300, num_workers=3))
+@pytest.mark.parametrize("tag", ADAPTIVE + ("const-lipschitz", "lipschitz-smooth"), ids=rule_id)
+def test_delay_must_be_positive(tag):
+    sched = make_schedule(tag, consts(horizon=300, num_workers=3))
     with pytest.raises(ScheduleError):
-        sched.gamma(1, 0)
+        sched.gamma(0)
 
 
 def test_constant_step():
-    sched = ConstantStep(consts(), 0.125)
-    assert sched.gamma(1, 40) == 0.125
+    sched = make_schedule("constant", consts(), 0.125)
+    assert sched.gamma(40) == 0.125
     with pytest.raises(ScheduleError):
-        ConstantStep(consts(), 0.0)
+        make_schedule("constant", consts(), 0.0)
 
 
 def test_make_schedule_dispatch():
@@ -171,7 +170,7 @@ def test_make_schedule_dispatch():
 
 
 def test_default_output_rules_pinned():
-    assert DEFAULT_OUTPUT_RULE == {
+    assert {tag: rule.output_rule for tag, rule in RULES.items()} == {
         "const-lipschitz": "uniform",
         "lipschitz-smooth": "sampled",
         "adaptive-convex": "weighted",
@@ -180,7 +179,7 @@ def test_default_output_rules_pinned():
         "adaptive-heterogeneous": "sampled",
         "constant": "weighted",
     }
-    assert set(DEFAULT_OUTPUT_RULE.values()) <= set(OUTPUT_RULES)
+    assert {rule.output_rule for rule in RULES.values()} <= set(OUTPUT_RULES)
 
 
 def test_output_weights_exact_small_cases():

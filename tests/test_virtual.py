@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (
-    ConstLipschitz,
     DiagnosticsError,
     FixedSpeeds,
     ProblemConstants,
@@ -15,7 +14,6 @@ from asyncsgd import (
     bounded_nonconvex,
     least_squares,
     make_schedule,
-    max_identity_residual,
     run_async,
     simulate_trace,
     trace_from_workers,
@@ -40,7 +38,6 @@ def test_single_worker_gap_is_exactly_zero():
     vt = track(record)
     assert np.all(vt.gaps == 0.0)
     assert np.all(vt.rel_residuals == 0.0)
-    assert vt.terms_per_iteration.tolist() == [0] * 30
     np.testing.assert_array_equal(vt.virtual_iterates, record.iterates[1:])
 
 
@@ -67,7 +64,7 @@ def test_identity_holds_at_machine_precision():
     ]
     for problem, trace, tag in configs:
         record = diagnostics_run(problem, trace, tag=tag)
-        assert max_identity_residual(record) <= 1e-10, tag
+        assert track(record).max_rel_residual <= 1e-10, tag
 
 
 def test_identity_with_never_returning_worker():
@@ -75,16 +72,7 @@ def test_identity_with_never_returning_worker():
     # whole run and must be priced with the terminal delay
     problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=7)
     record = diagnostics_run(problem, trace_from_workers([1] * 12, num_workers=3))
-    vt = track(record)
-    assert vt.terms_per_iteration.tolist() == [2] * 12
-    assert vt.max_rel_residual <= 1e-10
-
-
-def test_terms_count_in_flight_gradients():
-    problem = least_squares(dim=2, num_samples=10, sigma=0.5, seed=8)
-    trace = simulate_trace(FixedSpeeds((1.0, 1.7, 2.1, 3.9, 5.3)), 60)
-    vt = track(diagnostics_run(problem, trace))
-    assert vt.terms_per_iteration.tolist() == [4] * 60
+    assert track(record).max_rel_residual <= 1e-10
 
 
 def test_gap_norm_bounded_by_inflight_stepsizes():
@@ -96,7 +84,7 @@ def test_gap_norm_bounded_by_inflight_stepsizes():
         smoothness=problem.smoothness, lipschitz=problem.lipschitz,
         sigma=problem.sigma, init_distance=1.0, init_gap=problem.value(np.zeros(3)),
         num_workers=3, horizon=50)
-    schedule = ConstLipschitz(constants)
+    schedule = make_schedule("const-lipschitz", constants)
     record = run_async(problem, trace, schedule, np.zeros(3), seed=2, diagnostics=True)
     vt = track(record)
     bound = 2 * schedule.cap * problem.lipschitz
@@ -108,8 +96,8 @@ def test_injected_bookkeeping_bug_fails_loudly():
     problem = least_squares(dim=4, num_samples=20, sigma=1.0, seed=10)
     trace = simulate_trace(StragglerSpeeds(1.0, 5, 30.0, 5), 150)
     record = diagnostics_run(problem, trace)
-    assert max_identity_residual(record) <= 1e-10
-    assert max_identity_residual(record, inject="prev-off-by-one") > 1e-6
+    assert track(record).max_rel_residual <= 1e-10
+    assert track(record, inject="prev-off-by-one").max_rel_residual > 1e-6
 
 
 def test_attach_stores_residual_column():
@@ -166,9 +154,9 @@ def test_track_equals_per_step_reference_bit_for_bit(case):
     record = run_async(problem, trace, schedule, x0, seed=seed, diagnostics=True)
     for inject in (None, "prev-off-by-one"):
         vt = track(record, inject=inject)
-        got = (vt.virtual_iterates, vt.gaps, vt.rel_residuals, vt.terms_per_iteration)
-        for name, a, b in zip(("virtual_iterates", "gaps", "rel_residuals",
-                               "terms_per_iteration"), got, reference_track(record, inject)):
+        got = (vt.virtual_iterates, vt.gaps, vt.rel_residuals)
+        for name, a, b in zip(("virtual_iterates", "gaps", "rel_residuals"), got,
+                              reference_track(record, inject)):
             assert same_bits(a, b), (name, inject)
 
 
@@ -196,6 +184,5 @@ def test_tracker_and_store_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    outputs = sum(a.nbytes for a in (vt.virtual_iterates, vt.gaps, vt.rel_residuals,
-                                      vt.terms_per_iteration))
+    outputs = sum(a.nbytes for a in (vt.virtual_iterates, vt.gaps, vt.rel_residuals))
     assert peak - outputs <= 1024 * 1024
