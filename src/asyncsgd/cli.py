@@ -33,7 +33,7 @@ import numpy as np
 
 from . import invariants, problems, scheduler, schedules
 from .optimizers import DivergedError, run_async, run_live, run_minibatch
-from .problems import ProblemError
+from .problems import ProblemError, point_metrics
 from .scheduler import LedgerError, SpeedModelError
 from .schedules import ScheduleError, expected_sampled_metric, select_output
 from .virtual import INJECTABLE_BUGS, track
@@ -300,25 +300,23 @@ def _read_command(args, table: dict) -> dict:
 def _final_metrics(problem, record) -> dict:
     """The objective gap and squared gradient norm at the run's last iterate,
     equal bit for bit to the last entries of its metric columns."""
-    fstar = problem.fstar if problem.fstar is not None else 0.0
-    grad = problem.grad(record.x_final)
-    return {"final_fgap": problem.value(record.x_final) - fstar,
-            "final_gradnorm2": float(grad.dot(grad))}
+    return dict(zip(("final_fgap", "final_gradnorm2"), point_metrics(problem, record.x_final)))
 
 
-def _run(cmd: dict, trace, run_seed: int) -> tuple[dict, object]:
+def _run(cmd: dict, trace, run_seed: int, csv_path: str | None = None) -> tuple[dict, object]:
     """Replay `trace` with the command's problem, start point and schedule
-    config, and summarize the run."""
+    config, summarize the run and write its run CSV to `csv_path`, if given.
+    The per-step metric columns are computed only for their readers: the CSV,
+    and a sampled output's expected gradient norm unless `metrics` is false."""
     problem, x0 = cmd["problem"], cmd["x0"]
     schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
     rule = cmd.get("output_rule") or schedule.output_rule
     diagnostics = cmd.get("diagnostics", False)
     # the exp-weighted and sampled outputs are read from the iterate history
     keep = diagnostics or rule in ("exp-weighted", "sampled")
+    metrics = csv_path is not None or (rule == "sampled" and cmd.get("metrics", True))
     record = run_async(problem, trace, schedule, x0, seed=run_seed,
-                       diagnostics=diagnostics, keep_iterates=keep,
-                       metrics=cmd.get("metrics", True))
-    fstar = problem.fstar if problem.fstar is not None else 0.0
+                       diagnostics=diagnostics, keep_iterates=keep, metrics=metrics)
     summary = {
         "seed": run_seed,
         **_final_metrics(problem, record),
@@ -335,11 +333,12 @@ def _run(cmd: dict, trace, run_seed: int) -> tuple[dict, object]:
                 record, record.gradnorms2)
     else:
         point = select_output(rule, record)
-    summary["output_fgap"] = problem.value(point) - fstar
-    out_grad = problem.grad(point)
-    summary["output_gradnorm2"] = float(out_grad @ out_grad)
+    summary["output_fgap"], summary["output_gradnorm2"] = point_metrics(problem, point)
     if diagnostics:
-        summary["max_identity_residual"] = track(record, attach=True).max_rel_residual
+        virtual = track(record)
+        summary["max_identity_residual"] = virtual.max_rel_residual
+    if csv_path is not None:
+        record.write_csv(csv_path, virtual.rel_residuals if diagnostics else None)
     return summary, record
 
 
@@ -354,11 +353,10 @@ def cmd_simulate(args) -> int:
     for rep in range(cmd["repetitions"]):
         run_seed = cmd["seed"] + rep
         trace = trace_for_run(cmd["speed_model"], cmd.get("horizon"), run_seed)
-        summary, record = _run(cmd, trace, run_seed)
+        csv_path = os.path.join(out_dir, f"run_{rep:03d}.csv") if out_dir else None
+        summary, record = _run(cmd, trace, run_seed, csv_path)
         summary["rep"] = rep
-        if out_dir:
-            csv_path = os.path.join(out_dir, f"run_{rep:03d}.csv")
-            record.write_csv(csv_path)
+        if csv_path:
             summary["csv"] = csv_path
         runs.append(summary)
 
@@ -536,10 +534,12 @@ def cmd_live(args) -> int:
 # parser
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: a non-negative integer, written in digits only."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _count(text: str, lower: int = 1, upper: float = math.inf) -> int:
+    """argparse type: an integer from `lower` to `upper`, written in digits only."""
+    if not (text.isdecimal() and lower <= int(text) <= upper):
+        bound = "" if upper == math.inf else f" no larger than {upper}"
+        raise argparse.ArgumentTypeError(
+            f"expected a {'positive' if lower else 'non-negative'} integer{bound}, got {text!r}")
     return int(text)
 
 
@@ -588,14 +588,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated worker counts (default 1,2,5,16)")
     p.add_argument("--horizons", type=_positive_ints, default=(50, 500),
                    help="comma-separated horizons (default 50,500)")
-    p.add_argument("--base-seed", type=_non_negative_int, default=0)
+    p.add_argument("--base-seed", type=lambda text: _count(text, 0), default=0)
     p.add_argument("--inject-bug", default=None, choices=INJECTABLE_BUGS,
                    help="corrupt the bookkeeping on purpose; the suite must fail")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("live", help="threaded demo run on a small problem")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--horizon", type=int, default=200)
+    # one thread per worker; 64 is the most workers any workload or test runs
+    p.add_argument("--workers", type=lambda text: _count(text, upper=64), default=4)
+    p.add_argument("--horizon", type=_count, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_live)
 

@@ -26,10 +26,11 @@ import csv
 import math
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import point_metrics
 from .scheduler import ArrivalTrace, LedgerError
 from .schedules import StepSchedule
 
@@ -66,7 +67,7 @@ class RunRecord:
     gamma_hats: np.ndarray
     gamma_hat_initial: np.ndarray
     times: np.ndarray
-    fgaps: np.ndarray | None
+    fgaps: np.ndarray | None        # metric columns, None unless asked for
     gradnorms2: np.ndarray | None
     x0: np.ndarray
     x_final: np.ndarray
@@ -76,37 +77,29 @@ class RunRecord:
     schedule: StepSchedule | None = None
     iterates: np.ndarray | None = None
     gradients: np.ndarray | None = None
-    vres: np.ndarray | None = None
     gradient_evals: int = 0
 
     @property
     def horizon(self) -> int:
         return len(self.workers)
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, vres: np.ndarray | None = None) -> None:
+        """One row per iteration, a metric column the run lacks reading nan,
+        with a `vres` column of virtual-gap residuals if `vres` is given."""
         cols = ["k", "worker", "tau", "gamma", "gamma_hat", "time", "fgap", "gradnorm2"]
-        if self.vres is not None:
+        floats = [self.gammas, self.gamma_hats, self.times, self.fgaps, self.gradnorms2]
+        floats = [np.full(self.horizon, np.nan) if c is None else c for c in floats]
+        if vres is not None:
             cols.append("vres")
+            floats.append(vres)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols)
-            for i in range(self.horizon):
-                row = [
-                    i + 1,
-                    int(self.workers[i]),
-                    int(self.taus[i]),
-                    repr(float(self.gammas[i])),
-                    repr(float(self.gamma_hats[i])),
-                    repr(float(self.times[i])),
-                    repr(float(self.fgaps[i])) if self.fgaps is not None else "nan",
-                    repr(float(self.gradnorms2[i])) if self.gradnorms2 is not None else "nan",
-                ]
-                if self.vres is not None:
-                    row.append(repr(float(self.vres[i])))
-                writer.writerow(row)
+            for k, (m, tau, *values) in enumerate(zip(self.workers, self.taus, *floats), 1):
+                writer.writerow([k, int(m), int(tau), *(repr(float(v)) for v in values)])
 
 
-def _check_divergence(x: np.ndarray, k: int, limit: float) -> None:
+def _check_divergence(x: np.ndarray, k: int, limit: float = 1e12) -> None:
     norm2 = float(x.dot(x))
     # a single comparison catches overflow, inf and nan alike
     if not norm2 <= limit * limit:
@@ -163,13 +156,14 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     Everything the trace fixes is computed as a column before the loop: the
     dispatch iteration of every arriving gradient, its stepsize and
     eventual stepsize, and its gradient sample. The loop itself only applies
-    the updates in order. diagnostics=True additionally keeps every
-    dispatched gradient in one (M+K-1, d) array: row m-1 for worker m's
+    the updates in order. metrics=True fills the fgaps and gradnorms2
+    columns by one `point_metrics` call per update. diagnostics=True keeps
+    every dispatched gradient in one (M+K-1, d) array: row m-1 for worker m's
     dispatch at iteration 0, row M+k-1 for the dispatch at iteration k < K.
     The rows still in flight at the end are evaluated then, from the same
     substreams. The virtual-iterate checker reads this store; diagnostics
-    implies keep_iterates. Raises DivergedError when the
-    iterate norm passes divergence_norm or goes non-finite.
+    implies keep_iterates. Raises DivergedError when the iterate norm passes
+    divergence_norm or goes non-finite.
     """
     horizon = trace.horizon
     m_count = trace.num_workers
@@ -178,7 +172,6 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     x0 = x = _start(problem, x0, m_count)
     keep_iterates = keep_iterates or diagnostics
     rngs = worker_streams(seed, m_count)
-    fstar = problem.fstar if problem.fstar is not None else 0.0
 
     # columns: dispatch iteration p_k, stepsize gamma_k, and the eventual
     # stepsize of every dispatch, which is the stepsize its gradient is
@@ -226,9 +219,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
                 weighted_sum += gamma * xp
             uniform_sum += x
             if metrics:
-                fgaps[k - 1] = problem.value(x) - fstar
-                mean_grad = problem.grad(x)
-                gradnorms2[k - 1] = float(mean_grad.dot(mean_grad))
+                fgaps[k - 1], gradnorms2[k - 1] = point_metrics(problem, x)
             if keep_iterates:
                 iterates[k] = x
             if diagnostics:
@@ -271,13 +262,13 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
-                  seed: int = 0, *, seconds=None, divergence_norm: float = 1e12) -> RunRecord:
+                  seed: int = 0, *, seconds=None) -> RunRecord:
     """Lockstep baseline: every round averages one gradient from each worker.
 
     Wall-clock time per round is the slowest worker's compute time (1.0 if no
     speeds are given). The record reuses the asynchronous row layout with
     worker=0 and tau=1 on every round row, and all eventual stepsizes equal
-    to the constant step.
+    to the constant step. It has no metric columns.
     """
     if rounds < 1:
         raise LedgerError(f"need at least one round, got {rounds}")
@@ -288,10 +279,6 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
     round_time = 1.0 if seconds is None else max(float(s) for s in seconds)
     x0 = x = _start(problem, x0, num_workers)
     rngs = worker_streams(seed, num_workers)
-    fstar = problem.fstar if problem.fstar is not None else 0.0
-
-    fgaps = np.empty(rounds)
-    gradnorms2 = np.empty(rounds)
     uniform_sum = np.zeros(problem.dim)
     weighted_sum = np.zeros(problem.dim)
     evals = 0
@@ -303,12 +290,9 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
             evals += 1
         g = acc / num_workers
         x = x - step * g
-        _check_divergence(x, r, divergence_norm)
+        _check_divergence(x, r)
         uniform_sum += x
         weighted_sum += step * x
-        fgaps[r - 1] = problem.value(x) - fstar
-        mean_grad = problem.grad(x)
-        gradnorms2[r - 1] = float(mean_grad @ mean_grad)
 
     return RunRecord(
         num_workers=num_workers,
@@ -318,8 +302,8 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
         gamma_hats=np.full(rounds, step),
         gamma_hat_initial=np.full(num_workers, step),
         times=round_time * np.arange(1, rounds + 1, dtype=np.float64),
-        fgaps=fgaps,
-        gradnorms2=gradnorms2,
+        fgaps=None,
+        gradnorms2=None,
         x0=x0,
         x_final=x,
         uniform_sum=uniform_sum,
@@ -389,9 +373,8 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     trace = ArrivalTrace(workers, np.maximum.accumulate(times),
                          num_workers).check_recorded_taus(taus)
     # replay the realized order; this recomputes identical updates and fills
-    # in metrics, eventual stepsizes and iterate history
-    record = run_async(problem, trace, schedule, x0, seed,
-                       keep_iterates=True, divergence_norm=divergence_norm)
+    # in the metric columns and eventual stepsizes
+    record = run_async(problem, trace, schedule, x0, seed, divergence_norm=divergence_norm)
     if not np.allclose(record.x_final, shared["x"], rtol=0, atol=0, equal_nan=True):
         raise LedgerError("live run and its replay disagree")
     return record

@@ -102,17 +102,29 @@ class Problem:
         """Bundle the problem constants with run shape and x0-dependent terms."""
         x0 = np.asarray(x0, dtype=np.float64)
         dist = float(np.linalg.norm(x0 - self.xstar)) if self.xstar is not None else 0.0
-        gap = self.value(x0) - (self.fstar if self.fstar is not None else 0.0)
         return ProblemConstants(
             smoothness=self.smoothness,
             strong_convexity=self.strong_convexity,
             lipschitz=self.lipschitz,
             sigma=self.sigma,
             init_distance=dist,
-            init_gap=max(gap, 0.0),
+            init_gap=max(_gap(self, x0), 0.0),
             num_workers=num_workers,
             horizon=horizon,
         )
+
+
+def _gap(problem, x: np.ndarray) -> float:
+    """The objective gap F(x) - F*, reading an unknown F* as 0."""
+    return problem.value(x) - (problem.fstar if problem.fstar is not None else 0.0)
+
+
+def point_metrics(problem, x: np.ndarray) -> tuple[float, float]:
+    """The objective gap and the squared gradient norm ||grad F(x)||^2 at x:
+    the one place either metric is computed."""
+    fgap = _gap(problem, x)
+    g = problem.grad(x)
+    return fgap, float(g.dot(g))
 
 
 def _data(mat, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +232,6 @@ class LeastSquares(_Quadratic):
             step = rng.standard_normal(self.dim)
             probes.append(self.xstar + step / max(np.linalg.norm(step), 1e-12))
         return max(self.row_noise_power(p) for p in probes)
-
 
 
 def least_squares(dim: int, num_samples: int | None = None, noise: str = "additive",

@@ -332,23 +332,30 @@ def trace_from_workers(workers, num_workers: int | None = None) -> ArrivalTrace:
     return ArrivalTrace(workers, np.arange(1, len(workers) + 1, dtype=np.float64), num_workers)
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise SpeedModelError(f"{what} passes the float range")
+    return value
+
+
 def steps_in_time(seconds, duration: float) -> tuple[int, int]:
     """Gradient-step counts reachable in `duration` seconds of wall time.
 
     Returns (async_steps, sync_steps): asynchronously every worker
     contributes floor(S / s_m) updates; lockstep synchronous execution is
-    paced by the slowest worker, floor(S / max s_m) rounds.
+    paced by the slowest worker, floor(S / max s_m) rounds. A count past the
+    float range is a SpeedModelError.
     """
     seconds = _check_seconds(seconds)
     if duration < 0 or not math.isfinite(duration):
         raise SpeedModelError(f"duration must be finite and >= 0, got {duration}")
-    async_steps = sum(int(duration // s) for s in seconds)
-    sync_steps = min(int(duration // s) for s in seconds)
-    return async_steps, sync_steps
+    counts = [_finite(duration // s, "duration / compute time") for s in seconds]
+    return sum(map(int, counts)), int(min(counts))
 
 
 def speedup_factor(seconds) -> float:
-    """Ideal async-over-sync throughput ratio: mean of s_max / s_m. Always >= 1."""
+    """Ideal async-over-sync throughput ratio: mean of s_max / s_m. Always >= 1;
+    a ratio past the float range is a SpeedModelError."""
     seconds = _check_seconds(seconds)
     s_max = max(seconds)
-    return sum(s_max / s for s in seconds) / len(seconds)
+    return _finite(sum(s_max / s for s in seconds) / len(seconds), "speedup")

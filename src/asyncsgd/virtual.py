@@ -53,15 +53,15 @@ class VirtualTrack:
         return float(np.max(self.rel_residuals)) if len(self.rel_residuals) else 0.0
 
 
-def track(record: RunRecord, attach: bool = False, inject: str | None = None) -> VirtualTrack:
+def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
     """Rebuild the virtual sequence from a diagnostics-mode run record.
 
     Needs a record produced with diagnostics=True (the dense gradient store
     and iterate history). inject enables a deliberately seeded bookkeeping
     bug, used to demonstrate that the identity check fails loudly: the
     "prev-off-by-one" mode reads each in-flight gradient's eventual stepsize
-    from the slot one dispatch later. attach=True stores the residual column
-    on the record for CSV export.
+    from the slot one dispatch later. The residual column is the run CSV's
+    `vres` column: pass `rel_residuals` to `RunRecord.write_csv`.
     """
     if record.gradients is None or record.iterates is None:
         raise DiagnosticsError("record was not produced with diagnostics=True")
@@ -129,8 +129,4 @@ def track(record: RunRecord, attach: bool = False, inject: str | None = None) ->
         residuals[start:stop] = [math.sqrt(a.dot(a)) / (1.0 + math.sqrt(b.dot(b)))
                                  for a, b in zip(miss, gap)]
 
-    out = VirtualTrack(virtual, gaps, residuals)
-    if attach:
-        record.vres = residuals
-    return out
-
+    return VirtualTrack(virtual, gaps, residuals)

@@ -28,6 +28,7 @@ from asyncsgd import (
 )
 from asyncsgd.cli import main as cli_main
 from asyncsgd.invariants import SCHEDULE_TAGS, SPEED_KINDS, make_speed_model, run_suite
+from asyncsgd.problems import point_metrics
 from reference import sequential_sgd
 
 
@@ -187,8 +188,9 @@ def test_criterion_06_heterogeneous_speed_stability():
     best_steps = steps_to(best.fgaps, threshold)
     best_rebound = window_rebound(best.fgaps)
 
-    mini_finals = [run_minibatch(problem, 40, k_mini, step, x0, seed=1,
-                                 seconds=seconds).fgaps[-1] for step in grid]
+    minis = [run_minibatch(problem, 40, k_mini, step, x0, seed=1, seconds=seconds)
+             for step in grid]
+    mini_finals = [point_metrics(problem, mini.x_final)[0] for mini in minis]
 
     stable = adaptive_rebound <= 2.0
     const_worse = (best_steps is None or best_steps > adaptive_steps

@@ -50,7 +50,7 @@ def test_benchmark_workloads_run_clean(tmp_path, monkeypatch):
     assert callable(asyncsgd.cli._sweep_job)
     assert callable(asyncsgd.invariants.check_case)
     workloads = load_workloads().WORKLOADS
-    for name in ("diagnostics-wide", "check-suite"):
+    for name in ("seed-sweep", "diagnostics-wide", "check-suite"):
         workload = workloads[name](0, str(tmp_path))
         unit = workload.run(workload.setup())
         assert unit.failures == [], name

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asyncsgd import ArrivalTrace, FixedSpeeds, cli, simulate_trace
+from asyncsgd import (ArrivalTrace, FixedSpeeds, LeastSquares, cli, least_squares,
+                      run_minibatch, simulate_trace)
 from asyncsgd.cli import main
 
 
@@ -69,6 +70,8 @@ def test_simulate_end_to_end(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 30
     assert {"k", "worker", "tau", "gamma", "gamma_hat"} <= set(rows[0])
+    # the run CSV is a reader of the metric columns, so they are filled
+    assert all(math.isfinite(float(r[key])) for r in rows for key in ("fgap", "gradnorm2"))
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):
@@ -282,24 +285,36 @@ def test_missing_problem_csv_file_is_a_config_error(tmp_path, capsys):
     assert "config.problem.csv" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("overrides", [
-    {"problem": {"kind": "least-squares", "dim": 3, "target_smoothness": 1e308}},
+COMPARE_BASE = {"problem": {"kind": "least-squares", "dim": 2, "num_samples": 10},
+                "schedule": {"kind": "adaptive-convex"}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", base_config(
+        problem={"kind": "least-squares", "dim": 3, "target_smoothness": 1e308})),
     # the noise caps divide by sigma**2, which underflows to 0 or overflows
-    {"problem": {"kind": "heterogeneous-quadratics", "dim": 3, "num_workers": 2,
+    ("simulate", base_config(
+        problem={"kind": "heterogeneous-quadratics", "dim": 3, "num_workers": 2,
                  "zeta": 0.5, "sigma": 5e-324},
-     "schedule": {"kind": "adaptive-heterogeneous"}},
-    {"problem": {"kind": "bounded-nonconvex", "dim": 3, "sigma": 1e308},
-     "schedule": {"kind": "adaptive-nonconvex"}, "x0": {"kind": "zeros"}},
-    {"speed_model": {"kind": "random", "distribution": "lognormal", "means": [1, 2],
-                     "sigma": 1e308}},
+        schedule={"kind": "adaptive-heterogeneous"})),
+    ("simulate", base_config(
+        problem={"kind": "bounded-nonconvex", "dim": 3, "sigma": 1e308},
+        schedule={"kind": "adaptive-nonconvex"}, x0={"kind": "zeros"})),
+    ("simulate", base_config(
+        speed_model={"kind": "random", "distribution": "lognormal", "means": [1, 2],
+                     "sigma": 1e308})),
     # every worker's second finish time overflows to inf
-    {"speed_model": {"kind": "fixed", "seconds": [1e308, 1e308]}},
+    ("simulate", base_config(speed_model={"kind": "fixed", "seconds": [1e308, 1e308]})),
+    # the fast worker's step count duration / s is inf
+    ("compare", {**COMPARE_BASE, "seconds": [1e-10, 3.0], "duration": 1e300}),
+    # the ideal speedup s_max / s_min is inf
+    ("compare", {**COMPARE_BASE, "seconds": [1e-300, 1e10], "duration": 1e-295}),
 ], ids=["gram-overflow", "tiny-sigma", "huge-sigma", "huge-lognormal-sigma",
-        "finish-time-overflow"])
-def test_values_outside_the_float_range_are_input_errors(tmp_path, capsys, overrides):
-    code, _, err = run_cli(capsys, ["simulate", "--config",
-                                    write_config(tmp_path, base_config(**overrides))])
+        "finish-time-overflow", "compare-step-count-overflow", "compare-speedup-overflow"])
+def test_values_outside_the_float_range_are_input_errors(tmp_path, capsys, command, config):
+    code, stdout, err = run_cli(capsys, [command, "--config", write_config(tmp_path, config)])
     assert code == 2 and "Traceback" not in err
+    assert stdout == ""
 
 
 @pytest.mark.parametrize("overrides", [
@@ -500,6 +515,40 @@ def test_sweep_final_metrics_do_not_depend_on_the_metric_columns(tmp_path, capsy
             assert on[key] == off[key], key
 
 
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Counts LeastSquares value and grad calls, the metric oracle's two halves."""
+    calls = []
+    for name in ("value", "grad"):
+        original = getattr(LeastSquares, name)
+
+        def counted(self, x, _original=original):
+            calls.append(1)
+            return _original(self, x)
+        monkeypatch.setattr(LeastSquares, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, config, runs", [
+    ("sweep", sweep_config(horizons=[200, 400], output_rule="weighted"), 4),
+    ("simulate", base_config(horizon=400), 1),
+], ids=["sweep", "simulate"])
+def test_metric_columns_only_for_a_reader(tmp_path, capsys, oracle_calls, command, config,
+                                          runs):
+    # with no run CSV and no sampled output, the printed metrics are a few
+    # oracle calls per run, never one per update
+    code, _, _ = run_cli(capsys, [command, "--config", write_config(tmp_path, config)])
+    assert code == 0
+    assert 0 < len(oracle_calls) <= 10 * runs
+
+
+def test_minibatch_makes_no_metric_calls(oracle_calls):
+    problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=1)
+    oracle_calls.clear()
+    record = run_minibatch(problem, num_workers=3, rounds=50, step=0.05, x0=np.zeros(3))
+    assert oracle_calls == [] and record.fgaps is None and record.gradnorms2 is None
+
+
 def test_sweep_rejects_bad_horizons(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep_config(horizons=[6, 0]))
     code, _, err = run_cli(capsys, ["sweep", "--config", cfg])
@@ -687,6 +736,16 @@ def test_check_rejects_a_negative_base_seed(capsys):
 def test_check_with_an_empty_grid_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, ["check", "--workers", "16", "--horizons", "5"])
     assert code == 2 and "no case" in err
+
+
+@pytest.mark.parametrize("argv", [["--workers", "65"], ["--workers", "0"],
+                                  ["--horizon", "0"], ["--workers", "-3"]])
+def test_live_rejects_counts_out_of_range(capsys, argv):
+    # argparse rejects these before any thread starts
+    with pytest.raises(SystemExit) as exc:
+        main(["live", *argv])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_live_subcommand(capsys):

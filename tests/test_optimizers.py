@@ -244,17 +244,26 @@ def test_record_csv_round_trip(tmp_path):
     trace = simulate_trace(FixedSpeeds((1.0, 1.6)), 12)
     schedule, x0 = convex_setup(problem, trace)
     record = run_async(problem, trace, schedule, x0, seed=5, diagnostics=True)
-    track(record, attach=True)
+    residuals = track(record).rel_residuals
     path = tmp_path / "run.csv"
-    record.write_csv(path)
+    record.write_csv(path, residuals)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12
-    assert set(rows[0]) == {"k", "worker", "tau", "gamma", "gamma_hat", "time",
-                            "fgap", "gradnorm2", "vres"}
+    assert list(rows[0]) == ["k", "worker", "tau", "gamma", "gamma_hat", "time",
+                             "fgap", "gradnorm2", "vres"]
     # repr serialization round-trips floats exactly
     assert [float(r["gamma_hat"]) for r in rows] == record.gamma_hats.tolist()
     assert [int(r["tau"]) for r in rows] == record.taus.tolist()
+    assert [float(r["fgap"]) for r in rows] == record.fgaps.tolist()
+    assert [float(r["vres"]) for r in rows] == residuals.tolist()
+    # without residuals there is no vres column, and missing metric columns read nan
+    bare = run_async(problem, trace, schedule, x0, seed=5, metrics=False)
+    bare.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert "vres" not in rows[0]
+    assert all(r["fgap"] == r["gradnorm2"] == "nan" for r in rows)
 
 
 # ---------------------------------------------------------------------------

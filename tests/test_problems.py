@@ -13,7 +13,7 @@ from asyncsgd import (
     least_squares,
     least_squares_from_csv,
 )
-from asyncsgd.problems import RHO_CURV_MAX, RHO_GRAD_MAX, _rho, _rho_prime
+from asyncsgd.problems import RHO_CURV_MAX, RHO_GRAD_MAX, _rho, _rho_prime, point_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +198,14 @@ def test_bounded_nonconvex_init_gap_is_value_itself():
     c = p.constants_for(x0, 2, 50)
     assert c.init_gap == pytest.approx(p.value(x0), rel=1e-15)
     assert c.init_distance == 0.0    # no known minimizer
+
+
+def test_point_metrics_reads_an_unknown_fstar_as_zero():
+    x = np.ones(3)
+    for p in (bounded_nonconvex(dim=3, num_samples=15, seed=7),    # fstar is None
+              least_squares(dim=3, num_samples=15, sigma=0.5, seed=7)):
+        g = p.grad(x)
+        assert point_metrics(p, x) == (p.value(x) - (p.fstar or 0.0), float(g @ g))
 
 
 def test_bounded_nonconvex_additive_needs_sigma():

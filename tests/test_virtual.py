@@ -100,14 +100,6 @@ def test_injected_bookkeeping_bug_fails_loudly():
     assert track(record, inject="prev-off-by-one").max_rel_residual > 1e-6
 
 
-def test_attach_stores_residual_column():
-    problem = least_squares(dim=2, num_samples=10, sigma=0.5, seed=11)
-    record = diagnostics_run(problem, simulate_trace(FixedSpeeds((1.0, 1.4)), 20))
-    assert record.vres is None
-    vt = track(record, attach=True)
-    np.testing.assert_array_equal(record.vres, vt.rel_residuals)
-
-
 def test_track_requires_diagnostics_mode():
     problem = least_squares(dim=2, num_samples=10, sigma=0.5, seed=12)
     trace = simulate_trace(FixedSpeeds((1.0, 1.4)), 10)
