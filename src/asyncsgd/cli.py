@@ -297,10 +297,10 @@ def _read_command(args, table: dict) -> dict:
     return cmd
 
 
-def _final_metrics(problem, record) -> dict:
-    """The objective gap and squared gradient norm at the run's last iterate,
+def _final_metrics(problem, x) -> dict:
+    """The objective gap and squared gradient norm at a run's last iterate `x`,
     equal bit for bit to the last entries of its metric columns."""
-    return dict(zip(("final_fgap", "final_gradnorm2"), point_metrics(problem, record.x_final)))
+    return dict(zip(("final_fgap", "final_gradnorm2"), point_metrics(problem, x)))
 
 
 def _run(cmd: dict, trace, run_seed: int, csv_path: str | None = None) -> tuple[dict, object]:
@@ -319,7 +319,7 @@ def _run(cmd: dict, trace, run_seed: int, csv_path: str | None = None) -> tuple[
                        diagnostics=diagnostics, keep_iterates=keep, metrics=metrics)
     summary = {
         "seed": run_seed,
-        **_final_metrics(problem, record),
+        **_final_metrics(problem, record.x_final),
         "max_tau": int(np.max(record.taus)),
         "mean_tau": float(np.mean(record.taus)),
         "stepsize_sum": float(np.sum(record.gamma_hats)),
@@ -414,10 +414,10 @@ def cmd_compare(args) -> int:
         async_runs.append(summary)
         # by default the minibatch baseline takes the freshest-gradient stepsize
         step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
-        mini = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step, cmd["x0"],
-                             seed=run_seed, seconds=seconds)
+        x_final = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step, cmd["x0"],
+                                seed=run_seed)
         mini_runs.append({"seed": run_seed, "step": float(step),
-                          **_final_metrics(cmd["problem"], mini)})
+                          **_final_metrics(cmd["problem"], x_final)})
     payload["async"] = {
         "runs": async_runs,
         "mean_final_fgap": float(np.mean([r["final_fgap"] for r in async_runs])),
@@ -524,7 +524,7 @@ def cmd_live(args) -> int:
         "horizon": args.horizon,
         "arrivals_per_worker": counts,
         "max_tau": int(np.max(record.taus)),
-        "final_fgap": _final_metrics(problem, record)["final_fgap"],
+        "final_fgap": _final_metrics(problem, record.x_final)["final_fgap"],
     }
     _write_json(payload, None, "live.json")
     return 0

@@ -17,7 +17,12 @@ the iterate stored at dispatch is identical to eager evaluation at dispatch
 time, and runs are reproducible regardless of interleaving. The loop then
 only applies the updates in order, keeping one dispatch point per worker
 (O(M d) memory); weighted averages over iterates are accumulated as running
-sums, so no iterate history is needed for them.
+sums, so no iterate history is needed for them. The per-step metric columns
+are filled only on request (`metrics=True`).
+
+The minibatch baseline returns only its final iterate, and the live executor
+records only the arrival order, the delays and the arrival times, which its
+replay through `run_async` checks and turns into a RunRecord.
 """
 
 from __future__ import annotations
@@ -107,9 +112,11 @@ def _check_divergence(x: np.ndarray, k: int, limit: float = 1e12) -> None:
 
 
 def _start(problem, x0, num_workers: int) -> np.ndarray:
-    """The start point as a new float array, after checking it has the
-    problem's dimension and that a problem with per-worker objectives has
-    one for each of the run's workers."""
+    """The start point as a new float array, after checking that the run has
+    a worker, that a problem with per-worker objectives has one for each of
+    them and that x0 has the problem's dimension."""
+    if num_workers < 1:
+        raise LedgerError(f"need at least one worker, got {num_workers}")
     pool = getattr(problem, "num_workers", None)
     if pool is not None and pool != num_workers:
         raise LedgerError(
@@ -150,14 +157,15 @@ def _draw_chunk(problem, rngs, workers: np.ndarray):
 
 def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
               *, keep_iterates: bool = False, diagnostics: bool = False,
-              metrics: bool = True, divergence_norm: float = 1e12) -> RunRecord:
+              metrics: bool = False, divergence_norm: float = 1e12) -> RunRecord:
     """Replay an arrival trace through the delayed-update loop.
 
     Everything the trace fixes is computed as a column before the loop: the
     dispatch iteration of every arriving gradient, its stepsize and
     eventual stepsize, and its gradient sample. The loop itself only applies
-    the updates in order. metrics=True fills the fgaps and gradnorms2
-    columns by one `point_metrics` call per update. diagnostics=True keeps
+    the updates in order. The fgaps and gradnorms2 columns are None unless
+    metrics=True asks for them, which costs one `point_metrics` call (a
+    `value` and a full `grad`) per update. diagnostics=True keeps
     every dispatched gradient in one (M+K-1, d) array: row m-1 for worker m's
     dispatch at iteration 0, row M+k-1 for the dispatch at iteration k < K.
     The rows still in flight at the end are evaluated then, from the same
@@ -262,55 +270,22 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
-                  seed: int = 0, *, seconds=None) -> RunRecord:
-    """Lockstep baseline: every round averages one gradient from each worker.
-
-    Wall-clock time per round is the slowest worker's compute time (1.0 if no
-    speeds are given). The record reuses the asynchronous row layout with
-    worker=0 and tau=1 on every round row, and all eventual stepsizes equal
-    to the constant step. It has no metric columns.
-    """
+                  seed: int = 0) -> np.ndarray:
+    """Lockstep baseline: every round averages one gradient from each worker
+    and takes one step of size `step`. Returns the final iterate."""
     if rounds < 1:
         raise LedgerError(f"need at least one round, got {rounds}")
-    if num_workers < 1:
-        raise LedgerError(f"need at least one worker, got {num_workers}")
     if not math.isfinite(step) or step <= 0:
         raise LedgerError(f"step must be positive and finite, got {step}")
-    round_time = 1.0 if seconds is None else max(float(s) for s in seconds)
-    x0 = x = _start(problem, x0, num_workers)
+    x = _start(problem, x0, num_workers)
     rngs = worker_streams(seed, num_workers)
-    uniform_sum = np.zeros(problem.dim)
-    weighted_sum = np.zeros(problem.dim)
-    evals = 0
-
     for r in range(1, rounds + 1):
         acc = np.zeros(problem.dim)
-        for m in range(1, num_workers + 1):
-            acc += problem.stoch_grad(x, rngs[m - 1], worker=m)
-            evals += 1
-        g = acc / num_workers
-        x = x - step * g
+        for m, rng in enumerate(rngs, 1):
+            acc += problem.stoch_grad(x, rng, worker=m)
+        x = x - step * (acc / num_workers)
         _check_divergence(x, r)
-        uniform_sum += x
-        weighted_sum += step * x
-
-    return RunRecord(
-        num_workers=num_workers,
-        workers=np.zeros(rounds, dtype=np.int64),
-        taus=np.ones(rounds, dtype=np.int64),
-        gammas=np.full(rounds, step),
-        gamma_hats=np.full(rounds, step),
-        gamma_hat_initial=np.full(num_workers, step),
-        times=round_time * np.arange(1, rounds + 1, dtype=np.float64),
-        fgaps=None,
-        gradnorms2=None,
-        x0=x0,
-        x_final=x,
-        uniform_sum=uniform_sum,
-        weighted_sum=weighted_sum,
-        seed=seed,
-        gradient_evals=evals,
-    )
+    return x
 
 
 def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
@@ -318,8 +293,10 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     """Actually-threaded variant of the asynchronous loop.
 
     Each thread computes gradients against its own dispatch snapshot and a
-    single lock serializes (number the arrival, update, re-dispatch). The
-    arrival order is scheduler-dependent and therefore not reproducible; the
+    single lock serializes (number the arrival, update, re-dispatch). No
+    arrival happens before every worker holds its first gradient, so the
+    first threads cannot end the run before the last ones start. The arrival
+    order is scheduler-dependent and therefore not reproducible; the
     realized order becomes an ArrivalTrace, whose delays must equal the ones
     recorded under the lock, and its replay through run_async must
     reproduce the live iterate exactly.
@@ -330,8 +307,9 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     rngs = worker_streams(seed, num_workers)
     dispatched_at = [0] * num_workers   # iteration each worker was last dispatched at
     lock = threading.Lock()
+    started = threading.Barrier(num_workers)   # passed once all first gradients exist
     shared = {"x": x0.copy(), "failure": None}
-    rows = []          # (worker, tau, gamma, arrival time); arrival k is row k
+    rows = []          # (worker, tau, arrival time); arrival k is row k
     t0 = _time.perf_counter()
 
     def work(m: int) -> None:
@@ -342,7 +320,14 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
             except Exception as exc:   # surface worker failures in the caller
                 with lock:
                     shared["failure"] = shared["failure"] or exc
+                started.abort()   # and release the workers waiting at the start
                 return
+            # only this thread writes its entry, so 0 means a first gradient
+            if dispatched_at[m - 1] == 0:
+                try:
+                    started.wait()
+                except threading.BrokenBarrierError:
+                    return
             with lock:
                 if shared["failure"] is not None or len(rows) >= horizon:
                     return
@@ -350,30 +335,31 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
                 tau = k - dispatched_at[m - 1]
                 dispatched_at[m - 1] = k
                 try:
-                    gamma = schedule.gamma(tau)
-                    shared["x"] = shared["x"] - gamma * g
+                    shared["x"] = shared["x"] - schedule.gamma(tau) * g
                     _check_divergence(shared["x"], k, divergence_norm)
                 except Exception as exc:
                     shared["failure"] = exc
                     return
-                rows.append((m, tau, gamma, _time.perf_counter() - t0))
+                rows.append((m, tau, _time.perf_counter() - t0))
                 point = shared["x"].copy()   # re-dispatched at iteration k
 
     threads = [threading.Thread(target=work, args=(m,)) for m in range(1, num_workers + 1)]
-    for t in threads:
-        t.start()
+    try:
+        for t in threads:
+            t.start()
+    except BaseException:
+        started.abort()   # the threads already running must not wait for the rest
+        raise
     for t in threads:
         t.join()
     if shared["failure"] is not None:
         raise shared["failure"]
 
-    workers = np.array([r[0] for r in rows], dtype=np.int64)
-    taus = np.array([r[1] for r in rows], dtype=np.int64)
-    times = np.array([r[3] for r in rows])
+    workers, taus, times = (np.array(column) for column in zip(*rows))
     trace = ArrivalTrace(workers, np.maximum.accumulate(times),
                          num_workers).check_recorded_taus(taus)
     # replay the realized order; this recomputes identical updates and fills
-    # in the metric columns and eventual stepsizes
+    # in the eventual stepsizes
     record = run_async(problem, trace, schedule, x0, seed, divergence_norm=divergence_norm)
     if not np.allclose(record.x_final, shared["x"], rtol=0, atol=0, equal_nan=True):
         raise LedgerError("live run and its replay disagree")

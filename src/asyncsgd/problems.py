@@ -101,14 +101,17 @@ class Problem:
     def constants_for(self, x0: np.ndarray, num_workers: int, horizon: int) -> ProblemConstants:
         """Bundle the problem constants with run shape and x0-dependent terms."""
         x0 = np.asarray(x0, dtype=np.float64)
-        dist = float(np.linalg.norm(x0 - self.xstar)) if self.xstar is not None else 0.0
+        # a huge x0 overflows these to inf or nan, which ProblemConstants rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = float(np.linalg.norm(x0 - self.xstar)) if self.xstar is not None else 0.0
+            gap = max(_gap(self, x0), 0.0)
         return ProblemConstants(
             smoothness=self.smoothness,
             strong_convexity=self.strong_convexity,
             lipschitz=self.lipschitz,
             sigma=self.sigma,
             init_distance=dist,
-            init_gap=max(_gap(self, x0), 0.0),
+            init_gap=gap,
             num_workers=num_workers,
             horizon=horizon,
         )

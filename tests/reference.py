@@ -255,7 +255,7 @@ def heap_trace(model, horizon):
 
 
 def replay_async(problem, trace, schedule, x0, seed, *, keep_iterates=False,
-                 diagnostics=False, metrics=True, divergence_norm=1e12):
+                 diagnostics=False, metrics=False, divergence_norm=1e12):
     """Per-step reference for run_async: every arrival checks its delay,
     calls stoch_grad at the stored dispatch point and gamma(tau), and
     keeps a (dispatch iteration, dispatch point copy) pair per worker."""

@@ -173,12 +173,12 @@ def test_criterion_06_heterogeneous_speed_stability():
     constants = problem.constants_for(x0, 40, k_async)
 
     adaptive = run_async(problem, trace, make_schedule("adaptive-convex", constants),
-                         x0, seed=1)
+                         x0, seed=1, metrics=True)
     grid = [m / 160.0 for m in (0.5, 2.0, 8.0, 32.0)]   # around 1/(4ML) = 1/160
     const_runs = []
     for step in grid:
         rec = run_async(problem, trace, make_schedule("constant", constants, step=step),
-                        x0, seed=1, divergence_norm=1e30)
+                        x0, seed=1, metrics=True, divergence_norm=1e30)
         const_runs.append((step, rec))
 
     threshold = 2e-3
@@ -188,9 +188,8 @@ def test_criterion_06_heterogeneous_speed_stability():
     best_steps = steps_to(best.fgaps, threshold)
     best_rebound = window_rebound(best.fgaps)
 
-    minis = [run_minibatch(problem, 40, k_mini, step, x0, seed=1, seconds=seconds)
-             for step in grid]
-    mini_finals = [point_metrics(problem, mini.x_final)[0] for mini in minis]
+    minis = [run_minibatch(problem, 40, k_mini, step, x0, seed=1) for step in grid]
+    mini_finals = [point_metrics(problem, x_final)[0] for x_final in minis]
 
     stable = adaptive_rebound <= 2.0
     const_worse = (best_steps is None or best_steps > adaptive_steps
@@ -253,7 +252,7 @@ def test_criterion_08_heterogeneity_plateau():
             constants = problem.constants_for(x0, 8, k)
             rec = run_async(problem, trace,
                             make_schedule("adaptive-heterogeneous", constants),
-                            x0, seed=3)
+                            x0, seed=3, metrics=True)
             per_k.append(expected_sampled_metric(rec, rec.gradnorms2))
         levels[zeta] = per_k[-1]
         ratios[zeta] = per_k[-2] / per_k[-1]   # last doubling

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (ArrivalTrace, FixedSpeeds, LeastSquares, cli, least_squares,
-                      run_minibatch, simulate_trace)
+                      make_schedule, run_async, run_minibatch, simulate_trace)
 from asyncsgd.cli import main
 
 
@@ -305,12 +305,15 @@ COMPARE_BASE = {"problem": {"kind": "least-squares", "dim": 2, "num_samples": 10
                      "sigma": 1e308})),
     # every worker's second finish time overflows to inf
     ("simulate", base_config(speed_model={"kind": "fixed", "seconds": [1e308, 1e308]})),
+    # the distance to the minimizer and the initial gap overflow to inf
+    ("simulate", base_config(x0={"kind": "explicit", "values": [1e200, 1e200, 1e200]})),
     # the fast worker's step count duration / s is inf
     ("compare", {**COMPARE_BASE, "seconds": [1e-10, 3.0], "duration": 1e300}),
     # the ideal speedup s_max / s_min is inf
     ("compare", {**COMPARE_BASE, "seconds": [1e-300, 1e10], "duration": 1e-295}),
 ], ids=["gram-overflow", "tiny-sigma", "huge-sigma", "huge-lognormal-sigma",
-        "finish-time-overflow", "compare-step-count-overflow", "compare-speedup-overflow"])
+        "finish-time-overflow", "huge-x0", "compare-step-count-overflow",
+        "compare-speedup-overflow"])
 def test_values_outside_the_float_range_are_input_errors(tmp_path, capsys, command, config):
     code, stdout, err = run_cli(capsys, [command, "--config", write_config(tmp_path, config)])
     assert code == 2 and "Traceback" not in err
@@ -545,7 +548,16 @@ def test_metric_columns_only_for_a_reader(tmp_path, capsys, oracle_calls, comman
 def test_minibatch_makes_no_metric_calls(oracle_calls):
     problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=1)
     oracle_calls.clear()
-    record = run_minibatch(problem, num_workers=3, rounds=50, step=0.05, x0=np.zeros(3))
+    x_final = run_minibatch(problem, num_workers=3, rounds=50, step=0.05, x0=np.zeros(3))
+    assert oracle_calls == [] and x_final.shape == (3,)
+
+
+def test_run_async_makes_no_metric_calls_by_default(oracle_calls):
+    problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=1)
+    trace = simulate_trace(FixedSpeeds((1.0, 1.5)), 50)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(np.zeros(3), 2, 50))
+    oracle_calls.clear()
+    record = run_async(problem, trace, schedule, np.zeros(3), seed=1)
     assert oracle_calls == [] and record.fgaps is None and record.gradnorms2 is None
 
 

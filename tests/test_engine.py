@@ -182,14 +182,14 @@ def test_run_async_equals_eager_and_per_step_replay(kind, diagnostics, workers, 
     schedule = make_schedule(tag, problem.constants_for(
         x0, trace.num_workers, max(trace.horizon, trace.num_workers)))
     record = run_async(problem, trace, schedule, x0, seed=seed, keep_iterates=True,
-                       diagnostics=diagnostics)
+                       diagnostics=diagnostics, metrics=True)
 
     xs, gammas, gradients = eager_async_run(problem, trace.workers, schedule, x0, seed)
     assert same_bits(record.iterates, xs)
     assert same_bits(record.gammas, gammas)
 
     ref = replay_async(problem, trace, schedule, x0, seed, keep_iterates=True,
-                       diagnostics=diagnostics)
+                       diagnostics=diagnostics, metrics=True)
     for name in ("x_final", "gamma_hats", "gamma_hat_initial", "uniform_sum",
                  "weighted_sum", "fgaps", "gradnorms2"):
         assert same_bits(getattr(record, name), getattr(ref, name)), name
