@@ -14,11 +14,23 @@ seed substream as one block, sized from the worker's arrival count, and
 `sample_grad` evaluates one gradient given its sample. Block draws equal
 one-at-a-time draws, so a gradient evaluated lazily at arrival time against
 the iterate stored at dispatch is identical to eager evaluation at dispatch
-time, and runs are reproducible regardless of interleaving. The loop then
-only applies the updates in order, keeping one dispatch point per worker
-(O(M d) memory); weighted averages over iterates are accumulated as running
-sums, so no iterate history is needed for them. The per-step metric columns
-are filled only on request (`metrics=True`).
+time, and runs are reproducible regardless of interleaving.
+
+The loop then applies the updates x_k = x_{k-1} - gamma_k g(x_{p_k}) a ready
+block at a time. A ready block is a greedy run of arrivals a+1..b whose
+dispatch iterations are all at most a, so every gradient in it is taken at
+an iterate that exists before the block; a worker arrives at most once in a
+block, so it holds at most M arrivals. A block costs one batched
+`sample_grads` call at its dispatch points and one `np.subtract.accumulate`
+over [x_a; gamma_k g_k], which subtracts in the order of k, so each iterate
+equals the per-step one bit for bit; a block of one arrival takes a scalar
+path into the same buffer. The iterates of a chunk of _CHUNK arrivals fill
+one buffer, and a table of dispatch points holds every worker's point at the
+chunk's start followed by that buffer (O((M + _CHUNK) d) memory). Once per
+chunk, the buffer gives the divergence test, the running sums for the
+averaged outputs (added row by row in the order of k, so no iterate history
+is needed for them), the per-step metric columns, filled only on request
+(`metrics=True`), and the iterate history, kept only on request.
 
 The minibatch baseline returns only its final iterate, and the live executor
 records only the arrival order, the delays and the arrival times, which its
@@ -78,7 +90,6 @@ class RunRecord:
     x_final: np.ndarray
     uniform_sum: np.ndarray
     weighted_sum: np.ndarray
-    seed: int
     schedule: StepSchedule | None = None
     iterates: np.ndarray | None = None
     gradients: np.ndarray | None = None
@@ -132,9 +143,11 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
     return [np.random.default_rng([seed, m]) for m in range(1, num_workers + 1)]
 
 
-# steps whose gradient samples are drawn as one block; bounds the noise
-# buffer to _CHUNK x dim values however long the trace is
-_CHUNK = 4096
+# arrivals replayed as one chunk: their gradient samples are drawn as one
+# block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums,
+# the divergence test and the metric columns read that buffer once. Bounds
+# the scratch memory to a few _CHUNK x dim arrays however long the trace is.
+_CHUNK = 1024
 
 
 def _draw_chunk(problem, rngs, workers: np.ndarray):
@@ -152,7 +165,35 @@ def _draw_chunk(problem, rngs, workers: np.ndarray):
     drawn = np.concatenate(blocks)
     samples = np.empty_like(drawn)
     samples[order] = drawn
-    return samples.tolist() if samples.ndim == 1 else samples
+    return samples
+
+
+def _ready_blocks(prevs: list[int], start: int) -> list[int]:
+    """Bounds, relative to `start`, of the ready blocks of the arrivals
+    start, start+1, ...: greedy runs of arrivals whose dispatch iterations
+    are all at most the run's first index, so that every gradient of a run
+    is taken at an iterate that exists before the run starts."""
+    bounds, first = [0], start
+    for i, p in enumerate(prevs, start):
+        if p > first:
+            bounds.append(i - start)
+            first = i
+    bounds.append(len(prevs))
+    return bounds
+
+
+def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added one row at a time in that order."""
+    stack = np.concatenate((total[None], rows))
+    return np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+
+
+def _check_rows(rows: np.ndarray, first_k: int, limit: float) -> None:
+    """_check_divergence on each row, row j being iteration first_k + j; the
+    stacked row dot equals x.dot(x) row for row."""
+    norms2 = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    for j in np.flatnonzero(~(norms2 <= limit * limit)):
+        _check_divergence(rows[j], first_k + int(j), limit)
 
 
 def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
@@ -162,15 +203,16 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
 
     Everything the trace fixes is computed as a column before the loop: the
     dispatch iteration of every arriving gradient, its stepsize and
-    eventual stepsize, and its gradient sample. The loop itself only applies
-    the updates in order. The fgaps and gradnorms2 columns are None unless
-    metrics=True asks for them, which costs one `point_metrics` call (a
-    `value` and a full `grad`) per update. diagnostics=True keeps
-    every dispatched gradient in one (M+K-1, d) array: row m-1 for worker m's
-    dispatch at iteration 0, row M+k-1 for the dispatch at iteration k < K.
-    The rows still in flight at the end are evaluated then, from the same
-    substreams. The virtual-iterate checker reads this store; diagnostics
-    implies keep_iterates. Raises DivergedError when the iterate norm passes
+    eventual stepsize, and its gradient sample. The updates are then applied
+    a ready block at a time (see the module docstring). The fgaps and
+    gradnorms2 columns are None unless metrics=True asks for them, which
+    costs one `point_metrics` call (a `value` and a full `grad`) per update.
+    diagnostics=True keeps every dispatched gradient in one (M+K-1, d) array:
+    row m-1 for worker m's dispatch at iteration 0, row M+k-1 for the
+    dispatch at iteration k < K. The rows still in flight at the end are
+    evaluated then, from the same substreams. The virtual-iterate checker
+    reads this store; diagnostics implies keep_iterates. Raises
+    DivergedError at the first iteration whose iterate norm passes
     divergence_norm or goes non-finite.
     """
     horizon = trace.horizon
@@ -208,31 +250,67 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     weighted_sum = np.zeros(problem.dim)
     evals = horizon
     sample_grad = problem.sample_grad
-    points = [x] * m_count   # the iterate each worker was last dispatched at
+    # rows 0..M-1: every worker's dispatch point when a chunk starts; rows
+    # M, M+1, ...: the chunk's iterates x_start, x_start+1, ..., so that the
+    # dispatch point of each of the chunk's arrivals is one row of the table
+    size = min(_CHUNK, horizon)
+    table = np.empty((m_count + size + 1, problem.dim))
+    table[:] = x
+    points, buf = table[:m_count], table[m_count:]
+    dispatched = np.empty((size, problem.dim))   # x_{p_k} of the chunk's arrivals
 
-    for start in range(0, horizon, _CHUNK):
-        stop = min(start + _CHUNK, horizon)
-        workers = trace.workers[start:stop]
-        samples = _draw_chunk(problem, rngs, workers)
-        if samples is None:
-            samples = [None] * (stop - start)
-        for k, m, p, gamma, sample in zip(range(start + 1, stop + 1), workers.tolist(),
-                                          prevs[start:stop].tolist(),
-                                          gammas[start:stop].tolist(), samples):
-            xp = points[m - 1]
-            g = sample_grad(xp, sample, m)
-            x = x - gamma * g
-            _check_divergence(x, k, divergence_norm)
-            if p:
-                weighted_sum += gamma * xp
-            uniform_sum += x
-            if metrics:
-                fgaps[k - 1], gradnorms2[k - 1] = point_metrics(problem, x)
-            if keep_iterates:
-                iterates[k] = x
+    # a diverged iterate is reported at the chunk's end, after later blocks
+    # have computed on with it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, horizon, _CHUNK):
+            stop = min(start + _CHUNK, horizon)
+            n = stop - start
+            workers = trace.workers[start:stop]
+            chunk_prevs = prevs[start:stop]
+            gamma_rows = gammas[start:stop, None]
+            samples = _draw_chunk(problem, rngs, workers)
+            sample_list = ([None] * n if samples is None
+                           else samples.tolist() if samples.ndim == 1 else samples)
+            src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
             if diagnostics:
-                gradients[m_count + p - 1 if p else m - 1] = g
-            points[m - 1] = x
+                store = np.where(chunk_prevs > 0, m_count + chunk_prevs - 1, workers - 1)
+            src_list, worker_list = src.tolist(), workers.tolist()
+            gamma_list = gammas[start:stop].tolist()
+            bounds = _ready_blocks(chunk_prevs.tolist(), start)
+            for a, b in zip(bounds, bounds[1:]):
+                if b - a == 1:
+                    xp = dispatched[a] = table[src_list[a]]
+                    g = sample_grad(xp, sample_list[a], worker_list[a])
+                    if diagnostics:
+                        gradients[store[a]] = g
+                    np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
+                    continue
+                xps = table.take(src[a:b], axis=0, out=dispatched[a:b], mode="clip")
+                g = problem.sample_grads(xps, None if samples is None else samples[a:b],
+                                         workers[a:b])
+                if diagnostics:
+                    gradients[store[a:b]] = g
+                # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k
+                np.multiply(g, gamma_rows[a:b], out=buf[a + 1:b + 1])
+                np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
+
+            iters = buf[1:n + 1]
+            _check_rows(iters, start + 1, divergence_norm)
+            mask = chunk_prevs > 0
+            weighted_sum = _running_sum(weighted_sum, gamma_rows[mask] * dispatched[:n][mask])
+            uniform_sum = _running_sum(uniform_sum, iters)
+            if metrics:
+                for j in range(n):
+                    fgaps[start + j], gradnorms2[start + j] = point_metrics(problem, iters[j])
+            if keep_iterates:
+                iterates[start + 1:stop + 1] = iters
+            # a worker that arrived in the chunk was re-dispatched at its last arrival
+            latest = np.zeros(m_count, dtype=np.int64)
+            latest[workers - 1] = np.arange(1, n + 1)
+            arrived = latest > 0
+            points[arrived] = buf[latest[arrived]]
+            buf[0] = buf[n]
+    x = buf[0].copy()
 
     for m in range(1, m_count + 1):
         p = int(last[m - 1])
@@ -261,7 +339,6 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
         x_final=x,
         uniform_sum=uniform_sum,
         weighted_sum=weighted_sum,
-        seed=seed,
         schedule=schedule,
         iterates=iterates,
         gradients=gradients,
@@ -295,11 +372,14 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     Each thread computes gradients against its own dispatch snapshot and a
     single lock serializes (number the arrival, update, re-dispatch). No
     arrival happens before every worker holds its first gradient, so the
-    first threads cannot end the run before the last ones start. The arrival
-    order is scheduler-dependent and therefore not reproducible; the
-    realized order becomes an ArrivalTrace, whose delays must equal the ones
-    recorded under the lock, and its replay through run_async must
-    reproduce the live iterate exactly.
+    first threads cannot end the run before the last ones start. After
+    that, each arrival goes to whichever thread wins the lock, so the
+    arrival order, and how many arrivals each worker gets, depend on the
+    thread scheduler and differ from run to run; with many workers some may
+    never arrive at all. That is the nature of a live run. What is
+    guaranteed is its replay: the realized order becomes an ArrivalTrace,
+    whose delays must equal the ones recorded under the lock, and its replay
+    through run_async must reproduce the live iterate exactly.
     """
     if horizon < 1:
         raise LedgerError(f"need at least one arrival, got {horizon}")

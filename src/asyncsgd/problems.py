@@ -93,6 +93,28 @@ class Problem:
         mean = self._grad(x, worker)
         return mean if sample is None else mean + sample
 
+    def sample_grads(self, xs: np.ndarray, samples, workers: np.ndarray) -> np.ndarray:
+        """Stochastic gradients at the rows of xs, row j given samples[j] (a
+        block from `draw`, or None if gradients are exact) and workers[j]:
+        `sample_grad` row by row, stacked. The built-in problems override it
+        with a batched form equal to this loop bit for bit; a subclass that
+        changes how one gradient is evaluated gets this loop back."""
+        if samples is None:
+            samples = [None] * len(xs)
+        elif samples.ndim == 1:
+            samples = samples.tolist()
+        return np.array([self.sample_grad(x, sample, m)
+                         for x, sample, m in zip(xs, samples, workers.tolist())])
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a batched sample_grads is written for one way of evaluating a
+        # gradient: a subclass that changes that way without bringing its
+        # own batched form gets the row-by-row loop back
+        own = vars(cls)
+        if "sample_grads" not in own and {"sample_grad", "_grad", "_row_grad"} & set(own):
+            cls.sample_grads = Problem.sample_grads
+
     def stoch_grad(self, x: np.ndarray, rng: np.random.Generator,
                    worker: int | None = None) -> np.ndarray:
         block = self.draw(rng, 1)
@@ -191,6 +213,16 @@ class _Quadratic(Problem):
     def _grad(self, x, worker=None):
         return self._gram.dot(x) - self._cross
 
+    def _mean_grads(self, xs: np.ndarray) -> np.ndarray:
+        """_grad at the rows of xs. A stacked matvec equals gram.dot(x) row
+        for row; xs @ gram.T (a matrix product) does not."""
+        return np.matmul(self._gram, xs[:, :, None])[:, :, 0] - self._cross
+
+
+def _row_dots(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """rows[j] @ xs[j] for every j, each equal to the single dot product."""
+    return np.matmul(rows[:, None, :], xs[:, :, None])[:, 0, 0]
+
 
 class LeastSquares(_Quadratic):
     """F(x) = ||Ax - b||^2 / (2n) with additive or row-sampling noise.
@@ -220,6 +252,13 @@ class LeastSquares(_Quadratic):
     def _row_grad(self, i, x):
         row = self.mat[i]
         return row * (float(row @ x) - self.rhs[i])
+
+    def sample_grads(self, xs, samples, workers):
+        if self.noise == "rows":
+            rows = self.mat[samples]
+            return rows * (_row_dots(rows, xs) - self.rhs[samples])[:, None]
+        grads = self._mean_grads(xs)
+        return grads if samples is None else grads + samples
 
     def row_noise_power(self, x) -> float:
         """Exact E||g - grad F(x)||^2 under row sampling, by summing all rows."""
@@ -305,6 +344,15 @@ class BoundedNonconvex(Problem):
         row = self.mat[i]
         return row * _rho_prime(float(row @ x) - self.rhs[i])
 
+    def sample_grads(self, xs, samples, workers):
+        if self.noise != "rows":
+            return super().sample_grads(xs, samples, workers)
+        rows = self.mat[samples]
+        t = _row_dots(rows, xs) - self.rhs[samples]
+        # _rho_prime with C pow elementwise, as ** is on the scalar t of
+        # _row_grad; ** on an array squares, which can differ in the last bit
+        return rows * (2.0 * t / np.float_power(1.0 + t * t, 2.0))[:, None]
+
 
 def bounded_nonconvex(dim: int, num_samples: int | None = None, noise: str = "rows",
                       sigma: float | None = None, seed: int = 0) -> BoundedNonconvex:
@@ -342,6 +390,10 @@ class HeterogeneousQuadratics(_Quadratic):
         if not 1 <= worker <= self.num_workers:
             raise ProblemError(f"unknown worker id {worker} (have 1..{self.num_workers})")
         return mean + self.shifts[worker - 1]
+
+    def sample_grads(self, xs, samples, workers):
+        grads = self._mean_grads(xs) + self.shifts[workers - 1]
+        return grads if samples is None else grads + samples
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

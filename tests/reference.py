@@ -320,5 +320,5 @@ def replay_async(problem, trace, schedule, x0, seed, *, keep_iterates=False,
         num_workers=m_count, workers=trace.workers, taus=trace.taus, gammas=gammas,
         gamma_hats=gamma_hats, gamma_hat_initial=gamma_hat_initial, times=trace.times,
         fgaps=fgaps, gradnorms2=gradnorms2, x0=np.array(x0, dtype=np.float64),
-        x_final=x, uniform_sum=uniform_sum, weighted_sum=weighted_sum, seed=seed,
+        x_final=x, uniform_sum=uniform_sum, weighted_sum=weighted_sum,
         schedule=schedule, iterates=iterates, gradients=gradients, gradient_evals=evals)

@@ -3,13 +3,19 @@ the merged trace against the heap event loop, vectorized delays against
 their definition, stepsize columns against per-rule scalar formulas, and
 run_async against eager evaluation and the per-step replay, all bit for bit."""
 
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (
+    DivergedError,
     FixedSpeeds,
+    LeastSquares,
     ProblemConstants,
     RandomSpeeds,
     ScheduleError,
@@ -22,6 +28,9 @@ from asyncsgd import (
     simulate_trace,
     trace_from_workers,
 )
+from asyncsgd import optimizers
+from asyncsgd.optimizers import _ready_blocks
+from asyncsgd.problems import Problem
 from asyncsgd.scheduler import dispatch_iterations
 from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival,
                        reference_gamma, replay_async, same_bits, store_row)
@@ -248,3 +257,125 @@ def test_custom_problem_through_the_split():
     record = run_async(problem, trace, schedule, x0, seed=3, keep_iterates=True)
     xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 3)
     assert same_bits(record.iterates, xs)
+
+
+# ---------------------------------------------------------------------------
+# the ready-block engine
+
+
+def _block_speeds(m_count, kind, seed):
+    if kind == "equal":   # every round of M arrivals is one full block
+        return FixedSpeeds((1.0,) * m_count)
+    if kind == "fixed":
+        return FixedSpeeds(tuple(np.linspace(1.0, 2.0, m_count)))
+    if kind == "straggler":   # a straggler of delay ~K among blocks of length 1
+        return StragglerSpeeds(1.0, m_count, 40.0, m_count)
+    return RandomSpeeds(kind, tuple(np.linspace(1.0, 3.0, m_count)), sigma=1.0, seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=16),
+       st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
+       st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**16),
+       st.integers(min_value=1, max_value=40))
+def test_ready_blocks_are_greedy_runs_of_ready_arrivals(m_count, kind, horizon, seed, start):
+    trace = simulate_trace(_block_speeds(m_count, kind, seed), horizon + start)
+    prevs = trace.prevs[start:].tolist()
+    bounds = _ready_blocks(prevs, start)
+    assert bounds[0] == 0 and bounds[-1] == len(prevs)
+    for a, b in zip(bounds, bounds[1:]):
+        assert b > a
+        # ready: every gradient is taken at an iterate that exists at the block's start
+        assert all(p <= start + a for p in prevs[a:b])
+        # greedy: the next arrival needs an iterate of this block
+        assert b == len(prevs) or prevs[b] > start + a
+        # so no worker arrives twice in a block
+        assert len(set(trace.workers[start + a:start + b].tolist())) == b - a
+    if kind == "equal" and start % m_count == 0:
+        assert set(np.diff(bounds[1:-1]).tolist()) <= {m_count}
+
+
+PROBLEM_KINDS = {
+    "additive": lambda d, m: least_squares(dim=d, sigma=0.6, seed=4),
+    "exact": lambda d, m: least_squares(dim=d, sigma=0.0, seed=4),
+    "rows": lambda d, m: least_squares(dim=d, noise="rows", seed=4),
+    "heterogeneous": lambda d, m: heterogeneous_quadratics(
+        dim=d, num_workers=m, zeta=0.4 if m > 1 and (d > 1 or m % 2 == 0) else 0.0,
+        sigma=0.3, seed=1),
+    "heterogeneous-exact": lambda d, m: heterogeneous_quadratics(
+        dim=d, num_workers=m, zeta=0.4 if m > 1 and (d > 1 or m % 2 == 0) else 0.0, seed=1),
+    "nonconvex-rows": lambda d, m: bounded_nonconvex(dim=d, seed=2),
+    "nonconvex-additive": lambda d, m: bounded_nonconvex(dim=d, noise="additive", sigma=0.5,
+                                                         seed=2),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from([1, 3, 50]),
+       st.integers(min_value=1, max_value=16),
+       st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
+       st.integers(min_value=1, max_value=120), st.sampled_from([1, 2, 3, 7, 16, 1024]),
+       st.booleans(), st.integers(min_value=0, max_value=2**16))
+def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon, chunk,
+                                             diagnostics, seed):
+    # small chunks put chunk edges inside blocks and between them
+    problem = PROBLEM_KINDS[kind](dim, m_count)
+    trace = simulate_trace(_block_speeds(m_count, speeds, seed), horizon)
+    x0 = np.full(dim, 0.5)
+    tag = {"heterogeneous": "adaptive-heterogeneous",
+           "heterogeneous-exact": "adaptive-heterogeneous"}.get(
+        kind, "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
+    schedule = make_schedule(tag, problem.constants_for(x0, m_count, max(horizon, m_count)))
+    with mock.patch.object(optimizers, "_CHUNK", chunk):
+        record = run_async(problem, trace, schedule, x0, seed=seed, keep_iterates=True,
+                           diagnostics=diagnostics, metrics=True)
+    ref = replay_async(problem, trace, schedule, x0, seed, keep_iterates=True,
+                       diagnostics=diagnostics, metrics=True)
+    for name in ("x_final", "uniform_sum", "weighted_sum", "gamma_hats", "gamma_hat_initial",
+                 "iterates", "fgaps", "gradnorms2"):
+        assert same_bits(getattr(record, name), getattr(ref, name)), name
+    assert record.gradient_evals == ref.gradient_evals
+    if diagnostics:
+        for key, g in ref.gradients.items():
+            assert same_bits(record.gradients[store_row(m_count, *key)], g)
+
+
+@pytest.mark.parametrize("step, limit, horizon", [(2.0, 1e12, 200), (4.0, 1e300, 2000)])
+def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
+    # with eight equal workers every block holds eight arrivals; the second
+    # case overflows to inf inside its chunk before the chunk's end reports it
+    problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
+    trace = simulate_trace(FixedSpeeds((1.0,) * 8), horizon)
+    x0 = np.full(3, 0.5)
+    schedule = make_schedule("constant", problem.constants_for(x0, 8, horizon), step)
+    with np.errstate(all="ignore"):
+        xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 1)
+        norms2 = np.array([x.dot(x) for x in xs[1:]])
+    k = int(np.flatnonzero(~(norms2 <= limit * limit))[0]) + 1
+    assert k % 8 not in (0, 1) and k % 16 not in (0, 1)
+    with mock.patch.object(optimizers, "_CHUNK", 16), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
+    assert exc.value.iteration == k
+    norm = math.sqrt(norms2[k - 1]) if math.isfinite(norms2[k - 1]) else math.inf
+    assert exc.value.norm == norm
+    assert (norm == math.inf) == (limit == 1e300)
+
+
+def test_subclass_that_overrides_sample_grad_keeps_its_override():
+    class Doubled(LeastSquares):
+        def sample_grad(self, x, sample, worker=None):
+            return 2.0 * super().sample_grad(x, sample, worker)
+
+    base = least_squares(dim=3, num_samples=12, noise="rows", seed=4)
+    problem = Doubled(base.mat, base.rhs, noise="rows")
+    assert Doubled.sample_grads is Problem.sample_grads
+    trace = simulate_trace(FixedSpeeds((1.0,) * 6), 300)
+    x0 = np.full(3, 0.5)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 6, 300))
+    record = run_async(problem, trace, schedule, x0, seed=2, keep_iterates=True)
+    xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 2)
+    assert same_bits(record.iterates, xs)
+    plain = run_async(base, trace, schedule, x0, seed=2)
+    assert not same_bits(record.x_final, plain.x_final)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsgd import (
     BoundedNonconvex,
@@ -13,7 +15,8 @@ from asyncsgd import (
     least_squares,
     least_squares_from_csv,
 )
-from asyncsgd.problems import RHO_CURV_MAX, RHO_GRAD_MAX, _rho, _rho_prime, point_metrics
+from asyncsgd.problems import (RHO_CURV_MAX, RHO_GRAD_MAX, Problem, _rho, _rho_prime,
+                               point_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +277,63 @@ def test_heterogeneous_target_smoothness():
     p = heterogeneous_quadratics(dim=3, num_workers=2, zeta=0.1, seed=5,
                                  target_smoothness=2.0)
     assert p.smoothness == pytest.approx(2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched gradients
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["additive", "exact", "rows", "heterogeneous", "heterogeneous-exact",
+                        "nonconvex-rows", "nonconvex-additive"]),
+       st.sampled_from([1, 3, 50]), st.integers(min_value=1, max_value=16),
+       st.integers(min_value=0, max_value=2**16))
+def test_batched_sample_grads_equal_per_row_sample_grad(kind, dim, rows, seed):
+    m_count = 4
+    problem = {
+        "additive": lambda: least_squares(dim=dim, sigma=0.6, seed=seed),
+        "exact": lambda: least_squares(dim=dim, sigma=0.0, seed=seed),
+        "rows": lambda: least_squares(dim=dim, noise="rows", seed=seed),
+        "heterogeneous": lambda: heterogeneous_quadratics(dim, m_count, 0.4, sigma=0.3,
+                                                          seed=seed),
+        "heterogeneous-exact": lambda: heterogeneous_quadratics(dim, m_count, 0.4, seed=seed),
+        "nonconvex-rows": lambda: bounded_nonconvex(dim=dim, seed=seed),
+        "nonconvex-additive": lambda: bounded_nonconvex(dim=dim, noise="additive", sigma=0.5,
+                                                        seed=seed),
+    }[kind]()
+    rng = np.random.default_rng(seed)
+    # rows of a larger array, so they start at arbitrary offsets, as in the engine
+    xs = (rng.standard_normal((rows + 1, dim)) * 3.0).reshape(-1)[1:1 + rows * dim]
+    xs = xs.reshape(rows, dim)
+    samples = problem.draw(rng, rows)
+    workers = rng.integers(1, m_count + 1, size=rows)
+    batched = problem.sample_grads(xs, samples, workers)
+    looped = np.array([problem.sample_grad(x, None if samples is None else s, int(m))
+                       for x, s, m in zip(xs, [None] * rows if samples is None else samples,
+                                          workers)])
+    assert batched.dtype == looped.dtype and batched.tobytes() == looped.tobytes()
+
+
+def test_default_sample_grads_stacks_sample_grad():
+    class Scaled(Problem):
+        dim = 2
+        smoothness = 2.0
+
+        def __init__(self):
+            self.seen = []
+
+        def draw(self, rng, count):
+            return rng.uniform(0.5, 1.5, size=count)
+
+        def sample_grad(self, x, sample, worker=None):
+            self.seen.append((type(sample), worker))
+            return sample * worker * x
+
+    problem = Scaled()
+    xs = np.arange(6.0).reshape(3, 2)
+    samples = np.array([0.5, 1.0, 1.5])
+    workers = np.array([2, 1, 3])
+    out = problem.sample_grads(xs, samples, workers)
+    np.testing.assert_array_equal(out, [[0.0, 1.0], [2.0, 3.0], [18.0, 22.5]])
+    # one call per row, with the scalar sample and worker id a row-by-row loop passes
+    assert problem.seen == [(float, 2), (float, 1), (float, 3)]
