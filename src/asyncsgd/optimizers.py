@@ -285,6 +285,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
                         gradients[store[a]] = g
                     np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
                     continue
+                # indices are in range; "clip" lets take write straight into out
                 xps = table.take(src[a:b], axis=0, out=dispatched[a:b], mode="clip")
                 g = problem.sample_grads(xps, None if samples is None else samples[a:b],
                                          workers[a:b])

@@ -22,7 +22,6 @@ import io
 import json
 import os
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from asyncsgd.cli import main
 MANIFEST = Path(__file__).with_name("manifest.json")
 
 
-def _environment() -> dict:
+def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}"}
@@ -111,7 +110,7 @@ SIMULATE = {   # name: (config, also run with --diagnostics)
     "data-csv-exp-weighted": (
         _config(problem={"kind": "least-squares", "csv": "data.csv", "sigma": 0.3},
                 speed_model=FIXED, horizon=120, output_rule="exp-weighted"), False),
-    # past one replay chunk: runs of more than 4096 arrivals
+    # runs that span several replay chunks
     "long-rows-weighted": (
         _config(problem=LS_ROWS, speed_model={"kind": "fixed", "seconds": [
             1.0 + 0.1 * m for m in range(12)]}, horizon=5000), False),
@@ -196,7 +195,7 @@ def build() -> dict:
     for name, (argv, files) in cases().items():
         with tempfile.TemporaryDirectory() as workdir:
             records[name] = run_case(argv, files, workdir)
-    return {"environment": _environment(), "cases": records}
+    return {"environment": environment(), "cases": records}
 
 
 if __name__ == "__main__":
@@ -208,4 +207,3 @@ if __name__ == "__main__":
     for name in sorted(set(old) - set(manifest["cases"])):
         print(f"removed: {name}")
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)

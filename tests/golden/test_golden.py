@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from regen import MANIFEST, _environment, cases, run_case
+from regen import MANIFEST, cases, environment, run_case
 
 RECORDED = json.loads(MANIFEST.read_text())
 CASES = cases()
@@ -21,6 +21,6 @@ def test_golden_case(name, tmp_path):
     record = run_case(argv, files, tmp_path)
     assert record == RECORDED["cases"][name], (
         f"golden case {name!r} no longer reproduces its manifest entry. Recorded with "
-        f"{RECORDED['environment']}, run with {_environment()}: a different environment "
+        f"{RECORDED['environment']}, run with {environment()}: a different environment "
         "can change the last bits of a BLAS result. If the change is meant to alter this "
         "output, rerun tests/golden/regen.py and list the changed case with the reason.")

@@ -322,9 +322,8 @@ def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon
     problem = PROBLEM_KINDS[kind](dim, m_count)
     trace = simulate_trace(_block_speeds(m_count, speeds, seed), horizon)
     x0 = np.full(dim, 0.5)
-    tag = {"heterogeneous": "adaptive-heterogeneous",
-           "heterogeneous-exact": "adaptive-heterogeneous"}.get(
-        kind, "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
+    tag = ("adaptive-heterogeneous" if kind.startswith("heterogeneous")
+           else "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
     schedule = make_schedule(tag, problem.constants_for(x0, m_count, max(horizon, m_count)))
     with mock.patch.object(optimizers, "_CHUNK", chunk):
         record = run_async(problem, trace, schedule, x0, seed=seed, keep_iterates=True,
