@@ -146,7 +146,7 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # arrivals replayed as one chunk: their gradient samples are drawn as one
 # block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums,
 # the divergence test and the metric columns read that buffer once. Bounds
-# the scratch memory to a few _CHUNK x dim arrays however long the trace is.
+# the working memory to a few _CHUNK x dim arrays however long the trace is.
 _CHUNK = 1024
 
 
