@@ -24,13 +24,17 @@ block, so it holds at most M arrivals. A block costs one batched
 `sample_grads` call at its dispatch points and one `np.subtract.accumulate`
 over [x_a; gamma_k g_k], which subtracts in the order of k, so each iterate
 equals the per-step one bit for bit; a block of one arrival takes a scalar
-path into the same buffer. The iterates of a chunk of _CHUNK arrivals fill
-one buffer, and a table of dispatch points holds every worker's point at the
-chunk's start followed by that buffer (O((M + _CHUNK) d) memory). Once per
-chunk, the buffer gives the divergence test, the running sums for the
-averaged outputs (added row by row in the order of k, so no iterate history
-is needed for them), the per-step metric columns, filled only on request
-(`metrics=True`), and the iterate history, kept only on request.
+path into the same buffer, as the batched path costs several times more per
+arrival (every block of a trace with one straggler has length 1). Each
+block's iterates pass the divergence test before the next block takes a
+gradient, so no gradient is ever taken at a point that failed it. The
+iterates of a chunk of _CHUNK arrivals fill one buffer, and a table of
+dispatch points holds every worker's point at the chunk's start followed by
+that buffer (O((M + _CHUNK) d) memory). Once per chunk, the buffer gives the
+running sums for the averaged outputs (added row by row in the order of k,
+so no iterate history is needed for them), the per-step metric columns,
+filled only on request (`metrics=True`), and the iterate history, kept only
+on request.
 
 The minibatch baseline returns only its final iterate, and the live executor
 records only the arrival order, the delays and the arrival times, which its
@@ -144,9 +148,9 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 
 
 # arrivals replayed as one chunk: their gradient samples are drawn as one
-# block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums,
-# the divergence test and the metric columns read that buffer once. Bounds
-# the working memory to a few _CHUNK x dim arrays however long the trace is.
+# block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums
+# and the metric columns read that buffer once. Bounds the working memory
+# to a few _CHUNK x dim arrays however long the trace is.
 _CHUNK = 1024
 
 
@@ -189,11 +193,13 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(rows: np.ndarray, first_k: int, limit: float) -> None:
-    """_check_divergence on each row, row j being iteration first_k + j; the
-    stacked row dot equals x.dot(x) row for row."""
-    norms2 = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-    for j in np.flatnonzero(~(norms2 <= limit * limit)):
-        _check_divergence(rows[j], first_k + int(j), limit)
+    """_check_divergence on each row, row j being iteration first_k + j. One
+    sum of squares screens the rows: at most half of limit^2, it bounds every
+    row's x.dot(x) by limit^2 whatever the rounding, and nan or inf fail it."""
+    flat = rows.ravel()
+    if not flat.dot(flat) <= 0.5 * limit * limit:
+        for j, row in enumerate(rows):
+            _check_divergence(row, first_k + j, limit)
 
 
 def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
@@ -213,7 +219,11 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     evaluated then, from the same substreams. The virtual-iterate checker
     reads this store; diagnostics implies keep_iterates. Raises
     DivergedError at the first iteration whose iterate norm passes
-    divergence_norm or goes non-finite.
+    divergence_norm or goes non-finite, before any gradient is taken at
+    that iterate. A block of several arrivals computes its later rows from
+    gradients at earlier points before the test sees a diverged row, and
+    only that arithmetic runs with numpy's overflow warnings off; the
+    problem's own code runs with the caller's settings.
     """
     horizon = trace.horizon
     m_count = trace.num_workers
@@ -259,58 +269,60 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     points, buf = table[:m_count], table[m_count:]
     dispatched = np.empty((size, problem.dim))   # x_{p_k} of the chunk's arrivals
 
-    # a diverged iterate is reported at the chunk's end, after later blocks
-    # have computed on with it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, horizon, _CHUNK):
-            stop = min(start + _CHUNK, horizon)
-            n = stop - start
-            workers = trace.workers[start:stop]
-            chunk_prevs = prevs[start:stop]
-            gamma_rows = gammas[start:stop, None]
-            samples = _draw_chunk(problem, rngs, workers)
-            sample_list = ([None] * n if samples is None
-                           else samples.tolist() if samples.ndim == 1 else samples)
-            src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
-            if diagnostics:
-                store = np.where(chunk_prevs > 0, m_count + chunk_prevs - 1, workers - 1)
-            src_list, worker_list = src.tolist(), workers.tolist()
-            gamma_list = gammas[start:stop].tolist()
-            bounds = _ready_blocks(chunk_prevs.tolist(), start)
-            for a, b in zip(bounds, bounds[1:]):
-                if b - a == 1:
-                    xp = dispatched[a] = table[src_list[a]]
-                    g = sample_grad(xp, sample_list[a], worker_list[a])
-                    if diagnostics:
-                        gradients[store[a]] = g
-                    np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
-                    continue
-                # indices are in range; "clip" lets take write straight into out
-                xps = table.take(src[a:b], axis=0, out=dispatched[a:b], mode="clip")
-                g = problem.sample_grads(xps, None if samples is None else samples[a:b],
-                                         workers[a:b])
+    for start in range(0, horizon, _CHUNK):
+        stop = min(start + _CHUNK, horizon)
+        n = stop - start
+        workers = trace.workers[start:stop]
+        chunk_prevs = prevs[start:stop]
+        gamma_rows = gammas[start:stop, None]
+        samples = _draw_chunk(problem, rngs, workers)
+        sample_list = ([None] * n if samples is None
+                       else samples.tolist() if samples.ndim == 1 else samples)
+        src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
+        if diagnostics:
+            store = np.where(chunk_prevs > 0, m_count + chunk_prevs - 1, workers - 1)
+        src_list, worker_list = src.tolist(), workers.tolist()
+        gamma_list = gammas[start:stop].tolist()
+        bounds = _ready_blocks(chunk_prevs.tolist(), start)
+        # every block is checked before the next one takes gradients, so no
+        # gradient is taken at a point that failed the divergence test
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a == 1:
+                xp = dispatched[a] = table[src_list[a]]
+                g = sample_grad(xp, sample_list[a], worker_list[a])
                 if diagnostics:
-                    gradients[store[a:b]] = g
-                # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k
+                    gradients[store[a]] = g
+                np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
+                _check_divergence(buf[a + 1], start + a + 1, divergence_norm)
+                continue
+            # indices are in range; "clip" lets take write straight into out
+            xps = table.take(src[a:b], axis=0, out=dispatched[a:b], mode="clip")
+            g = problem.sample_grads(xps, None if samples is None else samples[a:b],
+                                     workers[a:b])
+            if diagnostics:
+                gradients[store[a:b]] = g
+            # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k; the
+            # rows after a diverged one are computed before the check sees it
+            with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(g, gamma_rows[a:b], out=buf[a + 1:b + 1])
                 np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
+                _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm)
 
-            iters = buf[1:n + 1]
-            _check_rows(iters, start + 1, divergence_norm)
-            mask = chunk_prevs > 0
-            weighted_sum = _running_sum(weighted_sum, gamma_rows[mask] * dispatched[:n][mask])
-            uniform_sum = _running_sum(uniform_sum, iters)
-            if metrics:
-                for j in range(n):
-                    fgaps[start + j], gradnorms2[start + j] = point_metrics(problem, iters[j])
-            if keep_iterates:
-                iterates[start + 1:stop + 1] = iters
-            # a worker that arrived in the chunk was re-dispatched at its last arrival
-            latest = np.zeros(m_count, dtype=np.int64)
-            latest[workers - 1] = np.arange(1, n + 1)
-            arrived = latest > 0
-            points[arrived] = buf[latest[arrived]]
-            buf[0] = buf[n]
+        iters = buf[1:n + 1]
+        mask = chunk_prevs > 0
+        weighted_sum = _running_sum(weighted_sum, gamma_rows[mask] * dispatched[:n][mask])
+        uniform_sum = _running_sum(uniform_sum, iters)
+        if metrics:
+            for j in range(n):
+                fgaps[start + j], gradnorms2[start + j] = point_metrics(problem, iters[j])
+        if keep_iterates:
+            iterates[start + 1:stop + 1] = iters
+        # a worker that arrived in the chunk was re-dispatched at its last arrival
+        latest = np.zeros(m_count, dtype=np.int64)
+        latest[workers - 1] = np.arange(1, n + 1)
+        arrived = latest > 0
+        points[arrived] = buf[latest[arrived]]
+        buf[0] = buf[n]
     x = buf[0].copy()
 
     for m in range(1, m_count + 1):

@@ -339,10 +339,8 @@ def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon
             assert same_bits(record.gradients[store_row(m_count, *key)], g)
 
 
-@pytest.mark.parametrize("step, limit, horizon", [(2.0, 1e12, 200), (4.0, 1e300, 2000)])
-def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
-    # with eight equal workers every block holds eight arrivals; the second
-    # case overflows to inf inside its chunk before the chunk's end reports it
+def _diverging_run(step, horizon):
+    # with eight equal workers every block holds eight arrivals
     problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
     trace = simulate_trace(FixedSpeeds((1.0,) * 8), horizon)
     x0 = np.full(3, 0.5)
@@ -350,16 +348,75 @@ def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
     with np.errstate(all="ignore"):
         xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 1)
         norms2 = np.array([x.dot(x) for x in xs[1:]])
+    return problem, trace, x0, schedule, norms2
+
+
+def _first_diverged(norms2, limit):
     k = int(np.flatnonzero(~(norms2 <= limit * limit))[0]) + 1
+    norm = math.sqrt(norms2[k - 1]) if math.isfinite(norms2[k - 1]) else math.inf
+    return k, norm
+
+
+@pytest.mark.parametrize("step, limit, horizon", [(2.0, 1e12, 200), (4.0, 1e300, 2000)])
+def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
+    problem, trace, x0, schedule, norms2 = _diverging_run(step, horizon)
+    k, norm = _first_diverged(norms2, limit)
     assert k % 8 not in (0, 1) and k % 16 not in (0, 1)
-    with mock.patch.object(optimizers, "_CHUNK", 16), warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with mock.patch.object(optimizers, "_CHUNK", 16), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(DivergedError) as exc:
             run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
     assert exc.value.iteration == k
-    norm = math.sqrt(norms2[k - 1]) if math.isfinite(norms2[k - 1]) else math.inf
     assert exc.value.norm == norm
     assert (norm == math.inf) == (limit == 1e300)
+    # under 1e12 nothing overflows. Past about 1.3e154 the squared norm
+    # overflows before the limit, so iterates near 1e308 pass the test, and
+    # the problem's own overflow at them is reported, not silenced
+    sources = {w.filename.rsplit("/", 1)[-1] for w in caught
+               if issubclass(w.category, RuntimeWarning)}
+    assert ("problems.py" in sources) == (limit == 1e300)
+
+
+def test_block_check_reports_the_first_row_past_the_limit():
+    # rows are iterations k = 5..8. Rows inside the limit pass even when
+    # their squares add up past it; a row just past it is reported, and
+    # the first bad row wins
+    limit = 10.0
+    rows = np.zeros((4, 3))
+    rows[:2, 1] = 0.9 * limit
+    optimizers._check_rows(rows, 5, limit)
+    rows[2, 0] = np.nextafter(limit, np.inf)
+    with pytest.raises(DivergedError) as exc:
+        optimizers._check_rows(rows, 5, limit)
+    assert (exc.value.iteration, exc.value.norm) == (7, math.sqrt(rows[2].dot(rows[2])))
+    rows[2, 0] = limit
+    rows[3] = np.nan
+    with pytest.raises(DivergedError) as exc:
+        optimizers._check_rows(rows, 5, limit)
+    assert (exc.value.iteration, exc.value.norm) == (8, math.inf)
+
+
+def test_no_gradient_is_taken_at_a_diverged_point():
+    # a custom problem that rejects points past the limit: the run must
+    # stop at the diverged iterate before any gradient is taken there
+    limit = 1e12
+
+    class Guarded(LeastSquares):
+        def sample_grad(self, x, sample, worker=None):
+            if not x.dot(x) <= limit * limit:
+                raise ValueError("gradient asked at a diverged point")
+            return super().sample_grad(x, sample, worker)
+
+    base, trace, x0, schedule, norms2 = _diverging_run(2.0, 200)
+    problem = Guarded(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
+    k, norm = _first_diverged(norms2, limit)
+    assert k % 8 not in (0, 1)   # mid-block, with later blocks in its chunk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
+    assert (exc.value.iteration, exc.value.norm) == (k, norm)
 
 
 def test_subclass_that_overrides_sample_grad_keeps_its_override():

@@ -2,14 +2,15 @@
 comparison as a BENCH_<n>.json file.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --change . \
-        --out BENCH_11.json [--pairs 10] [--seconds 20] [--traced seed-sweep]
+        --out BENCH_11.json
 
-Both trees are run with their own `perfbench/run.py`, one workload and one
-seed at a time, end to end (`--trace 0`): seed s runs the parent first when
-s is odd and the change first when it is even. Medians and quartiles (linear
+Both trees are run with their own `perfbench/run.py` on every workload in
+BENCHMARK.json, one workload and one seed at a time, end to end
+(`--trace 0`), for seeds 1..PAIRS: seed s runs the parent first when s is
+odd and the change first when it is even. Medians and quartiles (linear
 interpolation) are over the seeds, and `wins` counts the seeds on which the
-change was better. Each workload named by `--traced` also gets one traced run
-(`--trace 1`, seed 1) per tree, for the per-layer metrics.
+change was better. Every workload also gets one traced run (`--trace 1`,
+seed 1) per tree, for the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+PAIRS = 10        # alternating parent/change runs per workload
+SECONDS = 20.0    # run length of each run, as in BENCH_7.json
+
 METHOD = ("Each workload ran once per seed on the parent and once on the change, back to "
           "back, alternating which tree went first (parent first on odd seeds). Times are "
           "the benchmark's reference-host seconds. Medians and quartiles (linear "
@@ -29,11 +33,11 @@ METHOD = ("Each workload ran once per seed on the parent and once on the change,
           "was better.")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+def run(tree: Path, workload: str, seed: int, trace: int):
     """One benchmark run: its environment line and its final JSON object."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 2 or not lines:
@@ -68,26 +72,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
     parser.add_argument("--change", type=Path, required=True, help="changed source tree")
     parser.add_argument("--out", type=Path, required=True, help="BENCH json to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated workloads (default: every one in BENCHMARK.json)")
-    parser.add_argument("--traced", default="", help="comma-separated workloads to trace")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     spec = {m["name"]: m for m in bench["end_to_end"]}
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in bench["workloads"]])
+    names = [w["name"] for w in bench["workloads"]]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
                                 capture_output=True, text=True).stdout.strip()
-    seeds = list(range(1, args.pairs + 1))
+    seeds = list(range(1, PAIRS + 1))
     envs, workloads, traced = [], {}, {}
     for name in names:
         results = {"parent": [], "change": []}
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                env, result = run(getattr(args, side), name, seed, args.seconds, 0)
+                env, result = run(getattr(args, side), name, seed, 0)
                 if env not in envs:
                     envs.append(env)
                 results[side].append(result)
@@ -101,13 +99,13 @@ def main(argv=None) -> int:
                           for side, rs in results.items()},
             "metrics": compare(results["parent"], results["change"], spec),
         }
-    for name in filter(None, args.traced.split(",")):
+    for name in names:
         traced[name] = {"seed": 1, **{
             side: {key: value["value"] for key, value in
-                   run(getattr(args, side), name, 1, args.seconds, 1)[1]["metrics"].items()}
+                   run(getattr(args, side), name, 1, 1)[1]["metrics"].items()}
             for side in ("parent", "change")}}
     payload = {"command": "python3 perfbench/run.py --workload <name> --seed <seed> "
-                          f"--seconds {args.seconds:g} --trace <0|1>",
+                          f"--seconds {SECONDS:g} --trace <0|1>",
                "environment": envs, "parent": parent_rev, "method": METHOD,
                "workloads": workloads, "traced": traced}
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
