@@ -8,13 +8,15 @@ the dispatch iteration p_k of every arriving gradient and its delay (the
 trace's `prevs` and `taus` columns, derived once when the trace was built),
 its stepsize gamma_k = gamma(tau_k), every gradient's eventual stepsize (the
 stepsize it is consumed with, or the terminal-delay stepsize if it is still
-in flight when the run ends), and the gradient noise. The noise comes from
-the problem's split oracle: `draw` takes a worker's samples from its own
-seed substream as one block, sized from the worker's arrival count, and
-`sample_grad` evaluates one gradient given its sample. Block draws equal
-one-at-a-time draws, so a gradient evaluated lazily at arrival time against
-the iterate stored at dispatch is identical to eager evaluation at dispatch
-time, and runs are reproducible regardless of interleaving.
+in flight when the run ends; one column over the dispatch slots), and the
+gradient noise. The noise comes from the problem's split oracle: `draw`
+takes a worker's samples from its own seed substream as one block, sized
+from the worker's arrival count, and `sample_grad` evaluates one gradient
+given its sample. Block draws equal one-at-a-time draws, so a gradient
+evaluated lazily at arrival time against the iterate stored at dispatch is
+identical to eager evaluation at dispatch time, and runs are reproducible
+regardless of interleaving; the gradients still in flight at the end are
+evaluated, when asked for, by the same draws and batched calls.
 
 The loop then applies the updates x_k = x_{k-1} - gamma_k g(x_{p_k}) a ready
 block at a time. A ready block is a greedy run of arrivals a+1..b whose
@@ -186,6 +188,11 @@ def _ready_blocks(prevs: list[int], start: int) -> list[int]:
     return bounds
 
 
+def _slot(dispatch: np.ndarray, workers: np.ndarray, m_count: int) -> np.ndarray:
+    """Slot of each dispatch: m-1 for worker m's at iteration 0, else M+p-1."""
+    return np.where(dispatch > 0, m_count + dispatch - 1, workers - 1)
+
+
 def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """total + rows[0] + rows[1] + ..., added one row at a time in that order."""
     stack = np.concatenate((total[None], rows))
@@ -213,17 +220,17 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     a ready block at a time (see the module docstring). The fgaps and
     gradnorms2 columns are None unless metrics=True asks for them, which
     costs one `point_metrics` call (a `value` and a full `grad`) per update.
-    diagnostics=True keeps every dispatched gradient in one (M+K-1, d) array:
-    row m-1 for worker m's dispatch at iteration 0, row M+k-1 for the
-    dispatch at iteration k < K. The rows still in flight at the end are
-    evaluated then, from the same substreams. The virtual-iterate checker
-    reads this store; diagnostics implies keep_iterates. Raises
+    diagnostics=True keeps every dispatched gradient in one (M+K-1, d) array
+    indexed by slot: row m-1 for worker m's dispatch at iteration 0, row M+k-1
+    for the dispatch at iteration k < K, the rows still in flight at the end
+    evaluated then, by one draw and one batched call. The virtual-iterate
+    checker reads this store; diagnostics implies keep_iterates. Raises
     DivergedError at the first iteration whose iterate norm passes
-    divergence_norm or goes non-finite, before any gradient is taken at
-    that iterate. A block of several arrivals computes its later rows from
-    gradients at earlier points before the test sees a diverged row, and
-    only that arithmetic runs with numpy's overflow warnings off; the
-    problem's own code runs with the caller's settings.
+    divergence_norm or goes non-finite, before any gradient is taken at that
+    iterate. A block of several arrivals computes its later rows from
+    gradients at earlier points before the test sees a diverged row, and only
+    that arithmetic runs with numpy's overflow warnings off; the problem's own
+    code runs with the caller's settings.
     """
     horizon = trace.horizon
     m_count = trace.num_workers
@@ -233,32 +240,28 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     keep_iterates = keep_iterates or diagnostics
     rngs = worker_streams(seed, m_count)
 
-    # columns: dispatch iteration p_k, stepsize gamma_k, and the eventual
-    # stepsize of every dispatch, which is the stepsize its gradient is
-    # consumed with at the worker's next arrival
+    # columns: dispatch iteration p_k, stepsize gamma_k, and every dispatch's
+    # eventual stepsize by slot: the one it is consumed with at the worker's
+    # next arrival, or the terminal-delay one if it is still in flight
     prevs = trace.prevs
     gammas = schedule.gammas(trace.taus)
-    consumed = prevs > 0
-    gamma_hats = np.full(horizon, np.nan)
-    gamma_hats[prevs[consumed] - 1] = gammas[consumed]
-    gamma_hat_initial = np.full(m_count, np.nan)
-    gamma_hat_initial[trace.workers[~consumed] - 1] = gammas[~consumed]
-    # gradients still in flight at the end are priced with the terminal delay
-    last = np.zeros(m_count, dtype=np.int64)
+    last = np.zeros(m_count, dtype=np.int64)   # each worker's last dispatch
     last[trace.workers - 1] = np.arange(1, horizon + 1)
-    terminal = schedule.gammas(np.maximum(1, horizon - last))
+    ids = np.arange(1, m_count + 1)
+    ends = _slot(last, ids, m_count)
+    hats = np.full(m_count + horizon, np.nan)
+    hats[_slot(prevs, trace.workers, m_count)] = gammas
+    hats[ends] = schedule.gammas(np.maximum(1, horizon - last))
 
     fgaps = np.empty(horizon) if metrics else None
     gradnorms2 = np.empty(horizon) if metrics else None
     iterates = np.empty((horizon + 1, problem.dim)) if keep_iterates else None
     if keep_iterates:
         iterates[0] = x
-    # dense store of the evaluated dispatches: row m-1 for worker m's
-    # dispatch at iteration 0, row M+p-1 for the dispatch at iteration p
+    # dense store of the evaluated dispatches, indexed by slot
     gradients = np.empty((m_count + horizon - 1, problem.dim)) if diagnostics else None
     uniform_sum = np.zeros(problem.dim)
     weighted_sum = np.zeros(problem.dim)
-    evals = horizon
     sample_grad = problem.sample_grad
     # rows 0..M-1: every worker's dispatch point when a chunk starts; rows
     # M, M+1, ...: the chunk's iterates x_start, x_start+1, ..., so that the
@@ -267,7 +270,6 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     table = np.empty((m_count + size + 1, problem.dim))
     table[:] = x
     points, buf = table[:m_count], table[m_count:]
-    dispatched = np.empty((size, problem.dim))   # x_{p_k} of the chunk's arrivals
 
     for start in range(0, horizon, _CHUNK):
         stop = min(start + _CHUNK, horizon)
@@ -280,7 +282,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
                        else samples.tolist() if samples.ndim == 1 else samples)
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
         if diagnostics:
-            store = np.where(chunk_prevs > 0, m_count + chunk_prevs - 1, workers - 1)
+            store = _slot(chunk_prevs, workers, m_count)
         src_list, worker_list = src.tolist(), workers.tolist()
         gamma_list = gammas[start:stop].tolist()
         bounds = _ready_blocks(chunk_prevs.tolist(), start)
@@ -288,17 +290,14 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
         # gradient is taken at a point that failed the divergence test
         for a, b in zip(bounds, bounds[1:]):
             if b - a == 1:
-                xp = dispatched[a] = table[src_list[a]]
-                g = sample_grad(xp, sample_list[a], worker_list[a])
+                g = sample_grad(table[src_list[a]], sample_list[a], worker_list[a])
                 if diagnostics:
                     gradients[store[a]] = g
                 np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
                 _check_divergence(buf[a + 1], start + a + 1, divergence_norm)
                 continue
-            # indices are in range; "clip" lets take write straight into out
-            xps = table.take(src[a:b], axis=0, out=dispatched[a:b], mode="clip")
-            g = problem.sample_grads(xps, None if samples is None else samples[a:b],
-                                     workers[a:b])
+            g = problem.sample_grads(table.take(src[a:b], axis=0),
+                                     None if samples is None else samples[a:b], workers[a:b])
             if diagnostics:
                 gradients[store[a:b]] = g
             # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k; the
@@ -309,8 +308,10 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
                 _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm)
 
         iters = buf[1:n + 1]
+        # the table still holds every dispatch point of the chunk
         mask = chunk_prevs > 0
-        weighted_sum = _running_sum(weighted_sum, gamma_rows[mask] * dispatched[:n][mask])
+        weighted_sum = _running_sum(weighted_sum,
+                                    gamma_rows[mask] * table.take(src[mask], axis=0))
         uniform_sum = _running_sum(uniform_sum, iters)
         if metrics:
             for j in range(n):
@@ -325,26 +326,22 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
         buf[0] = buf[n]
     x = buf[0].copy()
 
-    for m in range(1, m_count + 1):
-        p = int(last[m - 1])
-        gamma = float(terminal[m - 1])
-        if p == 0:
-            gamma_hat_initial[m - 1] = gamma
-        else:
-            gamma_hats[p - 1] = gamma
-            weighted_sum += gamma * points[m - 1]
-        if diagnostics and p < horizon:
-            gradients[m_count + p - 1 if p else m - 1] = problem.stoch_grad(
-                points[m - 1], rngs[m - 1], worker=m)
-            evals += 1
+    # the gradients still in flight: weighted at their terminal stepsizes in
+    # worker order and, under diagnostics, evaluated from the same substreams
+    inflight = last > 0
+    weighted_sum = _running_sum(weighted_sum, hats[ends[inflight], None] * points[inflight])
+    pending = last < horizon   # all but the worker arriving at K
+    if diagnostics and pending.any():
+        gradients[ends[pending]] = problem.sample_grads(
+            points[pending], _draw_chunk(problem, rngs, ids[pending]), ids[pending])
 
     return RunRecord(
         num_workers=m_count,
         workers=trace.workers,
         taus=trace.taus,
         gammas=gammas,
-        gamma_hats=gamma_hats,
-        gamma_hat_initial=gamma_hat_initial,
+        gamma_hats=hats[m_count:],
+        gamma_hat_initial=hats[:m_count],
         times=trace.times,
         fgaps=fgaps,
         gradnorms2=gradnorms2,
@@ -355,7 +352,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
         schedule=schedule,
         iterates=iterates,
         gradients=gradients,
-        gradient_evals=evals,
+        gradient_evals=horizon + (int(pending.sum()) if diagnostics else 0),
     )
 
 
@@ -373,8 +370,9 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
         acc = np.zeros(problem.dim)
         for m, rng in enumerate(rngs, 1):
             acc += problem.stoch_grad(x, rng, worker=m)
-        x = x - step * (acc / num_workers)
-        _check_divergence(x, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x - step * (acc / num_workers)
+            _check_divergence(x, r)
     return x
 
 
@@ -428,8 +426,9 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
                 tau = k - dispatched_at[m - 1]
                 dispatched_at[m - 1] = k
                 try:
-                    shared["x"] = shared["x"] - schedule.gamma(tau) * g
-                    _check_divergence(shared["x"], k, divergence_norm)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        shared["x"] = shared["x"] - schedule.gamma(tau) * g
+                        _check_divergence(shared["x"], k, divergence_norm)
                 except Exception as exc:
                     shared["failure"] = exc
                     return

@@ -287,7 +287,7 @@ def replay_async(problem, trace, schedule, x0, seed, *, keep_iterates=False,
         evals += 1
         gamma = schedule.gamma(int(trace.taus[i]))
         x = x - gamma * g
-        if not float(x @ x) <= divergence_norm**2:
+        if not float(x @ x) <= divergence_norm * divergence_norm:
             raise RuntimeError(f"diverged at {k}")
         gammas[i] = gamma
         if p == 0:

@@ -55,6 +55,11 @@ def test_benchmark_workloads_run_clean(tmp_path, monkeypatch):
         if name == "straggler-long":
             # its checks hold at any horizon; the benchmark's 2e5 + 1 takes seconds
             workload.horizon = 2001
-        unit = workload.run(workload.setup())
-        assert unit.failures == [], name
-        assert unit.updates > 0 and unit.run_s, name
+        # the benchmark repeats a unit from one setup, and a repeat whose
+        # outputs differ from the first unit's counts as failed
+        inputs = workload.setup()
+        first = workload.run(inputs)
+        for unit in (first, workload.run(inputs)):
+            assert unit.failures == [], name
+            assert unit.updates > 0 and unit.run_s, name
+            assert unit.fingerprint == first.fingerprint, name

@@ -429,6 +429,22 @@ def test_compare_degenerate_budget(tmp_path, capsys):
     assert "async" not in payload
 
 
+def test_compare_diverged_minibatch_baseline_prints_only_the_failure(tmp_path, capsys):
+    # the huge step overflows the baseline's squared norm; that is the
+    # divergence being reported, not a warning to print beside it
+    cfg = write_config(tmp_path, {
+        "problem": {"kind": "least-squares", "dim": 2, "num_samples": 10, "sigma": 0.5},
+        "seconds": [1.0, 3.0],
+        "duration": 30.0,
+        "schedule": {"kind": "adaptive-convex"},
+        "minibatch_step": 1e300,
+    })
+    code, _, err = run_cli(capsys, ["compare", "--config", cfg])
+    assert code == 1
+    assert err.startswith("run failed: iterates diverged at iteration 1 ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

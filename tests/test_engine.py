@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (
@@ -310,17 +310,30 @@ PROBLEM_KINDS = {
 }
 
 
+# an explicit order in which workers 3 and 4 never arrive, so their first
+# gradients are priced at delay K and evaluated at the end, and worker 1
+# arrives last, at K
+NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from([1, 3, 50]),
        st.integers(min_value=1, max_value=16),
        st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
        st.integers(min_value=1, max_value=120), st.sampled_from([1, 2, 3, 7, 16, 1024]),
        st.booleans(), st.integers(min_value=0, max_value=2**16))
+@example("additive", 3, 1, "equal", 40, 7, True, 5)   # one worker: nothing in flight
+@example("additive", 3, 1, "equal", 40, 7, False, 5)
+@example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, True, 3)
+@example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, False, 3)
+@example("rows", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 1024, True, 3)
 def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon, chunk,
                                              diagnostics, seed):
-    # small chunks put chunk edges inside blocks and between them
+    # small chunks put chunk edges inside blocks and between them; a tuple
+    # of speeds is an explicit arrival order
     problem = PROBLEM_KINDS[kind](dim, m_count)
-    trace = simulate_trace(_block_speeds(m_count, speeds, seed), horizon)
+    trace = (trace_from_workers(speeds, m_count) if isinstance(speeds, tuple)
+             else simulate_trace(_block_speeds(m_count, speeds, seed), horizon))
     x0 = np.full(dim, 0.5)
     tag = ("adaptive-heterogeneous" if kind.startswith("heterogeneous")
            else "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
@@ -335,8 +348,13 @@ def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon
         assert same_bits(getattr(record, name), getattr(ref, name)), name
     assert record.gradient_evals == ref.gradient_evals
     if diagnostics:
+        # every row of the dense store is one evaluated dispatch
+        assert sorted(store_row(m_count, *key) for key in ref.gradients) == \
+            list(range(len(record.gradients)))
         for key, g in ref.gradients.items():
             assert same_bits(record.gradients[store_row(m_count, *key)], g)
+    else:
+        assert record.gradients is None
 
 
 def _diverging_run(step, horizon):
@@ -370,6 +388,8 @@ def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
     assert exc.value.iteration == k
     assert exc.value.norm == norm
     assert (norm == math.inf) == (limit == 1e300)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=f"^diverged at {k}$"):
+        replay_async(problem, trace, schedule, x0, 1, divergence_norm=limit)
     # under 1e12 nothing overflows. Past about 1.3e154 the squared norm
     # overflows before the limit, so iterates near 1e308 pass the test, and
     # the problem's own overflow at them is reported, not silenced

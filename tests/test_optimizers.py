@@ -305,6 +305,16 @@ def test_live_propagates_divergence():
         run_live(problem, schedule, 2, 500, np.ones(2), seed=0, divergence_norm=1e6)
 
 
+def test_live_overflowing_step_is_a_divergence_not_a_warning():
+    # x.dot(x) overflows at the first arrival; under warnings-as-errors that
+    # must still end the run as a DivergedError
+    problem = least_squares(dim=2, num_samples=10, sigma=0.0, seed=0)
+    schedule = make_schedule("constant", problem.constants_for(np.ones(2), 2, 50), 1e300)
+    with pytest.raises(DivergedError) as exc:
+        run_live(problem, schedule, 2, 50, np.ones(2), seed=0)
+    assert exc.value.iteration == 1
+
+
 def test_live_dispatches_every_worker_before_the_first_arrival(monkeypatch):
     # no thread takes a second gradient before all 16 hold their first
     problem = least_squares(dim=2, num_samples=10, sigma=0.3, seed=1)
