@@ -11,22 +11,25 @@ stepsize assignment and missed in-flight gradients at machine precision.
 The tracker reads the run's dense gradient store, one (M+K-1, d) array in
 which row m-1 holds worker m's dispatch at iteration 0 and row M+k-1 the
 gradient dispatched at iteration k < K. It walks the horizon in blocks of
-_BLOCK iterations with no per-step Python work: the virtual iterates are one
-np.subtract.accumulate per block, the store row each worker holds is a
-forward fill of the block's arrivals, and the in-flight sum is added worker
-by worker in id order, which is the order a per-step loop adds in. Its
-output therefore equals that loop (`reference_track` in tests/reference.py)
-bit for bit.
+_BLOCK iterations with no per-step Python work. The virtual iterates are one
+np.subtract.accumulate per block. Each block prices its rows once, in one
+scratch array: the M rows the workers hold at its start, its own dispatches
+and a zero row. The row each worker holds at each arrival is a forward fill
+of the block's arrivals, with the arriving worker pointed at the zero row, so
+the in-flight sum is a plain add of one gathered row per worker, in id order,
+which is the order a per-step loop adds in. The residuals take every row's
+squared norm as one stacked row dot, equal to a.dot(a). The output therefore
+equals that loop (`reference_track` in tests/reference.py) bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optimizers import RunRecord
+from .problems import _row_dots
 
 
 class DiagnosticsError(ValueError):
@@ -36,7 +39,7 @@ class DiagnosticsError(ValueError):
 INJECTABLE_BUGS = ("prev-off-by-one",)
 
 # iterations per block of the tracker; bounds its scratch arrays to a few
-# (_BLOCK, d) and (_BLOCK, M) arrays however long the run is
+# (_BLOCK, d), (_BLOCK, M) and (M + _BLOCK + 1, d) arrays however long the run is
 _BLOCK = 128
 
 
@@ -96,10 +99,14 @@ def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
     head = np.concatenate([record.x0[None], price[:m_count, None] * store[:m_count]])
     virtual[0] = np.subtract.accumulate(head, axis=0)[-1]
 
-    ids = np.arange(1, m_count + 1)
-    held = np.arange(m_count)[None]   # store row each worker holds in flight
+    ids = np.arange(1, m_count + 1)[:, None]
+    held = np.arange(m_count)         # store row each worker holds in flight
+    # held rows, then the block's own dispatches, then the zero row, all priced
+    priced = np.zeros((m_count + _BLOCK + 1, dim))
+    zero = m_count + _BLOCK
     for start in range(0, horizon, _BLOCK):
         stop = min(start + _BLOCK, horizon)
+        n = stop - start
         # x_hat_k = x_hat_{k-1} - gamma_hat_{k-1} g_{k-1}, subtracted in sequence
         # from the last virtual point of the previous block
         lo = max(start - 1, 0)
@@ -107,26 +114,33 @@ def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
         np.subtract.accumulate(
             np.concatenate([virtual[lo:lo + 1], price[steps, None] * store[steps]]),
             axis=0, out=virtual[lo:stop])
+        # local row m_count + i is the dispatch at arrival i; the dispatch at K
+        # is never stored, and never read before the next block
+        own = slice(m_count + start, m_count + stop - 1)
+        np.multiply(recon_price[held, None], store[held], out=priced[:m_count])
+        np.multiply(recon_price[own, None], store[own], out=priced[m_count:m_count + n - 1])
         arriving = record.workers[start:stop]
-        # each arrival k moves its worker's row to M+k-1; carry the rest forward
-        moved = np.where(arriving[:, None] == ids,
-                         m_count + np.arange(start, stop)[:, None], -1)
-        rows = np.maximum.accumulate(np.concatenate([held, moved]), axis=0)
-        held = rows[-1:]
-        rows = rows[:-1]
-        # in-flight sum over the workers other than the arriving one, added in
-        # worker id order; a reduce over a gathered (n, M, d) block would add
-        # pairwise (numpy does so at d=1) and differ in the last bits
-        recon = np.zeros((stop - start, dim))
-        for m in range(m_count):
-            r = rows[:, m]
-            np.add(recon, recon_price[r, None] * store[r], out=recon,
-                   where=(arriving != m + 1)[:, None])
+        # local[m, i]: the row worker m+1 holds at arrival i. Each arrival moves
+        # its worker to its own local row; the rest carry forward
+        moved = np.where(ids == arriving, m_count + np.arange(n), -1)
+        local = np.maximum.accumulate(
+            np.concatenate([np.arange(m_count)[:, None], moved], axis=1), axis=1)
+        held = np.concatenate([held, m_count + np.arange(start, stop)])[local[:, -1]]
+        local = local[:, :-1]
+        local[arriving - 1, np.arange(n)] = zero
+        # in-flight sum added worker by worker in id order, as the per-step loop
+        # adds; recon starts at +0.0 and never becomes -0.0, so adding the zero
+        # row is the same as skipping the term
+        recon = np.zeros((n, dim))
+        for rows in local:
+            recon += priced.take(rows, axis=0)
         gap = np.subtract(record.iterates[start + 1:stop + 1], virtual[start:stop],
                           out=gaps[start:stop])
-        miss = gap - recon
-        # the norm of a vector is sqrt(a.dot(a)), as np.linalg.norm takes it
-        residuals[start:stop] = [math.sqrt(a.dot(a)) / (1.0 + math.sqrt(b.dot(b)))
-                                 for a, b in zip(miss, gap)]
+        miss = np.subtract(gap, recon, out=recon)
+        # the norm of a vector is sqrt(a.dot(a)), as np.linalg.norm takes it; the
+        # stacked row dot equals a.dot(a) row by row
+        residuals[start:stop] = (np.sqrt(_row_dots(miss, miss))
+                                 / (1.0 + np.sqrt(_row_dots(gap, gap))))
 
     return VirtualTrack(virtual, gaps, residuals)
+

@@ -5,11 +5,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import asyncsgd
 import asyncsgd.cli
 import asyncsgd.invariants
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 
 
 def test_exported_names_are_pinned():
@@ -63,3 +66,21 @@ def test_benchmark_workloads_run_clean(tmp_path, monkeypatch):
             assert unit.failures == [], name
             assert unit.updates > 0 and unit.run_s, name
             assert unit.fingerprint == first.fingerprint, name
+
+
+@pytest.mark.parametrize("stdout", ["", 'print(\'{"metrics": {}, "failed": 1}\')'],
+                         ids=["no-output", "metrics"])
+def test_bench_pairs_stops_on_a_failed_run(tmp_path, stdout):
+    # a run that exits 1 is no measurement, whether or not it printed metrics
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import sys\n{stdout}\nprint('check failed: residual', file=sys.stderr)\nsys.exit(1)\n")
+    with pytest.raises(SystemExit) as failed:
+        bench_pairs.run(tmp_path, "diagnostics-wide", 3, 1)
+    message = str(failed.value)
+    for part in ("exit 1", str(tmp_path), "workload diagnostics-wide", "seed 3", "--trace 1",
+                 "check failed: residual"):
+        assert part in message

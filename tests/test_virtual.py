@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from asyncsgd import (
     trace_from_workers,
     track,
 )
+from asyncsgd import virtual
+from asyncsgd.problems import _row_dots
 from reference import naive_virtual, reference_track, same_bits
 
 
@@ -117,27 +120,37 @@ def test_track_requires_diagnostics_mode():
         track(diag)
 
 
+# block sizes the bit-for-bit test patches into the tracker
+BLOCKS = (1, 2, 3, 7, virtual._BLOCK)
+
+
 @st.composite
 def tracker_cases(draw):
-    """(dim, M, arrival order, seed). Only workers 1..active ever arrive, so
-    workers active+1..M never return; the horizons 127, 128, 129 and 257 sit
-    on the tracker's block edges."""
+    """(dim, M, arrival order, seed, block). Only workers 1..active ever
+    arrive, so workers active+1..M never return; the horizon is often one of
+    the drawn block's edges."""
+    block = draw(st.sampled_from(BLOCKS))
     m_count = draw(st.integers(min_value=1, max_value=10))
     active = draw(st.integers(min_value=1, max_value=m_count))
-    horizon = draw(st.one_of(st.sampled_from([127, 128, 129, 257]),
-                             st.integers(min_value=1, max_value=300)))
+    edges = [k for k in (block - 1, block, block + 1, 2 * block + 1) if k >= 1]
+    horizon = draw(st.one_of(st.sampled_from(edges), st.integers(min_value=1, max_value=300)))
     workers = draw(st.lists(st.integers(min_value=1, max_value=active),
                             min_size=horizon, max_size=horizon))
-    return draw(st.sampled_from([1, 3])), m_count, workers, draw(st.integers(0, 2**16))
+    return (draw(st.sampled_from([1, 3, 50])), m_count, workers, draw(st.integers(0, 2**16)),
+            block)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tracker_cases())
-@example((1, 8, [(k * 5) % 8 + 1 for k in range(129)], 1))
-@example((1, 10, [(k * 3) % 7 + 1 for k in range(257)], 2))
-@example((3, 9, [1, 2, 3] * 42 + [4], 3))
+@example((1, 8, [(k * 5) % 8 + 1 for k in range(129)], 1, 128))
+@example((1, 10, [(k * 3) % 7 + 1 for k in range(257)], 2, 128))
+@example((3, 9, [1, 2, 3] * 42 + [4], 3, 128))
+# worker 4 never arrives: its dispatch-0 row is held across every block
+@example((50, 4, [k % 3 + 1 for k in range(40)], 4, 7))
+# worker 3 is a straggler that arrives only at K
+@example((3, 3, [1, 2] * 20 + [3], 5, 3))
 def test_track_equals_per_step_reference_bit_for_bit(case):
-    dim, m_count, workers, seed = case
+    dim, m_count, workers, seed, block = case
     problem = least_squares(dim=dim, num_samples=12, sigma=0.7, seed=seed % 97)
     trace = trace_from_workers(workers, num_workers=m_count)
     x0 = np.ones(dim)
@@ -145,11 +158,25 @@ def test_track_equals_per_step_reference_bit_for_bit(case):
         x0, m_count, max(trace.horizon, m_count)))
     record = run_async(problem, trace, schedule, x0, seed=seed, diagnostics=True)
     for inject in (None, "prev-off-by-one"):
-        vt = track(record, inject=inject)
+        with mock.patch.object(virtual, "_BLOCK", block):
+            vt = track(record, inject=inject)
         got = (vt.virtual_iterates, vt.gaps, vt.rel_residuals)
         for name, a, b in zip(("virtual_iterates", "gaps", "rel_residuals"), got,
                               reference_track(record, inject)):
-            assert same_bits(a, b), (name, inject)
+            assert same_bits(a, b), (name, inject, block)
+
+
+def test_stacked_row_dot_equals_dot():
+    # track takes every row's squared norm in one stacked matmul; its residuals
+    # equal the per-step loop's only while that is a.dot(a) row by row
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    rng = np.random.default_rng(17)
+    for dim in range(1, 258):
+        rows = rng.standard_normal((9, dim)) * np.exp(rng.uniform(-20, 20, (9, 1)))
+        want = np.array([float(a.dot(a)) for a in rows])
+        assert same_bits(_row_dots(rows, rows), want), (
+            f"stacked row dot differs from a.dot(a) at d={dim} under numpy {np.__version__} "
+            f"with {blas.get('name')} {blas.get('version')}")
 
 
 def test_tracker_and_store_memory():

@@ -40,8 +40,12 @@ def run(tree: Path, workload: str, seed: int, trace: int):
          "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode == 2 or not lines:
-        raise SystemExit(f"benchmark failed in {tree}: {proc.stderr.strip()}")
+    if proc.returncode != 0 or not lines:
+        # perfbench exits 1 on a failed output check or a unit whose
+        # fingerprint differs from the first; such a run is no measurement
+        raise SystemExit(f"benchmark run failed (exit {proc.returncode}) in {tree}: "
+                         f"workload {workload}, seed {seed}, --trace {trace}\n"
+                         f"{proc.stderr.strip()}")
     env = next((json.loads(line.split(":", 1)[1]) for line in lines
                 if line.startswith("environment:")), None)
     return env, json.loads(lines[-1])
