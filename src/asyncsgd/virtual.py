@@ -129,8 +129,9 @@ def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
         local = local[:, :-1]
         local[arriving - 1, np.arange(n)] = zero
         # in-flight sum added worker by worker in id order, as the per-step loop
-        # adds; recon starts at +0.0 and never becomes -0.0, so adding the zero
-        # row is the same as skipping the term
+        # adds (a reduce over a gathered (n, M, d) block adds pairwise and differs
+        # in the last bits); recon starts at +0.0 and never becomes -0.0, so
+        # adding the zero row is the same as skipping the term
         recon = np.zeros((n, dim))
         for rows in local:
             recon += priced.take(rows, axis=0)
@@ -143,4 +144,3 @@ def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
                                  / (1.0 + np.sqrt(_row_dots(gap, gap))))
 
     return VirtualTrack(virtual, gaps, residuals)
-
