@@ -147,11 +147,21 @@ def cases() -> dict:
                 config)
     add("sweep-metrics-on", ["sweep", "--out", "out"], SWEEP_BASE)
     add("sweep-metrics-off", ["sweep", "--out", "out"], {**SWEEP_BASE, "metrics": False})
+    # repetitions whose traces differ (a random model seeded by the run seed)
+    # and repetitions that share one (a random model with its own seed)
+    add("sweep-lognormal-unseeded", ["sweep", "--out", "out"],
+        {**SWEEP_BASE, "speed_model": LOGNORMAL, "output_rule": "weighted"})
+    add("sweep-seeded-random-sampled", ["sweep", "--out", "out"],
+        {**SWEEP_BASE, "speed_model": EXPONENTIAL, "repetitions": 3, "metrics": True})
+    add("simulate-fixed-repetitions-csv", ["simulate", "--out", "out"],
+        _config(problem=LS, speed_model=FIXED, horizon=140, repetitions=3,
+                output_rule="sampled"))
     add("compare-minibatch-step", ["compare", "--out", "out"],
         {**COMPARE_BASE, "minibatch_step": 0.05})
     add("compare-heterogeneous", ["compare", "--out", "out"],
         {**COMPARE_BASE, "problem": {**HETERO, "num_workers": 3},
          "schedule": {"kind": "adaptive-heterogeneous"}})
+    add("compare-repetitions", ["compare", "--out", "out"], {**COMPARE_BASE, "repetitions": 3})
     add("check-grid", ["check", "--workers", "1,3", "--horizons", "30,60"])
     add("check-inject-prev-off-by-one",
         ["check", "--workers", "2", "--horizons", "40", "--inject-bug", "prev-off-by-one"])
