@@ -1,8 +1,8 @@
 """Command line harness.
 
 Subcommands: simulate (trace replay runs with CSV/JSON outputs), compare
-(async vs. synchronous minibatch at equal wall time), sweep (horizon grids,
-repetitions in parallel), check (randomized invariant suite: the
+(async vs. synchronous minibatch at equal wall time), sweep (horizon grids
+with repetitions), check (randomized invariant suite: the
 virtual-gap identity and the stepsize-sum bounds), live (threaded demo).
 Runs are configured by a JSON file; a few flags override config fields. The
 ASYNC_SGD_SEED environment variable overrides every other seed source. Exit
@@ -15,8 +15,16 @@ against its table. A key its table does not list, including a key that only
 another kind reads, is a config error naming its dotted path. Config keys
 equal the library's keyword names, so a builder is a table lookup plus a
 call. simulate, compare and sweep share one run path: `_read_command` checks
-the top level and builds the problem and the start point once, and `_run`
-builds each run's schedule, picks its output rule, runs and summarizes.
+the top level and builds the problem and the start point once, and `_runs`
+builds a trace's schedule, picks its output rule, replays the trace once
+for a batch of repetitions (seeds) and summarizes each run. Each
+repetition's trace is built as a run of its own would build it, and each
+maximal run of consecutive repetitions whose traces are equal is one batch
+(split into batches of at most optimizers._SEED_BATCH):
+fixed, straggler, explicit and trace-CSV models, and random models with a
+seed of their own, give one batch; a random model seeded by the run seed
+gives one batch per repetition. Outputs equal those of one run per
+repetition, byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import sys
 import numpy as np
 
 from . import invariants, problems, scheduler, schedules
-from .optimizers import DivergedError, run_async, run_live, run_minibatch
+from .optimizers import _SEED_BATCH, DivergedError, run_async, run_live, run_minibatch
 from .problems import ProblemError, point_metrics
 from .scheduler import LedgerError, SpeedModelError
 from .schedules import ScheduleError, expected_sampled_metric, select_output
@@ -303,20 +311,74 @@ def _final_metrics(problem, x) -> dict:
     return dict(zip(("final_fgap", "final_gradnorm2"), point_metrics(problem, x)))
 
 
-def _run(cmd: dict, trace, run_seed: int, csv_path: str | None = None) -> tuple[dict, object]:
-    """Replay `trace` with the command's problem, start point and schedule
-    config, summarize the run and write its run CSV to `csv_path`, if given.
-    The per-step metric columns are computed only for their readers: the CSV,
-    and a sampled output's expected gradient norm unless `metrics` is false."""
+def _same_trace(a, b) -> bool:
+    return a is b or (a.num_workers == b.num_workers and np.array_equal(a.workers, b.workers)
+                      and np.array_equal(a.times, b.times))
+
+
+def _shared_traces(make_trace, reps):
+    """(trace, [rep, ...]) for each maximal run of consecutive repetitions
+    whose traces, `make_trace(rep)` each, are equal, in at most
+    _SEED_BATCH repetitions; only the run's first trace is kept."""
+    shared, group = None, []
+    for rep in reps:
+        trace = make_trace(rep)
+        if group and (len(group) == _SEED_BATCH or not _same_trace(trace, shared)):
+            yield shared, group
+            group = []
+        if not group:
+            shared = trace
+        group.append(rep)
+    if group:
+        yield shared, group
+
+
+def _csv_path(out_dir: str, rep: int) -> str:
+    return os.path.join(out_dir, f"run_{rep:03d}.csv")
+
+
+def _runs(cmd: dict, trace, reps: list, out_dir: str | None = None):
+    """Replay `trace` once for the repetitions `reps`, seeded seed + rep,
+    with the command's problem, start point and schedule config, and yield
+    (rep, summary, record) for each in order, writing its run CSV into
+    `out_dir`, if given. The per-step metric columns are computed only for
+    their readers: the CSV, and a sampled output's expected gradient norm
+    unless `metrics` is false. If a seed diverges, the repetitions are
+    replayed one at a time, each summarized before the next runs, so what is
+    written and raised is what runs of one repetition each write and raise."""
     problem, x0 = cmd["problem"], cmd["x0"]
     schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
     rule = cmd.get("output_rule") or schedule.output_rule
     diagnostics = cmd.get("diagnostics", False)
     # the exp-weighted and sampled outputs are read from the iterate history
     keep = diagnostics or rule in ("exp-weighted", "sampled")
-    metrics = csv_path is not None or (rule == "sampled" and cmd.get("metrics", True))
-    record = run_async(problem, trace, schedule, x0, seed=run_seed,
-                       diagnostics=diagnostics, keep_iterates=keep, metrics=metrics)
+    metrics = bool(out_dir) or (rule == "sampled" and cmd.get("metrics", True))
+    try:
+        records = run_async(problem, trace, schedule, x0,
+                            seeds=[cmd["seed"] + rep for rep in reps],
+                            diagnostics=diagnostics, keep_iterates=keep, metrics=metrics)
+    except DivergedError:
+        if len(reps) == 1:
+            raise
+        for rep in reps:
+            yield from _runs(cmd, trace, [rep], out_dir)
+        return
+    for rep, record in zip(reps, records):
+        csv_path = _csv_path(out_dir, rep) if out_dir else None
+        yield rep, _summarize(problem, record, cmd["seed"] + rep, rule, diagnostics,
+                              csv_path), record
+
+
+def _repetitions(cmd: dict, make_trace, out_dir: str | None = None):
+    """_runs over every repetition, each with the trace `make_trace(rep)`,
+    the consecutive repetitions that share a trace replayed together."""
+    for trace, reps in _shared_traces(make_trace, range(cmd["repetitions"])):
+        yield from _runs(cmd, trace, reps, out_dir)
+
+
+def _summarize(problem, record, run_seed: int, rule: str, diagnostics: bool,
+               csv_path: str | None) -> dict:
+    """One run's summary; writes its run CSV to `csv_path`, if given."""
     summary = {
         "seed": run_seed,
         **_final_metrics(problem, record.x_final),
@@ -339,7 +401,7 @@ def _run(cmd: dict, trace, run_seed: int, csv_path: str | None = None) -> tuple[
         summary["max_identity_residual"] = virtual.max_rel_residual
     if csv_path is not None:
         record.write_csv(csv_path, virtual.rel_residuals if diagnostics else None)
-    return summary, record
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +412,12 @@ def cmd_simulate(args) -> int:
     cmd = _read_command(args, SIMULATE)
     out_dir = cmd.get("out")
     runs = []
-    for rep in range(cmd["repetitions"]):
-        run_seed = cmd["seed"] + rep
-        trace = trace_for_run(cmd["speed_model"], cmd.get("horizon"), run_seed)
-        csv_path = os.path.join(out_dir, f"run_{rep:03d}.csv") if out_dir else None
-        summary, record = _run(cmd, trace, run_seed, csv_path)
+    for rep, summary, record in _repetitions(
+            cmd, lambda rep: trace_for_run(cmd["speed_model"], cmd.get("horizon"),
+                                           cmd["seed"] + rep), out_dir):
         summary["rep"] = rep
-        if csv_path:
-            summary["csv"] = csv_path
+        if out_dir:
+            summary["csv"] = _csv_path(out_dir, rep)
         runs.append(summary)
 
     payload = {
@@ -408,12 +468,11 @@ def cmd_compare(args) -> int:
 
     trace = scheduler.simulate_trace(scheduler.FixedSpeeds(seconds), async_steps)
     async_runs, mini_runs = [], []
-    for rep in range(cmd["repetitions"]):
-        run_seed = cmd["seed"] + rep
-        summary, record = _run(cmd, trace, run_seed)
+    for rep, summary, record in _repetitions(cmd, lambda rep: trace):
         async_runs.append(summary)
         # by default the minibatch baseline takes the freshest-gradient stepsize
         step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
+        run_seed = cmd["seed"] + rep
         x_final = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step, cmd["x0"],
                                 seed=run_seed)
         mini_runs.append({"seed": run_seed, "step": float(step),
@@ -435,29 +494,44 @@ def cmd_compare(args) -> int:
 # sweep
 
 
-def _sweep_job(cmd: dict, horizon: int, rep: int) -> dict:
-    """One sweep run: repetition `rep` at `horizon`, seeded seed + rep."""
-    run_seed = cmd["seed"] + rep
-    summary, _ = _run(cmd, trace_for_run(cmd["speed_model"], horizon, run_seed), run_seed)
-    summary["horizon"] = horizon
-    summary["rep"] = rep
-    return summary
+def _sweep_batch(cmd: dict, horizon: int, reps: list, trace=None) -> list[dict]:
+    """The sweep runs of the repetitions `reps` at `horizon`, which share one
+    trace: `trace`, or else the first repetition's, rebuilt."""
+    if trace is None:
+        trace = trace_for_run(cmd["speed_model"], horizon, cmd["seed"] + reps[0])
+    runs = []
+    for rep, summary, _ in _runs(cmd, trace, reps):
+        summary["horizon"] = horizon
+        summary["rep"] = rep
+        runs.append(summary)
+    return runs
 
 
 def cmd_sweep(args) -> int:
     cmd = _read_command(args, SWEEP)
     horizons, repetitions = cmd["horizons"], cmd["repetitions"]
-    jobs = [(horizon, rep) for horizon in horizons for rep in range(repetitions)]
-    # parallel: true is a pool of up to 8 processes, an integer an explicit
-    # pool size; neither exceeds the CPU count or the number of jobs
+    if len(set(horizons)) != len(horizons):
+        raise ConfigError(f"config.horizons must not repeat a horizon, got {horizons}")
+    groups = ((horizon, trace, reps) for horizon in horizons
+              for trace, reps in _shared_traces(
+                  lambda rep, horizon=horizon: trace_for_run(
+                      cmd["speed_model"], horizon, cmd["seed"] + rep), range(repetitions)))
+    # a job is one batch of repetitions that share a trace. parallel: true is
+    # a pool of up to 8 processes, an integer an explicit pool size; neither
+    # exceeds the CPU count or the number of jobs, and a pooled job rebuilds
+    # its trace
     parallel = cmd["parallel"]
-    workers = 1 if parallel is False else min(8 if parallel is True else parallel,
-                                              os.cpu_count() or 1, len(jobs))
-    if workers == 1:
-        per_run = [_sweep_job(cmd, h, r) for h, r in jobs]
+    if parallel is False:
+        batches = [_sweep_batch(cmd, horizon, reps, trace) for horizon, trace, reps in groups]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(_sweep_job, [cmd] * len(jobs), *zip(*jobs)))
+        jobs = [(horizon, reps) for horizon, _, reps in groups]
+        workers = min(8 if parallel is True else parallel, os.cpu_count() or 1, len(jobs))
+        if workers == 1:
+            batches = [_sweep_batch(cmd, horizon, reps) for horizon, reps in jobs]
+        else:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                batches = list(pool.map(_sweep_batch, [cmd] * len(jobs), *zip(*jobs)))
+    per_run = [run for batch in batches for run in batch]
 
     aggregate = {}
     for horizon in horizons:

@@ -25,18 +25,35 @@ an iterate that exists before the block; a worker arrives at most once in a
 block, so it holds at most M arrivals. A block costs one batched
 `sample_grads` call at its dispatch points and one `np.subtract.accumulate`
 over [x_a; gamma_k g_k], which subtracts in the order of k, so each iterate
-equals the per-step one bit for bit; a block of one arrival takes a scalar
-path into the same buffer, as the batched path costs several times more per
-arrival (every block of a trace with one straggler has length 1). Each
-block's iterates pass the divergence test before the next block takes a
-gradient, so no gradient is ever taken at a point that failed it. The
-iterates of a chunk of _CHUNK arrivals fill one buffer, and a table of
+equals the per-step one bit for bit; in a single run, a block of one
+arrival takes a scalar path into the same buffer, as the batched path
+costs several times more per arrival (every block of a trace with one
+straggler has length 1). Each block's iterates pass the divergence test
+before the next block takes a gradient, so no gradient is ever taken at a
+point that failed it. The iterates of a chunk of _CHUNK arrivals fill one buffer, and a table of
 dispatch points holds every worker's point at the chunk's start followed by
 that buffer (O((M + _CHUNK) d) memory). Once per chunk, the buffer gives the
 running sums for the averaged outputs (added row by row in the order of k,
 so no iterate history is needed for them), the per-step metric columns,
 filled only on request (`metrics=True`), and the iterate history, kept only
 on request.
+
+Seeds are a batch axis. The seeds of repetitions that replay one trace
+differ only in their gradient noise, so `run_async(..., seeds=[...])`
+replays the trace once for all of them, arrival-major: the chunk table
+holds each point once per seed, (M + chunk + 1, R, d) for R seeds, a
+block's dispatch points are one `take` flattened to (L*R, d) rows for one
+`sample_grads` call (row-independent stacked matvecs and row dots, so the
+same arithmetic as R separate calls), its iterates are one slice
+accumulated along the arrival axis, and the running sums are (R, d). Each
+seed's record is bit-identical to its own run; a single run is the R = 1
+case of the same loop. A batch's chunk holds at most 2 * _CHUNK rows of
+seeds, and long seed lists go in batches of at most _SEED_BATCH seeds, so
+the working memory stays within about twice a single run's; the records
+(metric columns, iterate history, gradient store) are per seed. One sum of
+squares screens a block's rows of every seed for divergence; a batch that
+fails it is replayed seed by seed, so a diverging seed raises what its own
+run raises, and still no gradient is taken at a point that failed the test.
 
 The minibatch baseline returns only its final iterate, and the live executor
 records only the arrival order, the delays and the arrival times, which its
@@ -152,26 +169,32 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # arrivals replayed as one chunk: their gradient samples are drawn as one
 # block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums
 # and the metric columns read that buffer once. Bounds the working memory
-# to a few _CHUNK x dim arrays however long the trace is.
+# to a few _CHUNK x dim arrays however long the trace is (a batch of R seeds
+# takes 2 * _CHUNK // R arrivals per chunk, when that is fewer).
 _CHUNK = 1024
 
 
-def _draw_chunk(problem, rngs, workers: np.ndarray):
-    """The gradient samples consumed by a run of arrivals, one per row.
+def _draw_chunk(problem, streams, workers: np.ndarray):
+    """The gradient samples consumed by a run of arrivals, one row per
+    arrival and seed, arrival-major: row i*R + r belongs to arrival i of the
+    run whose generators are streams[r] (R = len(streams)).
 
     Each worker's samples come from its own generator as one block, in its
     arrival order, and are scattered back to the rows it arrives at. Returns
     None if the problem's gradients are exact.
     """
     order = np.argsort(workers, kind="stable")
-    counts = np.bincount(workers, minlength=len(rngs) + 1)[1:]
-    blocks = [problem.draw(rngs[m], int(c)) for m, c in enumerate(counts) if c]
-    if blocks[0] is None:
-        return None
-    drawn = np.concatenate(blocks)
-    samples = np.empty_like(drawn)
-    samples[order] = drawn
-    return samples
+    counts = np.bincount(workers, minlength=len(streams[0]) + 1)[1:]
+    samples = None
+    for r, rngs in enumerate(streams):
+        blocks = [problem.draw(rngs[m], int(c)) for m, c in enumerate(counts) if c]
+        if blocks[0] is None:
+            return None
+        drawn = np.concatenate(blocks)
+        if samples is None:
+            samples = np.empty((len(workers), len(streams)) + drawn.shape[1:], drawn.dtype)
+        samples[order, r] = drawn
+    return samples.reshape((-1,) + samples.shape[2:])
 
 
 def _ready_blocks(prevs: list[int], start: int) -> list[int]:
@@ -193,25 +216,47 @@ def _slot(dispatch: np.ndarray, workers: np.ndarray, m_count: int) -> np.ndarray
     return np.where(dispatch > 0, m_count + dispatch - 1, workers - 1)
 
 
-def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ..., added one row at a time in that order."""
-    stack = np.concatenate((total[None], rows))
-    return np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+def _running_sum(total: np.ndarray, rows: np.ndarray, scale=None) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., each row times `scale` if given, added
+    one row at a time in that order. Works in `rows`, which it overwrites
+    (rows[0] + total equals total + rows[0] bit for bit)."""
+    if not len(rows):
+        return total
+    if scale is not None:
+        rows *= scale
+    rows[0] += total
+    return np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
+
+
+class _Unscreened(Exception):
+    """A block of a batch of several seeds failed the divergence screen."""
 
 
 def _check_rows(rows: np.ndarray, first_k: int, limit: float) -> None:
-    """_check_divergence on each row, row j being iteration first_k + j. One
-    sum of squares screens the rows: at most half of limit^2, it bounds every
-    row's x.dot(x) by limit^2 whatever the rounding, and nan or inf fail it."""
+    """_check_divergence on each row, row j being iteration first_k + j; a
+    row of a (L, R, d) block holds iteration first_k + j of each of R seeds.
+    One sum of squares screens every row: at most half of limit^2, it bounds
+    every row's x.dot(x) by limit^2 whatever the rounding, and nan or inf
+    fail it. A single seed that fails the screen tests its rows one at a
+    time; a batch of seeds raises _Unscreened, to be replayed seed by seed."""
     flat = rows.ravel()
     if not flat.dot(flat) <= 0.5 * limit * limit:
+        if rows.ndim == 3:
+            if rows.shape[1] > 1:
+                raise _Unscreened
+            rows = rows[:, 0]
         for j, row in enumerate(rows):
             _check_divergence(row, first_k + j, limit)
 
 
+# seeds replayed as one batch: the chunk table, the samples and the iterate
+# buffer grow with the batch, and so do the records it holds at once
+_SEED_BATCH = 16
+
+
 def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
-              *, keep_iterates: bool = False, diagnostics: bool = False,
-              metrics: bool = False, divergence_norm: float = 1e12) -> RunRecord:
+              *, seeds=None, keep_iterates: bool = False, diagnostics: bool = False,
+              metrics: bool = False, divergence_norm: float = 1e12):
     """Replay an arrival trace through the delayed-update loop.
 
     Everything the trace fixes is computed as a column before the loop: the
@@ -231,14 +276,53 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     gradients at earlier points before the test sees a diverged row, and only
     that arithmetic runs with numpy's overflow warnings off; the problem's own
     code runs with the caller's settings.
+
+    seeds=[s1, s2, ...] replays the trace once for all of them and returns a
+    list of RunRecords, the one of seed s equal bit for bit to
+    run_async(..., seed=s); `seed` is then left at 0. The seeds share every
+    column the trace fixes, and their records share those arrays; each
+    record has its own iterates, metric columns and gradient store. Long
+    lists go in consecutive batches of at most _SEED_BATCH seeds. A batch
+    whose block fails the divergence screen is replayed seed by seed in list
+    order, so a diverging list raises the error the first diverging seed
+    raises on its own.
+    """
+    options = dict(keep_iterates=keep_iterates or diagnostics, diagnostics=diagnostics,
+                   metrics=metrics, divergence_norm=divergence_norm)
+    if seeds is None:
+        return _replay(problem, trace, schedule, x0, [seed], **options)[0]
+    if seed != 0:
+        raise TypeError("pass either seed or seeds, not both")
+    seeds = list(seeds)
+    records = []
+    for i in range(0, len(seeds), _SEED_BATCH):
+        batch = seeds[i:i + _SEED_BATCH]
+        try:
+            records += _replay(problem, trace, schedule, x0, batch, **options)
+        except _Unscreened:
+            records += [_replay(problem, trace, schedule, x0, [s], **options)[0]
+                        for s in batch]
+    return records
+
+
+def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: list,
+            *, keep_iterates: bool, diagnostics: bool, metrics: bool,
+            divergence_norm: float) -> list[RunRecord]:
+    """run_async's engine: one replay of `trace` for each of R seeds at once.
+
+    The per-seed state is arrival-major: the chunk table is (M + chunk + 1,
+    R, d), so a block's dispatch points are one `take` flattened to (L*R, d)
+    rows for one `sample_grads` call, its iterates one slice of the table,
+    and the running sums (R, d). R = 1 is a single run, whose one-arrival
+    blocks keep the scalar path on the table's 2-D view.
     """
     horizon = trace.horizon
     m_count = trace.num_workers
     if horizon < 1:
         raise LedgerError("need a trace with at least one arrival")
-    x0 = x = _start(problem, x0, m_count)
-    keep_iterates = keep_iterates or diagnostics
-    rngs = worker_streams(seed, m_count)
+    x0 = _start(problem, x0, m_count)
+    dim, n_seeds = problem.dim, len(seeds)
+    streams = [worker_streams(s, m_count) for s in seeds]
 
     # columns: dispatch iteration p_k, stepsize gamma_k, and every dispatch's
     # eventual stepsize by slot: the one it is consumed with at the worker's
@@ -253,71 +337,92 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     hats[_slot(prevs, trace.workers, m_count)] = gammas
     hats[ends] = schedule.gammas(np.maximum(1, horizon - last))
 
-    fgaps = np.empty(horizon) if metrics else None
-    gradnorms2 = np.empty(horizon) if metrics else None
-    iterates = np.empty((horizon + 1, problem.dim)) if keep_iterates else None
+    # per seed: metric columns, iterate history and the dense store of the
+    # evaluated dispatches, indexed by slot
+    fgaps = [np.empty(horizon) for _ in seeds] if metrics else None
+    gradnorms2 = [np.empty(horizon) for _ in seeds] if metrics else None
+    iterates = [np.empty((horizon + 1, dim)) for _ in seeds] if keep_iterates else None
     if keep_iterates:
-        iterates[0] = x
-    # dense store of the evaluated dispatches, indexed by slot
-    gradients = np.empty((m_count + horizon - 1, problem.dim)) if diagnostics else None
-    uniform_sum = np.zeros(problem.dim)
-    weighted_sum = np.zeros(problem.dim)
+        for history in iterates:
+            history[0] = x0
+    gradients = ([np.empty((m_count + horizon - 1, dim)) for _ in seeds]
+                 if diagnostics else None)
+    uniform_sum = np.zeros((n_seeds, dim))
+    weighted_sum = np.zeros((n_seeds, dim))
     sample_grad = problem.sample_grad
+    # a chunk holds at most _CHUNK arrivals and 2 * _CHUNK rows of seeds, so
+    # a batch works in about twice the memory of a single run
+    chunk = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
+    size = min(chunk, horizon)
     # rows 0..M-1: every worker's dispatch point when a chunk starts; rows
     # M, M+1, ...: the chunk's iterates x_start, x_start+1, ..., so that the
-    # dispatch point of each of the chunk's arrivals is one row of the table
-    size = min(_CHUNK, horizon)
-    table = np.empty((m_count + size + 1, problem.dim))
-    table[:] = x
+    # dispatch point of each of the chunk's arrivals is one row of the table;
+    # a row holds that point for each seed
+    table = np.empty((m_count + size + 1, n_seeds, dim))
+    table[:] = x0
     points, buf = table[:m_count], table[m_count:]
+    single = n_seeds == 1
+    flat = table[:, 0]   # the table of a single seed, one row per point
+    flat_buf = flat[m_count:]
 
-    for start in range(0, horizon, _CHUNK):
-        stop = min(start + _CHUNK, horizon)
+    for start in range(0, horizon, chunk):
+        stop = min(start + chunk, horizon)
         n = stop - start
         workers = trace.workers[start:stop]
         chunk_prevs = prevs[start:stop]
-        gamma_rows = gammas[start:stop, None]
-        samples = _draw_chunk(problem, rngs, workers)
-        sample_list = ([None] * n if samples is None
-                       else samples.tolist() if samples.ndim == 1 else samples)
+        gamma_rows = gammas[start:stop, None, None]
+        # row i*R + r of the samples and the workers belongs to arrival i, seed r
+        samples = _draw_chunk(problem, streams, workers)
+        seed_workers = workers if single else np.repeat(workers, n_seeds)
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
         if diagnostics:
             store = _slot(chunk_prevs, workers, m_count)
-        src_list, worker_list = src.tolist(), workers.tolist()
-        gamma_list = gammas[start:stop].tolist()
+        if single:
+            sample_list = ([None] * n if samples is None
+                           else samples.tolist() if samples.ndim == 1 else samples)
+            src_list, worker_list = src.tolist(), workers.tolist()
+            gamma_list = gammas[start:stop].tolist()
         bounds = _ready_blocks(chunk_prevs.tolist(), start)
         # every block is checked before the next one takes gradients, so no
         # gradient is taken at a point that failed the divergence test
         for a, b in zip(bounds, bounds[1:]):
-            if b - a == 1:
-                g = sample_grad(table[src_list[a]], sample_list[a], worker_list[a])
+            if single and b - a == 1:
+                g = sample_grad(flat[src_list[a]], sample_list[a], worker_list[a])
                 if diagnostics:
-                    gradients[store[a]] = g
-                np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
-                _check_divergence(buf[a + 1], start + a + 1, divergence_norm)
+                    gradients[0][store[a]] = g
+                np.subtract(flat_buf[a], gamma_list[a] * g, out=flat_buf[a + 1])
+                _check_divergence(flat_buf[a + 1], start + a + 1, divergence_norm)
                 continue
-            g = problem.sample_grads(table.take(src[a:b], axis=0),
-                                     None if samples is None else samples[a:b], workers[a:b])
+            rows = slice(a * n_seeds, b * n_seeds)
+            g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
+                                     None if samples is None else samples[rows],
+                                     seed_workers[rows])
             if diagnostics:
-                gradients[store[a:b]] = g
+                for r, stored in enumerate(gradients):
+                    stored[store[a:b]] = g[r::n_seeds]
             # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k; the
             # rows after a diverged one are computed before the check sees it
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(g, gamma_rows[a:b], out=buf[a + 1:b + 1])
+                np.multiply(g.reshape(b - a, n_seeds, dim), gamma_rows[a:b],
+                            out=buf[a + 1:b + 1])
                 np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
                 _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm)
+
+        samples = sample_list = None   # freed before the next chunk's draw
 
         iters = buf[1:n + 1]
         # the table still holds every dispatch point of the chunk
         mask = chunk_prevs > 0
-        weighted_sum = _running_sum(weighted_sum,
-                                    gamma_rows[mask] * table.take(src[mask], axis=0))
-        uniform_sum = _running_sum(uniform_sum, iters)
+        weighted_sum = _running_sum(weighted_sum, table.take(src[mask], axis=0),
+                                    gamma_rows[mask])
+        uniform_sum = _running_sum(uniform_sum, iters.copy())
         if metrics:
-            for j in range(n):
-                fgaps[start + j], gradnorms2[start + j] = point_metrics(problem, iters[j])
+            for r, (fgap, gradnorm2) in enumerate(zip(fgaps, gradnorms2)):
+                for j, x in enumerate(iters[:, r], start):
+                    fgap[j], gradnorm2[j] = point_metrics(problem, x)
         if keep_iterates:
-            iterates[start + 1:stop + 1] = iters
+            for r, history in enumerate(iterates):
+                history[start + 1:stop + 1] = iters[:, r]
         # a worker that arrived in the chunk was re-dispatched at its last arrival
         latest = np.zeros(m_count, dtype=np.int64)
         latest[workers - 1] = np.arange(1, n + 1)
@@ -329,13 +434,17 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     # the gradients still in flight: weighted at their terminal stepsizes in
     # worker order and, under diagnostics, evaluated from the same substreams
     inflight = last > 0
-    weighted_sum = _running_sum(weighted_sum, hats[ends[inflight], None] * points[inflight])
+    weighted_sum = _running_sum(weighted_sum, points[inflight], hats[ends[inflight], None, None])
     pending = last < horizon   # all but the worker arriving at K
     if diagnostics and pending.any():
-        gradients[ends[pending]] = problem.sample_grads(
-            points[pending], _draw_chunk(problem, rngs, ids[pending]), ids[pending])
+        g = problem.sample_grads(points[pending].reshape(-1, dim),
+                                 _draw_chunk(problem, streams, ids[pending]),
+                                 np.repeat(ids[pending], n_seeds))
+        for r, stored in enumerate(gradients):
+            stored[ends[pending]] = g[r::n_seeds]
 
-    return RunRecord(
+    evals = horizon + (int(pending.sum()) if diagnostics else 0)
+    return [RunRecord(
         num_workers=m_count,
         workers=trace.workers,
         taus=trace.taus,
@@ -343,17 +452,17 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
         gamma_hats=hats[m_count:],
         gamma_hat_initial=hats[:m_count],
         times=trace.times,
-        fgaps=fgaps,
-        gradnorms2=gradnorms2,
+        fgaps=fgaps[r] if metrics else None,
+        gradnorms2=gradnorms2[r] if metrics else None,
         x0=x0,
-        x_final=x,
-        uniform_sum=uniform_sum,
-        weighted_sum=weighted_sum,
+        x_final=x[r],
+        uniform_sum=uniform_sum[r],
+        weighted_sum=weighted_sum[r],
         schedule=schedule,
-        iterates=iterates,
-        gradients=gradients,
-        gradient_evals=horizon + (int(pending.sum()) if diagnostics else 0),
-    )
+        iterates=iterates[r] if keep_iterates else None,
+        gradients=gradients[r] if diagnostics else None,
+        gradient_evals=evals,
+    ) for r in range(n_seeds)]
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,

@@ -112,12 +112,9 @@ def weighted_gap_at(problem, horizon, sigma, reps):
     trace = simulate_trace(FixedSpeeds(tuple(np.linspace(1.0, 2.0, 8))), horizon)
     constants = problem.constants_for(x0, 8, horizon)
     schedule = make_schedule("adaptive-convex", constants)
-    gaps = []
-    for rep in range(reps):
-        record = run_async(problem, trace, schedule, x0, seed=1000 + rep,
-                           metrics=False)
-        point = select_output("weighted", record)
-        gaps.append(problem.value(point) - problem.fstar)
+    records = run_async(problem, trace, schedule, x0,
+                        seeds=[1000 + rep for rep in range(reps)], metrics=False)
+    gaps = [problem.value(select_output("weighted", r)) - problem.fstar for r in records]
     return float(np.mean(gaps))
 
 

@@ -48,10 +48,12 @@ def load_workloads():
 
 def test_benchmark_workloads_run_clean(tmp_path, monkeypatch):
     monkeypatch.delenv("ASYNC_SGD_SEED", raising=False)
-    # perfbench times each sweep job and check case through these two
-    # functions; without them it splits a unit's time evenly, silently
-    assert callable(asyncsgd.cli._sweep_job)
+    # perfbench times each check case through check_case, and would time
+    # each sweep run through a cli._sweep_job; without one it splits a
+    # unit's time evenly. The sweep replays a batch of runs in one call, so
+    # a function of that name would report several runs as one
     assert callable(asyncsgd.invariants.check_case)
+    assert not hasattr(asyncsgd.cli, "_sweep_job")
     workloads = load_workloads().WORKLOADS
     for name in ("straggler-long", "seed-sweep", "diagnostics-wide", "check-suite"):
         workload = workloads[name](0, str(tmp_path))

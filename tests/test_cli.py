@@ -501,12 +501,14 @@ class FakePool:
         return map(fn, *iterables)
 
 
+# a job is a batch of repetitions that share a trace: with fixed speeds,
+# the two repetitions of each horizon
 @pytest.mark.parametrize("parallel, cpus, horizons, size", [
-    (True, 4, [6, 12, 18], 4),      # min(8, CPUs, jobs)
-    (True, 16, [6, 12, 18, 24, 30], 8),
-    (1000, 4, [6, 12, 18], 4),      # an explicit count is capped by the CPUs
-    (1000, 16, [6, 12], 4),         # ... and by the jobs
-    (3, 16, [6, 12, 18], 3),
+    (True, 4, [6, 12, 18, 24, 30], 4),      # min(8, CPUs, jobs)
+    (True, 16, list(range(6, 61, 6)), 8),
+    (1000, 4, [6, 12, 18, 24, 30], 4),      # an explicit count is capped by the CPUs
+    (1000, 16, [6, 12, 18, 24], 4),         # ... and by the jobs
+    (3, 16, [6, 12, 18, 24], 3),
 ])
 def test_sweep_pool_size(tmp_path, capsys, monkeypatch, parallel, cpus, horizons, size):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
@@ -582,6 +584,69 @@ def test_sweep_rejects_bad_horizons(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["sweep", "--config", cfg])
     assert code == 2 and "horizons" in err
 
+
+
+def test_sweep_rejects_duplicate_horizons(tmp_path, capsys):
+    # a repeated horizon would run the same seeded jobs twice and count the
+    # copies as samples in its aggregate
+    cfg = write_config(tmp_path, sweep_config(horizons=[60, 60]))
+    code, out, err = run_cli(capsys, ["sweep", "--config", cfg])
+    assert code == 2 and out == "" and "config.horizons" in err
+
+
+class RecordingPool(FakePool):
+    """A FakePool that also records each job's horizon and repetitions."""
+
+    jobs: list = []
+
+    def map(self, fn, cmds, horizons, reps):
+        RecordingPool.jobs.extend(zip(horizons, reps))
+        return map(fn, cmds, horizons, reps)
+
+
+@pytest.mark.parametrize("speed_model, shared", [
+    ({"kind": "fixed", "seconds": [1.0, 1.4]}, True),
+    ({"kind": "random", "means": [1.0, 1.4], "seed": 3}, True),
+    ({"kind": "random", "means": [1.0, 1.4]}, False),   # seeded by each run's seed
+])
+def test_sweep_jobs_are_batches_of_repetitions_that_share_a_trace(
+        tmp_path, capsys, monkeypatch, speed_model, shared):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "jobs", [])
+    monkeypatch.setattr(cli, "_SEED_BATCH", 2)
+    fields = {"speed_model": speed_model, "repetitions": 3}
+    pooled = write_config(tmp_path, sweep_config(parallel=True, **fields), name="pooled.json")
+    serial = write_config(tmp_path, sweep_config(**fields), name="serial.json")
+    code, stdout, _ = run_cli(capsys, ["sweep", "--config", pooled])
+    assert code == 0
+    assert RecordingPool.jobs == [(h, reps) for h in (6, 12) for reps in (
+        [[0, 1], [2]] if shared else [[0], [1], [2]])]
+    assert stdout == run_cli(capsys, ["sweep", "--config", serial])[1]
+    runs = json.loads(stdout)["runs"]
+    assert [(r["horizon"], r["rep"], r["seed"]) for r in runs] == [
+        (h, rep, 2 + rep) for h in (6, 12) for rep in range(3)]
+
+
+def test_a_diverging_repetition_stops_after_the_runs_before_it(tmp_path, capsys,
+                                                               monkeypatch):
+    # repetitions replayed as one batch: when seed 6 diverges, seed 5's run
+    # is still summarized and its CSV written, and seed 6's error is the one
+    # reported, as when each repetition runs on its own
+    replay = cli.run_async
+
+    def diverging(*args, seeds, **kwargs):
+        if 6 in seeds:
+            raise cli.DivergedError(3, math.inf)
+        return replay(*args, seeds=seeds, **kwargs)
+
+    monkeypatch.setattr(cli, "run_async", diverging)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(seed=5, repetitions=3, out=str(out)))
+    code, stdout, err = run_cli(capsys, ["simulate", "--config", cfg])
+    assert code == 1 and stdout == ""
+    assert err == "run failed: iterates diverged at iteration 3 (norm inf)\n"
+    assert sorted(p.name for p in out.iterdir()) == ["run_000.csv"]
 
 BAD_FIELDS = [
     ("simulate", "num_samples",

@@ -3,7 +3,9 @@ the merged trace against the heap event loop, vectorized delays against
 their definition, stepsize columns against per-rule scalar formulas, and
 run_async against eager evaluation and the per-step replay, all bit for bit."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -455,3 +457,158 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     assert same_bits(record.iterates, xs)
     plain = run_async(base, trace, schedule, x0, seed=2)
     assert not same_bits(record.x_final, plain.x_final)
+
+
+# ---------------------------------------------------------------------------
+# the seed axis
+
+
+def _same_record(batched, alone):
+    """Every field of two RunRecords equal, arrays bit for bit."""
+    for field in dataclasses.fields(alone):
+        a, b = getattr(batched, field.name), getattr(alone, field.name)
+        if isinstance(b, np.ndarray):
+            assert same_bits(a, b), field.name
+        elif field.name == "schedule":
+            assert a is b
+        else:
+            assert a == b, field.name
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from([1, 3, 50]),
+       st.integers(min_value=1, max_value=16),
+       st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
+       st.integers(min_value=1, max_value=120), st.sampled_from([1, 2, 3, 7, 16, 1024]),
+       st.sampled_from([1, 2, 3, 8]), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=2**16))
+# a straggler among two workers: every block has length 1
+@example("rows", 3, 2, "straggler", 60, 1024, 3, False, False, False, 7)
+# blocks of four equal workers cut by chunks of three
+@example("additive", 3, 4, "equal", 40, 3, 2, True, True, True, 5)
+# chunks of 2 * 16 // 8 = 4 arrivals, each block of five cut in two
+@example("nonconvex-rows", 50, 5, "equal", 50, 16, 8, True, False, False, 1)
+@example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, 2, True, True, True, 3)
+def test_seed_batch_equals_per_seed_runs(kind, dim, m_count, speeds, horizon, chunk,
+                                         n_seeds, metrics, keep_iterates, diagnostics,
+                                         seed):
+    problem = PROBLEM_KINDS[kind](dim, m_count)
+    trace = (trace_from_workers(speeds, m_count) if isinstance(speeds, tuple)
+             else simulate_trace(_block_speeds(m_count, speeds, seed), horizon))
+    x0 = np.full(dim, 0.5)
+    tag = ("adaptive-heterogeneous" if kind.startswith("heterogeneous")
+           else "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
+    schedule = make_schedule(tag, problem.constants_for(x0, m_count, max(horizon, m_count)))
+    seeds = [seed + 3 * r for r in range(n_seeds)]
+    options = dict(metrics=metrics, keep_iterates=keep_iterates, diagnostics=diagnostics)
+    with mock.patch.object(optimizers, "_CHUNK", chunk):
+        records = run_async(problem, trace, schedule, x0, seeds=seeds, **options)
+        alone = [run_async(problem, trace, schedule, x0, seed=s, **options) for s in seeds]
+    assert len(records) == n_seeds
+    for s, record, single in zip(seeds, records, alone):
+        _same_record(record, single)
+        ref = replay_async(problem, trace, schedule, x0, s)
+        assert same_bits(record.x_final, ref.x_final)
+
+
+def test_seed_lists_longer_than_a_batch():
+    problem = least_squares(dim=3, num_samples=12, sigma=0.6, seed=4)
+    trace = simulate_trace(FixedSpeeds(tuple(np.linspace(1.0, 2.0, 5))), 300)
+    x0 = np.full(3, 0.5)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 5, 300))
+    seeds = list(range(7))
+    with mock.patch.object(optimizers, "_SEED_BATCH", 3):
+        records = run_async(problem, trace, schedule, x0, seeds=seeds, keep_iterates=True)
+    for s, record in zip(seeds, records):
+        _same_record(record, run_async(problem, trace, schedule, x0, seed=s,
+                                       keep_iterates=True))
+    assert run_async(problem, trace, schedule, x0, seeds=[]) == []
+    with pytest.raises(TypeError):
+        run_async(problem, trace, schedule, x0, seed=1, seeds=[1, 2])
+
+
+def _noisy_divergence():
+    # strong noise near the optimum and a limit at the median of the seeds'
+    # largest iterate norms: about half of the seeds "diverge", each when its
+    # noise first carries the iterate past the limit
+    problem = least_squares(dim=3, num_samples=12, sigma=6.0, seed=4)
+    trace = simulate_trace(FixedSpeeds((1.0, 1.0, 1.0, 1.3)), 400)
+    x0 = problem.xstar.copy()
+    schedule = make_schedule("constant", problem.constants_for(x0, 4, 400), 0.3)
+    seeds = list(range(16))
+    runs = run_async(problem, trace, schedule, x0, seeds=seeds, keep_iterates=True)
+    limit = float(np.median([np.linalg.norm(r.iterates, axis=1).max() for r in runs]))
+    outcomes = {}
+    for s in seeds:
+        try:
+            run_async(problem, trace, schedule, x0, seed=s, divergence_norm=limit)
+            outcomes[s] = None
+        except DivergedError as exc:
+            outcomes[s] = (exc.iteration, exc.norm)
+    return problem, trace, x0, schedule, limit, outcomes
+
+
+def test_batch_raises_the_error_of_the_first_diverging_seed_in_list_order():
+    problem, trace, x0, schedule, limit, outcomes = _noisy_divergence()
+    fine = [s for s, out in outcomes.items() if out is None]
+    failing = sorted((out[0], s) for s, out in outcomes.items() if out is not None)
+    assert len(fine) >= 2 and failing[0][0] < failing[-1][0]
+    early, late = failing[0][1], failing[-1][1]
+    # the later seed in the list diverges at an earlier iteration
+    seeds = [fine[0], late, fine[-1], early]
+    for chunk in (16, 1024):
+        with mock.patch.object(optimizers, "_CHUNK", chunk), \
+                pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seeds=seeds, divergence_norm=limit)
+        assert (exc.value.iteration, exc.value.norm) == outcomes[late]
+    records = run_async(problem, trace, schedule, x0, seeds=fine, divergence_norm=limit)
+    for s, record in zip(fine, records):
+        _same_record(record, run_async(problem, trace, schedule, x0, seed=s,
+                                       divergence_norm=limit))
+
+
+def test_no_gradient_is_taken_at_a_diverged_point_of_a_batch():
+    limit = 1e12
+
+    class Guarded(LeastSquares):
+        def sample_grad(self, x, sample, worker=None):
+            if not x.dot(x) <= limit * limit:
+                raise ValueError("gradient asked at a diverged point")
+            return super().sample_grad(x, sample, worker)
+
+    base, trace, x0, schedule, norms2 = _diverging_run(2.0, 200)
+    problem = Guarded(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
+    assert Guarded.sample_grads is Problem.sample_grads   # one sample_grad per row
+    k, norm = _first_diverged(norms2, limit)   # seed 1's iteration and norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seeds=[1, 2, 3], divergence_norm=limit)
+    assert (exc.value.iteration, exc.value.norm) == (k, norm)
+
+
+def test_seed_batch_working_memory():
+    # a full batch works in about two (M + chunk + 1, R, d) arrays, a chunk
+    # being 2 * _CHUNK // R arrivals: the chunk table and the chunk's samples
+    # or running-sum rows. A list of two batches needs no more, beyond the
+    # first batch's records
+    problem = least_squares(dim=50, num_samples=200, sigma=1.0, seed=13)
+    m_count, horizon = 8, 5000
+    trace = simulate_trace(FixedSpeeds(tuple(np.linspace(1.0, 2.0, m_count))), horizon)
+    x0 = np.zeros(50)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, m_count, horizon))
+    batch = optimizers._SEED_BATCH
+    chunk = 2 * optimizers._CHUNK // batch
+    table = (m_count + chunk + 1) * batch * 50 * 8
+    peaks = []
+    for n_seeds in (batch, 2 * batch):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = run_async(problem, trace, schedule, x0, seeds=list(range(n_seeds)))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n_seeds
+    assert peaks[0] <= 2.5 * table
+    assert peaks[1] <= peaks[0] + 256 * 1024
