@@ -16,15 +16,10 @@ another kind reads, is a config error naming its dotted path. Config keys
 equal the library's keyword names, so a builder is a table lookup plus a
 call. simulate, compare and sweep share one run path: `_read_command` checks
 the top level and builds the problem and the start point once, and `_runs`
-builds a trace's schedule, picks its output rule, replays the trace once
-for a batch of repetitions (seeds) and summarizes each run. Each
-repetition's trace is built as a run of its own would build it, and each
-maximal run of consecutive repetitions whose traces are equal is one batch
-(split into batches of at most optimizers._SEED_BATCH):
-fixed, straggler, explicit and trace-CSV models, and random models with a
-seed of their own, give one batch; a random model seeded by the run seed
-gives one batch per repetition. Outputs equal those of one run per
-repetition, byte for byte.
+builds a trace's schedule and output rule, replays the trace once for a
+batch of repetitions and summarizes each run. A batch is a maximal run of
+consecutive repetitions whose traces are equal (at most _SEED_BATCH of
+them); the outputs equal those of one run per repetition, byte for byte.
 """
 
 from __future__ import annotations
@@ -338,14 +333,13 @@ def _csv_path(out_dir: str, rep: int) -> str:
 
 
 def _runs(cmd: dict, trace, reps: list, out_dir: str | None = None):
-    """Replay `trace` once for the repetitions `reps`, seeded seed + rep,
-    with the command's problem, start point and schedule config, and yield
-    (rep, summary, record) for each in order, writing its run CSV into
+    """Replay `trace` once for the repetitions `reps`, seeded seed + rep, and
+    yield (rep, summary, record) for each in order, writing its run CSV into
     `out_dir`, if given. The per-step metric columns are computed only for
     their readers: the CSV, and a sampled output's expected gradient norm
     unless `metrics` is false. If a seed diverges, the repetitions are
     replayed one at a time, each summarized before the next runs, so what is
-    written and raised is what runs of one repetition each write and raise."""
+    written and raised is what one run per repetition writes and raises."""
     problem, x0 = cmd["problem"], cmd["x0"]
     schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
     rule = cmd.get("output_rule") or schedule.output_rule

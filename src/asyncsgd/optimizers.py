@@ -138,6 +138,24 @@ class RunRecord:
                 writer.writerow([k, int(m), int(tau), *(repr(float(v)) for v in values)])
 
 
+class _Records(list):
+    """The RunRecords of run_async(..., seeds=...), one per seed, in order.
+
+    To code that counts what one replay did, by the arrivals in its `workers`
+    column and its `gradient_evals`, a batch of R runs of K arrivals reads as
+    one run of R*K arrivals: `workers` chains the records' columns (built
+    when asked for) and `gradient_evals` adds theirs up.
+    """
+
+    @property
+    def workers(self) -> np.ndarray:
+        return np.concatenate([r.workers for r in self] or [np.empty(0, np.int64)])
+
+    @property
+    def gradient_evals(self) -> int:
+        return sum(r.gradient_evals for r in self)
+
+
 def _check_divergence(x: np.ndarray, k: int, limit: float = 1e12) -> None:
     norm2 = float(x.dot(x))
     # a single comparison catches overflow, inf and nan alike
@@ -277,15 +295,11 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     that arithmetic runs with numpy's overflow warnings off; the problem's own
     code runs with the caller's settings.
 
-    seeds=[s1, s2, ...] replays the trace once for all of them and returns a
-    list of RunRecords, the one of seed s equal bit for bit to
-    run_async(..., seed=s); `seed` is then left at 0. The seeds share every
-    column the trace fixes, and their records share those arrays; each
-    record has its own iterates, metric columns and gradient store. Long
-    lists go in consecutive batches of at most _SEED_BATCH seeds. A batch
-    whose block fails the divergence screen is replayed seed by seed in list
-    order, so a diverging list raises the error the first diverging seed
-    raises on its own.
+    seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
+    at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
+    one of seed s equal bit for bit to run_async(..., seed=s); `seed` is then
+    left at 0. The records share the arrays the trace fixes. A diverging list
+    raises the error its first diverging seed raises on its own.
     """
     options = dict(keep_iterates=keep_iterates or diagnostics, diagnostics=diagnostics,
                    metrics=metrics, divergence_norm=divergence_norm)
@@ -294,7 +308,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     if seed != 0:
         raise TypeError("pass either seed or seeds, not both")
     seeds = list(seeds)
-    records = []
+    records = _Records()
     for i in range(0, len(seeds), _SEED_BATCH):
         batch = seeds[i:i + _SEED_BATCH]
         try:
@@ -308,14 +322,8 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
 def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: list,
             *, keep_iterates: bool, diagnostics: bool, metrics: bool,
             divergence_norm: float) -> list[RunRecord]:
-    """run_async's engine: one replay of `trace` for each of R seeds at once.
-
-    The per-seed state is arrival-major: the chunk table is (M + chunk + 1,
-    R, d), so a block's dispatch points are one `take` flattened to (L*R, d)
-    rows for one `sample_grads` call, its iterates one slice of the table,
-    and the running sums (R, d). R = 1 is a single run, whose one-arrival
-    blocks keep the scalar path on the table's 2-D view.
-    """
+    """run_async's engine: one replay of `trace` for R seeds at once, laid out
+    arrival-major (see the module docstring); R = 1 is a single run."""
     horizon = trace.horizon
     m_count = trace.num_workers
     if horizon < 1:

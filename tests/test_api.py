@@ -31,9 +31,9 @@ def test_exported_names_are_pinned():
         assert getattr(asyncsgd, name) is not None, name
 
 
-def load_workloads():
+def load_workloads(path=WORKLOADS_PY, name="perfbench_workloads"):
     """perfbench/workloads.py as a module, leaving no bytecode in perfbench/."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     written = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -68,6 +68,26 @@ def test_benchmark_workloads_run_clean(tmp_path, monkeypatch):
             assert unit.failures == [], name
             assert unit.updates > 0 and unit.run_s, name
             assert unit.fingerprint == first.fingerprint, name
+
+
+def test_benchmark_workloads_run_traced(tmp_path, monkeypatch):
+    # the traced benchmark counts a replay's updates and gradient evaluations
+    # from what run_async returns; a batch of seeds counts every seed's
+    monkeypatch.delenv("ASYNC_SGD_SEED", raising=False)
+    tracer_module = load_workloads(ROOT / "perfbench" / "tracer.py", "perfbench_tracer")
+    workloads = load_workloads().WORKLOADS
+    for name in ("straggler-long", "seed-sweep", "diagnostics-wide", "check-suite"):
+        workload = workloads[name](1, str(tmp_path))
+        if name == "straggler-long":
+            workload.horizon = 2001
+        inputs = workload.setup()
+        tracer = tracer_module.Tracer()
+        with tracer:
+            unit = workload.run(inputs)
+        assert unit.failures == [], name
+        counters = tracer.snapshot()["counters"]
+        assert counters["optimizers.updates"] == unit.updates, name
+        assert counters["optimizers.grad_evals"] >= unit.updates, name
 
 
 @pytest.mark.parametrize("stdout", ["", 'print(\'{"metrics": {}, "failed": 1}\')'],
