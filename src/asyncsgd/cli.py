@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -306,26 +307,29 @@ def _final_metrics(problem, x) -> dict:
     return dict(zip(("final_fgap", "final_gradnorm2"), point_metrics(problem, x)))
 
 
-def _same_trace(a, b) -> bool:
-    return a is b or (a.num_workers == b.num_workers and np.array_equal(a.workers, b.workers)
-                      and np.array_equal(a.times, b.times))
+def _trace_digest(trace) -> tuple:
+    """Equal for traces with equal workers and arrival times, the columns
+    every other one is derived from."""
+    digest = hashlib.sha256(np.ascontiguousarray(trace.workers))
+    digest.update(np.ascontiguousarray(trace.times))
+    return trace.num_workers, digest.digest()
 
 
-def _shared_traces(make_trace, reps):
-    """(trace, [rep, ...]) for each maximal run of consecutive repetitions
-    whose traces, `make_trace(rep)` each, are equal, in at most
-    _SEED_BATCH repetitions; only the run's first trace is kept."""
-    shared, group = None, []
+def _batches(make_trace, reps):
+    """Each maximal run of consecutive repetitions whose traces, built by
+    `make_trace(rep)` as a run of its own would build them, are equal, in at
+    most _SEED_BATCH repetitions. Traces are compared by digest, so only one
+    is held at a time; a batch rebuilds its trace from its first repetition."""
+    batch, key = [], None
     for rep in reps:
-        trace = make_trace(rep)
-        if group and (len(group) == _SEED_BATCH or not _same_trace(trace, shared)):
-            yield shared, group
-            group = []
-        if not group:
-            shared = trace
-        group.append(rep)
-    if group:
-        yield shared, group
+        new = _trace_digest(make_trace(rep))
+        if batch and (len(batch) == _SEED_BATCH or new != key):
+            yield batch
+            batch = []
+        key = new
+        batch.append(rep)
+    if batch:
+        yield batch
 
 
 def _csv_path(out_dir: str, rep: int) -> str:
@@ -366,8 +370,8 @@ def _runs(cmd: dict, trace, reps: list, out_dir: str | None = None):
 def _repetitions(cmd: dict, make_trace, out_dir: str | None = None):
     """_runs over every repetition, each with the trace `make_trace(rep)`,
     the consecutive repetitions that share a trace replayed together."""
-    for trace, reps in _shared_traces(make_trace, range(cmd["repetitions"])):
-        yield from _runs(cmd, trace, reps, out_dir)
+    for reps in _batches(make_trace, range(cmd["repetitions"])):
+        yield from _runs(cmd, make_trace(reps[0]), reps, out_dir)
 
 
 def _summarize(problem, record, run_seed: int, rule: str, diagnostics: bool,
@@ -488,11 +492,10 @@ def cmd_compare(args) -> int:
 # sweep
 
 
-def _sweep_batch(cmd: dict, horizon: int, reps: list, trace=None) -> list[dict]:
-    """The sweep runs of the repetitions `reps` at `horizon`, which share one
-    trace: `trace`, or else the first repetition's, rebuilt."""
-    if trace is None:
-        trace = trace_for_run(cmd["speed_model"], horizon, cmd["seed"] + reps[0])
+def _sweep_batch(cmd: dict, horizon: int, reps: list) -> list[dict]:
+    """The sweep runs of the repetitions `reps` at `horizon`, which share the
+    trace of the first of them."""
+    trace = trace_for_run(cmd["speed_model"], horizon, cmd["seed"] + reps[0])
     runs = []
     for rep, summary, _ in _runs(cmd, trace, reps):
         summary["horizon"] = horizon
@@ -506,25 +509,21 @@ def cmd_sweep(args) -> int:
     horizons, repetitions = cmd["horizons"], cmd["repetitions"]
     if len(set(horizons)) != len(horizons):
         raise ConfigError(f"config.horizons must not repeat a horizon, got {horizons}")
-    groups = ((horizon, trace, reps) for horizon in horizons
-              for trace, reps in _shared_traces(
-                  lambda rep, horizon=horizon: trace_for_run(
-                      cmd["speed_model"], horizon, cmd["seed"] + rep), range(repetitions)))
     # a job is one batch of repetitions that share a trace. parallel: true is
     # a pool of up to 8 processes, an integer an explicit pool size; neither
-    # exceeds the CPU count or the number of jobs, and a pooled job rebuilds
-    # its trace
-    parallel = cmd["parallel"]
-    if parallel is False:
-        batches = [_sweep_batch(cmd, horizon, reps, trace) for horizon, trace, reps in groups]
-    else:
-        jobs = [(horizon, reps) for horizon, _, reps in groups]
+    # exceeds the CPU count or the number of jobs
+    jobs = ((horizon, reps) for horizon in horizons for reps in _batches(
+        lambda rep, horizon=horizon: trace_for_run(cmd["speed_model"], horizon,
+                                                   cmd["seed"] + rep), range(repetitions)))
+    parallel, workers = cmd["parallel"], 1
+    if parallel is not False:
+        jobs = list(jobs)
         workers = min(8 if parallel is True else parallel, os.cpu_count() or 1, len(jobs))
-        if workers == 1:
-            batches = [_sweep_batch(cmd, horizon, reps) for horizon, reps in jobs]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(_sweep_batch, [cmd] * len(jobs), *zip(*jobs)))
+    if workers == 1:
+        batches = [_sweep_batch(cmd, horizon, reps) for horizon, reps in jobs]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_sweep_batch, [cmd] * len(jobs), *zip(*jobs)))
     per_run = [run for batch in batches for run in batch]
 
     aggregate = {}
