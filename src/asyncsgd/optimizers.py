@@ -40,12 +40,12 @@ on request.
 
 Seeds are a batch axis. The seeds of repetitions that replay one trace
 differ only in their gradient noise, so `run_async(..., seeds=[...])`
-replays the trace once for all of them, arrival-major: the chunk table
-holds each point once per seed, (M + chunk + 1, R, d) for R seeds, a
-block's dispatch points are one `take` flattened to (L*R, d) rows for one
-`sample_grads` call (row-independent stacked matvecs and row dots, so the
-same arithmetic as R separate calls), its iterates are one slice
-accumulated along the arrival axis, and the running sums are (R, d). Each
+replays the trace once for all of them, arrival-major: a row of the chunk
+table, (M + chunk + 1, R*d) for R seeds, holds one point per seed side by
+side, so a block's dispatch points are one `take` reshaped to (L*R, d) rows
+for one `sample_grads` call (row-independent stacked matvecs and row dots,
+so the same arithmetic as R separate calls), its iterates are one slice
+accumulated along the arrival axis, and the running sums are R*d wide. Each
 seed's record is bit-identical to its own run; a single run is the R = 1
 case of the same loop. A batch's chunk holds at most 2 * _CHUNK rows of
 seeds, and long seed lists go in batches of at most _SEED_BATCH seeds, so
@@ -250,19 +250,17 @@ class _Unscreened(Exception):
     """A block of a batch of several seeds failed the divergence screen."""
 
 
-def _check_rows(rows: np.ndarray, first_k: int, limit: float) -> None:
-    """_check_divergence on each row, row j being iteration first_k + j; a
-    row of a (L, R, d) block holds iteration first_k + j of each of R seeds.
-    One sum of squares screens every row: at most half of limit^2, it bounds
-    every row's x.dot(x) by limit^2 whatever the rounding, and nan or inf
-    fail it. A single seed that fails the screen tests its rows one at a
-    time; a batch of seeds raises _Unscreened, to be replayed seed by seed."""
+def _check_rows(rows: np.ndarray, first_k: int, limit: float, n_seeds: int = 1) -> None:
+    """_check_divergence on each row, row j being iteration first_k + j of
+    n_seeds seeds side by side. One sum of squares screens the rows: at most
+    half of limit^2, it bounds every point's x.dot(x) by limit^2 whatever the
+    rounding, and nan or inf fail it. A single seed that fails the screen
+    tests its rows one at a time; a batch of seeds raises _Unscreened, to be
+    replayed seed by seed."""
     flat = rows.ravel()
     if not flat.dot(flat) <= 0.5 * limit * limit:
-        if rows.ndim == 3:
-            if rows.shape[1] > 1:
-                raise _Unscreened
-            rows = rows[:, 0]
+        if n_seeds > 1:
+            raise _Unscreened
         for j, row in enumerate(rows):
             _check_divergence(row, first_k + j, limit)
 
@@ -355,8 +353,12 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
             history[0] = x0
     gradients = ([np.empty((m_count + horizon - 1, dim)) for _ in seeds]
                  if diagnostics else None)
-    uniform_sum = np.zeros((n_seeds, dim))
-    weighted_sum = np.zeros((n_seeds, dim))
+    # a row of the table, the buffer and the running sums holds one point per
+    # seed, side by side: seed r's is columns seed_cols[r]
+    width = n_seeds * dim
+    seed_cols = [slice(r * dim, (r + 1) * dim) for r in range(n_seeds)]
+    uniform_sum = np.zeros(width)
+    weighted_sum = np.zeros(width)
     sample_grad = problem.sample_grad
     # a chunk holds at most _CHUNK arrivals and 2 * _CHUNK rows of seeds, so
     # a batch works in about twice the memory of a single run
@@ -364,21 +366,18 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
     size = min(chunk, horizon)
     # rows 0..M-1: every worker's dispatch point when a chunk starts; rows
     # M, M+1, ...: the chunk's iterates x_start, x_start+1, ..., so that the
-    # dispatch point of each of the chunk's arrivals is one row of the table;
-    # a row holds that point for each seed
-    table = np.empty((m_count + size + 1, n_seeds, dim))
-    table[:] = x0
+    # dispatch point of each of the chunk's arrivals is one row of the table
+    table = np.empty((m_count + size + 1, width))
+    table[:] = np.tile(x0, n_seeds)
     points, buf = table[:m_count], table[m_count:]
     single = n_seeds == 1
-    flat = table[:, 0]   # the table of a single seed, one row per point
-    flat_buf = flat[m_count:]
 
     for start in range(0, horizon, chunk):
         stop = min(start + chunk, horizon)
         n = stop - start
         workers = trace.workers[start:stop]
         chunk_prevs = prevs[start:stop]
-        gamma_rows = gammas[start:stop, None, None]
+        gamma_rows = gammas[start:stop, None]
         # row i*R + r of the samples and the workers belongs to arrival i, seed r
         samples = _draw_chunk(problem, streams, workers)
         seed_workers = workers if single else np.repeat(workers, n_seeds)
@@ -395,11 +394,11 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         # gradient is taken at a point that failed the divergence test
         for a, b in zip(bounds, bounds[1:]):
             if single and b - a == 1:
-                g = sample_grad(flat[src_list[a]], sample_list[a], worker_list[a])
+                g = sample_grad(table[src_list[a]], sample_list[a], worker_list[a])
                 if diagnostics:
                     gradients[0][store[a]] = g
-                np.subtract(flat_buf[a], gamma_list[a] * g, out=flat_buf[a + 1])
-                _check_divergence(flat_buf[a + 1], start + a + 1, divergence_norm)
+                np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
+                _check_divergence(buf[a + 1], start + a + 1, divergence_norm)
                 continue
             rows = slice(a * n_seeds, b * n_seeds)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
@@ -411,10 +410,9 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
             # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k; the
             # rows after a diverged one are computed before the check sees it
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(g.reshape(b - a, n_seeds, dim), gamma_rows[a:b],
-                            out=buf[a + 1:b + 1])
+                np.multiply(g.reshape(b - a, width), gamma_rows[a:b], out=buf[a + 1:b + 1])
                 np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
-                _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm)
+                _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, n_seeds)
 
         samples = sample_list = None   # freed before the next chunk's draw
 
@@ -425,12 +423,12 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
                                     gamma_rows[mask])
         uniform_sum = _running_sum(uniform_sum, iters.copy())
         if metrics:
-            for r, (fgap, gradnorm2) in enumerate(zip(fgaps, gradnorms2)):
-                for j, x in enumerate(iters[:, r], start):
+            for cols, fgap, gradnorm2 in zip(seed_cols, fgaps, gradnorms2):
+                for j, x in enumerate(iters[:, cols], start):
                     fgap[j], gradnorm2[j] = point_metrics(problem, x)
         if keep_iterates:
-            for r, history in enumerate(iterates):
-                history[start + 1:stop + 1] = iters[:, r]
+            for cols, history in zip(seed_cols, iterates):
+                history[start + 1:stop + 1] = iters[:, cols]
         # a worker that arrived in the chunk was re-dispatched at its last arrival
         latest = np.zeros(m_count, dtype=np.int64)
         latest[workers - 1] = np.arange(1, n + 1)
@@ -442,7 +440,7 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
     # the gradients still in flight: weighted at their terminal stepsizes in
     # worker order and, under diagnostics, evaluated from the same substreams
     inflight = last > 0
-    weighted_sum = _running_sum(weighted_sum, points[inflight], hats[ends[inflight], None, None])
+    weighted_sum = _running_sum(weighted_sum, points[inflight], hats[ends[inflight], None])
     pending = last < horizon   # all but the worker arriving at K
     if diagnostics and pending.any():
         g = problem.sample_grads(points[pending].reshape(-1, dim),
@@ -463,14 +461,14 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         fgaps=fgaps[r] if metrics else None,
         gradnorms2=gradnorms2[r] if metrics else None,
         x0=x0,
-        x_final=x[r],
-        uniform_sum=uniform_sum[r],
-        weighted_sum=weighted_sum[r],
+        x_final=x[cols],
+        uniform_sum=uniform_sum[cols],
+        weighted_sum=weighted_sum[cols],
         schedule=schedule,
         iterates=iterates[r] if keep_iterates else None,
         gradients=gradients[r] if diagnostics else None,
         gradient_evals=evals,
-    ) for r in range(n_seeds)]
+    ) for r, cols in enumerate(seed_cols)]
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
