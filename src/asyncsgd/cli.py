@@ -18,8 +18,9 @@ call. simulate, compare and sweep share one run path: `_read_command` checks
 the top level and builds the problem and the start point once, and `_runs`
 builds a trace's schedule and output rule, replays the trace once for a
 batch of repetitions and summarizes each run. A batch is a maximal run of
-consecutive repetitions whose traces are equal (at most _SEED_BATCH of
-them); the outputs equal those of one run per repetition, byte for byte.
+consecutive repetitions whose traces are built from equal inputs (at most
+_SEED_BATCH of them), and it builds its trace just before its replay; the
+outputs equal those of one run per repetition, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import hashlib
+import itertools
 import json
 import math
 import os
@@ -239,14 +240,23 @@ def build_problem(cfg: dict, fallback_seed: int):
     return make(**values)
 
 
-def trace_for_run(cfg: dict, horizon: int | None, run_seed: int) -> scheduler.ArrivalTrace:
-    make, values = _read_kind(cfg, "config.speed_model", SPEED_MODELS, seed=run_seed)
+def _trace_inputs(cmd: dict, rep: int):
+    """The checked (constructor, values) that repetition `rep`'s trace is
+    built from. The values hold the run seed only if the speed model reads
+    it, and a trace is a function of these inputs and its horizon, so
+    repetitions with equal inputs replay equal traces."""
+    return _read_kind(cmd["speed_model"], "config.speed_model", SPEED_MODELS,
+                      seed=cmd["seed"] + rep)
+
+
+def trace_for_run(cmd: dict, horizon: int | None, rep: int) -> scheduler.ArrivalTrace:
+    make, values = _trace_inputs(cmd, rep)
     made = make(**values)
     if isinstance(made, scheduler.ArrivalTrace):
         if horizon is not None and horizon != made.horizon:
             raise ConfigError(
-                f"horizon {horizon} does not match the {cfg['kind']} trace of length "
-                f"{made.horizon}")
+                f"horizon {horizon} does not match the {cmd['speed_model']['kind']} trace "
+                f"of length {made.horizon}")
         return made
     if horizon is None:
         raise ConfigError("config.horizon is required unless the trace is explicit")
@@ -307,29 +317,11 @@ def _final_metrics(problem, x) -> dict:
     return dict(zip(("final_fgap", "final_gradnorm2"), point_metrics(problem, x)))
 
 
-def _trace_digest(trace) -> tuple:
-    """Equal for traces with equal workers and arrival times, the columns
-    every other one is derived from."""
-    digest = hashlib.sha256(np.ascontiguousarray(trace.workers))
-    digest.update(np.ascontiguousarray(trace.times))
-    return trace.num_workers, digest.digest()
-
-
-def _batches(make_trace, reps):
-    """Each maximal run of consecutive repetitions whose traces, built by
-    `make_trace(rep)` as a run of its own would build them, are equal, in at
-    most _SEED_BATCH repetitions. Traces are compared by digest, so only one
-    is held at a time; a batch rebuilds its trace from its first repetition."""
-    batch, key = [], None
-    for rep in reps:
-        new = _trace_digest(make_trace(rep))
-        if batch and (len(batch) == _SEED_BATCH or new != key):
-            yield batch
-            batch = []
-        key = new
-        batch.append(rep)
-    if batch:
-        yield batch
+def _batches(cmd: dict, reps) -> list[list]:
+    """Each maximal run of consecutive repetitions whose traces are built
+    from equal inputs, and so are equal, in at most _SEED_BATCH repetitions."""
+    runs = [list(run) for _, run in itertools.groupby(reps, lambda rep: _trace_inputs(cmd, rep))]
+    return [run[i:i + _SEED_BATCH] for run in runs for i in range(0, len(run), _SEED_BATCH)]
 
 
 def _csv_path(out_dir: str, rep: int) -> str:
@@ -367,11 +359,11 @@ def _runs(cmd: dict, trace, reps: list, out_dir: str | None = None):
                               csv_path), record
 
 
-def _repetitions(cmd: dict, make_trace, out_dir: str | None = None):
-    """_runs over every repetition, each with the trace `make_trace(rep)`,
-    the consecutive repetitions that share a trace replayed together."""
-    for reps in _batches(make_trace, range(cmd["repetitions"])):
-        yield from _runs(cmd, make_trace(reps[0]), reps, out_dir)
+def _repetitions(cmd: dict, horizon: int | None, out_dir: str | None = None):
+    """_runs over every repetition, a batch at a time, each batch on its
+    trace at `horizon`, built just before its replay."""
+    for reps in _batches(cmd, range(cmd["repetitions"])):
+        yield from _runs(cmd, trace_for_run(cmd, horizon, reps[0]), reps, out_dir)
 
 
 def _summarize(problem, record, run_seed: int, rule: str, diagnostics: bool,
@@ -410,9 +402,7 @@ def cmd_simulate(args) -> int:
     cmd = _read_command(args, SIMULATE)
     out_dir = cmd.get("out")
     runs = []
-    for rep, summary, record in _repetitions(
-            cmd, lambda rep: trace_for_run(cmd["speed_model"], cmd.get("horizon"),
-                                           cmd["seed"] + rep), out_dir):
+    for rep, summary, record in _repetitions(cmd, cmd.get("horizon"), out_dir):
         summary["rep"] = rep
         if out_dir:
             summary["csv"] = _csv_path(out_dir, rep)
@@ -464,9 +454,9 @@ def cmd_compare(args) -> int:
         return 0
     payload["step_speedup"] = async_steps / (len(seconds) * sync_rounds)
 
-    trace = scheduler.simulate_trace(scheduler.FixedSpeeds(seconds), async_steps)
+    cmd["speed_model"] = {"kind": "fixed", "seconds": seconds}   # the trace every run replays
     async_runs, mini_runs = [], []
-    for rep, summary, record in _repetitions(cmd, lambda rep: trace):
+    for rep, summary, record in _repetitions(cmd, async_steps):
         async_runs.append(summary)
         # by default the minibatch baseline takes the freshest-gradient stepsize
         step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
@@ -495,7 +485,7 @@ def cmd_compare(args) -> int:
 def _sweep_batch(cmd: dict, horizon: int, reps: list) -> list[dict]:
     """The sweep runs of the repetitions `reps` at `horizon`, which share the
     trace of the first of them."""
-    trace = trace_for_run(cmd["speed_model"], horizon, cmd["seed"] + reps[0])
+    trace = trace_for_run(cmd, horizon, reps[0])
     runs = []
     for rep, summary, _ in _runs(cmd, trace, reps):
         summary["horizon"] = horizon
@@ -509,15 +499,13 @@ def cmd_sweep(args) -> int:
     horizons, repetitions = cmd["horizons"], cmd["repetitions"]
     if len(set(horizons)) != len(horizons):
         raise ConfigError(f"config.horizons must not repeat a horizon, got {horizons}")
-    # a job is one batch of repetitions that share a trace. parallel: true is
-    # a pool of up to 8 processes, an integer an explicit pool size; neither
-    # exceeds the CPU count or the number of jobs
-    jobs = ((horizon, reps) for horizon in horizons for reps in _batches(
-        lambda rep, horizon=horizon: trace_for_run(cmd["speed_model"], horizon,
-                                                   cmd["seed"] + rep), range(repetitions)))
+    # a job is one batch of repetitions that share a trace, at one horizon.
+    # parallel: true is a pool of up to 8 processes, an integer an explicit
+    # pool size; neither exceeds the CPU count or the number of jobs
+    groups = _batches(cmd, range(repetitions))
+    jobs = [(horizon, reps) for horizon in horizons for reps in groups]
     parallel, workers = cmd["parallel"], 1
     if parallel is not False:
-        jobs = list(jobs)
         workers = min(8 if parallel is True else parallel, os.cpu_count() or 1, len(jobs))
     if workers == 1:
         batches = [_sweep_batch(cmd, horizon, reps) for horizon, reps in jobs]

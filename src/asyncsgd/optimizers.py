@@ -83,6 +83,9 @@ class DivergedError(RuntimeError):
         self.iteration = iteration
         self.norm = norm
 
+    def __reduce__(self):   # a sweep's pool sends the error back to the parent
+        return type(self), (self.iteration, self.norm)
+
 
 @dataclass
 class RunRecord:

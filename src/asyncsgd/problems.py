@@ -9,6 +9,7 @@ stepsize rules consume. Constants are computed from the data, not assumed.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -298,7 +299,11 @@ def least_squares(dim: int, num_samples: int | None = None, noise: str = "additi
 
 def least_squares_from_csv(path, noise: str = "additive", sigma: float = 1.0) -> LeastSquares:
     """Dense CSV ingestion: one sample per row, last column is the target."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():   # an empty file is reported below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")   # BOM or not
+    if not len(data):
+        raise ProblemError("the data csv has no rows")
     if data.shape[1] < 2:
         raise ProblemError("need at least one feature column plus a target column")
     return LeastSquares(data[:, :-1], data[:, -1], noise=noise, sigma=sigma)

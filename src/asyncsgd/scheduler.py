@@ -157,7 +157,7 @@ class ArrivalTrace:
     gradient was dispatched at, and taus[k-1] = k - p_k, its delay. All four
     columns are read-only views; the caller's arrays are not copied.
     Raises LedgerError, naming the first bad row, if a worker id is outside
-    1..M, a time is not finite or the times decrease.
+    1..M or past the int64 range, a time is not finite or the times decrease.
     """
 
     workers: np.ndarray
@@ -167,7 +167,12 @@ class ArrivalTrace:
     taus: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        workers = np.asarray(self.workers, dtype=np.int64)
+        try:
+            workers = np.asarray(self.workers, dtype=np.int64)
+        except OverflowError:   # a Python integer past the int64 range
+            row = next(k for k, w in enumerate(self.workers, 1) if not -2**63 <= w < 2**63)
+            raise LedgerError(f"trace row {row}: worker id {self.workers[row - 1]} is past "
+                              "the int64 range") from None
         times = np.asarray(self.times, dtype=np.float64)
         if len(workers) != len(times):
             raise LedgerError("trace columns have mismatched lengths")
@@ -249,7 +254,7 @@ class ArrivalTrace:
     def read_csv(cls, path, num_workers: int | None = None) -> "ArrivalTrace":
         """Load a trace written by write_csv. Rows must carry k = 1..K in order."""
         workers, taus, times = [], [], []
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             required = {"k", "worker", "tau", "time"}
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -268,8 +273,7 @@ class ArrivalTrace:
                         "(rows must be k = 1..K in order)")
         if num_workers is None:
             num_workers = max(workers) if workers else 1
-        trace = cls(np.array(workers, dtype=np.int64), np.array(times, dtype=np.float64),
-                    num_workers)
+        trace = cls(workers, np.array(times, dtype=np.float64), num_workers)
         return trace.check_recorded_taus(taus)
 
 
@@ -324,11 +328,11 @@ def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:
 
 def trace_from_workers(workers, num_workers: int | None = None) -> ArrivalTrace:
     """Adversarial trace: an explicit arrival order with synthetic unit times."""
-    workers = np.array([int(w) for w in workers], dtype=np.int64)
+    workers = [int(w) for w in workers]
     if num_workers is None:
-        if not len(workers):
+        if not workers:
             raise LedgerError("cannot infer worker count from an empty sequence")
-        num_workers = int(workers.max())
+        num_workers = max(workers)
     return ArrivalTrace(workers, np.arange(1, len(workers) + 1, dtype=np.float64), num_workers)
 
 

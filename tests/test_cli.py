@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -5,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +236,23 @@ def test_explicit_worker_list_horizon_mismatch(tmp_path, capsys):
     assert code == 2 and "horizon" in err
 
 
+@pytest.mark.parametrize("speed_model, where", [
+    ({"kind": "explicit", "workers": [1, 2, 1, 99999999999999999999999]}, "trace row 4"),
+    ({"kind": "trace-csv", "path": "trace.csv"},
+     "config.speed_model.path: cannot load trace.csv: trace row 2"),
+], ids=["explicit", "trace-csv"])
+def test_worker_ids_past_int64_are_input_errors(tmp_path, capsys, monkeypatch, speed_model,
+                                               where):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.csv").write_text(
+        "k,worker,tau,time\n1,1,1,1.0\n2,99999999999999999999999,2,2.0\n")
+    base = base_config(speed_model=speed_model)
+    del base["horizon"]
+    code, stdout, err = run_cli(capsys, ["simulate", "--config", write_config(tmp_path, base)])
+    assert code == 2 and stdout == ""
+    assert where in err and "past the int64 range" in err and "Traceback" not in err
+
+
 def test_trace_csv_round_trip(tmp_path, capsys):
     trace = simulate_trace(FixedSpeeds((1.0, 2.0)), 25)
     trace_path = tmp_path / "trace.csv"
@@ -378,6 +397,34 @@ def test_straggler_worker_count_past_the_array_limit_is_an_input_error(tmp_path)
     assert proc.returncode == 2
     assert "workers are more than one array can hold" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_empty_data_csv_is_an_input_error_without_a_warning(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("")
+    cfg = write_config(tmp_path, base_config(
+        problem={"kind": "least-squares", "csv": str(data)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, ["simulate", "--config", cfg])
+    assert code == 2 and stdout == ""
+    assert err == (f"config error: config.problem.csv: cannot load {data}: "
+                   "the data csv has no rows\n")
+
+
+def test_csv_inputs_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    trace_path, data_path = tmp_path / "trace.csv", tmp_path / "data.csv"
+    simulate_trace(FixedSpeeds((1.0, 2.0)), 25).write_csv(trace_path)
+    data_path.write_text("1.0,2.0,0.5\n0.0,1.0,1.0\n3.0,1.0,2.0\n")
+    base = base_config(problem={"kind": "least-squares", "csv": str(data_path)},
+                       speed_model={"kind": "trace-csv", "path": str(trace_path)})
+    del base["horizon"]
+    cfg = write_config(tmp_path, base)
+    plain = run_cli(capsys, ["simulate", "--config", cfg])
+    assert plain[0] == 0
+    for path in (trace_path, data_path):
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert run_cli(capsys, ["simulate", "--config", cfg]) == plain
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -647,6 +694,66 @@ def test_a_diverging_repetition_stops_after_the_runs_before_it(tmp_path, capsys,
     assert code == 1 and stdout == ""
     assert err == "run failed: iterates diverged at iteration 3 (norm inf)\n"
     assert sorted(p.name for p in out.iterdir()) == ["run_000.csv"]
+
+
+def test_a_trace_error_stops_after_the_runs_before_it(tmp_path, capsys, monkeypatch):
+    # an unseeded random model gives each repetition a trace of its own,
+    # built just before its run: when seed 6's build fails, seed 5's run has
+    # written its CSV, as when each repetition runs on its own
+    build = cli.scheduler.simulate_trace
+
+    def failing(model, horizon):
+        if model.seed == 6:
+            raise cli.SpeedModelError("arrival 1 finishes past the float range")
+        return build(model, horizon)
+
+    monkeypatch.setattr(cli.scheduler, "simulate_trace", failing)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(
+        seed=5, repetitions=3, out=str(out), speed_model={"kind": "random", "means": [1, 2]}))
+    code, stdout, err = run_cli(capsys, ["simulate", "--config", cfg])
+    assert code == 2 and stdout == ""
+    assert err == "error: arrival 1 finishes past the float range\n"
+    assert sorted(p.name for p in out.iterdir()) == ["run_000.csv"]
+
+
+UNSEEDED = {"kind": "random", "means": [1.0, 1.4]}   # seeded by each run's seed
+
+
+@pytest.mark.parametrize("command, config, builds", [
+    ("sweep", sweep_config(horizons=[6, 12, 18], repetitions=8), 3),
+    ("sweep", sweep_config(horizons=[6, 12, 18], repetitions=8, speed_model=UNSEEDED), 24),
+    ("simulate", base_config(repetitions=20), 2),   # batches of 16 and 4
+    ("simulate", base_config(repetitions=3, speed_model=UNSEEDED), 3),
+    ("compare", {**COMPARE_BASE, "seconds": [1.0, 3.0], "duration": 30.0, "repetitions": 3}, 1),
+], ids=["sweep-fixed", "sweep-unseeded", "simulate-fixed", "simulate-unseeded", "compare"])
+def test_each_batch_builds_its_trace_once(tmp_path, capsys, monkeypatch, command, config,
+                                          builds):
+    build, calls = cli.scheduler.simulate_trace, []
+
+    def counted(model, horizon):
+        calls.append(horizon)
+        return build(model, horizon)
+
+    monkeypatch.setattr(cli.scheduler, "simulate_trace", counted)
+    code, _, _ = run_cli(capsys, [command, "--config", write_config(tmp_path, config)])
+    assert code == 0 and len(calls) == builds
+
+
+def test_a_diverging_pooled_sweep_fails_as_the_serial_one(tmp_path, capsys, monkeypatch):
+    # a run's DivergedError comes back from a pool process pickled, and must
+    # keep its iteration and norm there rather than break the pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    fields = {"problem": {"kind": "least-squares", "dim": 3, "sigma": 0.5},
+              "schedule": {"kind": "constant", "step": 100.0},
+              "speed_model": {"kind": "random", "means": [1, 2]},
+              "horizons": [200, 400], "repetitions": 2}
+    serial, pooled = (run_cli(capsys, ["sweep", "--config", write_config(
+        tmp_path, sweep_config(parallel=parallel, **fields), name=f"{parallel}.json")])
+        for parallel in (False, 2))
+    assert serial[0] == 1 and serial[2].startswith("run failed: iterates diverged at ")
+    assert pooled == serial
+
 
 BAD_FIELDS = [
     ("simulate", "num_samples",
