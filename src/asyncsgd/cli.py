@@ -15,12 +15,11 @@ against its table. A key its table does not list, including a key that only
 another kind reads, is a config error naming its dotted path. Config keys
 equal the library's keyword names, so a builder is a table lookup plus a
 call. simulate, compare and sweep share one run path: `_read_command` checks
-the top level and builds the problem and the start point once, and `_runs`
-builds a trace's schedule and output rule, replays the trace once for a
-batch of repetitions and summarizes each run. A batch is a maximal run of
-consecutive repetitions whose traces are built from equal inputs (at most
-_SEED_BATCH of them), and it builds its trace just before its replay; the
-outputs equal those of one run per repetition, byte for byte.
+the top level and builds the problem and the start point once, and each job,
+one batch of repetitions (see `_batches`) at one horizon, runs through
+`_job`, which builds the trace the batch shares, replays it once for every
+repetition and summarizes each run. The outputs equal those of one run per
+repetition, byte for byte.
 """
 
 from __future__ import annotations
@@ -249,20 +248,6 @@ def _trace_inputs(cmd: dict, rep: int):
                       seed=cmd["seed"] + rep)
 
 
-def trace_for_run(cmd: dict, horizon: int | None, rep: int) -> scheduler.ArrivalTrace:
-    make, values = _trace_inputs(cmd, rep)
-    made = make(**values)
-    if isinstance(made, scheduler.ArrivalTrace):
-        if horizon is not None and horizon != made.horizon:
-            raise ConfigError(
-                f"horizon {horizon} does not match the {cmd['speed_model']['kind']} trace "
-                f"of length {made.horizon}")
-        return made
-    if horizon is None:
-        raise ConfigError("config.horizon is required unless the trace is explicit")
-    return scheduler.simulate_trace(made, horizon)
-
-
 def resolve_x0(cfg: dict | None, problem, seed: int) -> np.ndarray:
     make, values = _read_kind({"kind": "zeros"} if cfg is None else cfg, "config.x0",
                               X0_KINDS, seed=seed)
@@ -328,14 +313,23 @@ def _csv_path(out_dir: str, rep: int) -> str:
     return os.path.join(out_dir, f"run_{rep:03d}.csv")
 
 
-def _runs(cmd: dict, trace, reps: list, out_dir: str | None = None):
-    """Replay `trace` once for the repetitions `reps`, seeded seed + rep, and
-    yield (rep, summary, record) for each in order, writing its run CSV into
-    `out_dir`, if given. The per-step metric columns are computed only for
-    their readers: the CSV, and a sampled output's expected gradient norm
-    unless `metrics` is false. If a seed diverges, the repetitions are
-    replayed one at a time, each summarized before the next runs, so what is
+def _job(cmd: dict, horizon: int | None, reps: list, out_dir: str | None = None):
+    """Build the trace that the repetitions `reps` share at `horizon`, replay
+    it once for all of them, seeded seed + rep, and yield (rep, summary,
+    record) for each in order, writing its run CSV into `out_dir`, if given.
+    The per-step metric columns are computed only for their readers: the
+    CSV, and a sampled output's expected gradient norm unless `metrics` is
+    false. A diverging batch is replayed one repetition at a time, so what is
     written and raised is what one run per repetition writes and raises."""
+    make, values = _trace_inputs(cmd, reps[0])
+    trace = make(**values)
+    if not isinstance(trace, scheduler.ArrivalTrace):
+        if horizon is None:
+            raise ConfigError("config.horizon is required unless the trace is explicit")
+        trace = scheduler.simulate_trace(trace, horizon)
+    elif horizon is not None and horizon != trace.horizon:
+        raise ConfigError(f"horizon {horizon} does not match the {cmd['speed_model']['kind']} "
+                          f"trace of length {trace.horizon}")
     problem, x0 = cmd["problem"], cmd["x0"]
     schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
     rule = cmd.get("output_rule") or schedule.output_rule
@@ -343,27 +337,23 @@ def _runs(cmd: dict, trace, reps: list, out_dir: str | None = None):
     # the exp-weighted and sampled outputs are read from the iterate history
     keep = diagnostics or rule in ("exp-weighted", "sampled")
     metrics = bool(out_dir) or (rule == "sampled" and cmd.get("metrics", True))
+
+    def replay(batch: list):
+        return zip(batch, run_async(problem, trace, schedule, x0,
+                                    seeds=[cmd["seed"] + rep for rep in batch],
+                                    diagnostics=diagnostics, keep_iterates=keep,
+                                    metrics=metrics))
+
     try:
-        records = run_async(problem, trace, schedule, x0,
-                            seeds=[cmd["seed"] + rep for rep in reps],
-                            diagnostics=diagnostics, keep_iterates=keep, metrics=metrics)
+        runs = replay(reps)
     except DivergedError:
         if len(reps) == 1:
             raise
-        for rep in reps:
-            yield from _runs(cmd, trace, [rep], out_dir)
-        return
-    for rep, record in zip(reps, records):
+        runs = (run for rep in reps for run in replay([rep]))   # each replayed in turn
+    for rep, record in runs:
         csv_path = _csv_path(out_dir, rep) if out_dir else None
         yield rep, _summarize(problem, record, cmd["seed"] + rep, rule, diagnostics,
                               csv_path), record
-
-
-def _repetitions(cmd: dict, horizon: int | None, out_dir: str | None = None):
-    """_runs over every repetition, a batch at a time, each batch on its
-    trace at `horizon`, built just before its replay."""
-    for reps in _batches(cmd, range(cmd["repetitions"])):
-        yield from _runs(cmd, trace_for_run(cmd, horizon, reps[0]), reps, out_dir)
 
 
 def _summarize(problem, record, run_seed: int, rule: str, diagnostics: bool,
@@ -402,11 +392,12 @@ def cmd_simulate(args) -> int:
     cmd = _read_command(args, SIMULATE)
     out_dir = cmd.get("out")
     runs = []
-    for rep, summary, record in _repetitions(cmd, cmd.get("horizon"), out_dir):
-        summary["rep"] = rep
-        if out_dir:
-            summary["csv"] = _csv_path(out_dir, rep)
-        runs.append(summary)
+    for reps in _batches(cmd, range(cmd["repetitions"])):
+        for rep, summary, record in _job(cmd, cmd.get("horizon"), reps, out_dir):
+            summary["rep"] = rep
+            if out_dir:
+                summary["csv"] = _csv_path(out_dir, rep)
+            runs.append(summary)
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -456,15 +447,16 @@ def cmd_compare(args) -> int:
 
     cmd["speed_model"] = {"kind": "fixed", "seconds": seconds}   # the trace every run replays
     async_runs, mini_runs = [], []
-    for rep, summary, record in _repetitions(cmd, async_steps):
-        async_runs.append(summary)
-        # by default the minibatch baseline takes the freshest-gradient stepsize
-        step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
-        run_seed = cmd["seed"] + rep
-        x_final = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step, cmd["x0"],
-                                seed=run_seed)
-        mini_runs.append({"seed": run_seed, "step": float(step),
-                          **_final_metrics(cmd["problem"], x_final)})
+    for reps in _batches(cmd, range(cmd["repetitions"])):
+        for rep, summary, record in _job(cmd, async_steps, reps):
+            async_runs.append(summary)
+            # by default the minibatch baseline takes the freshest-gradient stepsize
+            step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
+            run_seed = cmd["seed"] + rep
+            x_final = run_minibatch(cmd["problem"], len(seconds), sync_rounds, step,
+                                    cmd["x0"], seed=run_seed)
+            mini_runs.append({"seed": run_seed, "step": float(step),
+                              **_final_metrics(cmd["problem"], x_final)})
     payload["async"] = {
         "runs": async_runs,
         "mean_final_fgap": float(np.mean([r["final_fgap"] for r in async_runs])),
@@ -483,15 +475,10 @@ def cmd_compare(args) -> int:
 
 
 def _sweep_batch(cmd: dict, horizon: int, reps: list) -> list[dict]:
-    """The sweep runs of the repetitions `reps` at `horizon`, which share the
-    trace of the first of them."""
-    trace = trace_for_run(cmd, horizon, reps[0])
-    runs = []
-    for rep, summary, _ in _runs(cmd, trace, reps):
-        summary["horizon"] = horizon
-        summary["rep"] = rep
-        runs.append(summary)
-    return runs
+    """The sweep runs of the job (horizon, reps): its summaries, each ending
+    in its horizon and repetition. A pool process returns only these."""
+    return [{**summary, "horizon": horizon, "rep": rep}
+            for rep, summary, _ in _job(cmd, horizon, reps)]
 
 
 def cmd_sweep(args) -> int:

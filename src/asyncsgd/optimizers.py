@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import point_metrics
-from .scheduler import ArrivalTrace, LedgerError
+from .scheduler import ArrivalTrace, LedgerError, _fits
 from .schedules import StepSchedule
 
 
@@ -195,25 +195,32 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 _CHUNK = 1024
 
 
-def _draw_chunk(problem, streams, workers: np.ndarray):
+def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
     """The gradient samples consumed by a run of arrivals, one row per
     arrival and seed, arrival-major: row i*R + r belongs to arrival i of the
-    run whose generators are streams[r] (R = len(streams)).
+    run of seeds[r] (R = len(seeds)).
 
     Each worker's samples come from its own generator as one block, in its
     arrival order, and are scattered back to the rows it arrives at. Returns
-    None if the problem's gradients are exact.
+    None if the problem's gradients are exact. streams[m] holds worker m's
+    generators, those of worker_streams(seed, M) for each seed; they are made
+    when the worker first draws, so idle workers cost nothing.
     """
     order = np.argsort(workers, kind="stable")
-    counts = np.bincount(workers, minlength=len(streams[0]) + 1)[1:]
+    counts = np.bincount(workers)   # as long as the largest id drawing, not M
+    ids = np.flatnonzero(counts)
+    ids, counts = ids.tolist(), counts[ids].tolist()
+    for m in ids:
+        if m not in streams:
+            streams[m] = [np.random.default_rng([seed, m]) for seed in seeds]
     samples = None
-    for r, rngs in enumerate(streams):
-        blocks = [problem.draw(rngs[m], int(c)) for m, c in enumerate(counts) if c]
+    for r in range(len(seeds)):
+        blocks = [problem.draw(streams[m][r], c) for m, c in zip(ids, counts)]
         if blocks[0] is None:
             return None
         drawn = np.concatenate(blocks)
         if samples is None:
-            samples = np.empty((len(workers), len(streams)) + drawn.shape[1:], drawn.dtype)
+            samples = np.empty((len(workers), len(seeds)) + drawn.shape[1:], drawn.dtype)
         samples[order, r] = drawn
     return samples.reshape((-1,) + samples.shape[2:])
 
@@ -331,7 +338,10 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         raise LedgerError("need a trace with at least one arrival")
     x0 = _start(problem, x0, m_count)
     dim, n_seeds = problem.dim, len(seeds)
-    streams = [worker_streams(s, m_count) for s in seeds]
+    # no M-sized array (slot columns, chunk table, gradient store) passes (M+K+1) R d
+    if not _fits((int(m_count) + horizon + 1) * n_seeds * dim):
+        raise LedgerError(f"{m_count} workers are more than one array can hold")
+    streams = {}   # worker id: its generators, one per seed (see _draw_chunk)
 
     # columns: dispatch iteration p_k, stepsize gamma_k, and every dispatch's
     # eventual stepsize by slot: the one it is consumed with at the worker's
@@ -382,7 +392,7 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         chunk_prevs = prevs[start:stop]
         gamma_rows = gammas[start:stop, None]
         # row i*R + r of the samples and the workers belongs to arrival i, seed r
-        samples = _draw_chunk(problem, streams, workers)
+        samples = _draw_chunk(problem, streams, seeds, workers)
         seed_workers = workers if single else np.repeat(workers, n_seeds)
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
         if diagnostics:
@@ -447,7 +457,7 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
     pending = last < horizon   # all but the worker arriving at K
     if diagnostics and pending.any():
         g = problem.sample_grads(points[pending].reshape(-1, dim),
-                                 _draw_chunk(problem, streams, ids[pending]),
+                                 _draw_chunk(problem, streams, seeds, ids[pending]),
                                  np.repeat(ids[pending], n_seeds))
         for r, stored in enumerate(gradients):
             stored[ends[pending]] = g[r::n_seeds]

@@ -169,13 +169,27 @@ def _check_sigma(sigma: float) -> float:
     return float(sigma)
 
 
-def _gaussian_data(seed: int, num_samples: int, dim: int):
+def _gaussian_data(seed: int, num_samples: int, dim: int,
+                   target_smoothness: float | None = None, scale: int = 1):
     """default_rng(seed) after drawing from it a standard normal
-    (num_samples, dim) design and then a standard normal target."""
+    (num_samples, dim) design and then a standard normal target. The design
+    is rescaled, if `target_smoothness` is given, so that the largest
+    eigenvalue of mat.T @ mat / scale lands on it."""
+    if dim < 1:
+        raise ProblemError(f"dim must be >= 1, got {dim}")
+    if num_samples < 1:
+        raise ProblemError(f"num_samples must be >= 1, got {num_samples}")
     if not _fits(num_samples * dim):
         raise ProblemError(f"{num_samples} x {dim} data are more than one array can hold")
     rng = np.random.default_rng(seed)
-    return rng, rng.standard_normal((num_samples, dim)), rng.standard_normal(num_samples)
+    mat, rhs = rng.standard_normal((num_samples, dim)), rng.standard_normal(num_samples)
+    if target_smoothness is not None:
+        if target_smoothness <= 0:
+            raise ProblemError("target_smoothness must be positive")
+        # dividing by a scale of 1 is exact, so the quadratics' mat.T @ mat is unchanged
+        current = np.linalg.eigvalsh(mat.T @ mat / scale)[-1]
+        mat = mat * math.sqrt(target_smoothness / current)
+    return rng, mat, rhs
 
 
 def offset_start(problem: Problem, distance: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -282,18 +296,9 @@ def least_squares(dim: int, num_samples: int | None = None, noise: str = "additi
                   target_smoothness: float | None = None) -> LeastSquares:
     """Random Gaussian least-squares instance, optionally rescaled so the
     smoothness constant lands exactly on target_smoothness."""
-    if dim < 1:
-        raise ProblemError(f"dim must be >= 1, got {dim}")
     if num_samples is None:
         num_samples = 10 * dim
-    if num_samples < 1:
-        raise ProblemError(f"num_samples must be >= 1, got {num_samples}")
-    _, mat, rhs = _gaussian_data(seed, num_samples, dim)
-    if target_smoothness is not None:
-        if target_smoothness <= 0:
-            raise ProblemError("target_smoothness must be positive")
-        current = np.linalg.eigvalsh(mat.T @ mat / num_samples)[-1]
-        mat = mat * math.sqrt(target_smoothness / current)
+    _, mat, rhs = _gaussian_data(seed, num_samples, dim, target_smoothness, num_samples)
     return LeastSquares(mat, rhs, noise=noise, sigma=sigma, probe_seed=seed)
 
 
@@ -361,8 +366,6 @@ class BoundedNonconvex(Problem):
 
 def bounded_nonconvex(dim: int, num_samples: int | None = None, noise: str = "rows",
                       sigma: float | None = None, seed: int = 0) -> BoundedNonconvex:
-    if dim < 1:
-        raise ProblemError(f"dim must be >= 1, got {dim}")
     if num_samples is None:
         num_samples = 10 * dim
     _, mat, rhs = _gaussian_data(seed, num_samples, dim)
@@ -424,8 +427,6 @@ def heterogeneous_quadratics(dim: int, num_workers: int, zeta: float,
                              num_samples: int | None = None, sigma: float = 0.0,
                              seed: int = 0,
                              target_smoothness: float | None = None) -> HeterogeneousQuadratics:
-    if dim < 1:
-        raise ProblemError(f"dim must be >= 1, got {dim}")
     if num_workers < 1:
         raise ProblemError(f"num_workers must be >= 1, got {num_workers}")
     if zeta < 0 or not math.isfinite(zeta):
@@ -434,11 +435,6 @@ def heterogeneous_quadratics(dim: int, num_workers: int, zeta: float,
         raise ProblemError(f"{num_workers} x {dim} worker shifts are more than one array can hold")
     if num_samples is None:
         num_samples = 2 * dim
-    rng, mat, rhs = _gaussian_data(seed, num_samples, dim)
-    if target_smoothness is not None:
-        if target_smoothness <= 0:
-            raise ProblemError("target_smoothness must be positive")
-        current = np.linalg.eigvalsh(mat.T @ mat)[-1]
-        mat = mat * math.sqrt(target_smoothness / current)
+    rng, mat, rhs = _gaussian_data(seed, num_samples, dim, target_smoothness)
     shifts = _unit_circle_shifts(dim, num_workers, zeta, rng)
     return HeterogeneousQuadratics(mat, rhs, shifts, sigma=sigma)

@@ -256,21 +256,26 @@ class ArrivalTrace:
         workers, taus, times = [], [], []
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            required = {"k", "worker", "tau", "time"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise LedgerError(f"trace csv must have columns {sorted(required)}")
-            for k, row in enumerate(reader, start=1):
-                try:
-                    row_k = int(row["k"])
-                    workers.append(int(row["worker"]))
-                    taus.append(int(row["tau"]))
-                    times.append(float(row["time"]))
-                except (TypeError, ValueError) as exc:
-                    raise LedgerError(f"trace csv row {k}: {exc}") from None
-                if row_k != k:
-                    raise LedgerError(
-                        f"trace csv row {k}: k is {row_k}, expected {k} "
-                        "(rows must be k = 1..K in order)")
+            try:
+                required = {"k", "worker", "tau", "time"}
+                if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                    raise LedgerError(f"trace csv must have columns {sorted(required)}")
+                if len(set(reader.fieldnames)) != len(reader.fieldnames):
+                    raise LedgerError(f"trace csv repeats a column: {reader.fieldnames}")
+                for k, row in enumerate(reader, start=1):
+                    try:
+                        row_k = int(row["k"])
+                        workers.append(int(row["worker"]))
+                        taus.append(int(row["tau"]))
+                        times.append(float(row["time"]))
+                    except (TypeError, ValueError) as exc:
+                        raise LedgerError(f"trace csv row {k}: {exc}") from None
+                    if row_k != k:
+                        raise LedgerError(
+                            f"trace csv row {k}: k is {row_k}, expected {k} "
+                            "(rows must be k = 1..K in order)")
+            except csv.Error as exc:   # line_num counts the lines before the bad one
+                raise LedgerError(f"trace csv line {reader.line_num + 1}: {exc}") from None
         if num_workers is None:
             num_workers = max(workers) if workers else 1
         trace = cls(workers, np.array(times, dtype=np.float64), num_workers)

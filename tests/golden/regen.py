@@ -133,8 +133,8 @@ def cases() -> dict:
     """Every case: name -> (argv, files to write into the working directory)."""
     out = {}
 
-    def add(name, argv, config=None):
-        files = dict(INPUTS)
+    def add(name, argv, config=None, inputs=None):
+        files = {**INPUTS, **(inputs or {})}
         if config is not None:
             files["config.json"] = json.dumps(config)
             argv = [argv[0], "--config", "config.json", *argv[1:]]
@@ -170,6 +170,13 @@ def cases() -> dict:
     add("exit2-unknown-schedule", ["simulate"],
         _config(problem=LS, speed_model=FIXED, schedule={"kind": "adaptive-convx"}))
     add("exit2-bad-worker-list", ["check", "--workers", "0"])
+    # worker ids past the int64 range, in a trace file and in an explicit order
+    add("exit2-trace-csv-worker-past-int64", ["simulate"],
+        _config(problem=LS, speed_model={"kind": "trace-csv", "path": "big.csv"}),
+        {"big.csv": "k,worker,tau,time\n1,1,1,1.0\n2,99999999999999999999999,2,2.0\n"})
+    add("exit2-explicit-worker-past-int64", ["simulate"],
+        _config(problem=LS, speed_model={"kind": "explicit",
+                                         "workers": [1, 2, 1, 99999999999999999999999]}))
     return out
 
 

@@ -90,13 +90,18 @@ def test_benchmark_workloads_run_traced(tmp_path, monkeypatch):
         assert counters["optimizers.grad_evals"] >= unit.updates, name
 
 
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
 @pytest.mark.parametrize("stdout", ["", 'print(\'{"metrics": {}, "failed": 1}\')'],
                          ids=["no-output", "metrics"])
 def test_bench_pairs_stops_on_a_failed_run(tmp_path, stdout):
     # a run that exits 1 is no measurement, whether or not it printed metrics
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = load_bench_pairs()
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         f"import sys\n{stdout}\nprint('check failed: residual', file=sys.stderr)\nsys.exit(1)\n")
@@ -106,3 +111,21 @@ def test_bench_pairs_stops_on_a_failed_run(tmp_path, stdout):
     for part in ("exit 1", str(tmp_path), "workload diagnostics-wide", "seed 3", "--trace 1",
                  "check failed: residual"):
         assert part in message
+
+
+def test_bench_pairs_stops_when_the_parent_is_not_a_git_checkout(tmp_path):
+    # the output names the parent by its commit: a tree without one stops
+    # the script before its first run, with a message naming the tree
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(
+            "from pathlib import Path\nPath(__file__).with_name('ran').touch()\n")
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as stopped:
+        load_bench_pairs().main(["--parent", str(parent), "--change", str(change),
+                                 "--out", str(out)])
+    assert str(parent) in str(stopped.value) and "not a git checkout" in str(stopped.value)
+    assert not out.exists()
+    assert not any((tree / "perfbench" / "ran").exists() for tree in (parent, change))

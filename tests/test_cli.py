@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (ArrivalTrace, FixedSpeeds, LeastSquares, cli, least_squares,
@@ -174,6 +174,34 @@ def test_invalid_json_reports_position(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def _file_under_a_file(tmp_path):
+    (tmp_path / "file.txt").write_text("")
+    return str(tmp_path / "file.txt" / "out")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an integer literal past the float range, and JSON's Infinity, for a number key
+    (lambda tmp: ["--config", write_config(tmp, base_config(problem={
+        "kind": "least-squares", "dim": 3, "sigma": 10**400}))],
+     "config error: config.problem.sigma must be finite, got inf"),
+    (lambda tmp: ["--config", write_config(tmp, base_config(problem={
+        "kind": "least-squares", "dim": 3, "sigma": math.inf}))],
+     "config error: config.problem.sigma must be finite, got inf"),
+    (lambda tmp: ["--config", write_config(tmp, base_config()), "--seed", "-1"],
+     "config error: seed must be >= 0, got -1"),
+    (lambda tmp: ["--config", str(tmp)], "config error: cannot read config "),
+    (lambda tmp: ["--config", write_config(tmp, [base_config()])],
+     "config error: config {tmp}/config.json must be a JSON object"),
+    (lambda tmp: ["--config", write_config(tmp, base_config()), "--out", _file_under_a_file(tmp)],
+     "config error: config.out: cannot create '{tmp}/file.txt/out': "),
+], ids=["float-past-range", "float-infinity", "negative-seed", "unreadable-config",
+        "config-is-a-list", "out-under-a-file"])
+def test_rejected_invocation_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    code, stdout, err = run_cli(capsys, ["simulate", *argv(tmp_path)])
+    assert code == 2 and stdout == ""
+    assert err.startswith(message.format(tmp=tmp_path)) and err.count("\n") == 1
+
+
 def test_unknown_schedule_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(schedule={"kind": "polyak"}))
     code, _, err = run_cli(capsys, ["simulate", "--config", cfg])
@@ -287,6 +315,26 @@ def test_trace_csv_non_finite_times_are_rejected(tmp_path, capsys):
     assert "row 1" in err and "not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("k,worker,tau,time\n1,1,1," + "1" * 200_000 + "\n",
+     "trace csv line 2: field larger than field limit (131072)"),
+    ("k,worker,tau,time,worker\n1,1,1,1.0,2\n2,2,2,2.0,1\n",
+     "trace csv repeats a column: ['k', 'worker', 'tau', 'time', 'worker']"),
+    ("k,worker,tau,time\n1,a,1,1.0\n",
+     "trace csv row 1: invalid literal for int() with base 10: 'a'"),
+], ids=["oversized-field", "repeated-column", "non-integer-worker"])
+def test_malformed_trace_csv_is_an_input_error(tmp_path, capsys, text, message):
+    # the csv module's field limit is process-wide, so it stays as it is and
+    # a longer field is reported; a repeated column would replay its last copy
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(text)
+    base = base_config(speed_model={"kind": "trace-csv", "path": str(trace_path)})
+    del base["horizon"]
+    code, stdout, err = run_cli(capsys, ["simulate", "--config", write_config(tmp_path, base)])
+    assert code == 2 and stdout == ""
+    assert err == f"config error: config.speed_model.path: cannot load {trace_path}: {message}\n"
+
+
 def test_missing_trace_csv_file_is_a_config_error(tmp_path, capsys):
     base = base_config(speed_model={"kind": "trace-csv",
                                     "path": str(tmp_path / "absent.csv")})
@@ -397,6 +445,28 @@ def test_straggler_worker_count_past_the_array_limit_is_an_input_error(tmp_path)
     assert proc.returncode == 2
     assert "workers are more than one array can hold" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("num_workers", [10**18, 10**23], ids=["1e18", "1e23"])
+@pytest.mark.parametrize("kind", ["explicit", "trace-csv"])
+def test_huge_worker_counts_over_a_short_trace_are_input_errors(tmp_path, kind, num_workers):
+    # in a subprocess with a timeout and a 2 GiB address space: the replay
+    # checks its per-worker arrays against the array limit and makes a
+    # worker's generator only when it first draws; one generator per worker
+    # made up front would run until memory ran out
+    (tmp_path / "trace.csv").write_text(
+        "k,worker,tau,time\n1,1,1,1.0\n2,2,2,2.0\n3,1,2,3.0\n4,2,2,4.0\n")
+    speed = ({"kind": kind, "workers": [1, 2, 1, 2]} if kind == "explicit"
+             else {"kind": kind, "path": str(tmp_path / "trace.csv")})
+    base = base_config(speed_model={**speed, "num_workers": num_workers},
+                       schedule={"kind": "constant", "step": 0.01})
+    del base["horizon"]
+    proc = subprocess.run([sys.executable, "-m", "asyncsgd.cli", "simulate", "--config",
+                           write_config(tmp_path, base)],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {num_workers} workers are more than one array can hold\n"
 
 
 def test_empty_data_csv_is_an_input_error_without_a_warning(tmp_path, capsys):
@@ -847,7 +917,10 @@ FUZZ_KEYS = sorted((
     | set(cli.SWEEP) | {"kind"}) - {"parallel"})
 FUZZ_SCALARS = st.one_of(
     st.integers(-2, 64),
-    st.sampled_from([-1.0, 0.0, 5e-324, 1e-310, 0.5, 1.0, 1e308, math.nan]))
+    st.sampled_from([-1.0, 0.0, 5e-324, 1e-310, 0.5, 1.0, 1e308, math.nan, math.inf]),
+    # sizes are drawn small or past the 2**63-byte array limit, never in
+    # between, where they would allocate real memory
+    st.sampled_from([2**63, -2**63, 2**63 - 1, -(2**63 - 1), 10**400]))
 FUZZ_VALUES = st.one_of(
     FUZZ_SCALARS, st.text(max_size=4), st.none(), st.booleans(),
     st.lists(FUZZ_SCALARS, max_size=3),
@@ -877,6 +950,9 @@ FUZZ_BASES = [
        key=st.sampled_from(FUZZ_KEYS), value=FUZZ_VALUES)
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch,
                                                   base, section, key, value):
+    # a huge repetition count is that many replays, which nothing bounds yet
+    assume(not (section is None and key == "repetitions" and isinstance(value, int)
+                and value > 64))
     monkeypatch.chdir(tmp_path)   # an "out" value writes here
     command, cfg = base[0], json.loads(json.dumps(base[1]))
     if section == "overrides":
@@ -888,6 +964,70 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch,
     except SystemExit as exc:   # argparse's usage error
         assert exc.code == 2
         return
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert code != 1 or "run failed:" in err
+
+
+# the fields of a fuzzed input file: small counts that build a run, and
+# values that break one: not numbers, past int64 or the float range, empty,
+# longer than the csv module's field limit, a NUL byte or a stray quote
+CSV_FIELDS = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["0.5", "1.0", "nan", "inf", "-1e999", "1e999", "a", "", " 1", "1.0.0",
+                     str(2**63), str(-2**63 - 1), "9" * 25, "\x00", '"', "1" * 200_000]))
+TRACE_HEADERS = st.sampled_from(["k,worker,tau,time", "time,tau,worker,k",
+                                 "k,worker,tau,time,extra", "k,worker,tau,time,worker",
+                                 "k,worker,tau", "k,worker,tau,time,"])
+# a well-formed trace row in most examples, so the later checks are reached
+TRACE_ROWS = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(1, 4), st.integers(1, 4))
+    .map(lambda row: f"{row[0]},{row[1]},{row[2]},{row[3]}.0"),
+    st.lists(CSV_FIELDS, max_size=5).map(",".join))
+DATA_ROWS = st.one_of(
+    st.lists(st.integers(-3, 3).map(str), min_size=3, max_size=3).map(",".join),
+    st.lists(CSV_FIELDS, max_size=4).map(",".join))
+
+
+@st.composite
+def csv_bytes(draw, header, rows):
+    """The bytes of a CSV file: the header, if any, and rows, with line
+    breaks of either kind, then maybe a BOM, a truncation, a blank line or a
+    byte that is not UTF-8."""
+    lines = ([draw(header)] if header is not None else []) + draw(st.lists(rows, max_size=5))
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode()
+    damage = draw(st.sampled_from(["none", "bom", "truncate", "blank", "latin-1"]))
+    at = draw(st.integers(0, len(data)))
+    if damage == "bom":
+        data = codecs.BOM_UTF8 + data
+    elif damage == "truncate":
+        data = data[:at]
+    elif damage == "blank":
+        data = data[:at] + b"\n\n" + data[at:]
+    elif damage == "latin-1":
+        data = data[:at] + b"\xff\xe9" + data[at:]
+    return data
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["trace", "data"]), data=st.data(),
+       num_workers=st.sampled_from([None, 2, 2**63]))
+def test_input_file_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, which, data,
+                                                      num_workers):
+    # no bytes in a trace or data CSV end in a traceback: bad input exits 2
+    path = tmp_path / f"{which}.csv"
+    if which == "trace":
+        path.write_bytes(data.draw(csv_bytes(TRACE_HEADERS, TRACE_ROWS)))
+        speed = {"kind": "trace-csv", "path": str(path)}
+        if num_workers is not None:
+            speed["num_workers"] = num_workers
+        cfg = base_config(speed_model=speed, schedule={"kind": "constant", "step": 0.01})
+        del cfg["horizon"]
+    else:
+        path.write_bytes(data.draw(csv_bytes(None, DATA_ROWS)))
+        cfg = base_config(problem={"kind": "least-squares", "csv": str(path)})
+    code = main(["simulate", "--config", write_config(tmp_path, cfg, name="fuzz.json")])
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert code != 1 or "run failed:" in err

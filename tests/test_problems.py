@@ -279,6 +279,18 @@ def test_heterogeneous_target_smoothness():
     assert p.smoothness == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: least_squares(dim=3, num_samples=0),
+    lambda: bounded_nonconvex(dim=3, num_samples=0),
+    lambda: heterogeneous_quadratics(dim=3, num_workers=2, zeta=0.1, num_samples=0),
+], ids=["least-squares", "bounded-nonconvex", "heterogeneous-quadratics"])
+def test_every_gaussian_problem_needs_a_sample(build):
+    # one data builder checks the sample count for all three problems; an
+    # empty design used to raise numpy's ValueError or build a zero-row problem
+    with pytest.raises(ProblemError, match="num_samples must be >= 1, got 0"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # batched gradients
 

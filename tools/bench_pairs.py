@@ -4,7 +4,8 @@ comparison as a BENCH_<n>.json file.
     python3 tools/bench_pairs.py --parent ../parent-checkout --change . \
         --out BENCH_11.json
 
-Both trees are run with their own `perfbench/run.py` on every workload in
+The parent tree must be a git checkout (a clone, not an archive export),
+as the output records its commit. Both trees are run with their own `perfbench/run.py` on every workload in
 BENCHMARK.json, one workload and one seed at a time, end to end
 (`--trace 0`), for seeds 1..PAIRS: seed s runs the parent first when s is
 odd and the change first when it is even. Medians and quartiles (linear
@@ -82,6 +83,11 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
                                 capture_output=True, text=True).stdout.strip()
+    if not parent_rev:
+        # the output names the parent by its commit; a copy without one
+        # (an archive export, say) would leave that field empty
+        raise SystemExit(f"{args.parent} is not a git checkout: clone the parent commit, "
+                         "so that its revision can be recorded")
     seeds = list(range(1, PAIRS + 1))
     envs, workloads, traced = [], {}, {}
     for name in names:
