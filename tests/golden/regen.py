@@ -67,6 +67,7 @@ LOGNORMAL = {"kind": "random", "distribution": "lognormal", "sigma": 1.0,
              "means": [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4]}
 STRAGGLER = {"kind": "straggler", "straggler": 3, "slowdown": 20.0, "num_workers": 3}
 EXPLICIT = {"kind": "explicit", "workers": [1, 2, 3, 1, 1, 2, 3, 3, 1, 2] * 6}
+EQUAL_PAIR = {"kind": "fixed", "seconds": [1.0, 1.0]}
 
 
 def _config(**fields) -> dict:
@@ -120,6 +121,13 @@ SIMULATE = {   # name: (config, also run with --diagnostics)
     "diverging-constant": (
         _config(problem=LS, speed_model=FIXED, horizon=400,
                 schedule={"kind": "constant", "step": 50.0}), False),
+    # two equal workers: every ready block holds two arrivals
+    "ls-additive-equal-pair": (
+        _config(problem=LS, speed_model=EQUAL_PAIR, horizon=200), True),
+    # the first diverged iterate, at k = 47, is the first arrival of a block
+    "diverging-constant-equal-pair": (
+        _config(problem=LS, speed_model=EQUAL_PAIR, horizon=400,
+                schedule={"kind": "constant", "step": 3.0}), False),
 }
 
 SWEEP_BASE = _config(problem=LS, speed_model=FIXED, horizons=[60, 120], repetitions=2,
