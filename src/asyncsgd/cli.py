@@ -10,7 +10,7 @@ codes: 0 success, 1 invariant or run failure, 2 usage or config errors.
 
 Config checking is declarative. Each config section, and each kind of a
 section that has kinds, has one table below that lists every key it accepts
-with its type and lower bound, and one reader (`_read`) checks a section
+with its type and bounds, and one reader (`_read`) checks a section
 against its table. A key its table does not list, including a key that only
 another kind reads, is a config error naming its dotted path. Config keys
 equal the library's keyword names, so a builder is a table lookup plus a
@@ -72,12 +72,13 @@ _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", dict: "a JSON object", bool | int: "true, false or an integer"}
 
 
-def _check(value, kind, lower, path: str):
-    """`value` checked against a table type (see the config tables below)."""
+def _check(value, kind, bound, path: str):
+    """`value` checked against a table type and bound (see the config tables
+    below)."""
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
-        return [_check(v, kind[0], lower, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_check(v, kind[0], bound, f"{path}[{i}]") for i, v in enumerate(value)]
     if isinstance(kind, tuple):
         if not isinstance(value, str) or value not in kind:
             raise ConfigError(f"{path} must be one of {list(kind)}, got {value!r}")
@@ -92,8 +93,13 @@ def _check(value, kind, lower, path: str):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{path} must be finite, got {value}")
-    if lower is not None and not isinstance(value, bool) and value < lower:
+    lower, upper = bound if isinstance(bound, tuple) else (bound, None)
+    if isinstance(value, bool):
+        return value
+    if lower is not None and value < lower:
         raise ConfigError(f"{path} must be >= {lower}, got {value}")
+    if upper is not None and value > upper:
+        raise ConfigError(f"{path} must be <= {upper}, got {value}")
     return value
 
 
@@ -108,9 +114,9 @@ def _read(cfg, where: str, table: dict, **fallback) -> dict:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; known: {sorted(table)}")
     values = {}
-    for key, (kind, lower, *default) in table.items():
+    for key, (kind, bound, *default) in table.items():
         if key in cfg:
-            values[key] = _check(cfg[key], kind, lower, f"{where}.{key}")
+            values[key] = _check(cfg[key], kind, bound, f"{where}.{key}")
         elif default == [...]:
             raise ConfigError(f"{where}.{key} is required")
         elif default:
@@ -151,7 +157,8 @@ def _explicit_x0(problem, values) -> np.ndarray:
 # config tables
 #
 # A table maps each key a section (or one kind of it) accepts to
-# (type, lower bound) or (type, lower bound, default). A type is int, float
+# (type, bound) or (type, bound, default). A bound is a lower bound, or a
+# (lower, upper) pair, and None for none. A type is int, float
 # (any JSON number, read as a finite float), bool, str, dict (a JSON
 # object), bool | int, a list [int] or [float] (non-empty, the bound applying
 # to each entry), or a tuple of the accepted strings. The default ... marks
@@ -200,7 +207,7 @@ OVERRIDES = {f.name: (type(f.default), None)
              for f in dataclasses.fields(schedules.ProblemConstants)}
 
 TOP_LEVEL = {"problem": (dict, None, ...), "schedule": (dict, None, ...),
-            "x0": (dict, None), "seed": (int, 0, 0), "repetitions": (int, 1, 1),
+            "x0": (dict, None), "seed": (int, 0, 0), "repetitions": (int, (1, 10_000), 1),
             "out": (str, None)}
 SIMULATE = {**TOP_LEVEL, "speed_model": (dict, None, ...), "horizon": (int, 1),
             "diagnostics": (bool, None, False), "output_rule": (schedules.OUTPUT_RULES, None)}

@@ -185,6 +185,9 @@ def cases() -> dict:
     add("exit2-explicit-worker-past-int64", ["simulate"],
         _config(problem=LS, speed_model={"kind": "explicit",
                                          "workers": [1, 2, 1, 99999999999999999999999]}))
+    # more repetitions than the config allows, rejected before any trace is built
+    add("exit2-repetitions-past-bound", ["simulate"],
+        _config(problem=LS, speed_model=FIXED, horizon=30, repetitions=10**12))
     return out
 
 
