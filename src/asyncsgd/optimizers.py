@@ -25,18 +25,24 @@ an iterate that exists before the block; a worker arrives at most once in a
 block, so it holds at most M arrivals. A block costs one batched
 `sample_grads` call at its dispatch points and one `np.subtract.accumulate`
 over [x_a; gamma_k g_k], which subtracts in the order of k, so each iterate
-equals the per-step one bit for bit; in a single run, a block of one
-arrival takes a scalar path into the same buffer, as the batched path
-costs several times more per arrival (every block of a trace with one
-straggler has length 1). Each block's iterates pass the divergence test
-before the next block takes a gradient, so no gradient is ever taken at a
-point that failed it. The iterates of a chunk of _CHUNK arrivals fill one buffer, and a table of
-dispatch points holds every worker's point at the chunk's start followed by
-that buffer (O((M + _CHUNK) d) memory). Once per chunk, the buffer gives the
-running sums for the averaged outputs (added row by row in the order of k,
-so no iterate history is needed for them), the per-step metric columns,
-filled only on request (`metrics=True`), and the iterate history, kept only
-on request.
+equals the per-step one bit for bit. That is about 20 numpy calls per
+block, more than a block of two arrivals saves, so a single run replays
+its blocks of at most _SCALAR_BLOCK arrivals one arrival at a time
+instead, into the same buffer: one scalar loop over each run of
+consecutive short blocks (every block of a trace with one straggler has
+length 1, and two equal workers make every block two long). Per arrival,
+that loop reads the table row of its dispatch point, its worker, stepsize
+and sample from lists built once per chunk, forms gamma_k g_k in one
+scratch row, so it never writes into the array the problem returned, and
+screens x_k.dot(x_k) inline. Each block's iterates pass the divergence test before
+the next block takes a gradient, so no gradient is ever taken at a point
+that failed it. The iterates of a chunk of _CHUNK arrivals fill one
+buffer, and a table of dispatch points holds every worker's point at the
+chunk's start followed by that buffer (O((M + _CHUNK) d) memory). Once
+per chunk, the buffer gives the running sums for the averaged outputs
+(added row by row in the order of k, so no iterate history is needed for
+them), the per-step metric columns, filled only on request
+(`metrics=True`), and the iterate history, kept only on request.
 
 Seeds are a batch axis. The seeds of repetitions that replay one trace
 differ only in their gradient noise, so `run_async(..., seeds=[...])`
@@ -194,6 +200,12 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # takes 2 * _CHUNK // R arrivals per chunk, when that is fewer).
 _CHUNK = 1024
 
+# in a single run, a ready block of at most this many arrivals is replayed
+# one arrival at a time: the batched path's fixed cost of about 20 numpy
+# calls per block is more than the per-arrival calls it saves on a block
+# of two, and about even with them on a block of three
+_SCALAR_BLOCK = 2
+
 
 def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
     """The gradient samples consumed by a run of arrivals, one row per
@@ -229,14 +241,34 @@ def _ready_blocks(prevs: list[int], start: int) -> list[int]:
     """Bounds, relative to `start`, of the ready blocks of the arrivals
     start, start+1, ...: greedy runs of arrivals whose dispatch iterations
     are all at most the run's first index, so that every gradient of a run
-    is taken at an iterate that exists before the run starts."""
-    bounds, first = [0], start
-    for i, p in enumerate(prevs, start):
-        if p > first:
-            bounds.append(i - start)
-            first = i
-    bounds.append(len(prevs))
+    is taken at an iterate that exists before the run starts.
+
+    A block's arrivals were dispatched no later than its start, so the
+    prefix maximum of `prevs` before a block starting at s stays below
+    start + s, and the next block starts at the first arrival whose prefix
+    maximum passes start + s."""
+    n = len(prevs)
+    if not n:
+        return [0, 0]
+    ends = np.searchsorted(np.maximum.accumulate(prevs), np.arange(start, start + n),
+                           side="right").tolist()
+    bounds, s = [0], 0
+    while s < n:
+        s = ends[s]
+        bounds.append(s)
     return bounds
+
+
+def _scalar_runs(bounds: list[int], longest: int) -> tuple[list[int], list[bool]]:
+    """The blocks of `bounds` regrouped as runs: each maximal run of
+    consecutive blocks of at most `longest` arrivals is one run, flagged
+    True, and each longer block is a run of its own, flagged False. Returns
+    the runs' bounds and flags."""
+    bounds = np.asarray(bounds)
+    short = np.diff(bounds) <= longest
+    keep = np.ones(len(bounds), dtype=bool)
+    keep[1:-1] = ~(short[:-1] & short[1:])   # a bound between two short blocks goes
+    return bounds[keep].tolist(), short[keep[:-1]].tolist()
 
 
 def _slot(dispatch: np.ndarray, workers: np.ndarray, m_count: int) -> np.ndarray:
@@ -298,10 +330,12 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     checker reads this store; diagnostics implies keep_iterates. Raises
     DivergedError at the first iteration whose iterate norm passes
     divergence_norm or goes non-finite, before any gradient is taken at that
-    iterate. A block of several arrivals computes its later rows from
+    iterate. A block on the batched path (a seed batch's, or a single run's
+    block of more than _SCALAR_BLOCK arrivals) computes its later rows from
     gradients at earlier points before the test sees a diverged row, and only
-    that arithmetic runs with numpy's overflow warnings off; the problem's own
-    code runs with the caller's settings.
+    that arithmetic runs with numpy's overflow warnings off; the scalar
+    loop's updates and the problem's own code run with the caller's
+    settings.
 
     seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
     at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
@@ -384,6 +418,10 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
     table[:] = np.tile(x0, n_seeds)
     points, buf = table[:m_count], table[m_count:]
     single = n_seeds == 1
+    # the scalar loop's scratch row for gamma_k g_k, and its divergence
+    # screen: a point within it passes the test (see _check_rows)
+    scaled = np.empty(dim)
+    screen = 0.5 * divergence_norm * divergence_norm
 
     for start in range(0, horizon, chunk):
         stop = min(start + chunk, horizon)
@@ -397,21 +435,32 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
         if diagnostics:
             store = _slot(chunk_prevs, workers, m_count)
-        if single:
-            sample_list = ([None] * n if samples is None
-                           else samples.tolist() if samples.ndim == 1 else samples)
+        # a single run replays its short blocks in runs, one arrival at a time
+        bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
+                                      _SCALAR_BLOCK if single else 0)
+        if True in scalar:
+            # per arrival, as Python lists: its dispatch point's table row,
+            # its worker, stepsize and sample (a row view of a 2-D block)
             src_list, worker_list = src.tolist(), workers.tolist()
             gamma_list = gammas[start:stop].tolist()
-        bounds = _ready_blocks(chunk_prevs.tolist(), start)
+            sample_rows = ([None] * n if samples is None
+                           else samples.tolist() if samples.ndim == 1 else samples)
+            if diagnostics:
+                grad_store, store_list = gradients[0], store.tolist()
         # every block is checked before the next one takes gradients, so no
         # gradient is taken at a point that failed the divergence test
-        for a, b in zip(bounds, bounds[1:]):
-            if single and b - a == 1:
-                g = sample_grad(table[src_list[a]], sample_list[a], worker_list[a])
-                if diagnostics:
-                    gradients[0][store[a]] = g
-                np.subtract(buf[a], gamma_list[a] * g, out=buf[a + 1])
-                _check_divergence(buf[a + 1], start + a + 1, divergence_norm)
+        for a, b, alone in zip(bounds, bounds[1:], scalar):
+            if alone:
+                # x_k = x_{k-1} - gamma_k g_k, each k tested before the next;
+                # g_k is the problem's array, read but never written
+                for i, x_prev, x, sample in zip(range(a, b), buf[a:b], buf[a + 1:b + 1],
+                                                sample_rows[a:b]):
+                    g = sample_grad(table[src_list[i]], sample, worker_list[i])
+                    if diagnostics:
+                        grad_store[store_list[i]] = g
+                    np.subtract(x_prev, np.multiply(g, gamma_list[i], out=scaled), out=x)
+                    if not x.dot(x) <= screen:
+                        _check_divergence(x, start + i + 1, divergence_norm)
                 continue
             rows = slice(a * n_seeds, b * n_seeds)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
@@ -427,7 +476,7 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
                 np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
                 _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, n_seeds)
 
-        samples = sample_list = None   # freed before the next chunk's draw
+        samples = sample_rows = None   # freed before the next chunk's draw
 
         iters = buf[1:n + 1]
         # the table still holds every dispatch point of the chunk

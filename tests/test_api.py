@@ -129,3 +129,37 @@ def test_bench_pairs_stops_when_the_parent_is_not_a_git_checkout(tmp_path):
     assert str(parent) in str(stopped.value) and "not a git checkout" in str(stopped.value)
     assert not out.exists()
     assert not any((tree / "perfbench" / "ran").exists() for tree in (parent, change))
+
+
+def test_bench_pairs_compares_each_seed_with_its_pair():
+    # the parent's runs spread from 10 to 40 over the seeds and the change
+    # runs at 0.8 times its pair: the two sides' quartiles overlap, and the
+    # paired ratio reads 0.8 on every seed
+    parent = [10.0, 20.0, 30.0, 40.0]
+    change = [8.0, 16.0, 24.0, 32.0]
+    spec = {"run_ms_p90": {"name": "run_ms_p90", "unit": "ms", "better": "lower",
+                           "bound": 0.25},
+            "updates_per_s": {"name": "updates_per_s", "unit": "1/s", "better": "higher",
+                              "bound": 0.25}}
+
+    def results(values):
+        return [{"metrics": {name: {"value": v} for name in spec}} for v in values]
+
+    out = load_bench_pairs().compare(results(parent), results(change), spec)
+    lower, higher = out["run_ms_p90"], out["updates_per_s"]
+    assert (lower["wins"], higher["wins"]) == (4, 0)
+    assert lower["ratio_of_medians"] == pytest.approx(0.8)
+    assert lower["parent"]["median"] == 25.0 and lower["change"]["median"] == 20.0
+    assert (lower["parent"]["q1"], lower["parent"]["q3"]) == (17.5, 32.5)
+    paired = lower["paired_ratio"]
+    assert paired["values"] == pytest.approx([0.8] * 4)
+    for key in ("median", "q1", "q3"):
+        assert paired[key] == pytest.approx(0.8)
+    assert higher["paired_ratio"] == paired
+    # seeds on which the change ran slower and faster than its pair
+    out = load_bench_pairs().compare(results(parent), results([12.0, 18.0, 30.0, 44.0]),
+                                     spec)
+    paired = out["run_ms_p90"]["paired_ratio"]
+    assert paired["values"] == pytest.approx([1.2, 0.9, 1.0, 1.1])
+    assert (paired["q1"], paired["median"], paired["q3"]) == pytest.approx((0.975, 1.05, 1.125))
+    assert out["run_ms_p90"]["wins"] == 1

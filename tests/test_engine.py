@@ -359,12 +359,13 @@ def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon
         assert record.gradients is None
 
 
-def _diverging_run(step, horizon):
-    # with eight equal workers every block holds eight arrivals
+def _diverging_run(step, horizon, m_count=8):
+    # with m_count equal workers every block holds m_count arrivals: eight
+    # take the batched path, two the scalar loop of a single run
     problem = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
-    trace = simulate_trace(FixedSpeeds((1.0,) * 8), horizon)
+    trace = simulate_trace(FixedSpeeds((1.0,) * m_count), horizon)
     x0 = np.full(3, 0.5)
-    schedule = make_schedule("constant", problem.constants_for(x0, 8, horizon), step)
+    schedule = make_schedule("constant", problem.constants_for(x0, m_count, horizon), step)
     with np.errstate(all="ignore"):
         xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 1)
         norms2 = np.array([x.dot(x) for x in xs[1:]])
@@ -377,11 +378,14 @@ def _first_diverged(norms2, limit):
     return k, norm
 
 
-@pytest.mark.parametrize("step, limit, horizon", [(2.0, 1e12, 200), (4.0, 1e300, 2000)])
-def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
-    problem, trace, x0, schedule, norms2 = _diverging_run(step, horizon)
+@pytest.mark.parametrize("m_count, step, limit, horizon", [
+    (8, 2.0, 1e12, 200), (8, 4.0, 1e300, 2000), (2, 2.0, 1e12, 200), (2, 3.0, 1e300, 4000)])
+def test_divergence_mid_block_and_mid_chunk(m_count, step, limit, horizon):
+    problem, trace, x0, schedule, norms2 = _diverging_run(step, horizon, m_count)
     k, norm = _first_diverged(norms2, limit)
-    assert k % 8 not in (0, 1) and k % 16 not in (0, 1)
+    # inside a block, with a later arrival of the block still to come (for
+    # two workers, the first of a block of two), and inside a chunk
+    assert k % m_count not in ((0, 1) if m_count > 2 else (0,)) and k % 16 not in (0, 1)
     with mock.patch.object(optimizers, "_CHUNK", 16), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -394,7 +398,8 @@ def test_divergence_mid_block_and_mid_chunk(step, limit, horizon):
         replay_async(problem, trace, schedule, x0, 1, divergence_norm=limit)
     # under 1e12 nothing overflows. Past about 1.3e154 the squared norm
     # overflows before the limit, so iterates near 1e308 pass the test, and
-    # the problem's own overflow at them is reported, not silenced
+    # the problem's own overflow at them is reported, not silenced (as is the
+    # scalar loop's, whose every update follows a tested point)
     sources = {w.filename.rsplit("/", 1)[-1] for w in caught
                if issubclass(w.category, RuntimeWarning)}
     assert ("problems.py" in sources) == (limit == 1e300)
@@ -419,7 +424,8 @@ def test_block_check_reports_the_first_row_past_the_limit():
     assert (exc.value.iteration, exc.value.norm) == (8, math.inf)
 
 
-def test_no_gradient_is_taken_at_a_diverged_point():
+@pytest.mark.parametrize("m_count", [8, 2])
+def test_no_gradient_is_taken_at_a_diverged_point(m_count):
     # a custom problem that rejects points past the limit: the run must
     # stop at the diverged iterate before any gradient is taken there
     limit = 1e12
@@ -430,10 +436,11 @@ def test_no_gradient_is_taken_at_a_diverged_point():
                 raise ValueError("gradient asked at a diverged point")
             return super().sample_grad(x, sample, worker)
 
-    base, trace, x0, schedule, norms2 = _diverging_run(2.0, 200)
+    base, trace, x0, schedule, norms2 = _diverging_run(2.0, 200, m_count)
     problem = Guarded(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
     k, norm = _first_diverged(norms2, limit)
-    assert k % 8 not in (0, 1)   # mid-block, with later blocks in its chunk
+    # mid-block, with later blocks in its chunk
+    assert k % m_count not in ((0, 1) if m_count > 2 else (0,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergedError) as exc:
@@ -457,6 +464,86 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     assert same_bits(record.iterates, xs)
     plain = run_async(base, trace, schedule, x0, seed=2)
     assert not same_bits(record.x_final, plain.x_final)
+
+
+@pytest.mark.parametrize("noise", ["additive", "rows"])
+def test_subclass_that_overrides_the_mean_gradient_keeps_its_override(noise):
+    # LeastSquares' own sample_grad has _grad and _row_grad written in; a
+    # subclass that changes either gets the general sample_grad back
+    class Shifted(LeastSquares):
+        def _grad(self, x, worker=None):
+            return super()._grad(x, worker) + 0.25
+
+        def _row_grad(self, i, x):
+            return super()._row_grad(i, x) - 0.25
+
+    base = least_squares(dim=3, num_samples=12, noise=noise, seed=4)
+    problem = Shifted(base.mat, base.rhs, noise=noise)
+    assert Shifted.sample_grad is Problem.sample_grad
+    assert Shifted.sample_grads is Problem.sample_grads
+    trace = simulate_trace(FixedSpeeds((1.0, 1.0)), 60)   # blocks of two
+    x0 = np.full(3, 0.5)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 2, 60))
+    record = run_async(problem, trace, schedule, x0, seed=2, keep_iterates=True)
+    xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 2)
+    assert same_bits(record.iterates, xs)
+    assert not same_bits(record.x_final, run_async(base, trace, schedule, x0, seed=2).x_final)
+
+
+@pytest.mark.parametrize("speeds", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.3, 1.7)])
+def test_a_gradient_array_the_problem_keeps_is_never_written(speeds):
+    # a problem whose sample_grad returns one array it keeps: the replay
+    # must read it, on the scalar loop and the batched path alike, and
+    # never scale or subtract in place into it
+    class Cached(LeastSquares):
+        def sample_grad(self, x, sample, worker=None):
+            return self.cached
+
+    base = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
+    problem = Cached(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
+    problem.cached = np.array([0.5, -1.0, 0.25])
+    kept = problem.cached.copy()
+    m_count = len(speeds)
+    trace = simulate_trace(FixedSpeeds(speeds), 300)
+    x0 = np.full(3, 0.5)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, m_count, 300))
+    with mock.patch.object(optimizers, "_CHUNK", 16):
+        record = run_async(problem, trace, schedule, x0, seed=1, diagnostics=True)
+    ref = replay_async(problem, trace, schedule, x0, 1, diagnostics=True)
+    for name in ("x_final", "uniform_sum", "weighted_sum", "iterates"):
+        assert same_bits(getattr(record, name), getattr(ref, name)), name
+    for key, g in ref.gradients.items():
+        assert same_bits(record.gradients[store_row(m_count, *key)], g)
+    assert same_bits(problem.cached, kept)
+
+
+@pytest.mark.parametrize("m_count", [1, 2])
+def test_scalar_loop_reports_the_first_iterate_past_the_limit(m_count):
+    # a constant gradient and step 1 put x_k at (k, 0, 0): an iterate on the
+    # limit passes, and one just past it is reported with its own norm
+    class Constant(LeastSquares):
+        def sample_grad(self, x, sample, worker=None):
+            return np.array([-1.0, 0.0, 0.0])
+
+    base = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
+    problem = Constant(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
+    trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
+    x0 = np.zeros(3)
+    schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1.0)
+    for limit, expected in ((5.0, 6), (np.nextafter(5.0, 0.0), 5)):
+        with pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
+        assert (exc.value.iteration, exc.value.norm) == (expected, float(expected))
+
+
+def test_short_blocks_are_grouped_into_scalar_runs():
+    # blocks of 1, 2, 3, 1, 1, 4 and 2 arrivals: each maximal run of blocks
+    # of at most two is one run, and each longer block a run of its own
+    bounds = [0, 1, 3, 6, 7, 8, 12, 14]
+    assert optimizers._scalar_runs(bounds, 2) == (
+        [0, 3, 6, 8, 12, 14], [True, False, True, False, True])
+    assert optimizers._scalar_runs(bounds, 0) == (bounds, [False] * 7)
+    assert optimizers._scalar_runs([0, 5], 2) == ([0, 5], [False])
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +596,47 @@ def test_seed_batch_equals_per_seed_runs(kind, dim, m_count, speeds, horizon, ch
         _same_record(record, single)
         ref = replay_async(problem, trace, schedule, x0, s)
         assert same_bits(record.x_final, ref.x_final)
+
+
+@st.composite
+def block_orders(draw, m_count=4):
+    """An arrival order of m_count workers with ready blocks of 1 to 4
+    arrivals, and those lengths. A block's workers are distinct, and each
+    block after the first opens with a worker of the block before it, whose
+    dispatch is then past the block's start, so the greedy scan ends the
+    block before it."""
+    lengths = draw(st.lists(st.integers(1, m_count), min_size=1, max_size=40))
+    order, previous = [], list(range(1, m_count + 1))
+    for length in lengths:
+        first = draw(st.sampled_from(previous))
+        rest = draw(st.permutations([m for m in range(1, m_count + 1) if m != first]))
+        previous = [first, *rest[:length - 1]]
+        order += previous
+    return tuple(order), lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_orders(), st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from([1, 3, 50]),
+       st.sampled_from([1, 2, 3, 7, 1024]), st.booleans(),
+       st.integers(min_value=0, max_value=2**16))
+def test_single_run_equals_its_seed_in_a_batch(order, kind, dim, chunk, metrics, seed):
+    # the single run takes the scalar loop on its blocks of one or two
+    # arrivals, the batch the batched path on every block
+    order, lengths = order
+    m_count = 4
+    trace = trace_from_workers(order, m_count)
+    assert np.diff(_ready_blocks(trace.prevs.tolist(), 0)).tolist() == lengths
+    problem = PROBLEM_KINDS[kind](dim, m_count)
+    x0 = np.full(dim, 0.5)
+    tag = ("adaptive-heterogeneous" if kind.startswith("heterogeneous")
+           else "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
+    schedule = make_schedule(tag, problem.constants_for(x0, m_count,
+                                                        max(trace.horizon, m_count)))
+    options = dict(metrics=metrics, diagnostics=True)
+    with mock.patch.object(optimizers, "_CHUNK", chunk):
+        alone = run_async(problem, trace, schedule, x0, seed=seed, **options)
+        batched = run_async(problem, trace, schedule, x0, seeds=[seed, seed + 1], **options)
+    _same_record(batched[0], alone)   # the gradient store included
 
 
 def test_seed_lists_longer_than_a_batch():

@@ -10,7 +10,10 @@ BENCHMARK.json, one workload and one seed at a time, end to end
 (`--trace 0`), for seeds 1..PAIRS: seed s runs the parent first when s is
 odd and the change first when it is even. Medians and quartiles (linear
 interpolation) are over the seeds, and `wins` counts the seeds on which the
-change was better. Every workload also gets one traced run (`--trace 1`,
+change was better. Next to the ratio of the two medians, `paired_ratio`
+summarizes change/parent per seed: each pair ran back to back, so the
+ratio cancels the drift that moves one tree's unpaired medians between
+minutes. Every workload also gets one traced run (`--trace 1`,
 seed 1) per tree, for the per-layer metrics.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +35,7 @@ METHOD = ("Each workload ran once per seed on the parent and once on the change,
           "back, alternating which tree went first (parent first on odd seeds). Times are "
           "the benchmark's reference-host seconds. Medians and quartiles (linear "
           "interpolation) are over the seeds; 'wins' counts the seeds on which the change "
-          "was better.")
+          "was better, and 'paired_ratio' summarizes change/parent seed by seed.")
 
 
 def run(tree: Path, workload: str, seed: int, trace: int):
@@ -58,7 +62,8 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
-    """Per metric: both sides' summaries, the change's wins and the ratio of medians."""
+    """Per metric: both sides' summaries, the change's wins, the ratio of
+    medians and the summary of the per-seed ratios change/parent."""
     out = {}
     for name, bounds in spec.items():
         p = [r["metrics"][name]["value"] for r in parent]
@@ -68,6 +73,8 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
         out[name] = {"unit": bounds["unit"], "better": bounds["better"],
                      "bound": bounds["bound"], "wins": wins,
                      "ratio_of_medians": float(np.median(c) / np.median(p)),
+                     "paired_ratio": summary([b / a if a else math.nan
+                                              for a, b in zip(p, c)]),
                      "parent": summary(p), "change": summary(c)}
     return out
 
