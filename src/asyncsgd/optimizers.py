@@ -200,10 +200,8 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # takes 2 * _CHUNK // R arrivals per chunk, when that is fewer).
 _CHUNK = 1024
 
-# in a single run, a ready block of at most this many arrivals is replayed
-# one arrival at a time: the batched path's fixed cost of about 20 numpy
-# calls per block is more than the per-arrival calls it saves on a block
-# of two, and about even with them on a block of three
+# a single run replays its ready blocks of at most this many arrivals one
+# arrival at a time (blocks of three gain at d = 50 and lose at d = 10)
 _SCALAR_BLOCK = 2
 
 
@@ -248,8 +246,6 @@ def _ready_blocks(prevs: list[int], start: int) -> list[int]:
     start + s, and the next block starts at the first arrival whose prefix
     maximum passes start + s."""
     n = len(prevs)
-    if not n:
-        return [0, 0]
     ends = np.searchsorted(np.maximum.accumulate(prevs), np.arange(start, start + n),
                            side="right").tolist()
     bounds, s = [0], 0

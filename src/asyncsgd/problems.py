@@ -268,23 +268,6 @@ class LeastSquares(_Quadratic):
         row = self.mat[i]
         return row * (float(row @ x) - self.rhs[i])
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # sample_grad below has _grad and _row_grad written in: a subclass
-        # that changes either of them gets the general form back
-        if cls.sample_grad is LeastSquares.sample_grad and {"_grad", "_row_grad"} & set(vars(cls)):
-            cls.sample_grad = Problem.sample_grad
-
-    def sample_grad(self, x, sample, worker=None):
-        # Problem.sample_grad with _row_grad and _grad written in
-        if self.noise == "rows":
-            row = self.mat[sample]
-            return row * (float(row @ x) - self.rhs[sample])
-        grad = self._gram.dot(x) - self._cross
-        if sample is not None:
-            grad += sample   # grad is a new array, so adding in place is grad + sample
-        return grad
-
     def sample_grads(self, xs, samples, workers):
         if self.noise == "rows":
             rows = self.mat[samples]

@@ -468,8 +468,9 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
 
 @pytest.mark.parametrize("noise", ["additive", "rows"])
 def test_subclass_that_overrides_the_mean_gradient_keeps_its_override(noise):
-    # LeastSquares' own sample_grad has _grad and _row_grad written in; a
-    # subclass that changes either gets the general sample_grad back
+    # the batched sample_grads is written for LeastSquares' own _grad and
+    # _row_grad; a subclass that changes them gets the row-by-row loop back,
+    # and the scalar loop of its blocks of two calls its sample_grad
     class Shifted(LeastSquares):
         def _grad(self, x, worker=None):
             return super()._grad(x, worker) + 0.25
