@@ -434,7 +434,7 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         # a single run replays its short blocks in runs, one arrival at a time
         bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
                                       _SCALAR_BLOCK if single else 0)
-        if True in scalar:
+        if any(scalar):
             # per arrival, as Python lists: its dispatch point's table row,
             # its worker, stepsize and sample (a row view of a 2-D block)
             src_list, worker_list = src.tolist(), workers.tolist()

@@ -466,31 +466,6 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     assert not same_bits(record.x_final, plain.x_final)
 
 
-@pytest.mark.parametrize("noise", ["additive", "rows"])
-def test_subclass_that_overrides_the_mean_gradient_keeps_its_override(noise):
-    # the batched sample_grads is written for LeastSquares' own _grad and
-    # _row_grad; a subclass that changes them gets the row-by-row loop back,
-    # and the scalar loop of its blocks of two calls its sample_grad
-    class Shifted(LeastSquares):
-        def _grad(self, x, worker=None):
-            return super()._grad(x, worker) + 0.25
-
-        def _row_grad(self, i, x):
-            return super()._row_grad(i, x) - 0.25
-
-    base = least_squares(dim=3, num_samples=12, noise=noise, seed=4)
-    problem = Shifted(base.mat, base.rhs, noise=noise)
-    assert Shifted.sample_grad is Problem.sample_grad
-    assert Shifted.sample_grads is Problem.sample_grads
-    trace = simulate_trace(FixedSpeeds((1.0, 1.0)), 60)   # blocks of two
-    x0 = np.full(3, 0.5)
-    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 2, 60))
-    record = run_async(problem, trace, schedule, x0, seed=2, keep_iterates=True)
-    xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, 2)
-    assert same_bits(record.iterates, xs)
-    assert not same_bits(record.x_final, run_async(base, trace, schedule, x0, seed=2).x_final)
-
-
 @pytest.mark.parametrize("speeds", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.3, 1.7)])
 def test_a_gradient_array_the_problem_keeps_is_never_written(speeds):
     # a problem whose sample_grad returns one array it keeps: the replay
