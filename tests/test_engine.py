@@ -379,7 +379,8 @@ def _first_diverged(norms2, limit):
 
 
 @pytest.mark.parametrize("m_count, step, limit, horizon", [
-    (8, 2.0, 1e12, 200), (8, 4.0, 1e300, 2000), (2, 2.0, 1e12, 200), (2, 3.0, 1e300, 4000)])
+    (8, 2.0, 1e12, 200), (8, 4.0, 1e300, 2000), (2, 2.0, 1e12, 200), (2, 3.0, 1e300, 4000)],
+    ids=["2.0-1000000000000.0-200", "4.0-1e+300-2000", "two-workers-1e12", "two-workers-1e300"])
 def test_divergence_mid_block_and_mid_chunk(m_count, step, limit, horizon):
     problem, trace, x0, schedule, norms2 = _diverging_run(step, horizon, m_count)
     k, norm = _first_diverged(norms2, limit)
@@ -424,8 +425,7 @@ def test_block_check_reports_the_first_row_past_the_limit():
     assert (exc.value.iteration, exc.value.norm) == (8, math.inf)
 
 
-@pytest.mark.parametrize("m_count", [8, 2])
-def test_no_gradient_is_taken_at_a_diverged_point(m_count):
+def test_no_gradient_is_taken_at_a_diverged_point():
     # a custom problem that rejects points past the limit: the run must
     # stop at the diverged iterate before any gradient is taken there
     limit = 1e12
@@ -436,16 +436,17 @@ def test_no_gradient_is_taken_at_a_diverged_point(m_count):
                 raise ValueError("gradient asked at a diverged point")
             return super().sample_grad(x, sample, worker)
 
-    base, trace, x0, schedule, norms2 = _diverging_run(2.0, 200, m_count)
-    problem = Guarded(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
-    k, norm = _first_diverged(norms2, limit)
-    # mid-block, with later blocks in its chunk
-    assert k % m_count not in ((0, 1) if m_count > 2 else (0,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergedError) as exc:
-            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
-    assert (exc.value.iteration, exc.value.norm) == (k, norm)
+    for m_count in (8, 2):
+        base, trace, x0, schedule, norms2 = _diverging_run(2.0, 200, m_count)
+        problem = Guarded(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
+        k, norm = _first_diverged(norms2, limit)
+        # mid-block, with later blocks in its chunk
+        assert k % m_count not in ((0, 1) if m_count > 2 else (0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as exc:
+                run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
+        assert (exc.value.iteration, exc.value.norm) == (k, norm)
 
 
 def test_subclass_that_overrides_sample_grad_keeps_its_override():
