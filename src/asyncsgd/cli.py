@@ -645,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("live", help="threaded demo run on a small problem")
     # one thread per worker; 64 is the most workers any workload or test runs
     p.add_argument("--workers", type=lambda text: _count(text, upper=64), default=4)
-    p.add_argument("--horizon", type=_count, default=200)
+    # run_live keeps every arrival in lists: 10**5 arrivals take a few seconds,
+    # and an unbounded horizon grows them until memory runs out
+    p.add_argument("--horizon", type=lambda text: _count(text, upper=10**5), default=200)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_live)
 

@@ -68,7 +68,6 @@ replay through `run_async` checks and turns into a RunRecord.
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 import time as _time
@@ -77,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import point_metrics
-from .scheduler import ArrivalTrace, LedgerError, _fits
+from .scheduler import ArrivalTrace, LedgerError, _fits, _write_csv
 from .schedules import StepSchedule
 
 
@@ -133,18 +132,15 @@ class RunRecord:
 
     def write_csv(self, path, vres: np.ndarray | None = None) -> None:
         """One row per iteration, a metric column the run lacks reading nan,
-        with a `vres` column of virtual-gap residuals if `vres` is given."""
-        cols = ["k", "worker", "tau", "gamma", "gamma_hat", "time", "fgap", "gradnorm2"]
-        floats = [self.gammas, self.gamma_hats, self.times, self.fgaps, self.gradnorms2]
-        floats = [np.full(self.horizon, np.nan) if c is None else c for c in floats]
+        and a `vres` column if given: one virtual-gap residual per row."""
+        nan = np.broadcast_to(np.nan, self.horizon)
+        columns = dict(worker=self.workers, tau=self.taus, gamma=self.gammas,
+                       gamma_hat=self.gamma_hats, time=self.times,
+                       fgap=nan if self.fgaps is None else self.fgaps,
+                       gradnorm2=nan if self.gradnorms2 is None else self.gradnorms2)
         if vres is not None:
-            cols.append("vres")
-            floats.append(vres)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for k, (m, tau, *values) in enumerate(zip(self.workers, self.taus, *floats), 1):
-                writer.writerow([k, int(m), int(tau), *(repr(float(v)) for v in values)])
+            columns["vres"] = np.asarray(vres, dtype=np.float64)
+        _write_csv(path, self.horizon, columns)
 
 
 class _Records(list):

@@ -336,11 +336,11 @@ class BoundedNonconvex(Problem):
         self.lipschitz = float(np.max(row_norms)) * RHO_GRAD_MAX
         self.smoothness = float(np.max(row_norms) ** 2) * RHO_CURV_MAX
         if noise == "rows":
-            self.sigma = self.lipschitz if sigma is None else float(sigma)
+            self.sigma = self.lipschitz if sigma is None else _check_sigma(sigma)
         else:
             if sigma is None:
                 raise ProblemError("additive mode needs an explicit sigma")
-            self.sigma = float(sigma)
+            self.sigma = _check_sigma(sigma)
         self.fstar = None   # infimum unknown; F >= 0 everywhere
         self.xstar = None
 

@@ -8,6 +8,10 @@ same worker's previous arrival (0 if none), and its delay is tau_k = k - p_k.
 Both columns are derived once, when the trace is built, so no delay can
 disagree with the order; only a delay column recorded elsewhere (a trace
 CSV, a live run) is compared with them.
+
+`_write_csv` is the one CSV writer: it writes the trace CSV and the run CSV
+of `RunRecord.write_csv`, whose leading k, worker, tau and time columns make
+it a trace CSV too, and `ArrivalTrace.read_csv` reads either back.
 """
 
 from __future__ import annotations
@@ -241,14 +245,7 @@ class ArrivalTrace:
         return bool(np.all(long_counts <= np.minimum(ks / 3, np.maximum(ks - m3, 0))))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "worker", "tau", "time"])
-            for i in range(self.horizon):
-                writer.writerow(
-                    [i + 1, int(self.workers[i]), int(self.taus[i]),
-                     repr(float(self.times[i]))]
-                )
+        _write_csv(path, self.horizon, dict(worker=self.workers, tau=self.taus, time=self.times))
 
     @classmethod
     def read_csv(cls, path, num_workers: int | None = None) -> "ArrivalTrace":
@@ -280,6 +277,22 @@ class ArrivalTrace:
             num_workers = max(workers) if workers else 1
         trace = cls(workers, np.array(times, dtype=np.float64), num_workers)
         return trace.check_recorded_taus(taus)
+
+
+_ROWS = 1024   # rows per block: a write holds O(_ROWS) Python objects per column at any K
+
+
+def _write_csv(path, horizon: int, columns: dict) -> None:
+    """Write k = 1..horizon and the columns as CSV, ints by str, floats by exact repr."""
+    for name, column in columns.items():
+        if len(column) != horizon:
+            raise ValueError(f"column {name} has {len(column)} rows; the table has {horizon}")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["k", *columns]) + "\n")
+        for a in range(0, horizon, _ROWS):
+            cells = [map(str if c.dtype.kind in "iu" else repr, c[a:a + _ROWS].tolist())
+                     for c in columns.values()]
+            fh.writelines(f"{k},{','.join(row)}\n" for k, row in enumerate(zip(*cells), a + 1))
 
 
 def simulate_trace(model: SpeedModel, horizon: int) -> ArrivalTrace:

@@ -188,6 +188,8 @@ def cases() -> dict:
     # more repetitions than the config allows, rejected before any trace is built
     add("exit2-repetitions-past-bound", ["simulate"],
         _config(problem=LS, speed_model=FIXED, horizon=30, repetitions=10**12))
+    # a live horizon past its bound, rejected before any thread starts
+    add("exit2-live-horizon-past-bound", ["live", "--workers", "2", "--horizon", "100001"])
     return out
 
 

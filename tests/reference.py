@@ -7,6 +7,7 @@ event loop and the per-step replay are the straightforward forms of what the
 library computes as columns before its update loop.
 """
 
+import csv
 import heapq
 import math
 
@@ -19,6 +20,19 @@ def same_bits(a, b):
     """Equal shape, dtype and every bit."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def row_csv(path, int_columns: dict, float_columns: dict):
+    """A trace or run CSV written row by row through csv.writer: k = 1..K,
+    then every integer column with int() and every float column with
+    repr(float()). The columns must all hold K rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["k", *int_columns, *float_columns])
+        ints = len(int_columns)
+        for k, row in enumerate(zip(*int_columns.values(), *float_columns.values()), 1):
+            writer.writerow([k, *(int(v) for v in row[:ints]),
+                             *(repr(float(v)) for v in row[ints:])])
 
 
 def prev_arrival(workers, k, m):

@@ -163,3 +163,20 @@ def test_bench_pairs_compares_each_seed_with_its_pair():
     assert paired["values"] == pytest.approx([1.2, 0.9, 1.0, 1.1])
     assert (paired["q1"], paired["median"], paired["q3"]) == pytest.approx((0.975, 1.05, 1.125))
     assert out["run_ms_p90"]["wins"] == 1
+
+
+def test_bench_pairs_counts_each_trees_source_lines(tmp_path):
+    # the counts are those of `wc -l src/asyncsgd/*.py`: newlines per file,
+    # so a last line without one is not counted, and files outside are not
+    trees = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
+             "change": {"a.py": "x = 1\n", "c.py": "\n\n\n"}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "asyncsgd"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not\ncounted\n")
+        (tmp_path / side / "src" / "other.py").write_text("not counted\n")
+    src_lines = load_bench_pairs().src_lines
+    assert src_lines(tmp_path / "parent") == {"files": {"a.py": 2, "b.py": 0}, "total": 2}
+    assert src_lines(tmp_path / "change") == {"files": {"a.py": 1, "c.py": 3}, "total": 4}

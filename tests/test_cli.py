@@ -1076,7 +1076,8 @@ def test_check_with_an_empty_grid_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--workers", "65"], ["--workers", "0"],
-                                  ["--horizon", "0"], ["--workers", "-3"]])
+                                  ["--horizon", "0"], ["--workers", "-3"],
+                                  ["--horizon", "100001"]])
 def test_live_rejects_counts_out_of_range(capsys, argv):
     # argparse rejects these before any thread starts
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from asyncsgd import (
+    ArrivalTrace,
     DivergedError,
     FixedSpeeds,
     LeastSquares,
@@ -239,6 +240,31 @@ def test_minibatch_rejects_a_worker_pool_mismatch():
 
 # ---------------------------------------------------------------------------
 # record serialization
+
+
+def test_record_csv_rejects_a_residual_column_of_another_length(tmp_path):
+    problem = least_squares(dim=2, num_samples=8, sigma=0.4, seed=2)
+    trace = simulate_trace(FixedSpeeds((1.0, 1.6)), 5)
+    schedule, x0 = convex_setup(problem, trace)
+    record = run_async(problem, trace, schedule, x0, seed=5)
+    path = tmp_path / "run.csv"
+    for rows in (2, 7):
+        with pytest.raises(ValueError, match=f"column vres has {rows} rows; the table has 5"):
+            record.write_csv(path, np.zeros(rows))
+        assert not path.exists()
+
+
+def test_run_csv_reads_back_as_its_trace(tmp_path):
+    # a run CSV carries k, worker, tau and time, so it is also a trace CSV
+    trace = simulate_trace(RandomSpeeds("lognormal", (1.0, 1.5, 2.0, 3.0), seed=4), 300)
+    problem = least_squares(dim=3, num_samples=10, sigma=0.3, seed=1)
+    schedule, x0 = convex_setup(problem, trace)
+    record = run_async(problem, trace, schedule, x0, seed=2, diagnostics=True, metrics=True)
+    path = tmp_path / "run.csv"
+    record.write_csv(path, track(record).rel_residuals)
+    back = ArrivalTrace.read_csv(path, trace.num_workers)
+    for column in ("workers", "taus", "times"):
+        assert getattr(back, column).tolist() == getattr(trace, column).tolist()
 
 
 def test_record_csv_round_trip(tmp_path):

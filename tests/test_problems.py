@@ -214,6 +214,11 @@ def test_point_metrics_reads_an_unknown_fstar_as_zero():
 def test_bounded_nonconvex_additive_needs_sigma():
     with pytest.raises(ProblemError):
         BoundedNonconvex(np.ones((4, 2)), np.zeros(4), noise="additive")
+    # an explicit sigma is checked as the other problems check it, in both modes
+    for noise in ("additive", "rows"):
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ProblemError, match="sigma must be finite"):
+                bounded_nonconvex(dim=3, noise=noise, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

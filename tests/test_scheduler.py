@@ -1,3 +1,8 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from asyncsgd import (
     FixedSpeeds,
     LedgerError,
     RandomSpeeds,
+    RunRecord,
     SpeedModelError,
     StragglerSpeeds,
     simulate_trace,
@@ -15,7 +21,8 @@ from asyncsgd import (
     steps_in_time,
     trace_from_workers,
 )
-from reference import naive_delays
+from asyncsgd import scheduler
+from reference import naive_delays, row_csv
 
 
 def test_equal_speeds_round_robin():
@@ -154,6 +161,84 @@ def test_trace_csv_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     back.write_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+INT64 = np.iinfo(np.int64)
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0]
+
+
+def float_columns(draw, count, horizon, finite=False):
+    """`count` float64 columns of `horizon` rows, edge values drawn often."""
+    values = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if np.isfinite(v) or not finite]),
+                       st.floats(allow_nan=not finite, allow_infinity=not finite))
+    return [np.array(draw(st.lists(values, min_size=horizon, max_size=horizon)),
+                     dtype=np.float64) for _ in range(count)]
+
+
+def record_with(workers, taus, floats, num_workers=1):
+    """A RunRecord holding just the columns its CSV writes."""
+    names = ["gammas", "gamma_hats", "times", "fgaps", "gradnorms2"]
+    zero = np.zeros(1)
+    return RunRecord(num_workers=num_workers, workers=workers, taus=taus,
+                     **dict(zip(names, floats)), gamma_hat_initial=zero, x0=zero,
+                     x_final=zero, uniform_sum=zero, weighted_sum=zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, 7]))
+def test_csv_writers_write_the_bytes_of_the_row_loop(data, block):
+    # both writers format a block of rows at a time; with blocks of 1, 2, 3
+    # and 7 rows, block edges fall inside the table and the last block is
+    # partial, and every cell must read as the csv.writer row loop writes it
+    horizon = data.draw(st.integers(0, 24), label="K")
+    ints = st.integers(INT64.min, INT64.max)
+    num_workers = data.draw(st.sampled_from([1, 3, INT64.max]) | st.integers(1, INT64.max))
+    workers = data.draw(st.lists(st.sampled_from([1, num_workers]) | st.integers(1, num_workers),
+                                 min_size=horizon, max_size=horizon))
+    (times,) = float_columns(data.draw, 1, horizon, finite=True)
+    trace = ArrivalTrace(workers, np.sort(times), num_workers)
+    run_ints = [np.array(data.draw(st.lists(ints, min_size=horizon, max_size=horizon)),
+                         dtype=np.int64) for _ in range(2)]
+    floats = float_columns(data.draw, 6, horizon)
+    metrics = data.draw(st.booleans(), label="metrics")
+    vres = floats.pop()
+    if not data.draw(st.booleans(), label="vres"):
+        vres = None
+    if not metrics:
+        floats[3:] = [None, None]
+    record = record_with(*run_ints, floats)
+    nan = np.full(horizon, np.nan)
+    run_floats = dict(zip(["gamma", "gamma_hat", "time", "fgap", "gradnorm2"],
+                          [nan if c is None else c for c in floats]))
+    if vres is not None:
+        run_floats["vres"] = vres
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scheduler, "_ROWS", block):
+        written, expected = Path(tmp, "written.csv"), Path(tmp, "expected.csv")
+        trace.write_csv(written)
+        row_csv(expected, {"worker": trace.workers, "tau": trace.taus}, {"time": trace.times})
+        assert written.read_bytes() == expected.read_bytes()
+        record.write_csv(written, vres)
+        row_csv(expected, dict(zip(["worker", "tau"], run_ints)), run_floats)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+def test_csv_writer_holds_a_bounded_number_of_rows(tmp_path):
+    # a writer that formats whole columns (one block per write) peaked at
+    # 27 MB on this run CSV of 2**17 rows and 9 columns, and two nan columns
+    # of 2**17 floats take 2 MB; the block writer's peak depends on its block
+    # size alone (0.4 MB at 1024 rows)
+    horizon = 2**17
+    trace = ArrivalTrace(np.arange(horizon) % 8 + 1, np.arange(horizon) / 3.0, 8)
+    floats = [np.linspace(0.0, 1.0, horizon) / 7.0 for _ in range(3)]
+    record = record_with(trace.workers, trace.taus, [*floats, None, None], 8)
+    tracemalloc.start()
+    try:
+        record.write_csv(tmp_path / "run.csv", floats[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21, peak
 
 
 def test_trace_csv_rejects_missing_columns(tmp_path):

@@ -14,7 +14,8 @@ change was better. Next to the ratio of the two medians, `paired_ratio`
 summarizes change/parent per seed: each pair ran back to back, so the
 ratio cancels the drift that moves one tree's unpaired medians between
 minutes. Every workload also gets one traced run (`--trace 1`,
-seed 1) per tree, for the per-layer metrics.
+seed 1) per tree, for the per-layer metrics. `src_lines` records each
+tree's `wc -l src/asyncsgd/*.py`, per file and in total.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def run(tree: Path, workload: str, seed: int, trace: int):
     env = next((json.loads(line.split(":", 1)[1]) for line in lines
                 if line.startswith("environment:")), None)
     return env, json.loads(lines[-1])
+
+
+def src_lines(tree: Path) -> dict:
+    """What `wc -l src/asyncsgd/*.py` counts in a tree: newlines per file, and their total."""
+    files = {p.name: p.read_bytes().count(b"\n")
+             for p in sorted((tree / "src" / "asyncsgd").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def summary(values: list[float]) -> dict:
@@ -124,6 +132,8 @@ def main(argv=None) -> int:
     payload = {"command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                           f"--seconds {SECONDS:g} --trace <0|1>",
                "environment": envs, "parent": parent_rev, "method": METHOD,
+               "src_lines": {side: src_lines(getattr(args, side))
+                             for side in ("parent", "change")},
                "workloads": workloads, "traced": traced}
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     return 0
