@@ -272,6 +272,17 @@ def build_schedule(cfg: dict, problem, x0, num_workers: int, horizon: int):
         raise ConfigError(f"config.schedule: {exc}") from exc
 
 
+def _payload(command: str, seed: int, **fields) -> dict:
+    """A command's JSON output: the schema version, the command and its
+    seed, then `fields` in order."""
+    return {"schema": SCHEMA_VERSION, "command": command, "seed": seed, **fields}
+
+
+def _means(rows: list[dict], *keys: str) -> dict:
+    """mean_<key>, the mean of `key` over `rows`, for each key in order."""
+    return {f"mean_{key}": float(np.mean([r[key] for r in rows])) for key in keys}
+
+
 def _write_json(payload: dict, out_dir: str | None, name: str) -> None:
     text = json.dumps(payload, indent=2)
     if out_dir:
@@ -341,8 +352,7 @@ def _job(cmd: dict, horizon: int | None, reps: list, out_dir: str | None = None)
     schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
     rule = cmd.get("output_rule") or schedule.output_rule
     diagnostics = cmd.get("diagnostics", False)
-    # the exp-weighted and sampled outputs are read from the iterate history
-    keep = diagnostics or rule in ("exp-weighted", "sampled")
+    keep = diagnostics or rule in schedules.HISTORY_RULES
     metrics = bool(out_dir) or (rule == "sampled" and cmd.get("metrics", True))
 
     def replay(batch: list):
@@ -406,21 +416,15 @@ def cmd_simulate(args) -> int:
                 summary["csv"] = _csv_path(out_dir, rep)
             runs.append(summary)
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "simulate",
-        "seed": cmd["seed"],
-        "repetitions": cmd["repetitions"],
-        "num_workers": int(record.num_workers),
-        "horizon": int(record.horizon),
-        "schedule": record.schedule.tag,
-        "runs": runs,
-        "aggregate": {
-            "mean_final_fgap": float(np.mean([r["final_fgap"] for r in runs])),
-            "mean_output_fgap": float(np.mean([r["output_fgap"] for r in runs])),
-            "mean_output_gradnorm2": float(np.mean([r["output_gradnorm2"] for r in runs])),
-        },
-    }
+    payload = _payload(
+        "simulate", cmd["seed"],
+        repetitions=cmd["repetitions"],
+        num_workers=int(record.num_workers),
+        horizon=int(record.horizon),
+        schedule=record.schedule.tag,
+        runs=runs,
+        aggregate=_means(runs, "final_fgap", "output_fgap", "output_gradnorm2"),
+    )
     _write_json(payload, out_dir, "summary.json")
     return 0
 
@@ -433,18 +437,16 @@ def cmd_compare(args) -> int:
     cmd = _read_command(args, COMPARE)
     seconds = cmd["seconds"]
     async_steps, sync_rounds = scheduler.steps_in_time(seconds, cmd["duration"])
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "compare",
-        "seed": cmd["seed"],
-        "seconds": seconds,
-        "duration": cmd["duration"],
-        "num_workers": len(seconds),
-        "async_steps": async_steps,
-        "sync_rounds": sync_rounds,
-        "ideal_speedup": scheduler.speedup_factor(seconds),
-        "degenerate": async_steps == 0 or sync_rounds == 0,
-    }
+    payload = _payload(
+        "compare", cmd["seed"],
+        seconds=seconds,
+        duration=cmd["duration"],
+        num_workers=len(seconds),
+        async_steps=async_steps,
+        sync_rounds=sync_rounds,
+        ideal_speedup=scheduler.speedup_factor(seconds),
+        degenerate=async_steps == 0 or sync_rounds == 0,
+    )
     if payload["degenerate"]:
         payload["note"] = ("wall-time budget too small for at least one side; "
                            "no runs executed")
@@ -466,12 +468,11 @@ def cmd_compare(args) -> int:
                               **_final_metrics(cmd["problem"], x_final)})
     payload["async"] = {
         "runs": async_runs,
-        "mean_final_fgap": float(np.mean([r["final_fgap"] for r in async_runs])),
-        "mean_output_fgap": float(np.mean([r["output_fgap"] for r in async_runs])),
+        **_means(async_runs, "final_fgap", "output_fgap"),
     }
     payload["minibatch"] = {
         "runs": mini_runs,
-        "mean_final_fgap": float(np.mean([r["final_fgap"] for r in mini_runs])),
+        **_means(mini_runs, "final_fgap"),
     }
     _write_json(payload, cmd.get("out"), "compare.json")
     return 0
@@ -517,15 +518,13 @@ def cmd_sweep(args) -> int:
             "stderr_output_fgap": float(np.std(gaps) / math.sqrt(len(gaps))),
             "mean_final_fgap": float(np.mean([r["final_fgap"] for r in rows])),
         }
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
-        "seed": cmd["seed"],
-        "horizons": horizons,
-        "repetitions": repetitions,
-        "runs": per_run,
-        "aggregate": aggregate,
-    }
+    payload = _payload(
+        "sweep", cmd["seed"],
+        horizons=horizons,
+        repetitions=repetitions,
+        runs=per_run,
+        aggregate=aggregate,
+    )
     _write_json(payload, cmd.get("out"), "sweep.json")
     return 0
 
@@ -565,16 +564,14 @@ def cmd_live(args) -> int:
     schedule = schedules.make_schedule("adaptive-convex", constants)
     record = run_live(problem, schedule, args.workers, args.horizon, x0, seed=seed)
     counts = {m: int(np.sum(record.workers == m)) for m in range(1, args.workers + 1)}
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "live",
-        "seed": seed,
-        "num_workers": args.workers,
-        "horizon": args.horizon,
-        "arrivals_per_worker": counts,
-        "max_tau": int(np.max(record.taus)),
-        "final_fgap": _final_metrics(problem, record.x_final)["final_fgap"],
-    }
+    payload = _payload(
+        "live", seed,
+        num_workers=args.workers,
+        horizon=args.horizon,
+        arrivals_per_worker=counts,
+        max_tau=int(np.max(record.taus)),
+        final_fgap=_final_metrics(problem, record.x_final)["final_fgap"],
+    )
     _write_json(payload, None, "live.json")
     return 0
 
@@ -610,9 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze SGD under arbitrary gradient delays.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override config seed (ASYNC_SGD_SEED wins over both)")
         p.add_argument("--out", default=None, help="output directory override")

@@ -55,11 +55,13 @@ accumulated along the arrival axis, and the running sums are R*d wide. Each
 seed's record is bit-identical to its own run; a single run is the R = 1
 case of the same loop. A batch's chunk holds at most 2 * _CHUNK rows of
 seeds, and long seed lists go in batches of at most _SEED_BATCH seeds, so
-the working memory stays within about twice a single run's; the records
-(metric columns, iterate history, gradient store) are per seed. One sum of
-squares screens a block's rows of every seed for divergence; a batch that
-fails it is replayed seed by seed, so a diverging seed raises what its own
-run raises, and still no gradient is taken at a point that failed the test.
+the working memory stays within about twice a single run's. Each per-seed
+output (metric columns, iterate history, gradient store) is one seed-major
+array, filled once per chunk or block, whose row r is seed r's record. One
+sum of squares screens a block's rows of every seed for divergence
+(`_check_rows` holds the one test); a batch that fails it is replayed seed
+by seed, so a diverging seed raises what its own run raises, and still no
+gradient is taken at a point that failed the test.
 
 The minibatch baseline returns only its final iterate, and the live executor
 records only the arrival order, the delays and the arrival times, which its
@@ -161,17 +163,14 @@ class _Records(list):
         return sum(r.gradient_evals for r in self)
 
 
-def _check_divergence(x: np.ndarray, k: int, limit: float = 1e12) -> None:
-    norm2 = float(x.dot(x))
-    # a single comparison catches overflow, inf and nan alike
-    if not norm2 <= limit * limit:
-        raise DivergedError(k, math.sqrt(norm2) if math.isfinite(norm2) else math.inf)
-
-
-def _start(problem, x0, num_workers: int) -> np.ndarray:
+def _start(problem, x0, num_workers: int, limit: float) -> np.ndarray:
     """The start point as a new float array, after checking that the run has
     a worker, that a problem with per-worker objectives has one for each of
-    them and that x0 has the problem's dimension."""
+    them, that x0 has the problem's dimension and that the divergence limit
+    is positive with a finite square (past about 1.34e154, every iterate short
+    of nan would pass the test)."""
+    if not (limit > 0 and math.isfinite(float(limit) * float(limit))):
+        raise LedgerError(f"divergence_norm must be positive with a finite square, got {limit}")
     if num_workers < 1:
         raise LedgerError(f"need at least one worker, got {num_workers}")
     pool = getattr(problem, "num_workers", None)
@@ -285,28 +284,35 @@ class _Unscreened(Exception):
 
 
 def _check_rows(rows: np.ndarray, first_k: int, limit: float, n_seeds: int = 1) -> None:
-    """_check_divergence on each row, row j being iteration first_k + j of
-    n_seeds seeds side by side. One sum of squares screens the rows: at most
-    half of limit^2, it bounds every point's x.dot(x) by limit^2 whatever the
-    rounding, and nan or inf fail it. A single seed that fails the screen
-    tests its rows one at a time; a batch of seeds raises _Unscreened, to be
-    replayed seed by seed."""
+    """The divergence test: raise DivergedError at the first row j whose
+    x.dot(x) passes limit^2 or is not finite, row j being iteration
+    first_k + j of n_seeds seeds side by side. One sum of squares screens the
+    rows: at most half of limit^2, it bounds every point's x.dot(x) by
+    limit^2 whatever the rounding, and nan or inf fail it. A single seed that
+    fails the screen tests its rows one at a time; a batch of seeds raises
+    _Unscreened, to be replayed seed by seed."""
     flat = rows.ravel()
     if not flat.dot(flat) <= 0.5 * limit * limit:
         if n_seeds > 1:
             raise _Unscreened
-        for j, row in enumerate(rows):
-            _check_divergence(row, first_k + j, limit)
+        for k, x in enumerate(rows, first_k):
+            norm2 = float(x.dot(x))
+            # a single comparison catches overflow, inf and nan alike
+            if not norm2 <= limit * limit:
+                raise DivergedError(k, math.sqrt(norm2) if math.isfinite(norm2) else math.inf)
 
 
 # seeds replayed as one batch: the chunk table, the samples and the iterate
 # buffer grow with the batch, and so do the records it holds at once
 _SEED_BATCH = 16
 
+# the divergence limit of a runner that is not given one
+_DIVERGENCE_NORM = 1e12
+
 
 def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
               *, seeds=None, keep_iterates: bool = False, diagnostics: bool = False,
-              metrics: bool = False, divergence_norm: float = 1e12):
+              metrics: bool = False, divergence_norm: float = _DIVERGENCE_NORM):
     """Replay an arrival trace through the delayed-update loop.
 
     Everything the trace fixes is computed as a column before the loop: the
@@ -322,18 +328,20 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     checker reads this store; diagnostics implies keep_iterates. Raises
     DivergedError at the first iteration whose iterate norm passes
     divergence_norm or goes non-finite, before any gradient is taken at that
-    iterate. A block on the batched path (a seed batch's, or a single run's
-    block of more than _SCALAR_BLOCK arrivals) computes its later rows from
-    gradients at earlier points before the test sees a diverged row, and only
-    that arithmetic runs with numpy's overflow warnings off; the scalar
-    loop's updates and the problem's own code run with the caller's
-    settings.
+    iterate, and LedgerError before any work if divergence_norm is not
+    positive or its square is not finite. A block on the batched path (a seed
+    batch's, or a single run's block of more than _SCALAR_BLOCK arrivals)
+    computes its later rows from gradients at earlier points before the test
+    sees a diverged row, and only that arithmetic runs with numpy's overflow
+    warnings off; the scalar loop's updates and the problem's own code run
+    with the caller's settings.
 
     seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
     at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
     one of seed s equal bit for bit to run_async(..., seed=s); `seed` is then
-    left at 0. The records share the arrays the trace fixes. A diverging list
-    raises the error its first diverging seed raises on its own.
+    left at 0. The records share the arrays the trace fixes, and those of one
+    batch share its seed-major outputs row by row. A diverging list raises
+    the error its first diverging seed raises on its own.
     """
     options = dict(keep_iterates=keep_iterates or diagnostics, diagnostics=diagnostics,
                    metrics=metrics, divergence_norm=divergence_norm)
@@ -362,7 +370,7 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
     m_count = trace.num_workers
     if horizon < 1:
         raise LedgerError("need a trace with at least one arrival")
-    x0 = _start(problem, x0, m_count)
+    x0 = _start(problem, x0, m_count, divergence_norm)
     dim, n_seeds = problem.dim, len(seeds)
     # no M-sized array (slot columns, chunk table, gradient store) passes (M+K+1) R d
     if not _fits((int(m_count) + horizon + 1) * n_seeds * dim):
@@ -382,20 +390,14 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
     hats[_slot(prevs, trace.workers, m_count)] = gammas
     hats[ends] = schedule.gammas(np.maximum(1, horizon - last))
 
-    # per seed: metric columns, iterate history and the dense store of the
-    # evaluated dispatches, indexed by slot
-    fgaps = [np.empty(horizon) for _ in seeds] if metrics else None
-    gradnorms2 = [np.empty(horizon) for _ in seeds] if metrics else None
-    iterates = [np.empty((horizon + 1, dim)) for _ in seeds] if keep_iterates else None
-    if keep_iterates:
-        for history in iterates:
-            history[0] = x0
-    gradients = ([np.empty((m_count + horizon - 1, dim)) for _ in seeds]
-                 if diagnostics else None)
+    # seed-major, seed r's record taking row r: the metric columns, the
+    # iterate history and the dense store of the evaluated dispatches, by slot
+    fgaps, gradnorms2 = np.empty((2, n_seeds, horizon)) if metrics else (None, None)
+    iterates = np.empty((n_seeds, horizon + 1, dim)) if keep_iterates else None
+    gradients = np.empty((n_seeds, m_count + horizon - 1, dim)) if diagnostics else None
     # a row of the table, the buffer and the running sums holds one point per
-    # seed, side by side: seed r's is columns seed_cols[r]
+    # seed, side by side: seed r's is columns r*d..(r+1)*d-1
     width = n_seeds * dim
-    seed_cols = [slice(r * dim, (r + 1) * dim) for r in range(n_seeds)]
     uniform_sum = np.zeros(width)
     weighted_sum = np.zeros(width)
     sample_grad = problem.sample_grad
@@ -452,15 +454,14 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
                         grad_store[store_list[i]] = g
                     np.subtract(x_prev, np.multiply(g, gamma_list[i], out=scaled), out=x)
                     if not x.dot(x) <= screen:
-                        _check_divergence(x, start + i + 1, divergence_norm)
+                        _check_rows(x[None], start + i + 1, divergence_norm)
                 continue
             rows = slice(a * n_seeds, b * n_seeds)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
                                      None if samples is None else samples[rows],
                                      seed_workers[rows])
             if diagnostics:
-                for r, stored in enumerate(gradients):
-                    stored[store[a:b]] = g[r::n_seeds]
+                gradients.swapaxes(0, 1)[store[a:b]] = g.reshape(b - a, n_seeds, dim)
             # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k; the
             # rows after a diverged one are computed before the check sees it
             with np.errstate(over="ignore", invalid="ignore"):
@@ -476,20 +477,17 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         weighted_sum = _running_sum(weighted_sum, table.take(src[mask], axis=0),
                                     gamma_rows[mask])
         uniform_sum = _running_sum(uniform_sum, iters.copy())
-        if metrics:
-            for cols, fgap, gradnorm2 in zip(seed_cols, fgaps, gradnorms2):
-                for j, x in enumerate(iters[:, cols], start):
-                    fgap[j], gradnorm2[j] = point_metrics(problem, x)
-        if keep_iterates:
-            for cols, history in zip(seed_cols, iterates):
-                history[start + 1:stop + 1] = iters[:, cols]
+        if metrics:   # row i*R + r of the iterates is arrival start + i of seed r
+            values = [point_metrics(problem, x) for x in iters.reshape(-1, dim)]
+            fgaps[:, start:stop], gradnorms2[:, start:stop] = np.reshape(values, (n, n_seeds, 2)).T
+        if keep_iterates:   # rows start..stop, buf[0] being x_start (x0 in the first chunk)
+            iterates.swapaxes(0, 1)[start:stop + 1] = buf[:n + 1].reshape(n + 1, n_seeds, dim)
         # a worker that arrived in the chunk was re-dispatched at its last arrival
         latest = np.zeros(m_count, dtype=np.int64)
         latest[workers - 1] = np.arange(1, n + 1)
         arrived = latest > 0
         points[arrived] = buf[latest[arrived]]
         buf[0] = buf[n]
-    x = buf[0].copy()
 
     # the gradients still in flight: weighted at their terminal stepsizes in
     # worker order and, under diagnostics, evaluated from the same substreams
@@ -500,9 +498,10 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         g = problem.sample_grads(points[pending].reshape(-1, dim),
                                  _draw_chunk(problem, streams, seeds, ids[pending]),
                                  np.repeat(ids[pending], n_seeds))
-        for r, stored in enumerate(gradients):
-            stored[ends[pending]] = g[r::n_seeds]
+        gradients.swapaxes(0, 1)[ends[pending]] = g.reshape(-1, n_seeds, dim)
 
+    x, uniform_sum, weighted_sum = (v.reshape(n_seeds, dim)   # row r is seed r's
+                                    for v in (buf[0].copy(), uniform_sum, weighted_sum))
     evals = horizon + (int(pending.sum()) if diagnostics else 0)
     return [RunRecord(
         num_workers=m_count,
@@ -515,14 +514,14 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         fgaps=fgaps[r] if metrics else None,
         gradnorms2=gradnorms2[r] if metrics else None,
         x0=x0,
-        x_final=x[cols],
-        uniform_sum=uniform_sum[cols],
-        weighted_sum=weighted_sum[cols],
+        x_final=x[r],
+        uniform_sum=uniform_sum[r],
+        weighted_sum=weighted_sum[r],
         schedule=schedule,
         iterates=iterates[r] if keep_iterates else None,
         gradients=gradients[r] if diagnostics else None,
         gradient_evals=evals,
-    ) for r, cols in enumerate(seed_cols)]
+    ) for r in range(n_seeds)]
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
@@ -533,7 +532,7 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
         raise LedgerError(f"need at least one round, got {rounds}")
     if not math.isfinite(step) or step <= 0:
         raise LedgerError(f"step must be positive and finite, got {step}")
-    x = _start(problem, x0, num_workers)
+    x = _start(problem, x0, num_workers, _DIVERGENCE_NORM)
     rngs = worker_streams(seed, num_workers)
     for r in range(1, rounds + 1):
         acc = np.zeros(problem.dim)
@@ -541,12 +540,12 @@ def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,
             acc += problem.stoch_grad(x, rng, worker=m)
         with np.errstate(over="ignore", invalid="ignore"):
             x = x - step * (acc / num_workers)
-            _check_divergence(x, r)
+            _check_rows(x[None], r, _DIVERGENCE_NORM)
     return x
 
 
 def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
-             x0, seed: int = 0, *, divergence_norm: float = 1e12) -> RunRecord:
+             x0, seed: int = 0, *, divergence_norm: float = _DIVERGENCE_NORM) -> RunRecord:
     """Actually-threaded variant of the asynchronous loop.
 
     Each thread computes gradients against its own dispatch snapshot and a
@@ -563,7 +562,7 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
     """
     if horizon < 1:
         raise LedgerError(f"need at least one arrival, got {horizon}")
-    x0 = _start(problem, x0, num_workers)
+    x0 = _start(problem, x0, num_workers, divergence_norm)
     rngs = worker_streams(seed, num_workers)
     dispatched_at = [0] * num_workers   # iteration each worker was last dispatched at
     lock = threading.Lock()
@@ -597,7 +596,7 @@ def run_live(problem, schedule: StepSchedule, num_workers: int, horizon: int,
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
                         shared["x"] = shared["x"] - schedule.gamma(tau) * g
-                        _check_divergence(shared["x"], k, divergence_norm)
+                        _check_rows(shared["x"][None], k, divergence_norm)
                 except Exception as exc:
                     shared["failure"] = exc
                     return

@@ -254,7 +254,9 @@ def make_schedule(tag: str, constants: ProblemConstants, step: float | None = No
 # output selection
 
 
-OUTPUT_RULES = ("uniform", "weighted", "exp-weighted", "sampled")
+# the output rules that read the iterate history, which the others never need
+HISTORY_RULES = ("exp-weighted", "sampled")
+OUTPUT_RULES = ("uniform", "weighted") + HISTORY_RULES
 
 
 def _positive(gamma_hats) -> np.ndarray:
@@ -307,9 +309,11 @@ def select_output(rule: str, record, rng: np.random.Generator | None = None) -> 
     """Produce the run's output point under an averaging/sampling rule.
 
     "uniform" and "weighted" use the running sums kept by every run, so they
-    work without iterate history. "exp-weighted" and "sampled" need the run
-    to have been recorded with keep_iterates=True.
+    work without iterate history. The HISTORY_RULES, "exp-weighted" and
+    "sampled", need the run to have been recorded with keep_iterates=True.
     """
+    if rule not in OUTPUT_RULES:
+        raise ScheduleError(f"unknown output rule {rule!r}; known: {list(OUTPUT_RULES)}")
     k = record.horizon
     if rule == "uniform":
         return record.uniform_sum / k
@@ -321,13 +325,11 @@ def select_output(rule: str, record, rng: np.random.Generator | None = None) -> 
         mu = record.schedule.constants.strong_convexity if record.schedule else 0.0
         w = output_weights(rule, record.gamma_hats, mu=mu)
         return w @ record.iterates[1:]
-    if rule == "sampled":
-        if rng is None:
-            raise ScheduleError("sampled output rule needs an rng")
-        w = output_weights(rule, record.gamma_hats)
-        idx = rng.choice(k, p=w)
-        return record.iterates[1 + idx].copy()
-    raise ScheduleError(f"unknown output rule {rule!r}; known: {list(OUTPUT_RULES)}")
+    if rng is None:
+        raise ScheduleError("sampled output rule needs an rng")
+    w = output_weights(rule, record.gamma_hats)
+    idx = rng.choice(k, p=w)
+    return record.iterates[1 + idx].copy()
 
 
 def expected_sampled_metric(record, values) -> float:

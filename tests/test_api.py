@@ -2,6 +2,7 @@
 benchmark in perfbench/ drives the package through."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -127,6 +128,36 @@ def test_bench_pairs_stops_when_the_parent_is_not_a_git_checkout(tmp_path):
         load_bench_pairs().main(["--parent", str(parent), "--change", str(change),
                                  "--out", str(out)])
     assert str(parent) in str(stopped.value) and "not a git checkout" in str(stopped.value)
+    assert not out.exists()
+    assert not any((tree / "perfbench" / "ran").exists() for tree in (parent, change))
+
+
+@pytest.mark.parametrize("edit", ["perfbench/workloads.py", "BENCHMARK.json",
+                                  "perfbench/extra.py"])
+def test_bench_pairs_stops_when_the_benchmarks_differ(tmp_path, edit):
+    # a pair of trees whose benchmark files differ would measure two
+    # benchmarks: the script names the first file that differs and stops
+    # before its first run. Bytecode caches are not benchmark files
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "perfbench" / "__pycache__").mkdir(parents=True)
+        (tree / "perfbench" / "__pycache__" / "run.pyc").write_bytes(tree.name.encode())
+        (tree / "perfbench" / "run.py").write_text(
+            "from pathlib import Path\nPath(__file__).with_name('ran').touch()\n")
+        (tree / "perfbench" / "workloads.py").write_text("WORKLOADS = {}\n")
+        (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    subprocess.run(["git", "init", "-q"], cwd=parent, check=True)
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                    "commit", "-q", "--allow-empty", "-m", "parent"], cwd=parent, check=True)
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.first_difference(parent, change) is None
+    with open(change / edit, "a") as fh:
+        fh.write("\n")
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--out", str(out)])
+    assert str(stopped.value).startswith(f"{edit} differs between {parent} and {change}")
     assert not out.exists()
     assert not any((tree / "perfbench" / "ran").exists() for tree in (parent, change))
 

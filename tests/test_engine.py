@@ -5,6 +5,7 @@ run_async against eager evaluation and the per-step replay, all bit for bit."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -18,6 +19,7 @@ from asyncsgd import (
     DivergedError,
     FixedSpeeds,
     LeastSquares,
+    LedgerError,
     ProblemConstants,
     RandomSpeeds,
     ScheduleError,
@@ -378,32 +380,73 @@ def _first_diverged(norms2, limit):
     return k, norm
 
 
+# the largest divergence limit whose square is finite
+LARGEST_LIMIT = math.sqrt(sys.float_info.max)
+
+
 @pytest.mark.parametrize("m_count, step, limit, horizon", [
-    (8, 2.0, 1e12, 200), (8, 4.0, 1e300, 2000), (2, 2.0, 1e12, 200), (2, 3.0, 1e300, 4000)],
-    ids=["2.0-1000000000000.0-200", "4.0-1e+300-2000", "two-workers-1e12", "two-workers-1e300"])
+    (8, 2.0, 1e12, 200), (8, 4.0, 1e300, 2000), (2, 2.0, 1e12, 200), (2, 3.0, 1e300, 4000),
+    (8, 4.0, LARGEST_LIMIT, 1000), (2, 2.5, LARGEST_LIMIT, 1000)],
+    ids=["2.0-1000000000000.0-200", "4.0-1e+300-2000", "two-workers-1e12", "two-workers-1e300",
+         "largest-limit", "two-workers-largest-limit"])
 def test_divergence_mid_block_and_mid_chunk(m_count, step, limit, horizon):
     problem, trace, x0, schedule, norms2 = _diverging_run(step, horizon, m_count)
+    with mock.patch.object(optimizers, "_CHUNK", 16), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if limit == 1e300:
+            # its square overflows, so every iterate short of nan would pass
+            # the test: the limit is refused before any work, in silence
+            with pytest.raises(LedgerError, match="divergence_norm"):
+                run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
+            assert not caught
+            return
+        with pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
     k, norm = _first_diverged(norms2, limit)
     # inside a block, with a later arrival of the block still to come (for
     # two workers, the first of a block of two), and inside a chunk
     assert k % m_count not in ((0, 1) if m_count > 2 else (0,)) and k % 16 not in (0, 1)
-    with mock.patch.object(optimizers, "_CHUNK", 16), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(DivergedError) as exc:
-            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=limit)
     assert exc.value.iteration == k
     assert exc.value.norm == norm
-    assert (norm == math.inf) == (limit == 1e300)
+    # past the largest limit the squared norm overflows, so the norm reads inf
+    assert (norm == math.inf) == (limit == LARGEST_LIMIT)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=f"^diverged at {k}$"):
         replay_async(problem, trace, schedule, x0, 1, divergence_norm=limit)
-    # under 1e12 nothing overflows. Past about 1.3e154 the squared norm
-    # overflows before the limit, so iterates near 1e308 pass the test, and
-    # the problem's own overflow at them is reported, not silenced (as is the
-    # scalar loop's, whose every update follows a tested point)
+    # no gradient is taken at an iterate past the limit, so the problem's
+    # own arithmetic never overflows, even at the largest limit
     sources = {w.filename.rsplit("/", 1)[-1] for w in caught
                if issubclass(w.category, RuntimeWarning)}
-    assert ("problems.py" in sources) == (limit == 1e300)
+    assert "problems.py" not in sources
+
+
+@pytest.mark.parametrize("m_count", [1, 2, 8])
+def test_largest_limit_stops_at_a_finite_or_infinite_iterate_past_it(m_count):
+    # step 1 and a constant gradient of -L/2 put x_2 on the largest limit L,
+    # where it passes, and x_3 = 1.5 L past it, a finite point whose squared
+    # norm overflows; a gradient of -inf makes x_1 itself infinite. One or
+    # two workers take the scalar loop, eight the batched path, whose screen
+    # fails on the overflowing sum of squares of rows within the limit
+    above = math.nextafter(LARGEST_LIMIT, math.inf)
+    assert math.isfinite(LARGEST_LIMIT * LARGEST_LIMIT) and above * above == math.inf
+
+    class Constant(LeastSquares):
+        def sample_grad(self, x, sample, worker=None):
+            return np.array([-self.pull, 0.0, 0.0])
+
+    base = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
+    problem = Constant(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
+    trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
+    x0 = np.zeros(3)
+    schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1.0)
+    for pull, expected in ((LARGEST_LIMIT / 2, 3), (math.inf, 1)):
+        problem.pull = pull
+        # the scalar loop screens with the caller's numpy settings
+        with np.errstate(over="ignore"), pytest.raises(DivergedError) as exc:
+            run_async(problem, trace, schedule, x0, seed=1, divergence_norm=LARGEST_LIMIT)
+        assert (exc.value.iteration, exc.value.norm) == (expected, math.inf)
+    with pytest.raises(LedgerError, match="divergence_norm"):
+        run_async(problem, trace, schedule, x0, seed=1, divergence_norm=above)
 
 
 def test_block_check_reports_the_first_row_past_the_limit():
@@ -553,6 +596,8 @@ def _same_record(batched, alone):
 # chunks of 2 * 16 // 8 = 4 arrivals, each block of five cut in two
 @example("nonconvex-rows", 50, 5, "equal", 50, 16, 8, True, False, False, 1)
 @example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, 2, True, True, True, 3)
+# eight seeds over 30 chunks of 4 arrivals, metrics, history and store all on
+@example("nonconvex-rows", 50, 5, "lognormal", 120, 16, 8, True, True, True, 2)
 def test_seed_batch_equals_per_seed_runs(kind, dim, m_count, speeds, horizon, chunk,
                                          n_seeds, metrics, keep_iterates, diagnostics,
                                          seed):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import threading
 
 import numpy as np
@@ -149,15 +150,30 @@ def test_divergence_is_detected():
     assert exc.value.iteration >= 1
 
 
-def test_input_validation():
+def test_input_validation(monkeypatch):
     problem = least_squares(dim=2, num_samples=10, sigma=0.5, seed=0)
     trace = trace_from_workers([1, 2, 1])
-    schedule, _ = convex_setup(problem, trace)
+    schedule, x0 = convex_setup(problem, trace)
     with pytest.raises(LedgerError):
         run_async(problem, trace, schedule, np.zeros(3), seed=0)   # wrong shape
     hetero = heterogeneous_quadratics(dim=2, num_workers=3, zeta=0.1, seed=1)
     with pytest.raises(LedgerError):
         run_async(hetero, trace, schedule, np.zeros(2), seed=0)    # 3 objectives, 2 workers
+    with pytest.raises(LedgerError, match="at least one arrival"):
+        run_async(problem, trace_from_workers([], 2), schedule, x0, seed=0)
+    for step in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(LedgerError, match="step must be positive and finite"):
+            run_minibatch(problem, 2, 5, step, x0)
+    with pytest.raises(LedgerError, match="at least one arrival"):
+        run_live(problem, schedule, 2, 0, x0)
+    # a limit that is not positive, or whose square overflows so that every
+    # iterate short of nan would pass, is refused before any thread starts
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("thread started"))
+    for limit in (0.0, math.nan, math.inf, 1e300):
+        with pytest.raises(LedgerError, match="divergence_norm"):
+            run_async(problem, trace, schedule, x0, seed=0, divergence_norm=limit)
+        with pytest.raises(LedgerError, match="divergence_norm"):
+            run_live(problem, schedule, 2, 10, x0, seed=0, divergence_norm=limit)
 
 
 def test_trace_tau_mismatch_caught_on_replay():

@@ -289,3 +289,6 @@ def test_select_output_needs_iterates_for_sampling_rules():
     select_output("weighted", rec)
     with pytest.raises(ScheduleError):
         select_output("exp-weighted", rec)
+    # a rule name that is no rule is reported as such, before the history
+    with pytest.raises(ScheduleError, match="unknown output rule 'bogus'"):
+        select_output("bogus", rec)

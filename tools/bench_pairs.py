@@ -5,12 +5,14 @@ comparison as a BENCH_<n>.json file.
         --out BENCH_11.json
 
 The parent tree must be a git checkout (a clone, not an archive export),
-as the output records its commit. Both trees are run with their own `perfbench/run.py` on every workload in
-BENCHMARK.json, one workload and one seed at a time, end to end
-(`--trace 0`), for seeds 1..PAIRS: seed s runs the parent first when s is
-odd and the change first when it is even. Medians and quartiles (linear
-interpolation) are over the seeds, and `wins` counts the seeds on which the
-change was better. Next to the ratio of the two medians, `paired_ratio`
+as the output records its commit, and the two trees must hold the same
+BENCHMARK.json and perfbench/, or the pairs would measure two benchmarks;
+the script stops before its first run otherwise. Both trees are run with
+their own `perfbench/run.py` on every workload in BENCHMARK.json, one
+workload and one seed at a time, end to end (`--trace 0`), for seeds
+1..PAIRS: seed s runs the parent first when s is odd and the change first
+when it is even. Medians and quartiles (linear interpolation) are over the
+seeds, and `wins` counts the seeds on which the change was better. Next to the ratio of the two medians, `paired_ratio`
 summarizes change/parent per seed: each pair ran back to back, so the
 ratio cancels the drift that moves one tree's unpaired medians between
 minutes. Every workload also gets one traced run (`--trace 1`,
@@ -55,6 +57,24 @@ def run(tree: Path, workload: str, seed: int, trace: int):
     env = next((json.loads(line.split(":", 1)[1]) for line in lines
                 if line.startswith("environment:")), None)
     return env, json.loads(lines[-1])
+
+
+def benchmark_files(tree: Path) -> dict:
+    """BENCHMARK.json and every file under perfbench/ (bytecode caches aside),
+    by path relative to the tree: their bytes, or None for a missing one."""
+    paths = [tree / "BENCHMARK.json",
+             *(p for p in (tree / "perfbench").rglob("*")
+               if p.is_file() and "__pycache__" not in p.parts)]
+    return {p.relative_to(tree).as_posix(): p.read_bytes() if p.exists() else None
+            for p in paths}
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, in path order, that differs between the
+    trees or exists in only one of them; None if they hold the same."""
+    ours, theirs = benchmark_files(parent), benchmark_files(change)
+    return next((name for name in sorted(ours.keys() | theirs.keys())
+                 if ours.get(name) != theirs.get(name)), None)
 
 
 def src_lines(tree: Path) -> dict:
@@ -103,6 +123,10 @@ def main(argv=None) -> int:
         # (an archive export, say) would leave that field empty
         raise SystemExit(f"{args.parent} is not a git checkout: clone the parent commit, "
                          "so that its revision can be recorded")
+    differs = first_difference(args.parent, args.change)
+    if differs is not None:
+        raise SystemExit(f"{differs} differs between {args.parent} and {args.change}: "
+                         "the pairs would measure two benchmarks")
     seeds = list(range(1, PAIRS + 1))
     envs, workloads, traced = [], {}, {}
     for name in names:
