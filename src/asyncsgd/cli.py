@@ -16,10 +16,12 @@ another kind reads, is a config error naming its dotted path. Config keys
 equal the library's keyword names, so a builder is a table lookup plus a
 call. simulate, compare and sweep share one run path: `_read_command` checks
 the top level and builds the problem and the start point once, and each job,
-one batch of repetitions (see `_batches`) at one horizon, runs through
-`_job`, which builds the trace the batch shares, replays it once for every
-repetition and summarizes each run. The outputs equal those of one run per
-repetition, byte for byte.
+one batch of repetitions (see `_batches`) at one or more horizons, runs
+through `_job`, which builds the trace the batch shares at each horizon,
+replays them once for every repetition and summarizes each run. A sweep
+deals each batch's horizons into jobs (see `_deal`). The outputs equal
+those of one run per repetition and horizon, byte for byte, and so does the
+error of a failing sweep.
 """
 
 from __future__ import annotations
@@ -331,15 +333,10 @@ def _csv_path(out_dir: str, rep: int) -> str:
     return os.path.join(out_dir, f"run_{rep:03d}.csv")
 
 
-def _job(cmd: dict, horizon: int | None, reps: list, out_dir: str | None = None):
-    """Build the trace that the repetitions `reps` share at `horizon`, replay
-    it once for all of them, seeded seed + rep, and yield (rep, summary,
-    record) for each in order, writing its run CSV into `out_dir`, if given.
-    The per-step metric columns are computed only for their readers: the
-    CSV, and a sampled output's expected gradient norm unless `metrics` is
-    false. A diverging batch is replayed one repetition at a time, so what is
-    written and raised is what one run per repetition writes and raises."""
-    make, values = _trace_inputs(cmd, reps[0])
+def _run_inputs(cmd: dict, horizon: int | None, rep: int):
+    """The trace that repetition `rep` replays at `horizon`, checked against
+    the horizon, and the schedule built for it."""
+    make, values = _trace_inputs(cmd, rep)
     trace = make(**values)
     if not isinstance(trace, scheduler.ArrivalTrace):
         if horizon is None:
@@ -348,23 +345,40 @@ def _job(cmd: dict, horizon: int | None, reps: list, out_dir: str | None = None)
     elif horizon is not None and horizon != trace.horizon:
         raise ConfigError(f"horizon {horizon} does not match the {cmd['speed_model']['kind']} "
                           f"trace of length {trace.horizon}")
+    schedule = build_schedule(cmd["schedule"], cmd["problem"], cmd["x0"], trace.num_workers,
+                              trace.horizon)
+    return trace, schedule
+
+
+def _job(cmd: dict, horizons: list, reps: list, out_dir: str | None = None):
+    """Build the trace that the repetitions `reps` share at each of
+    `horizons`, each a prefix of the longest, replay them all once for every
+    repetition, seeded seed + rep, and yield (rep, summary, record) for
+    each, horizon by horizon and in order, writing its run CSV into
+    `out_dir`, if given. The per-step metric columns are computed only for
+    their readers: the CSV, and a sampled output's expected gradient norm
+    unless `metrics` is false. A diverging batch at one horizon is replayed
+    one repetition at a time, so what is written and raised is what one run
+    per repetition writes and raises."""
+    traces, scheds = map(list, zip(*(_run_inputs(cmd, horizon, reps[0])
+                                     for horizon in horizons)))
     problem, x0 = cmd["problem"], cmd["x0"]
-    schedule = build_schedule(cmd["schedule"], problem, x0, trace.num_workers, trace.horizon)
-    rule = cmd.get("output_rule") or schedule.output_rule
+    rule = cmd.get("output_rule") or scheds[0].output_rule
     diagnostics = cmd.get("diagnostics", False)
     keep = diagnostics or rule in schedules.HISTORY_RULES
     metrics = bool(out_dir) or (rule == "sampled" and cmd.get("metrics", True))
 
-    def replay(batch: list):
-        return zip(batch, run_async(problem, trace, schedule, x0,
-                                    seeds=[cmd["seed"] + rep for rep in batch],
-                                    diagnostics=diagnostics, keep_iterates=keep,
-                                    metrics=metrics))
+    def replay(batch: list):   # (rep, record) by horizon, then repetition
+        return [run for records in run_async(problem, traces, scheds, x0,
+                                             seeds=[cmd["seed"] + rep for rep in batch],
+                                             diagnostics=diagnostics, keep_iterates=keep,
+                                             metrics=metrics)
+                for run in zip(batch, records)]
 
     try:
         runs = replay(reps)
     except DivergedError:
-        if len(reps) == 1:
+        if len(horizons) > 1 or len(reps) == 1:
             raise
         runs = (run for rep in reps for run in replay([rep]))   # each replayed in turn
     for rep, record in runs:
@@ -410,7 +424,7 @@ def cmd_simulate(args) -> int:
     out_dir = cmd.get("out")
     runs = []
     for reps in _batches(cmd, range(cmd["repetitions"])):
-        for rep, summary, record in _job(cmd, cmd.get("horizon"), reps, out_dir):
+        for rep, summary, record in _job(cmd, [cmd.get("horizon")], reps, out_dir):
             summary["rep"] = rep
             if out_dir:
                 summary["csv"] = _csv_path(out_dir, rep)
@@ -457,7 +471,7 @@ def cmd_compare(args) -> int:
     cmd["speed_model"] = {"kind": "fixed", "seconds": seconds}   # the trace every run replays
     async_runs, mini_runs = [], []
     for reps in _batches(cmd, range(cmd["repetitions"])):
-        for rep, summary, record in _job(cmd, async_steps, reps):
+        for rep, summary, record in _job(cmd, [async_steps], reps):
             async_runs.append(summary)
             # by default the minibatch baseline takes the freshest-gradient stepsize
             step = float(cmd.get("minibatch_step", record.schedule.gamma(1)))
@@ -482,11 +496,33 @@ def cmd_compare(args) -> int:
 # sweep
 
 
-def _sweep_batch(cmd: dict, horizon: int, reps: list) -> list[dict]:
-    """The sweep runs of the job (horizon, reps): its summaries, each ending
-    in its horizon and repetition. A pool process returns only these."""
-    return [{**summary, "horizon": horizon, "rep": rep}
-            for rep, summary, _ in _job(cmd, horizon, reps)]
+# what main reports as a failed run or as bad input, with its exit code
+_FAILURES = (ConfigError, ProblemError, ScheduleError, SpeedModelError, LedgerError,
+             MemoryError, DivergedError)
+
+
+def _sweep_batch(cmd: dict, horizons: list, reps: list) -> list:
+    """The sweep runs of the job (horizons, reps), one entry per horizon: its
+    summaries, each ending in its horizon and repetition, or else the error
+    that the horizon's runs raise when replayed without the others. A pool
+    process returns only these."""
+    try:
+        runs = [{**summary, "horizon": record.horizon, "rep": rep}
+                for rep, summary, record in _job(cmd, horizons, reps)]
+    except _FAILURES as exc:   # held as a value, for cmd_sweep to raise in order
+        if len(horizons) == 1:
+            return [exc]
+        return [outcome for horizon in horizons for outcome in _sweep_batch(cmd, [horizon], reps)]
+    return [[run for run in runs if run["horizon"] == horizon] for horizon in horizons]
+
+
+def _deal(horizons: list, parts: int) -> list[list]:
+    """The horizons dealt into min(len(horizons), parts) jobs: longest
+    first, each into the first job whose horizons add up to the least."""
+    jobs = [[] for _ in range(min(len(horizons), parts))]
+    for horizon in sorted(horizons, reverse=True):
+        min(jobs, key=sum).append(horizon)
+    return jobs
 
 
 def cmd_sweep(args) -> int:
@@ -494,20 +530,34 @@ def cmd_sweep(args) -> int:
     horizons, repetitions = cmd["horizons"], cmd["repetitions"]
     if len(set(horizons)) != len(horizons):
         raise ConfigError(f"config.horizons must not repeat a horizon, got {horizons}")
-    # a job is one batch of repetitions that share a trace, at one horizon.
     # parallel: true is a pool of up to 8 processes, an integer an explicit
-    # pool size; neither exceeds the CPU count or the number of jobs
+    # pool size; neither exceeds the CPU count or the number of (horizon,
+    # batch) pairs. A job is one batch of repetitions that share a trace, at
+    # the horizons dealt to it: one job per batch in a single process, and
+    # enough jobs per batch to keep a pool busy
     groups = _batches(cmd, range(repetitions))
-    jobs = [(horizon, reps) for horizon in horizons for reps in groups]
     parallel, workers = cmd["parallel"], 1
     if parallel is not False:
-        workers = min(8 if parallel is True else parallel, os.cpu_count() or 1, len(jobs))
+        workers = min(8 if parallel is True else parallel, os.cpu_count() or 1,
+                      len(horizons) * len(groups))
+    parts = -(-workers // len(groups))
+    jobs = [(part, reps) for reps in groups for part in _deal(horizons, parts)]
     if workers == 1:
-        batches = [_sweep_batch(cmd, horizon, reps) for horizon, reps in jobs]
+        results = [_sweep_batch(cmd, part, reps) for part, reps in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_batch, [cmd] * len(jobs), *zip(*jobs)))
-    per_run = [run for batch in batches for run in batch]
+            results = list(pool.map(_sweep_batch, [cmd] * len(jobs), *zip(*jobs)))
+    outcomes = {(horizon, reps[0]): outcome for (part, reps), result in zip(jobs, results)
+                for horizon, outcome in zip(part, result)}
+    # horizon by horizon, as one job per (horizon, batch) would run: the
+    # first failure in that order is the one reported
+    per_run = []
+    for horizon in horizons:
+        for reps in groups:
+            outcome = outcomes[horizon, reps[0]]
+            if isinstance(outcome, Exception):
+                raise outcome
+            per_run += outcome
 
     aggregate = {}
     for horizon in horizons:

@@ -63,6 +63,25 @@ sum of squares screens a block's rows of every seed for divergence
 by seed, so a diverging seed raises what its own run raises, and still no
 gradient is taken at a point that failed the test.
 
+Runs over prefixes of one trace are a second batch axis, beside the seeds.
+A sweep replays one speed model at several horizons, and the trace of
+horizon K is then the first K arrivals of the longest trace, as a seed's
+gradient samples are the first ones of its longer run. So
+`run_async(problem, [trace_1, ...], [schedule_1, ...], x0, ...)` replays the
+longest trace once for H runs, each with its own schedule and horizon:
+run h's seed r is point h*R + r of a table row, the runs' stepsizes are one
+column each, broadcast over their seeds, and the runs share every ready
+block, sample draw, `sample_grads` call and divergence screen. A run leaves
+the batch at a chunk boundary placed at its horizon: its in-flight
+gradients are priced at its terminal stepsizes there, its record is built,
+and its columns leave the table and the running sums. Runs are kept
+longest first, so the runs still in the batch are always the first ones.
+A chunk holds at most 2 * _CHUNK // (H*R) arrivals for the H runs still in
+it, so a batch's working memory stays that of a seed batch. The engine
+checks in O(K) that each trace is a prefix of the longest rather than
+assume it, and takes diagnostics of one run only: a run that left would
+draw its in-flight samples from streams the others still read.
+
 The minibatch baseline returns only its final iterate, and the live executor
 records only the arrival order, the delays and the arrival times, which its
 replay through `run_async` checks and turns into a RunRecord.
@@ -146,12 +165,14 @@ class RunRecord:
 
 
 class _Records(list):
-    """The RunRecords of run_async(..., seeds=...), one per seed, in order.
+    """The RunRecords of run_async(..., seeds=...), one per seed, in order,
+    or the results of run_async over several traces, one per run.
 
     To code that counts what one replay did, by the arrivals in its `workers`
     column and its `gradient_evals`, a batch of R runs of K arrivals reads as
     one run of R*K arrivals: `workers` chains the records' columns (built
-    when asked for) and `gradient_evals` adds theirs up.
+    when asked for) and `gradient_evals` adds theirs up, through nested
+    lists too.
     """
 
     @property
@@ -280,20 +301,21 @@ def _running_sum(total: np.ndarray, rows: np.ndarray, scale=None) -> np.ndarray:
 
 
 class _Unscreened(Exception):
-    """A block of a batch of several seeds failed the divergence screen."""
+    """A block of a batch of several runs or seeds failed the divergence screen."""
 
 
-def _check_rows(rows: np.ndarray, first_k: int, limit: float, n_seeds: int = 1) -> None:
+def _check_rows(rows: np.ndarray, first_k: int, limit: float, n_points: int = 1) -> None:
     """The divergence test: raise DivergedError at the first row j whose
     x.dot(x) passes limit^2 or is not finite, row j being iteration
-    first_k + j of n_seeds seeds side by side. One sum of squares screens the
-    rows: at most half of limit^2, it bounds every point's x.dot(x) by
-    limit^2 whatever the rounding, and nan or inf fail it. A single seed that
-    fails the screen tests its rows one at a time; a batch of seeds raises
-    _Unscreened, to be replayed seed by seed."""
+    first_k + j of n_points points side by side, one per run and seed. One
+    sum of squares screens the rows: at most half of limit^2, it bounds
+    every point's x.dot(x) by limit^2 whatever the rounding, and nan or inf
+    fail it. A single point that fails the screen tests its rows one at a
+    time; a batch of several raises _Unscreened, to be replayed run by run
+    and seed by seed."""
     flat = rows.ravel()
     if not flat.dot(flat) <= 0.5 * limit * limit:
-        if n_seeds > 1:
+        if n_points > 1:
             raise _Unscreened
         for k, x in enumerate(rows, first_k):
             norm2 = float(x.dot(x))
@@ -310,7 +332,7 @@ _SEED_BATCH = 16
 _DIVERGENCE_NORM = 1e12
 
 
-def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: int = 0,
+def run_async(problem, trace, schedule, x0, seed: int = 0,
               *, seeds=None, keep_iterates: bool = False, diagnostics: bool = False,
               metrics: bool = False, divergence_norm: float = _DIVERGENCE_NORM):
     """Replay an arrival trace through the delayed-update loop.
@@ -329,7 +351,7 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     DivergedError at the first iteration whose iterate norm passes
     divergence_norm or goes non-finite, before any gradient is taken at that
     iterate, and LedgerError before any work if divergence_norm is not
-    positive or its square is not finite. A block on the batched path (a seed
+    positive or its square is not finite. A block on the batched path (a
     batch's, or a single run's block of more than _SCALAR_BLOCK arrivals)
     computes its later rows from gradients at earlier points before the test
     sees a diverged row, and only that arithmetic runs with numpy's overflow
@@ -342,146 +364,306 @@ def run_async(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seed: in
     left at 0. The records share the arrays the trace fixes, and those of one
     batch share its seed-major outputs row by row. A diverging list raises
     the error its first diverging seed raises on its own.
+
+    A list of traces with a list of as many schedules makes several runs
+    over prefixes of one trace, run h replaying traces[h] with schedules[h]
+    (a sweep's horizons): they share every ready block, sample draw,
+    gradient call and divergence screen up to each one's horizon, and a
+    chunk holds at most 2 * _CHUNK // rows arrivals, rows being the runs
+    still in the batch times the seeds. The result is a list with one entry
+    per run, each what the call with that run's trace and schedule alone
+    returns, bit for bit; a diverging list raises what its first diverging
+    run raises alone. Raises LedgerError if a trace is not a prefix of the
+    longest, naming the first row that differs, or if diagnostics are asked
+    of several runs: a run that ended would draw its in-flight samples from
+    streams the others still read.
     """
     options = dict(keep_iterates=keep_iterates or diagnostics, diagnostics=diagnostics,
                    metrics=metrics, divergence_norm=divergence_norm)
+    several = isinstance(trace, (list, tuple))
+    if several and (not isinstance(schedule, (list, tuple)) or len(schedule) != len(trace)):
+        raise TypeError("pass one schedule per trace")
+    runs = list(zip(trace, schedule)) if several else [(trace, schedule)]
     if seeds is None:
-        return _replay(problem, trace, schedule, x0, [seed], **options)[0]
+        try:
+            records = [own[0] for own in _replay(problem, runs, x0, [seed], **options)]
+        except _Unscreened:   # several runs: each replayed on its own, in order
+            records = [run_async(problem, t, s, x0, seed, **options) for t, s in runs]
+        return _Records(records) if several else records[0]
     if seed != 0:
         raise TypeError("pass either seed or seeds, not both")
     seeds = list(seeds)
-    records = _Records()
-    for i in range(0, len(seeds), _SEED_BATCH):
-        batch = seeds[i:i + _SEED_BATCH]
-        try:
-            records += _replay(problem, trace, schedule, x0, batch, **options)
-        except _Unscreened:
-            records += [_replay(problem, trace, schedule, x0, [s], **options)[0]
-                        for s in batch]
-    return records
+    records = [_Records() for _ in runs]
+    try:
+        for i in range(0, len(seeds), _SEED_BATCH):
+            batch = seeds[i:i + _SEED_BATCH]
+            try:
+                done = _replay(problem, runs, x0, batch, **options)
+            except _Unscreened:
+                if several:
+                    raise
+                done = [[_replay(problem, runs, x0, [s], **options)[0][0] for s in batch]]
+            for kept, new in zip(records, done):
+                kept += new
+    except _Unscreened:   # several runs: each replayed on its own, in order
+        records = [run_async(problem, t, s, x0, seeds=seeds, **options) for t, s in runs]
+    return _Records(records) if several else records[0]
 
 
-def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: list,
-            *, keep_iterates: bool, diagnostics: bool, metrics: bool,
-            divergence_norm: float) -> list[RunRecord]:
-    """run_async's engine: one replay of `trace` for R seeds at once, laid out
-    arrival-major (see the module docstring); R = 1 is a single run."""
+def _columns(trace: ArrivalTrace, schedule: StepSchedule, m_count: int):
+    """A run's columns: its stepsizes gamma_k, each worker's last dispatch,
+    the slot of that dispatch, and every dispatch's eventual stepsize by
+    slot: the one it is consumed with at the worker's next arrival, or the
+    terminal-delay one if it is still in flight when the run ends."""
     horizon = trace.horizon
+    gammas = schedule.gammas(trace.taus)
+    last = np.zeros(m_count, dtype=np.int64)
+    last[trace.workers - 1] = np.arange(1, horizon + 1)
+    ends = _slot(last, np.arange(1, m_count + 1), m_count)
+    hats = np.full(m_count + horizon, np.nan)
+    hats[_slot(trace.prevs, trace.workers, m_count)] = gammas
+    hats[ends] = schedule.gammas(np.maximum(1, horizon - last))
+    return gammas, last, ends, hats
+
+
+def _check_prefix(trace: ArrivalTrace, longest: ArrivalTrace, run: int) -> None:
+    """Raise LedgerError unless `trace` is the first rows of `longest`, its
+    worker count included, naming the first row that differs."""
+    if trace.num_workers != longest.num_workers:
+        raise LedgerError(f"run {run}: a trace of {trace.num_workers} workers is not a "
+                          f"prefix of the longest, of {longest.num_workers}")
+    k = trace.horizon
+    bad = np.flatnonzero((trace.workers != longest.workers[:k])
+                         | (trace.times != longest.times[:k]))
+    if bad.size:
+        raise LedgerError(f"run {run}: trace row {bad[0] + 1} differs from the longest "
+                          "trace, so the trace is not a prefix of it")
+
+
+def _chunks(horizons: list[int], n_seeds: int):
+    """(start, stop, active, chunk) for each chunk of a replay of runs whose
+    horizons, longest first, are `horizons`, R = n_seeds seeds each: the
+    first `active` runs are in the chunk, which holds at most `chunk`
+    arrivals, chunk being _CHUNK or 2 * _CHUNK // (active * R) rows of runs
+    and seeds if fewer. A chunk ends at each horizon, where its runs leave."""
+    start = 0
+    for active in range(len(horizons), 0, -1):
+        end = horizons[active - 1]
+        chunk = max(1, min(_CHUNK, 2 * _CHUNK // (active * n_seeds)))
+        for a in range(start, end, chunk):
+            yield a, min(a + chunk, end), active, chunk
+        start = max(start, end)
+
+
+def _table(first: np.ndarray, m_count: int, size: int) -> np.ndarray:
+    """A chunk table whose M + 1 first rows are `first` (the workers'
+    dispatch points and x_start; or `first` in each, if it is one row),
+    followed by `size` rows for a chunk's iterates."""
+    table = np.empty((m_count + 1 + size, first.shape[-1]))
+    table[:m_count + 1] = first
+    return table
+
+
+def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
+            diagnostics: bool, metrics: bool, divergence_norm: float) -> list[list[RunRecord]]:
+    """run_async's engine: one replay of H runs over prefixes of one trace
+    for R seeds at once, laid out arrival-major (see the module docstring);
+    runs[h] is (trace, schedule) and the result's [h][r] the record of run h
+    and seeds[r]. H = R = 1 is a single run."""
+    # longest first: the runs still in the batch are always the first ones
+    order = sorted(range(len(runs)), key=lambda h: -runs[h][0].horizon)
+    traces = [runs[h][0] for h in order]
+    trace, horizon = traces[0], traces[0].horizon
     m_count = trace.num_workers
-    if horizon < 1:
+    if traces[-1].horizon < 1:
         raise LedgerError("need a trace with at least one arrival")
+    if diagnostics and len(runs) > 1:
+        raise LedgerError("diagnostics need one run at a time: a run that ends would draw "
+                          "its in-flight samples from the streams the other runs still read")
+    for h, t in zip(order[1:], traces[1:]):
+        _check_prefix(t, trace, h)
     x0 = _start(problem, x0, m_count, divergence_norm)
-    dim, n_seeds = problem.dim, len(seeds)
-    # no M-sized array (slot columns, chunk table, gradient store) passes (M+K+1) R d
-    if not _fits((int(m_count) + horizon + 1) * n_seeds * dim):
+    dim, n_seeds, n_runs = problem.dim, len(seeds), len(runs)
+    # no M-sized array (slot columns, chunk table, gradient store) passes (M+K+1) H R d
+    if not _fits((int(m_count) + horizon + 1) * n_runs * n_seeds * dim):
         raise LedgerError(f"{m_count} workers are more than one array can hold")
     streams = {}   # worker id: its generators, one per seed (see _draw_chunk)
-
-    # columns: dispatch iteration p_k, stepsize gamma_k, and every dispatch's
-    # eventual stepsize by slot: the one it is consumed with at the worker's
-    # next arrival, or the terminal-delay one if it is still in flight
     prevs = trace.prevs
-    gammas = schedule.gammas(trace.taus)
-    last = np.zeros(m_count, dtype=np.int64)   # each worker's last dispatch
-    last[trace.workers - 1] = np.arange(1, horizon + 1)
-    ids = np.arange(1, m_count + 1)
-    ends = _slot(last, ids, m_count)
-    hats = np.full(m_count + horizon, np.nan)
-    hats[_slot(prevs, trace.workers, m_count)] = gammas
-    hats[ends] = schedule.gammas(np.maximum(1, horizon - last))
+    columns = [_columns(t, runs[h][1], m_count) for h, t in zip(order, traces)]
+    gammas = [c[0] for c in columns]
 
-    # seed-major, seed r's record taking row r: the metric columns, the
-    # iterate history and the dense store of the evaluated dispatches, by slot
-    fgaps, gradnorms2 = np.empty((2, n_seeds, horizon)) if metrics else (None, None)
-    iterates = np.empty((n_seeds, horizon + 1, dim)) if keep_iterates else None
+    # per run, seed-major, seed r's record taking row r: the metric columns,
+    # the iterate history and the dense store of the evaluated dispatches
+    outputs = [((np.empty((2, n_seeds, t.horizon)) if metrics else None),
+                (np.empty((n_seeds, t.horizon + 1, dim)) if keep_iterates else None))
+               for t in traces]
     gradients = np.empty((n_seeds, m_count + horizon - 1, dim)) if diagnostics else None
     # a row of the table, the buffer and the running sums holds one point per
-    # seed, side by side: seed r's is columns r*d..(r+1)*d-1
+    # run and seed, side by side: run h's seed r is point h*R + r, columns
+    # (h*R + r)*d..(h*R + r + 1)*d - 1, and run h's R points are `width` wide
     width = n_seeds * dim
-    uniform_sum = np.zeros(width)
-    weighted_sum = np.zeros(width)
+    uniform_sum = np.zeros((n_runs, width))
+    weighted_sum = np.zeros((n_runs, width))
+    # rows 0..M-1 of the table: every worker's dispatch point when a chunk
+    # starts; rows M, M+1, ...: the chunk's iterates x_start, x_start+1, ...,
+    # so that the dispatch point of each of the chunk's arrivals is one row
+    table = None
+    # samples are drawn a span of whole chunks at a time, as many arrivals as
+    # a chunk of the seeds alone holds, for every run at once: the arrivals
+    # drawn_from..drawn-1
+    span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
+    drawn = 0
     sample_grad = problem.sample_grad
-    # a chunk holds at most _CHUNK arrivals and 2 * _CHUNK rows of seeds, so
-    # a batch works in about twice the memory of a single run
-    chunk = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
-    size = min(chunk, horizon)
-    # rows 0..M-1: every worker's dispatch point when a chunk starts; rows
-    # M, M+1, ...: the chunk's iterates x_start, x_start+1, ..., so that the
-    # dispatch point of each of the chunk's arrivals is one row of the table
-    table = np.empty((m_count + size + 1, width))
-    table[:] = np.tile(x0, n_seeds)
-    points, buf = table[:m_count], table[m_count:]
-    single = n_seeds == 1
     # the scalar loop's scratch row for gamma_k g_k, and its divergence
     # screen: a point within it passes the test (see _check_rows)
     scaled = np.empty(dim)
     screen = 0.5 * divergence_norm * divergence_norm
+    records = [None] * n_runs
 
-    for start in range(0, horizon, chunk):
-        stop = min(start + chunk, horizon)
+    def leave(first: int, stop: int) -> None:
+        """Finish runs first..stop-1, which end at this chunk boundary: add
+        their in-flight gradients to the weighted sums at their terminal
+        stepsizes in worker order and, under diagnostics, evaluate them from
+        the same substreams, then build their records."""
+        for h in range(first, stop):
+            t, (gamma, last, ends, hats), (metric, history) = traces[h], columns[h], outputs[h]
+            own = slice(h * width, (h + 1) * width)
+            inflight = last > 0
+            weighted = _running_sum(weighted_sum[h], points[inflight, own],
+                                    hats[ends[inflight], None])
+            pending = last < t.horizon   # all but the worker arriving at K
+            if diagnostics and pending.any():
+                g = problem.sample_grads(points[pending].reshape(-1, dim),
+                                         _draw_chunk(problem, streams, seeds, ids[pending]),
+                                         np.repeat(ids[pending], n_seeds))
+                gradients.swapaxes(0, 1)[ends[pending]] = g.reshape(-1, n_seeds, dim)
+            x, uniform, weighted = (v.reshape(n_seeds, dim)   # row r is seed r's
+                                    for v in (buf[0, own].copy(), uniform_sum[h], weighted))
+            evals = t.horizon + (int(pending.sum()) if diagnostics else 0)
+            records[order[h]] = [RunRecord(
+                num_workers=m_count,
+                workers=t.workers,
+                taus=t.taus,
+                gammas=gamma,
+                gamma_hats=hats[m_count:],
+                gamma_hat_initial=hats[:m_count],
+                times=t.times,
+                fgaps=None if metric is None else metric[0, r],
+                gradnorms2=None if metric is None else metric[1, r],
+                x0=x0,
+                x_final=x[r],
+                uniform_sum=uniform[r],
+                weighted_sum=weighted[r],
+                schedule=runs[order[h]][1],
+                iterates=None if history is None else history[r],
+                gradients=None if gradients is None else gradients[r],
+                gradient_evals=evals,
+            ) for r in range(n_seeds)]
+
+    ids = np.arange(1, m_count + 1)
+    horizons, active = [t.horizon for t in traces], n_runs
+    for start, stop, live, chunk in _chunks(horizons, n_seeds):
+        if table is None or live < active:
+            # the runs past `live` end here; the table narrows to the others,
+            # and a chunk then holds more arrivals
+            if live < active:
+                leave(live, active)
+            rows, active = live * n_seeds, live
+            table = _table(np.tile(x0, rows) if table is None
+                           else table[:m_count + 1, :rows * dim],
+                           m_count, min(chunk, horizon - start))
+            points, buf = table[:m_count], table[m_count:]
+            by_run = buf.reshape(len(buf), live, -1)   # a row's points, run by run
+            uniform_sum, weighted_sum = uniform_sum[:live], weighted_sum[:live]
+            # each run's stepsizes until the next one leaves, a column per run
+            offset = 0 if live == 1 else start
+            stepsizes = (gammas[0][:, None] if live == 1 else
+                         np.stack([g[start:horizons[live - 1]] for g in gammas[:live]], axis=1))
         n = stop - start
         workers = trace.workers[start:stop]
         chunk_prevs = prevs[start:stop]
-        gamma_rows = gammas[start:stop, None]
-        # row i*R + r of the samples and the workers belongs to arrival i, seed r
-        samples = _draw_chunk(problem, streams, seeds, workers)
-        seed_workers = workers if single else np.repeat(workers, n_seeds)
+        # run h's stepsizes, broadcast over its seeds' columns
+        gamma_rows = stepsizes[start - offset:stop - offset, :, None]
+        if start == drawn:
+            drawn_from, drawn = start, min(start + chunk * max(1, span // chunk),
+                                           horizons[active - 1])
+            drawn_samples = _draw_chunk(problem, streams, seeds, trace.workers[start:drawn])
+        # row i*H*R + h*R + r of the samples and the workers belongs to
+        # arrival i of run h and seed r; every run has the same samples
+        samples = (None if drawn_samples is None else
+                   drawn_samples[(start - drawn_from) * n_seeds:(stop - drawn_from) * n_seeds])
+        if samples is not None and active > 1:
+            shape = samples.shape[1:]
+            samples = np.broadcast_to(samples.reshape((n, 1, n_seeds) + shape),
+                                      (n, active, n_seeds) + shape).reshape((-1,) + shape)
+        point_workers = workers if rows == 1 else np.repeat(workers, rows)
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
         if diagnostics:
             store = _slot(chunk_prevs, workers, m_count)
         # a single run replays its short blocks in runs, one arrival at a time
         bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
-                                      _SCALAR_BLOCK if single else 0)
+                                      _SCALAR_BLOCK if rows == 1 else 0)
         if any(scalar):
-            # per arrival, as Python lists: its dispatch point's table row,
-            # its worker, stepsize and sample (a row view of a 2-D block)
-            src_list, worker_list = src.tolist(), workers.tolist()
-            gamma_list = gammas[start:stop].tolist()
-            sample_rows = ([None] * n if samples is None
-                           else samples.tolist() if samples.ndim == 1 else samples)
+            # per arrival of lo..hi-1, the span of the scalar runs, as Python
+            # lists: its dispatch point's table row, its worker, stepsize and
+            # sample (a row view of a 2-D block)
+            lo = bounds[scalar.index(True)]
+            hi = bounds[len(scalar) - scalar[::-1].index(True)]
+            src_list, worker_list = src[lo:hi].tolist(), workers[lo:hi].tolist()
+            gamma_list = gammas[0][start + lo:start + hi].tolist()
+            sample_rows = ([None] * (hi - lo) if samples is None
+                           else samples[lo:hi].tolist() if samples.ndim == 1
+                           else samples[lo:hi])
             if diagnostics:
-                grad_store, store_list = gradients[0], store.tolist()
+                grad_store, store_list = gradients[0], store[lo:hi].tolist()
         # every block is checked before the next one takes gradients, so no
         # gradient is taken at a point that failed the divergence test
         for a, b, alone in zip(bounds, bounds[1:], scalar):
             if alone:
                 # x_k = x_{k-1} - gamma_k g_k, each k tested before the next;
                 # g_k is the problem's array, read but never written
-                for i, x_prev, x, sample in zip(range(a, b), buf[a:b], buf[a + 1:b + 1],
-                                                sample_rows[a:b]):
+                for i, x_prev, x, sample in zip(range(a - lo, b - lo), buf[a:b],
+                                                buf[a + 1:b + 1], sample_rows[a - lo:b - lo]):
                     g = sample_grad(table[src_list[i]], sample, worker_list[i])
                     if diagnostics:
                         grad_store[store_list[i]] = g
                     np.subtract(x_prev, np.multiply(g, gamma_list[i], out=scaled), out=x)
                     if not x.dot(x) <= screen:
-                        _check_rows(x[None], start + i + 1, divergence_norm)
+                        _check_rows(x[None], start + lo + i + 1, divergence_norm)
                 continue
-            rows = slice(a * n_seeds, b * n_seeds)
+            block = slice(a * rows, b * rows)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
-                                     None if samples is None else samples[rows],
-                                     seed_workers[rows])
+                                     None if samples is None else samples[block],
+                                     point_workers[block])
             if diagnostics:
                 gradients.swapaxes(0, 1)[store[a:b]] = g.reshape(b - a, n_seeds, dim)
             # x_k = x_{k-1} - gamma_k g_k, subtracted in the order of k; the
             # rows after a diverged one are computed before the check sees it
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(g.reshape(b - a, width), gamma_rows[a:b], out=buf[a + 1:b + 1])
+                np.multiply(g.reshape(b - a, active, -1), gamma_rows[a:b],
+                            out=by_run[a + 1:b + 1])
                 np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
-                _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, n_seeds)
+                _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, rows)
 
-        samples = sample_rows = None   # freed before the next chunk's draw
+        samples = sample_rows = None
+        if stop == drawn:   # freed before the running sums and the next draw
+            drawn_samples = None
 
-        iters = buf[1:n + 1]
         # the table still holds every dispatch point of the chunk
         mask = chunk_prevs > 0
-        weighted_sum = _running_sum(weighted_sum, table.take(src[mask], axis=0),
+        weighted_sum = _running_sum(weighted_sum,
+                                    table.take(src[mask], axis=0).reshape(-1, active, width),
                                     gamma_rows[mask])
-        uniform_sum = _running_sum(uniform_sum, iters.copy())
-        if metrics:   # row i*R + r of the iterates is arrival start + i of seed r
-            values = [point_metrics(problem, x) for x in iters.reshape(-1, dim)]
-            fgaps[:, start:stop], gradnorms2[:, start:stop] = np.reshape(values, (n, n_seeds, 2)).T
+        uniform_sum = _running_sum(uniform_sum, by_run[1:n + 1].copy())
+        if metrics:   # row i*H*R + h*R + r of the iterates is arrival start + i of run h, seed r
+            values = np.reshape([point_metrics(problem, x) for x in buf[1:n + 1].reshape(-1, dim)],
+                                (n, active, n_seeds, 2))
+            for h in range(active):
+                outputs[h][0][:, :, start:stop] = values[:, h].T
         if keep_iterates:   # rows start..stop, buf[0] being x_start (x0 in the first chunk)
-            iterates.swapaxes(0, 1)[start:stop + 1] = buf[:n + 1].reshape(n + 1, n_seeds, dim)
+            history = buf[:n + 1].reshape(n + 1, active, n_seeds, dim)
+            for h in range(active):
+                outputs[h][1].swapaxes(0, 1)[start:stop + 1] = history[:, h]
         # a worker that arrived in the chunk was re-dispatched at its last arrival
         latest = np.zeros(m_count, dtype=np.int64)
         latest[workers - 1] = np.arange(1, n + 1)
@@ -489,39 +671,8 @@ def _replay(problem, trace: ArrivalTrace, schedule: StepSchedule, x0, seeds: lis
         points[arrived] = buf[latest[arrived]]
         buf[0] = buf[n]
 
-    # the gradients still in flight: weighted at their terminal stepsizes in
-    # worker order and, under diagnostics, evaluated from the same substreams
-    inflight = last > 0
-    weighted_sum = _running_sum(weighted_sum, points[inflight], hats[ends[inflight], None])
-    pending = last < horizon   # all but the worker arriving at K
-    if diagnostics and pending.any():
-        g = problem.sample_grads(points[pending].reshape(-1, dim),
-                                 _draw_chunk(problem, streams, seeds, ids[pending]),
-                                 np.repeat(ids[pending], n_seeds))
-        gradients.swapaxes(0, 1)[ends[pending]] = g.reshape(-1, n_seeds, dim)
-
-    x, uniform_sum, weighted_sum = (v.reshape(n_seeds, dim)   # row r is seed r's
-                                    for v in (buf[0].copy(), uniform_sum, weighted_sum))
-    evals = horizon + (int(pending.sum()) if diagnostics else 0)
-    return [RunRecord(
-        num_workers=m_count,
-        workers=trace.workers,
-        taus=trace.taus,
-        gammas=gammas,
-        gamma_hats=hats[m_count:],
-        gamma_hat_initial=hats[:m_count],
-        times=trace.times,
-        fgaps=fgaps[r] if metrics else None,
-        gradnorms2=gradnorms2[r] if metrics else None,
-        x0=x0,
-        x_final=x[r],
-        uniform_sum=uniform_sum[r],
-        weighted_sum=weighted_sum[r],
-        schedule=schedule,
-        iterates=iterates[r] if keep_iterates else None,
-        gradients=gradients[r] if diagnostics else None,
-        gradient_evals=evals,
-    ) for r in range(n_seeds)]
+    leave(0, active)
+    return records
 
 
 def run_minibatch(problem, num_workers: int, rounds: int, step: float, x0,

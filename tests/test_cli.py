@@ -737,8 +737,10 @@ def test_sweep_jobs_are_batches_of_repetitions_that_share_a_trace(
     serial = write_config(tmp_path, sweep_config(**fields), name="serial.json")
     code, stdout, _ = run_cli(capsys, ["sweep", "--config", pooled])
     assert code == 0
-    assert RecordingPool.jobs == [(h, reps) for h in (6, 12) for reps in (
-        [[0, 1], [2]] if shared else [[0], [1], [2]])]
+    # a pool of 4 for 4 or 6 (horizon, batch) pairs: each batch's horizons
+    # dealt into 2 jobs, longest first, which are the pairs themselves
+    assert RecordingPool.jobs == [([h], reps) for reps in (
+        [[0, 1], [2]] if shared else [[0], [1], [2]]) for h in (12, 6)]
     assert stdout == run_cli(capsys, ["sweep", "--config", serial])[1]
     runs = json.loads(stdout)["runs"]
     assert [(r["horizon"], r["rep"], r["seed"]) for r in runs] == [
@@ -823,6 +825,60 @@ def test_a_diverging_pooled_sweep_fails_as_the_serial_one(tmp_path, capsys, monk
         for parallel in (False, 2))
     assert serial[0] == 1 and serial[2].startswith("run failed: iterates diverged at ")
     assert pooled == serial
+
+
+# each repetition of an unseeded random model is a batch of its own; under
+# step 1.5 repetitions 0, 1 and 2 diverge at iterations 146, 136 and 134
+DIVERGING_SWEEP = {"seed": 0, "repetitions": 3,
+                   "problem": {"kind": "least-squares", "dim": 3, "num_samples": 10,
+                               "sigma": 0.5, "seed": 1},
+                   "speed_model": {"kind": "random", "means": [1.0, 1.0, 1.0, 1.0]},
+                   "schedule": {"kind": "constant", "step": 1.5}, "x0": {"kind": "zeros"}}
+
+
+@pytest.mark.parametrize("fields, code, err", [
+    # at 140 repetition 1 diverges; repetition 0's own job fails first, at 150
+    ({**DIVERGING_SWEEP, "horizons": [130, 140, 150]}, 1,
+     "run failed: iterates diverged at iteration 136 (norm 1.175e+12)\n"),
+    ({**DIVERGING_SWEEP, "horizons": [150, 130, 140]}, 1,
+     "run failed: iterates diverged at iteration 146 (norm 1.371e+12)\n"),
+    # a schedule that one horizon cannot have, and a trace that one cannot build
+    ({"horizons": [6, 1], "speed_model": {"kind": "random", "means": [1.0, 1.4]},
+      "repetitions": 3}, 2,
+     "config error: config.schedule: adaptive-convex: requires horizon_at_least_num_workers\n"),
+    ({"horizons": [1, 3], "speed_model": {"kind": "fixed", "seconds": [1e308]}}, 2,
+     "error: arrival 2 finishes past the float range; compute times are too large\n"),
+], ids=["diverged-136", "diverged-146", "schedule", "trace"])
+def test_a_failing_sweep_reports_the_first_failure_in_horizon_order(
+        tmp_path, capsys, monkeypatch, fields, code, err):
+    # a job replays a batch at several horizons, but the error reported is
+    # the first that one job per (horizon, batch), horizon by horizon, meets
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for parallel in (False, 2):
+        cfg = write_config(tmp_path, sweep_config(parallel=parallel, **fields))
+        assert run_cli(capsys, ["sweep", "--config", cfg]) == (code, "", err)
+
+
+def test_sweep_jobs_deal_horizons_longest_first():
+    assert cli._deal([6, 12], 1) == [[12, 6]]
+    assert cli._deal([6, 12], 5) == [[12], [6]]
+    # seed-sweep's horizons in a pool of two: the longest alone
+    assert cli._deal([2048, 4096, 8192], 2) == [[8192], [4096, 2048]]
+    assert cli._deal([1, 2, 3, 4, 5], 2) == [[5, 2, 1], [4, 3]]
+
+
+def test_a_serial_sweep_runs_one_job_per_batch(tmp_path, capsys, monkeypatch):
+    jobs, batch = [], cli._sweep_batch
+
+    def recorded(cmd, horizons, reps):
+        jobs.append((horizons, reps))
+        return batch(cmd, horizons, reps)
+
+    monkeypatch.setattr(cli, "_sweep_batch", recorded)
+    cfg = write_config(tmp_path, sweep_config(horizons=[6, 18, 12], repetitions=3,
+                                              speed_model=UNSEEDED))
+    assert run_cli(capsys, ["sweep", "--config", cfg])[0] == 0
+    assert jobs == [([18, 12, 6], [rep]) for rep in range(3)]
 
 
 BAD_FIELDS = [

@@ -97,6 +97,16 @@ def test_trace_equals_heap_event_loop_on_long_skewed_runs():
         assert same_bits(trace.times, times)
 
 
+@settings(max_examples=200, deadline=None)
+@given(speed_models(), st.integers(min_value=0, max_value=300),
+       st.integers(min_value=1, max_value=300))
+def test_a_shorter_trace_is_a_prefix_of_a_longer_one(model, horizon, more):
+    # a sweep replays its horizons as prefixes of the longest trace
+    short, long = simulate_trace(model, horizon), simulate_trace(model, horizon + more)
+    assert same_bits(short.workers, long.workers[:horizon])
+    assert same_bits(short.times, long.times[:horizon])
+
+
 @settings(max_examples=100, deadline=None)
 @given(speed_models(), st.integers(min_value=1, max_value=120))
 def test_simulated_delays_match_definition(model, horizon):
@@ -762,3 +772,119 @@ def test_seed_batch_working_memory():
         assert len(records) == n_seeds
     assert peaks[0] <= 2.5 * table
     assert peaks[1] <= peaks[0] + 256 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the run axis: several runs over prefixes of one trace
+
+
+def _schedule_for(kind, problem, x0, m_count, horizon):
+    tag = ("adaptive-heterogeneous" if kind.startswith("heterogeneous")
+           else "adaptive-nonconvex" if kind.startswith("nonconvex") else "adaptive-convex")
+    return make_schedule(tag, problem.constants_for(x0, m_count, max(horizon, m_count)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from([1, 3, 50]),
+       st.integers(min_value=1, max_value=8),
+       st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
+       st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, 7, 16, 1024]), st.sampled_from([None, 1, 2, 5]),
+       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2**16))
+# three horizons of seed-sweep's shape at a small scale: 24, 16 then 8 rows
+@example("additive", 3, 8, "fixed", [32, 64, 128], 16, 8, False, False, 1)
+# one seed among a straggler's blocks of length 1: the longest run takes the
+# scalar loop once the shorter ones have left
+@example("rows", 3, 2, "straggler", [5, 60, 9], 1024, None, True, True, 7)
+# equal horizons leave together
+@example("nonconvex-rows", 50, 5, "lognormal", [40, 40, 90], 7, 2, True, True, 2)
+def test_runs_over_trace_prefixes_equal_their_own_runs(kind, dim, m_count, speeds, horizons,
+                                                        chunk, n_seeds, metrics,
+                                                        history, seed):
+    # every record of every run equals that run's own run_async record, field
+    # by field; n_seeds None is the single-seed form
+    problem = PROBLEM_KINDS[kind](dim, m_count)
+    model = _block_speeds(m_count, speeds, seed)
+    traces = [simulate_trace(model, k) for k in horizons]
+    x0 = np.full(dim, 0.5)
+    schedules = [_schedule_for(kind, problem, x0, m_count, k) for k in horizons]
+    options = dict(metrics=metrics, keep_iterates=history)   # an output rule's history
+    if n_seeds is None:
+        options["seed"] = seed
+    else:
+        options["seeds"] = [seed + 3 * r for r in range(n_seeds)]
+    with mock.patch.object(optimizers, "_CHUNK", chunk):
+        runs = run_async(problem, traces, schedules, x0, **options)
+        alone = [run_async(problem, t, s, x0, **options) for t, s in zip(traces, schedules)]
+    assert len(runs) == len(horizons)
+    for run, own in zip(runs, alone):
+        if n_seeds is None:
+            run, own = [run], [own]
+        assert len(run) == len(own)
+        for record, single in zip(run, own):
+            _same_record(record, single)
+
+
+def _two_horizons(horizon=60):
+    problem = least_squares(dim=3, num_samples=12, sigma=0.6, seed=4)
+    model = RandomSpeeds("exponential", (1.0, 1.5, 2.0), seed=5)
+    x0 = np.full(3, 0.5)
+    runs = [(simulate_trace(model, k), make_schedule("adaptive-convex",
+                                                     problem.constants_for(x0, 3, k)))
+            for k in (horizon, horizon // 2)]
+    return problem, x0, runs
+
+
+def test_a_run_whose_trace_is_not_a_prefix_is_refused():
+    problem, x0, [(long, s_long), (short, s_short)] = _two_horizons()
+    workers = short.workers.copy()
+    workers[[11, 12]] = workers[[12, 11]]   # rows 12 and 13 swapped
+    if workers[11] == workers[12]:
+        workers[11] = workers[11] % 3 + 1
+    other = trace_from_workers(workers, 3)
+    with pytest.raises(LedgerError, match="run 1: trace row 1 differs"):
+        run_async(problem, [long, other], [s_long, s_short], x0, seeds=[1, 2])
+    # the same order with the longest trace's times differs first at row 12
+    swapped = type(short)(workers, long.times[:short.horizon], 3)
+    with pytest.raises(LedgerError, match="run 0: trace row 12 differs"):
+        run_async(problem, [swapped, long], [s_short, s_long], x0)
+    fewer = type(short)(short.workers, short.times, 4)
+    with pytest.raises(LedgerError, match="run 1: a trace of 4 workers"):
+        run_async(problem, [long, fewer], [s_long, s_short], x0)
+    with pytest.raises(TypeError, match="one schedule per trace"):
+        run_async(problem, [long, short], [s_long], x0)
+
+
+def test_diagnostics_take_one_run_at_a_time():
+    problem, x0, runs = _two_horizons()
+    traces, schedules = map(list, zip(*runs))
+    with pytest.raises(LedgerError, match="diagnostics need one run at a time"):
+        run_async(problem, traces, schedules, x0, seeds=[1, 2], diagnostics=True)
+    [record] = run_async(problem, traces[:1], schedules[:1], x0, seeds=[1], diagnostics=True)
+    _same_record(record[0], run_async(problem, traces[0], schedules[0], x0, seed=1,
+                                      diagnostics=True))
+
+
+def test_several_runs_raise_the_error_of_the_first_diverging_run_in_order():
+    # a constant step replays the same iterates at every horizon, so a seed
+    # that diverges at k diverges in every run of horizon k or more and in
+    # no other
+    problem, _, x0, schedule, limit, outcomes = _noisy_divergence()
+    failing = sorted((out[0], s) for s, out in outcomes.items() if out is not None)
+    (k_early, early), (k_late, late) = failing[0], failing[-1]
+    assert k_early < k_late - 1
+    model = FixedSpeeds((1.0, 1.0, 1.0, 1.3))
+    long = simulate_trace(model, 400)
+    for short_horizon, first_long, expected in [
+        (k_early - 1, False, late),   # only the long run diverges, late seed first
+        (k_late - 1, True, late),     # the long run comes first
+        (k_late - 1, False, early),   # the short run comes first; only early diverges in it
+    ]:
+        short = simulate_trace(model, short_horizon)
+        traces = [long, short] if first_long else [short, long]
+        for chunk in (16, 1024):
+            with mock.patch.object(optimizers, "_CHUNK", chunk), \
+                    pytest.raises(DivergedError) as exc:
+                run_async(problem, traces, [schedule, schedule], x0, seeds=[late, early],
+                          divergence_norm=limit)
+            assert (exc.value.iteration, exc.value.norm) == outcomes[expected]
