@@ -77,7 +77,10 @@ gradients are priced at its terminal stepsizes there, its record is built,
 and its columns leave the table and the running sums. Runs are kept
 longest first, so the runs still in the batch are always the first ones.
 A chunk holds at most 2 * _CHUNK // (H*R) arrivals for the H runs still in
-it, so a batch's working memory stays that of a seed batch. The engine
+it, so a batch's working memory stays about that of a seed batch. The
+samples are drawn once for every run, a span of whole chunks at a time that
+holds as many arrivals as a chunk of the seeds alone, so H runs make the
+draw calls of one. The engine
 checks in O(K) that each trace is a prefix of the longest rather than
 assume it, and takes diagnostics of one run only: a run that left would
 draw its in-flight samples from streams the others still read.
@@ -213,7 +216,8 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums
 # and the metric columns read that buffer once. Bounds the working memory
 # to a few _CHUNK x dim arrays however long the trace is (a batch of R seeds
-# takes 2 * _CHUNK // R arrivals per chunk, when that is fewer).
+# takes 2 * _CHUNK // R arrivals per chunk, and H runs over one trace
+# 2 * _CHUNK // (H*R), when that is fewer).
 _CHUNK = 1024
 
 # a single run replays its ready blocks of at most this many arrivals one

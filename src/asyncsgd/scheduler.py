@@ -191,7 +191,8 @@ class ArrivalTrace:
         if bad.size:
             raise LedgerError(
                 f"trace row {bad[0] + 1}: arrival time {times[bad[0]]} is not finite")
-        bad = np.flatnonzero(np.diff(times) < 0)
+        # compared, not subtracted: the difference of two finite times can overflow
+        bad = np.flatnonzero(times[1:] < times[:-1])
         if bad.size:
             raise LedgerError(f"trace row {bad[0] + 2}: arrival times must be non-decreasing")
         prevs = dispatch_iterations(workers)

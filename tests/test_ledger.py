@@ -37,6 +37,15 @@ def test_non_finite_times_are_rejected():
         ArrivalTrace([1, 2, 1], [1.0, 1.5, np.inf], 2)
 
 
+def test_times_whose_gaps_overflow_are_ordered_by_comparison():
+    # the gap between -max and +max passes the float range; the order check
+    # compares times, so it raises no overflow warning either way
+    big = np.finfo(np.float64).max
+    assert ArrivalTrace([1, 1, 1], [-big, big, big], 1).horizon == 3
+    with pytest.raises(LedgerError, match="row 2: arrival times must be non-decreasing"):
+        ArrivalTrace([1, 1], [big, -big], 1)
+
+
 def test_budget_tight_for_single_worker():
     # M=1 alternates nothing: every prefix meets the budget with slack 0
     assert trace_from_workers([1] * 7).delay_budget_slack() == 0
