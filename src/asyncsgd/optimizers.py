@@ -388,6 +388,8 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     if several and (not isinstance(schedule, (list, tuple)) or len(schedule) != len(trace)):
         raise TypeError("pass one schedule per trace")
     runs = list(zip(trace, schedule)) if several else [(trace, schedule)]
+    if not runs:
+        return _Records()
     if seeds is None:
         try:
             records = [own[0] for own in _replay(problem, runs, x0, [seed], **options)]

@@ -853,6 +853,7 @@ def test_a_run_whose_trace_is_not_a_prefix_is_refused():
         run_async(problem, [long, fewer], [s_long, s_short], x0)
     with pytest.raises(TypeError, match="one schedule per trace"):
         run_async(problem, [long, short], [s_long], x0)
+    assert run_async(problem, [], [], x0, seeds=[1, 2]) == []
 
 
 def test_diagnostics_take_one_run_at_a_time():
