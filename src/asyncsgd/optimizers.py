@@ -32,9 +32,16 @@ instead, into the same buffer: one scalar loop over each run of
 consecutive short blocks (every block of a trace with one straggler has
 length 1, and two equal workers make every block two long). Per arrival,
 that loop reads the table row of its dispatch point, its worker, stepsize
-and sample from lists built once per chunk, forms gamma_k g_k in one
-scratch row, so it never writes into the array the problem returned, and
-screens x_k.dot(x_k) inline. Each block's iterates pass the divergence test before
+and sample from lists built once per chunk. Up to _FLOAT_DIM dimensions it
+keeps x_{k-1} as Python floats: it takes g_k as a list from the problem's
+`sample_grad_values` (an override of it gets a sample block's rows as
+lists, made once per chunk too), forms x_k = [p - v * gamma_k ...] in
+numpy's order and writes it into its table row once. Past _FLOAT_DIM,
+where that O(d) interpreted arithmetic costs more than numpy's per-call
+floor, it takes g_k from `sample_grad` and forms gamma_k g_k in one scratch
+row, so it never writes into the array the problem returned. Either way it
+screens x_k with math.hypot, which never warns, and tests a point that
+fails the screen exactly. Each block's iterates pass the divergence test before
 the next block takes a gradient, so no gradient is ever taken at a point
 that failed it. The iterates of a chunk of _CHUNK arrivals fill one
 buffer, and a table of dispatch points holds every worker's point at the
@@ -99,7 +106,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import point_metrics
+from .problems import Problem, point_metrics
 from .scheduler import ArrivalTrace, LedgerError, _fits, _write_csv
 from .schedules import StepSchedule
 
@@ -223,6 +230,11 @@ _CHUNK = 1024
 # a single run replays its ready blocks of at most this many arrivals one
 # arrival at a time (blocks of three gain at d = 50 and lose at d = 10)
 _SCALAR_BLOCK = 2
+
+# up to this dimension the scalar loop keeps its iterate as Python floats;
+# past it, its O(d) interpreted arithmetic costs more than numpy's per-call
+# floor (tools/scalar_dim.py times both loops per d)
+_FLOAT_DIM = 6
 
 
 def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
@@ -355,12 +367,17 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     DivergedError at the first iteration whose iterate norm passes
     divergence_norm or goes non-finite, before any gradient is taken at that
     iterate, and LedgerError before any work if divergence_norm is not
-    positive or its square is not finite. A block on the batched path (a
+    positive or its square is not finite. The engine's own arithmetic does
+    not warn on the way to that error. A block on the batched path (a
     batch's, or a single run's block of more than _SCALAR_BLOCK arrivals)
     computes its later rows from gradients at earlier points before the test
-    sees a diverged row, and only that arithmetic runs with numpy's overflow
-    warnings off; the scalar loop's updates and the problem's own code run
-    with the caller's settings.
+    sees a diverged row, with numpy's overflow warnings off. The scalar loop
+    screens each iterate with math.hypot and tests a point that fails the
+    screen with the warnings off; up to _FLOAT_DIM dimensions its updates
+    are Python float arithmetic, which never warns. The problem's own code
+    runs with the caller's settings, and so do the numpy updates of the
+    scalar loop past _FLOAT_DIM: there a gamma_k g_k past the float range
+    (a step near 1e308) warns before the DivergedError.
 
     seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
     at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
@@ -519,11 +536,15 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # drawn_from..drawn-1
     span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
     drawn = 0
-    sample_grad = problem.sample_grad
-    # the scalar loop's scratch row for gamma_k g_k, and its divergence
-    # screen: a point within it passes the test (see _check_rows)
+    # the scalar loop on Python floats, through the list oracle, or on numpy
+    # rows; an override of the list oracle takes a sample block's rows as lists
+    floats = dim <= _FLOAT_DIM
+    grad = problem.sample_grad_values if floats else problem.sample_grad
+    listed = floats and type(problem).sample_grad_values is not Problem.sample_grad_values
+    # the numpy loop's scratch row for gamma_k g_k, and the scalar loops'
+    # screen: a point whose norm is within it passes the test (see _check_rows)
     scaled = np.empty(dim)
-    screen = 0.5 * divergence_norm * divergence_norm
+    screen, hypot = divergence_norm * math.sqrt(0.5), math.hypot
     records = [None] * n_runs
 
     def leave(first: int, stop: int) -> None:
@@ -612,13 +633,13 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
         if any(scalar):
             # per arrival of lo..hi-1, the span of the scalar runs, as Python
             # lists: its dispatch point's table row, its worker, stepsize and
-            # sample (a row view of a 2-D block)
+            # sample (a row of a 2-D block as a list, or as a row view)
             lo = bounds[scalar.index(True)]
             hi = bounds[len(scalar) - scalar[::-1].index(True)]
             src_list, worker_list = src[lo:hi].tolist(), workers[lo:hi].tolist()
             gamma_list = gammas[0][start + lo:start + hi].tolist()
             sample_rows = ([None] * (hi - lo) if samples is None
-                           else samples[lo:hi].tolist() if samples.ndim == 1
+                           else samples[lo:hi].tolist() if samples.ndim == 1 or listed
                            else samples[lo:hi])
             if diagnostics:
                 grad_store, store_list = gradients[0], store[lo:hi].tolist()
@@ -626,16 +647,26 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
         # gradient is taken at a point that failed the divergence test
         for a, b, alone in zip(bounds, bounds[1:], scalar):
             if alone:
-                # x_k = x_{k-1} - gamma_k g_k, each k tested before the next;
-                # g_k is the problem's array, read but never written
-                for i, x_prev, x, sample in zip(range(a - lo, b - lo), buf[a:b],
-                                                buf[a + 1:b + 1], sample_rows[a - lo:b - lo]):
-                    g = sample_grad(table[src_list[i]], sample, worker_list[i])
+                # x_k = x_{k-1} - gamma_k g_k, each k tested before the next,
+                # by a screen that never warns; only a point that fails it is
+                # tested exactly, with numpy's overflow warnings off
+                x = buf[a].tolist()
+                run = slice(a - lo, b - lo)
+                for k, point, sample, m, gamma in zip(
+                        range(a + 1, b + 1), src_list[run], sample_rows[run],
+                        worker_list[run], gamma_list[run]):
+                    g = grad(table[point], sample, m)
                     if diagnostics:
-                        grad_store[store_list[i]] = g
-                    np.subtract(x_prev, np.multiply(g, gamma_list[i], out=scaled), out=x)
-                    if not x.dot(x) <= screen:
-                        _check_rows(x[None], start + lo + i + 1, divergence_norm)
+                        grad_store[store_list[k - lo - 1]] = g
+                    if floats:   # Python float arithmetic never warns
+                        x = [p - v * gamma for p, v in zip(x, g)]
+                        buf[k] = x
+                    else:   # g is the problem's array, read but never written
+                        x = np.subtract(buf[k - 1], np.multiply(g, gamma, out=scaled),
+                                        out=buf[k]).tolist()
+                    if not hypot(*x) <= screen:
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            _check_rows(buf[k:k + 1], start + k, divergence_norm)
                 continue
             block = slice(a * rows, b * rows)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),

@@ -8,6 +8,7 @@ stepsize rules consume. Constants are computed from the data, not assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -107,14 +108,28 @@ class Problem:
         return np.array([self.sample_grad(x, sample, m)
                          for x, sample, m in zip(xs, samples, workers.tolist())])
 
+    def sample_grad_values(self, x: np.ndarray, sample, worker: int | None = None) -> list:
+        """`sample_grad(x, sample, worker).tolist()`, bit for bit: the
+        gradient as a list of Python floats, for a replay that keeps a
+        low-dimensional iterate as Python floats. An override takes a row of
+        a two-dimensional sample block as its `tolist()`, which the replay
+        makes once per chunk; this default takes the sample as `sample_grad`
+        does. The built-in problems override it with Python float arithmetic
+        in numpy's order after the same numpy matrix-vector call, so it never
+        warns past that call; a subclass that changes how one gradient is
+        evaluated gets this default back."""
+        return self.sample_grad(x, sample, worker).tolist()
+
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # a batched sample_grads is written for one way of evaluating a
-        # gradient: a subclass that changes that way without bringing its
-        # own batched form gets the row-by-row loop back
+        # the batched and list forms are written for one way of evaluating a
+        # gradient: a subclass that changes that way without bringing its own
+        # form gets the default, which calls sample_grad, back
         own = vars(cls)
-        if "sample_grads" not in own and {"sample_grad", "_grad", "_row_grad"} & set(own):
-            cls.sample_grads = Problem.sample_grads
+        if {"sample_grad", "_grad", "_row_grad"} & set(own):
+            for form in ("sample_grads", "sample_grad_values"):
+                if form not in own:
+                    setattr(cls, form, getattr(Problem, form))
 
     def stoch_grad(self, x: np.ndarray, rng: np.random.Generator,
                    worker: int | None = None) -> np.ndarray:
@@ -228,6 +243,10 @@ class _Quadratic(Problem):
     def _grad(self, x, worker=None):
         return self._gram.dot(x) - self._cross
 
+    @functools.cached_property
+    def _cross_values(self) -> list[float]:
+        return self._cross.tolist()
+
     def _mean_grads(self, xs: np.ndarray) -> np.ndarray:
         """_grad at the rows of xs. A stacked matvec equals gram.dot(x) row
         for row; xs @ gram.T (a matrix product) does not."""
@@ -274,6 +293,18 @@ class LeastSquares(_Quadratic):
             return rows * (_row_dots(rows, xs) - self.rhs[samples])[:, None]
         grads = self._mean_grads(xs)
         return grads if samples is None else grads + samples
+
+    def sample_grad_values(self, x, sample, worker=None):
+        if self.noise == "rows":
+            row = self.mat[sample]
+            # a Python float t, as a numpy scalar could warn
+            t = float(row @ x) - self.rhs.item(sample)
+            return [r * t for r in row.tolist()]
+        # _grad's matvec, then its elementwise rest in Python floats
+        v = self._gram.dot(x).tolist()
+        if sample is None:
+            return [a - c for a, c in zip(v, self._cross_values)]
+        return [(a - c) + e for a, c, e in zip(v, self._cross_values, sample)]
 
     def row_noise_power(self, x) -> float:
         """Exact E||g - grad F(x)||^2 under row sampling, by summing all rows."""
@@ -391,17 +422,34 @@ class HeterogeneousQuadratics(_Quadratic):
         norms = np.linalg.norm(shifts, axis=1)
         self.zeta = float(norms[0]) if norms.size else 0.0
 
+    def _check_worker(self, worker: int) -> None:
+        if not 1 <= worker <= self.num_workers:
+            raise ProblemError(f"unknown worker id {worker} (have 1..{self.num_workers})")
+
     def _grad(self, x, worker=None):
         mean = super()._grad(x)
         if worker is None:
             return mean
-        if not 1 <= worker <= self.num_workers:
-            raise ProblemError(f"unknown worker id {worker} (have 1..{self.num_workers})")
+        self._check_worker(worker)
         return mean + self.shifts[worker - 1]
 
     def sample_grads(self, xs, samples, workers):
         grads = self._mean_grads(xs) + self.shifts[workers - 1]
         return grads if samples is None else grads + samples
+
+    @functools.cached_property
+    def _shift_values(self) -> list[list[float]]:
+        return self.shifts.tolist()
+
+    def sample_grad_values(self, x, sample, worker=None):
+        if worker is None:   # the mean objective's gradient; no replay asks for it
+            return super().sample_grad_values(x, sample)
+        self._check_worker(worker)
+        v = self._gram.dot(x).tolist()
+        shift = self._shift_values[worker - 1]
+        if sample is None:
+            return [(a - c) + s for a, c, s in zip(v, self._cross_values, shift)]
+        return [((a - c) + s) + e for a, c, s, e in zip(v, self._cross_values, shift, sample)]
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

@@ -68,6 +68,7 @@ LOGNORMAL = {"kind": "random", "distribution": "lognormal", "sigma": 1.0,
 STRAGGLER = {"kind": "straggler", "straggler": 3, "slowdown": 20.0, "num_workers": 3}
 EXPLICIT = {"kind": "explicit", "workers": [1, 2, 3, 1, 1, 2, 3, 3, 1, 2] * 6}
 EQUAL_PAIR = {"kind": "fixed", "seconds": [1.0, 1.0]}
+OVERFLOW = {"kind": "least-squares", "dim": 3, "num_samples": 10, "sigma": 1.0}
 
 
 def _config(**fields) -> dict:
@@ -128,6 +129,14 @@ SIMULATE = {   # name: (config, also run with --diagnostics)
     "diverging-constant-equal-pair": (
         _config(problem=LS, speed_model=EQUAL_PAIR, horizon=400,
                 schedule={"kind": "constant", "step": 3.0}), False),
+    # a step of 1e160 puts x_1 past the range of its squared norm: one worker
+    # replays it on the scalar loop, four on the batched path, and both print
+    # one `run failed` line and no warning
+    **{f"overflowing-step-{name}": (
+        _config(seed=1, problem=OVERFLOW, speed_model={"kind": "fixed", "seconds": seconds},
+                horizon=40, schedule={"kind": "constant", "step": 1e160},
+                x0={"kind": "offset"}), False)
+       for name, seconds in (("one-worker", [1.0]), ("four-workers", [1.0] * 4))},
 }
 
 SWEEP_BASE = _config(problem=LS, speed_model=FIXED, horizons=[60, 120], repetitions=2,

@@ -34,7 +34,7 @@ from asyncsgd import (
 )
 from asyncsgd import optimizers
 from asyncsgd.optimizers import _ready_blocks
-from asyncsgd.problems import Problem
+from asyncsgd.problems import Problem, offset_start
 from asyncsgd.scheduler import dispatch_iterations
 from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival,
                        reference_gamma, replay_async, same_bits, store_row)
@@ -330,8 +330,13 @@ PROBLEM_KINDS = {
 NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
 
 
+# the scalar loop keeps its iterate as Python floats up to _FLOAT_DIM, and
+# as a numpy row past it
+EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from([1, 3, 50]),
+@given(st.sampled_from(sorted(PROBLEM_KINDS)), st.sampled_from(EDGE_DIMS),
        st.integers(min_value=1, max_value=16),
        st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
        st.integers(min_value=1, max_value=120), st.sampled_from([1, 2, 3, 7, 16, 1024]),
@@ -361,6 +366,8 @@ def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon
                  "iterates", "fgaps", "gradnorms2"):
         assert same_bits(getattr(record, name), getattr(ref, name)), name
     assert record.gradient_evals == ref.gradient_evals
+    xs, _, _ = eager_async_run(problem, trace.workers, schedule, x0, seed)
+    assert same_bits(record.iterates, xs)
     if diagnostics:
         # every row of the dense store is one evaluated dispatch
         assert sorted(store_row(m_count, *key) for key in ref.gradients) == \
@@ -430,33 +437,58 @@ def test_divergence_mid_block_and_mid_chunk(m_count, step, limit, horizon):
     assert "problems.py" not in sources
 
 
-@pytest.mark.parametrize("m_count", [1, 2, 8])
-def test_largest_limit_stops_at_a_finite_or_infinite_iterate_past_it(m_count):
+@pytest.mark.parametrize("m_count, dim", [
+    *(pytest.param(m, 3, id=str(m)) for m in (1, 2, 8)),
+    *(pytest.param(m, optimizers._FLOAT_DIM + 1, id=f"{m}-past-float-dim") for m in (1, 2, 8))])
+def test_largest_limit_stops_at_a_finite_or_infinite_iterate_past_it(m_count, dim):
     # step 1 and a constant gradient of -L/2 put x_2 on the largest limit L,
     # where it passes, and x_3 = 1.5 L past it, a finite point whose squared
     # norm overflows; a gradient of -inf makes x_1 itself infinite. One or
-    # two workers take the scalar loop, eight the batched path, whose screen
-    # fails on the overflowing sum of squares of rows within the limit
+    # two workers take the scalar loop, on Python floats at d = 3 and on
+    # numpy rows past _FLOAT_DIM, eight the batched path, whose screen fails
+    # on the overflowing sum of squares of rows within the limit. No path
+    # warns, and the tests run with RuntimeWarnings as errors
     above = math.nextafter(LARGEST_LIMIT, math.inf)
     assert math.isfinite(LARGEST_LIMIT * LARGEST_LIMIT) and above * above == math.inf
 
     class Constant(LeastSquares):
         def sample_grad(self, x, sample, worker=None):
-            return np.array([-self.pull, 0.0, 0.0])
+            g = np.zeros(self.dim)
+            g[0] = -self.pull
+            return g
 
-    base = least_squares(dim=3, num_samples=12, sigma=0.5, seed=4)
+    base = least_squares(dim=dim, num_samples=12, sigma=0.5, seed=4)
     problem = Constant(base.mat, base.rhs, sigma=base.sigma, probe_seed=4)
     trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
-    x0 = np.zeros(3)
+    x0 = np.zeros(dim)
     schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1.0)
     for pull, expected in ((LARGEST_LIMIT / 2, 3), (math.inf, 1)):
         problem.pull = pull
-        # the scalar loop screens with the caller's numpy settings
-        with np.errstate(over="ignore"), pytest.raises(DivergedError) as exc:
+        with pytest.raises(DivergedError) as exc:
             run_async(problem, trace, schedule, x0, seed=1, divergence_norm=LARGEST_LIMIT)
         assert (exc.value.iteration, exc.value.norm) == (expected, math.inf)
     with pytest.raises(LedgerError, match="divergence_norm"):
         run_async(problem, trace, schedule, x0, seed=1, divergence_norm=above)
+
+
+@pytest.mark.parametrize("dim", [3, optimizers._FLOAT_DIM + 1])
+def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim):
+    # a step of 1e160 puts x_1 near 1e160, a finite point whose squared norm
+    # overflows: one worker replays it on the scalar loop, on Python floats
+    # at d = 3 and on numpy rows past _FLOAT_DIM, four on the batched path.
+    # Each raises the same DivergedError, and none warns
+    problem = least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1)
+    x0 = offset_start(problem)
+    errors = []
+    for m_count in (1, 4):
+        trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
+        schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as exc:
+                run_async(problem, trace, schedule, x0, seed=1)
+        errors.append((exc.value.iteration, exc.value.norm))
+    assert errors == [(1, math.inf)] * 2
 
 
 def test_block_check_reports_the_first_row_past_the_limit():
@@ -510,6 +542,7 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     base = least_squares(dim=3, num_samples=12, noise="rows", seed=4)
     problem = Doubled(base.mat, base.rhs, noise="rows")
     assert Doubled.sample_grads is Problem.sample_grads
+    assert Doubled.sample_grad_values is Problem.sample_grad_values
     trace = simulate_trace(FixedSpeeds((1.0,) * 6), 300)
     x0 = np.full(3, 0.5)
     schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 6, 300))

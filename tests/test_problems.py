@@ -15,6 +15,7 @@ from asyncsgd import (
     least_squares,
     least_squares_from_csv,
 )
+from asyncsgd import optimizers
 from asyncsgd.problems import (RHO_CURV_MAX, RHO_GRAD_MAX, Problem, _rho, _rho_prime,
                                point_metrics)
 
@@ -300,24 +301,28 @@ def test_every_gaussian_problem_needs_a_sample(build):
 # batched gradients
 
 
+# every built-in problem kind, each with its own sigma: 0 for the exact ones
+KINDS = {
+    "additive": lambda d, m, seed: least_squares(dim=d, sigma=0.6, seed=seed),
+    "exact": lambda d, m, seed: least_squares(dim=d, sigma=0.0, seed=seed),
+    "rows": lambda d, m, seed: least_squares(dim=d, noise="rows", seed=seed),
+    "heterogeneous": lambda d, m, seed: heterogeneous_quadratics(d, m, 0.4, sigma=0.3,
+                                                                 seed=seed),
+    "heterogeneous-exact": lambda d, m, seed: heterogeneous_quadratics(d, m, 0.4, seed=seed),
+    "nonconvex-rows": lambda d, m, seed: bounded_nonconvex(dim=d, seed=seed),
+    "nonconvex-additive": lambda d, m, seed: bounded_nonconvex(dim=d, noise="additive",
+                                                               sigma=0.5, seed=seed),
+    "nonconvex-exact": lambda d, m, seed: bounded_nonconvex(dim=d, noise="additive",
+                                                            sigma=0.0, seed=seed),
+}
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["additive", "exact", "rows", "heterogeneous", "heterogeneous-exact",
-                        "nonconvex-rows", "nonconvex-additive"]),
-       st.sampled_from([1, 3, 50]), st.integers(min_value=1, max_value=16),
-       st.integers(min_value=0, max_value=2**16))
+@given(st.sampled_from(sorted(KINDS)), st.sampled_from([1, 3, 50]),
+       st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**16))
 def test_batched_sample_grads_equal_per_row_sample_grad(kind, dim, rows, seed):
     m_count = 4
-    problem = {
-        "additive": lambda: least_squares(dim=dim, sigma=0.6, seed=seed),
-        "exact": lambda: least_squares(dim=dim, sigma=0.0, seed=seed),
-        "rows": lambda: least_squares(dim=dim, noise="rows", seed=seed),
-        "heterogeneous": lambda: heterogeneous_quadratics(dim, m_count, 0.4, sigma=0.3,
-                                                          seed=seed),
-        "heterogeneous-exact": lambda: heterogeneous_quadratics(dim, m_count, 0.4, seed=seed),
-        "nonconvex-rows": lambda: bounded_nonconvex(dim=dim, seed=seed),
-        "nonconvex-additive": lambda: bounded_nonconvex(dim=dim, noise="additive", sigma=0.5,
-                                                        seed=seed),
-    }[kind]()
+    problem = KINDS[kind](dim, m_count, seed)
     rng = np.random.default_rng(seed)
     # rows of a larger array, so they start at arbitrary offsets, as in the engine
     xs = (rng.standard_normal((rows + 1, dim)) * 3.0).reshape(-1)[1:1 + rows * dim]
@@ -354,3 +359,52 @@ def test_default_sample_grads_stacks_sample_grad():
     np.testing.assert_array_equal(out, [[0.0, 1.0], [2.0, 3.0], [18.0, 22.5]])
     # one call per row, with the scalar sample and worker id a row-by-row loop passes
     assert problem.seen == [(float, 2), (float, 1), (float, 3)]
+
+
+# ---------------------------------------------------------------------------
+# list-valued gradients
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(KINDS)), st.sampled_from([1, 3, optimizers._FLOAT_DIM]),
+       st.floats(min_value=-5.0, max_value=5.0), st.integers(min_value=0, max_value=2**16))
+def test_sample_grad_values_equal_sample_grad_as_a_list(kind, dim, scale, seed):
+    m_count = 4
+    problem = KINDS[kind](dim, m_count, seed)
+    rng = np.random.default_rng(seed)
+    # a row of a larger array, as the replay passes its table rows, scaled by
+    # up to e^5 either way
+    x = (rng.standard_normal(dim + 1) * math.exp(scale))[1:]
+    samples = problem.draw(rng, 3)
+    # the replay hands a row index over as an int, and a Gaussian row as a
+    # list to an override of the list oracle; the nonconvex problem has none
+    own = type(problem).sample_grad_values is not Problem.sample_grad_values
+    assert own == (not kind.startswith("nonconvex"))
+    for j in range(3):
+        sample = None if samples is None else samples[j]
+        passed = sample if sample is None or (sample.ndim and not own) else sample.tolist()
+        for worker in (None, *range(1, m_count + 1)):
+            values = problem.sample_grad_values(x, passed, worker)
+            expected = problem.sample_grad(x, sample, worker)
+            assert type(values) is list and all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("hook", ["sample_grad", "_grad", "_row_grad"])
+def test_a_subclass_that_changes_the_gradient_gets_the_default_list_oracle(hook):
+    def doubled(self, *args):
+        return 2.0 * getattr(LeastSquares, hook)(self, *args)
+
+    Changed = type("Changed", (LeastSquares,), {hook: doubled})
+    assert Changed.sample_grad_values is Problem.sample_grad_values
+    assert Changed.sample_grads is Problem.sample_grads
+    base = least_squares(dim=3, noise="rows" if hook == "_row_grad" else "additive", seed=2)
+    problem = Changed(base.mat, base.rhs, noise=base.noise, sigma=0.5)
+    x = np.array([0.5, -1.0, 2.0])
+    sample = problem.draw(np.random.default_rng(1), 1)[0]
+    values = problem.sample_grad_values(x, sample, 1)
+    assert np.array(values).tobytes() == problem.sample_grad(x, sample, 1).tobytes()
+    assert values != base.sample_grad_values(x, sample.tolist(), 1)
+    # a subclass that brings its own list oracle keeps it
+    Kept = type("Kept", (Changed,), {"sample_grad_values": lambda self, *a: []})
+    assert Kept.sample_grad_values is not Problem.sample_grad_values
