@@ -36,14 +36,14 @@ and sample from lists built once per chunk. Up to _FLOAT_DIM dimensions it
 keeps x_{k-1} as Python floats: it takes g_k as a list from the problem's
 `sample_grad_values` (an override of it gets a sample block's rows as
 lists, made once per chunk too), forms x_k = [p - v * gamma_k ...] in
-numpy's order and writes it into its table row once. Past _FLOAT_DIM,
-where that O(d) interpreted arithmetic costs more than numpy's per-call
-floor, it takes g_k from `sample_grad` and forms gamma_k g_k in one scratch
-row, so it never writes into the array the problem returned. Either way it
-screens x_k with math.hypot, which never warns, and tests a point that
-fails the screen exactly. Each block's iterates pass the divergence test before
-the next block takes a gradient, so no gradient is ever taken at a point
-that failed it. The iterates of a chunk of _CHUNK arrivals fill one
+numpy's order, writes it into its table row once and screens it with
+math.hypot. Past _FLOAT_DIM, where that O(d) interpreted arithmetic costs
+more than numpy's per-call floor, it takes g_k from `sample_grad`, forms
+gamma_k g_k in one scratch row, so it never writes into the array the
+problem returned, and screens x_k with np.vdot, one call whatever d is.
+Neither screen warns, and a point that fails one is tested exactly. Each
+block's iterates pass the divergence test before the next block takes a
+gradient, so no gradient is ever taken at a point that failed it. The iterates of a chunk of _CHUNK arrivals fill one
 buffer, and a table of dispatch points holds every worker's point at the
 chunk's start followed by that buffer (O((M + _CHUNK) d) memory). Once
 per chunk, the buffer gives the running sums for the averaged outputs
@@ -372,12 +372,13 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     batch's, or a single run's block of more than _SCALAR_BLOCK arrivals)
     computes its later rows from gradients at earlier points before the test
     sees a diverged row, with numpy's overflow warnings off. The scalar loop
-    screens each iterate with math.hypot and tests a point that fails the
-    screen with the warnings off; up to _FLOAT_DIM dimensions its updates
-    are Python float arithmetic, which never warns. The problem's own code
-    runs with the caller's settings, and so do the numpy updates of the
-    scalar loop past _FLOAT_DIM: there a gamma_k g_k past the float range
-    (a step near 1e308) warns before the DivergedError.
+    screens each iterate with math.hypot or np.vdot, neither of which warns,
+    and tests a point that fails the screen with the warnings off; up to
+    _FLOAT_DIM dimensions its updates are Python float arithmetic, which
+    never warns. The problem's own code runs with the caller's settings, and
+    so do the numpy updates of the scalar loop past _FLOAT_DIM: there a
+    gamma_k g_k past the float range (a step near 1e308) warns before the
+    DivergedError.
 
     seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
     at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
@@ -539,12 +540,14 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # the scalar loop on Python floats, through the list oracle, or on numpy
     # rows; an override of the list oracle takes a sample block's rows as lists
     floats = dim <= _FLOAT_DIM
-    grad = problem.sample_grad_values if floats else problem.sample_grad
     listed = floats and type(problem).sample_grad_values is not Problem.sample_grad_values
+    sample_grad, sample_grad_values = problem.sample_grad, problem.sample_grad_values
     # the numpy loop's scratch row for gamma_k g_k, and the scalar loops'
-    # screen: a point whose norm is within it passes the test (see _check_rows)
+    # screens: a point whose norm or square sum is within them passes the
+    # test (see _check_rows); neither math.hypot nor np.vdot warns
     scaled = np.empty(dim)
     screen, hypot = divergence_norm * math.sqrt(0.5), math.hypot
+    square, vdot = 0.5 * divergence_norm * divergence_norm, np.vdot
     records = [None] * n_runs
 
     def leave(first: int, stop: int) -> None:
@@ -650,23 +653,31 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
                 # x_k = x_{k-1} - gamma_k g_k, each k tested before the next,
                 # by a screen that never warns; only a point that fails it is
                 # tested exactly, with numpy's overflow warnings off
-                x = buf[a].tolist()
-                run = slice(a - lo, b - lo)
-                for k, point, sample, m, gamma in zip(
-                        range(a + 1, b + 1), src_list[run], sample_rows[run],
-                        worker_list[run], gamma_list[run]):
-                    g = grad(table[point], sample, m)
-                    if diagnostics:
-                        grad_store[store_list[k - lo - 1]] = g
-                    if floats:   # Python float arithmetic never warns
+                if floats:   # Python float arithmetic never warns
+                    x = buf[a].tolist()
+                    run = slice(a - lo, b - lo)
+                    for k, point, sample, m, gamma in zip(
+                            range(a + 1, b + 1), src_list[run], sample_rows[run],
+                            worker_list[run], gamma_list[run]):
+                        g = sample_grad_values(table[point], sample, m)
+                        if diagnostics:
+                            grad_store[store_list[k - lo - 1]] = g
                         x = [p - v * gamma for p, v in zip(x, g)]
                         buf[k] = x
-                    else:   # g is the problem's array, read but never written
-                        x = np.subtract(buf[k - 1], np.multiply(g, gamma, out=scaled),
-                                        out=buf[k]).tolist()
-                    if not hypot(*x) <= screen:
+                        if not hypot(*x) <= screen:
+                            with np.errstate(over="ignore", invalid="ignore"):
+                                _check_rows(buf[k:k + 1], start + k, divergence_norm)
+                    continue
+                # g is the problem's array, read but never written
+                for i, x_prev, x, sample in zip(range(a - lo, b - lo), buf[a:b],
+                                                buf[a + 1:b + 1], sample_rows[a - lo:b - lo]):
+                    g = sample_grad(table[src_list[i]], sample, worker_list[i])
+                    if diagnostics:
+                        grad_store[store_list[i]] = g
+                    np.subtract(x_prev, np.multiply(g, gamma_list[i], out=scaled), out=x)
+                    if not vdot(x, x) <= square:
                         with np.errstate(over="ignore", invalid="ignore"):
-                            _check_rows(buf[k:k + 1], start + k, divergence_norm)
+                            _check_rows(x[None], start + lo + i + 1, divergence_norm)
                 continue
             block = slice(a * rows, b * rows)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),

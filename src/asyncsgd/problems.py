@@ -114,10 +114,10 @@ class Problem:
         low-dimensional iterate as Python floats. An override takes a row of
         a two-dimensional sample block as its `tolist()`, which the replay
         makes once per chunk; this default takes the sample as `sample_grad`
-        does. The built-in problems override it with Python float arithmetic
-        in numpy's order after the same numpy matrix-vector call, so it never
-        warns past that call; a subclass that changes how one gradient is
-        evaluated gets this default back."""
+        does. Least squares and the heterogeneous quadratics override it
+        with Python float arithmetic in numpy's order after the same numpy
+        matrix-vector call, so it never warns past that call; a subclass
+        that changes how one gradient is evaluated gets this default back."""
         return self.sample_grad(x, sample, worker).tolist()
 
     def __init_subclass__(cls, **kwargs):

@@ -476,19 +476,21 @@ def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim)
     # a step of 1e160 puts x_1 near 1e160, a finite point whose squared norm
     # overflows: one worker replays it on the scalar loop, on Python floats
     # at d = 3 and on numpy rows past _FLOAT_DIM, four on the batched path.
-    # Each raises the same DivergedError, and none warns
-    problem = least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1)
-    x0 = offset_start(problem)
+    # Least squares has its own list oracle and the nonconvex problem the
+    # default. Each raises the same DivergedError, and none warns
     errors = []
-    for m_count in (1, 4):
-        trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
-        schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1e160)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergedError) as exc:
-                run_async(problem, trace, schedule, x0, seed=1)
-        errors.append((exc.value.iteration, exc.value.norm))
-    assert errors == [(1, math.inf)] * 2
+    for problem, x0 in ((ls := least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1),
+                         offset_start(ls)),
+                        (bounded_nonconvex(dim=dim, seed=1), np.full(dim, 0.5))):
+        for m_count in (1, 4):
+            trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
+            schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1e160)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergedError) as exc:
+                    run_async(problem, trace, schedule, x0, seed=1)
+            errors.append((exc.value.iteration, exc.value.norm))
+    assert errors == [(1, math.inf)] * 4
 
 
 def test_block_check_reports_the_first_row_past_the_limit():

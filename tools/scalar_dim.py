@@ -6,7 +6,8 @@ dimension.
 
 For each d, one worker replays K arrivals of a least-squares problem with
 additive noise (sigma 1), so every ready block is one arrival long and the
-whole run goes through `run_async`'s scalar loop. The run is timed with
+whole run goes through `run_async`'s scalar loop. Least squares has its own
+list oracle, which the float loop needs. The run is timed with
 `optimizers._FLOAT_DIM` set so that the loop keeps its iterate as Python
 floats, through the list oracle, and set so that it keeps it as a numpy row,
 alternating which goes first, for --pairs pairs after one untimed warm-up
