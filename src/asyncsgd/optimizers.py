@@ -33,23 +33,28 @@ consecutive short blocks (every block of a trace with one straggler has
 length 1, and two equal workers make every block two long). Per arrival,
 that loop reads the table row of its dispatch point, its worker, stepsize
 and sample from lists built once per chunk. Up to _FLOAT_DIM dimensions it
-keeps x_{k-1} as Python floats: it takes g_k as a list from the problem's
-`sample_grad_values` (an override of it gets a sample block's rows as
-lists, made once per chunk too), forms x_k = [p - v * gamma_k ...] in
-numpy's order, writes it into its table row once and screens it with
-math.hypot. Past _FLOAT_DIM, where that O(d) interpreted arithmetic costs
-more than numpy's per-call floor, it takes g_k from `sample_grad`, forms
-gamma_k g_k in one scratch row, so it never writes into the array the
-problem returned, and screens x_k with np.vdot, one call whatever d is.
-Neither screen warns, and a point that fails one is tested exactly. Each
-block's iterates pass the divergence test before the next block takes a
-gradient, so no gradient is ever taken at a point that failed it. The iterates of a chunk of _CHUNK arrivals fill one
-buffer, and a table of dispatch points holds every worker's point at the
-chunk's start followed by that buffer (O((M + _CHUNK) d) memory). Once
-per chunk, the buffer gives the running sums for the averaged outputs
-(added row by row in the order of k, so no iterate history is needed for
-them), the per-step metric columns, filled only on request
-(`metrics=True`), and the iterate history, kept only on request.
+keeps x_{k-1} as Python floats and makes one call per arrival: the step
+function the problem's `step_oracle` gave for the run returns x_k =
+[p - g_i * gamma_k ...] as a list, in numpy's order (an override of the
+oracle gets a sample block's rows as lists, made once per chunk too). The
+loop writes x_k into its table row once and screens it with math.hypot.
+Past _FLOAT_DIM, where that O(d) interpreted arithmetic costs more than
+numpy's per-call floor, it takes g_k from `sample_grad`, forms gamma_k g_k
+in one scratch row, so it never writes into the array the problem
+returned, and screens x_k with np.vdot, one call whatever d is; a step
+gamma_k ||g_k|| past half the float range is formed with numpy's overflow
+warnings off. Neither screen warns, and a point that fails one is tested
+exactly. Each block's iterates pass the divergence test before the next
+block takes a gradient, so no gradient is ever taken at a point that
+failed it. The iterates of a chunk of _CHUNK arrivals fill one buffer, and
+a table of dispatch points holds every worker's point at the chunk's start
+followed by that buffer (O((M + _CHUNK) d) memory). Once per chunk, the
+buffer gives the running sums for the averaged outputs (added row by row
+in the order of k, so no iterate history is needed for them), the
+per-step metric columns, filled only on request (`metrics=True`), and the
+iterate history, kept only on request. Under diagnostics the gradients of
+the chunk's scalar arrivals enter the store then too, from one
+`sample_grads` call at their dispatch points, which the table still holds.
 
 Seeds are a batch axis. The seeds of repetitions that replay one trace
 differ only in their gradient noise, so `run_async(..., seeds=[...])`
@@ -100,6 +105,7 @@ replay through `run_async` checks and turns into a RunRecord.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -373,12 +379,14 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     computes its later rows from gradients at earlier points before the test
     sees a diverged row, with numpy's overflow warnings off. The scalar loop
     screens each iterate with math.hypot or np.vdot, neither of which warns,
-    and tests a point that fails the screen with the warnings off; up to
-    _FLOAT_DIM dimensions its updates are Python float arithmetic, which
-    never warns. The problem's own code runs with the caller's settings, and
-    so do the numpy updates of the scalar loop past _FLOAT_DIM: there a
-    gamma_k g_k past the float range (a step near 1e308) warns before the
-    DivergedError.
+    and tests a point that fails the screen with the warnings off. Up to
+    _FLOAT_DIM dimensions its updates come from the problem's step oracle,
+    whose built-in forms do Python float arithmetic after their numpy
+    matrix-vector call and never warn past it; past _FLOAT_DIM it forms a
+    step gamma_k g_k that may pass the float range with the warnings off.
+    The problem's own code runs with the caller's settings. Under
+    diagnostics, the scalar loop's gradients enter the store once per chunk,
+    from one `sample_grads` call, after its updates.
 
     seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
     at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
@@ -537,17 +545,21 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # drawn_from..drawn-1
     span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
     drawn = 0
-    # the scalar loop on Python floats, through the list oracle, or on numpy
-    # rows; an override of the list oracle takes a sample block's rows as lists
+    # the scalar loop on Python floats, through the problem's step oracle, or
+    # on numpy rows; an override of the step oracle takes a sample block's
+    # rows as lists
     floats = dim <= _FLOAT_DIM
-    listed = floats and type(problem).sample_grad_values is not Problem.sample_grad_values
-    sample_grad, sample_grad_values = problem.sample_grad, problem.sample_grad_values
+    listed = floats and type(problem).step_oracle is not Problem.step_oracle
+    step = problem.step_oracle() if floats else None
+    sample_grad = problem.sample_grad
     # the numpy loop's scratch row for gamma_k g_k, and the scalar loops'
     # screens: a point whose norm or square sum is within them passes the
-    # test (see _check_rows); neither math.hypot nor np.vdot warns
+    # test (see _check_rows); neither math.hypot nor np.vdot warns. A step
+    # gamma_k ||g_k|| within half the float range cannot overflow
     scaled = np.empty(dim)
     screen, hypot = divergence_norm * math.sqrt(0.5), math.hypot
-    square, vdot = 0.5 * divergence_norm * divergence_norm, np.vdot
+    square, vdot, sqrt = 0.5 * divergence_norm * divergence_norm, np.vdot, math.sqrt
+    safe = 0.5 * sys.float_info.max
     records = [None] * n_runs
 
     def leave(first: int, stop: int) -> None:
@@ -628,8 +640,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
                                       (n, active, n_seeds) + shape).reshape((-1,) + shape)
         point_workers = workers if rows == 1 else np.repeat(workers, rows)
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
-        if diagnostics:
-            store = _slot(chunk_prevs, workers, m_count)
+        store = _slot(chunk_prevs, workers, m_count) if diagnostics else None
         # a single run replays its short blocks in runs, one arrival at a time
         bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
                                       _SCALAR_BLOCK if rows == 1 else 0)
@@ -644,8 +655,6 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             sample_rows = ([None] * (hi - lo) if samples is None
                            else samples[lo:hi].tolist() if samples.ndim == 1 or listed
                            else samples[lo:hi])
-            if diagnostics:
-                grad_store, store_list = gradients[0], store[lo:hi].tolist()
         # every block is checked before the next one takes gradients, so no
         # gradient is taken at a point that failed the divergence test
         for a, b, alone in zip(bounds, bounds[1:], scalar):
@@ -653,31 +662,33 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
                 # x_k = x_{k-1} - gamma_k g_k, each k tested before the next,
                 # by a screen that never warns; only a point that fails it is
                 # tested exactly, with numpy's overflow warnings off
+                run = slice(a - lo, b - lo)
                 if floats:   # Python float arithmetic never warns
                     x = buf[a].tolist()
-                    run = slice(a - lo, b - lo)
                     for k, point, sample, m, gamma in zip(
                             range(a + 1, b + 1), src_list[run], sample_rows[run],
                             worker_list[run], gamma_list[run]):
-                        g = sample_grad_values(table[point], sample, m)
-                        if diagnostics:
-                            grad_store[store_list[k - lo - 1]] = g
-                        x = [p - v * gamma for p, v in zip(x, g)]
+                        x = step(x, table[point], sample, m, gamma)
                         buf[k] = x
                         if not hypot(*x) <= screen:
                             with np.errstate(over="ignore", invalid="ignore"):
                                 _check_rows(buf[k:k + 1], start + k, divergence_norm)
                     continue
-                # g is the problem's array, read but never written
-                for i, x_prev, x, sample in zip(range(a - lo, b - lo), buf[a:b],
-                                                buf[a + 1:b + 1], sample_rows[a - lo:b - lo]):
-                    g = sample_grad(table[src_list[i]], sample, worker_list[i])
-                    if diagnostics:
-                        grad_store[store_list[i]] = g
-                    np.subtract(x_prev, np.multiply(g, gamma_list[i], out=scaled), out=x)
+                for k, x_prev, x, point, sample, m, gamma in zip(
+                        range(a + 1, b + 1), buf[a:b], buf[a + 1:b + 1], src_list[run],
+                        sample_rows[run], worker_list[run], gamma_list[run]):
+                    g = sample_grad(table[point], sample, m)   # read, never written
+                    if sqrt(vdot(g, g)) * gamma <= safe:
+                        np.multiply(g, gamma, out=scaled)
+                    else:   # gamma_k g_k may pass the float range
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            np.multiply(g, gamma, out=scaled)
+                    # x_{k-1} is within the limit, far inside the float range,
+                    # so the difference overflows no more than gamma_k g_k did
+                    np.subtract(x_prev, scaled, out=x)
                     if not vdot(x, x) <= square:
                         with np.errstate(over="ignore", invalid="ignore"):
-                            _check_rows(x[None], start + lo + i + 1, divergence_norm)
+                            _check_rows(x[None], start + k, divergence_norm)
                 continue
             block = slice(a * rows, b * rows)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
@@ -693,6 +704,14 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
                 np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
                 _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, rows)
 
+        if diagnostics and any(scalar):
+            # the scalar loops' gradients go into the store at once, after
+            # every point they were taken at passed the test: one batched
+            # call over those arrivals, equal to sample_grad row for row
+            alone = np.flatnonzero(np.repeat(scalar, np.diff(bounds)))
+            gradients[0][store[alone]] = problem.sample_grads(
+                table.take(src[alone], axis=0), None if samples is None else samples[alone],
+                workers[alone])
         samples = sample_rows = None
         if stop == drawn:   # freed before the running sums and the next draw
             drawn_samples = None

@@ -108,26 +108,38 @@ class Problem:
         return np.array([self.sample_grad(x, sample, m)
                          for x, sample, m in zip(xs, samples, workers.tolist())])
 
-    def sample_grad_values(self, x: np.ndarray, sample, worker: int | None = None) -> list:
-        """`sample_grad(x, sample, worker).tolist()`, bit for bit: the
-        gradient as a list of Python floats, for a replay that keeps a
-        low-dimensional iterate as Python floats. An override takes a row of
-        a two-dimensional sample block as its `tolist()`, which the replay
-        makes once per chunk; this default takes the sample as `sample_grad`
-        does. Least squares and the heterogeneous quadratics override it
-        with Python float arithmetic in numpy's order after the same numpy
-        matrix-vector call, so it never warns past that call; a subclass
-        that changes how one gradient is evaluated gets this default back."""
-        return self.sample_grad(x, sample, worker).tolist()
+    def step_oracle(self):
+        """The scalar replay's step: a function step(prev, point, sample,
+        worker, gamma) that returns the next iterate [p - g_i * gamma ...] as
+        a list of Python floats, prev being the previous iterate as a list and
+        g the stochastic gradient `sample_grad(point, sample, worker)`. It
+        must equal (prev - gamma * sample_grad(point, sample, worker)).tolist()
+        bit for bit. A run asks for it once and calls it once per arrival.
+
+        This default builds on `sample_grad(...).tolist()` and takes the
+        sample as `sample_grad` does. An override takes a row of a
+        two-dimensional sample block as its `tolist()`, which the replay makes
+        once per chunk. Least squares and the heterogeneous quadratics
+        override it with a closure that makes the same numpy matrix-vector
+        call as `sample_grad`, then forms the gradient and the step in one
+        Python float expression per coordinate, in numpy's order, so it never
+        warns past that call. A subclass that changes how one gradient is
+        evaluated gets this default back."""
+        sample_grad = self.sample_grad
+
+        def step(prev, point, sample, worker, gamma):
+            g = sample_grad(point, sample, worker).tolist()
+            return [p - v * gamma for p, v in zip(prev, g)]
+        return step
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the batched and list forms are written for one way of evaluating a
+        # the batched and step forms are written for one way of evaluating a
         # gradient: a subclass that changes that way without bringing its own
         # form gets the default, which calls sample_grad, back
         own = vars(cls)
         if {"sample_grad", "_grad", "_row_grad"} & set(own):
-            for form in ("sample_grads", "sample_grad_values"):
+            for form in ("sample_grads", "step_oracle"):
                 if form not in own:
                     setattr(cls, form, getattr(Problem, form))
 
@@ -294,17 +306,25 @@ class LeastSquares(_Quadratic):
         grads = self._mean_grads(xs)
         return grads if samples is None else grads + samples
 
-    def sample_grad_values(self, x, sample, worker=None):
+    def step_oracle(self):
         if self.noise == "rows":
-            row = self.mat[sample]
-            # a Python float t, as a numpy scalar could warn
-            t = float(row @ x) - self.rhs.item(sample)
-            return [r * t for r in row.tolist()]
-        # _grad's matvec, then its elementwise rest in Python floats
-        v = self._gram.dot(x).tolist()
-        if sample is None:
-            return [a - c for a, c in zip(v, self._cross_values)]
-        return [(a - c) + e for a, c, e in zip(v, self._cross_values, sample)]
+            mat, rhs = self.mat, self.rhs
+
+            def step(prev, point, sample, worker, gamma):
+                row = mat[sample]
+                # a Python float t, as a numpy scalar could warn
+                t = float(row @ point) - rhs.item(sample)
+                return [p - (r * t) * gamma for p, r in zip(prev, row.tolist())]
+            return step
+        # _grad's matvec, then its elementwise rest and the step in Python floats
+        matvec, cross = self._gram.dot, self._cross_values
+
+        def step(prev, point, sample, worker, gamma):
+            v = matvec(point).tolist()
+            if sample is None:
+                return [p - (a - c) * gamma for p, a, c in zip(prev, v, cross)]
+            return [p - ((a - c) + e) * gamma for p, a, c, e in zip(prev, v, cross, sample)]
+        return step
 
     def row_noise_power(self, x) -> float:
         """Exact E||g - grad F(x)||^2 under row sampling, by summing all rows."""
@@ -437,19 +457,20 @@ class HeterogeneousQuadratics(_Quadratic):
         grads = self._mean_grads(xs) + self.shifts[workers - 1]
         return grads if samples is None else grads + samples
 
-    @functools.cached_property
-    def _shift_values(self) -> list[list[float]]:
-        return self.shifts.tolist()
+    def step_oracle(self):
+        mean_step = super().step_oracle()
+        matvec, cross, shifts = self._gram.dot, self._cross_values, self.shifts.tolist()
 
-    def sample_grad_values(self, x, sample, worker=None):
-        if worker is None:   # the mean objective's gradient; no replay asks for it
-            return super().sample_grad_values(x, sample)
-        self._check_worker(worker)
-        v = self._gram.dot(x).tolist()
-        shift = self._shift_values[worker - 1]
-        if sample is None:
-            return [(a - c) + s for a, c, s in zip(v, self._cross_values, shift)]
-        return [((a - c) + s) + e for a, c, s, e in zip(v, self._cross_values, shift, sample)]
+        def step(prev, point, sample, worker, gamma):
+            if worker is None:   # the mean objective's gradient; no replay asks for it
+                return mean_step(prev, point, sample, worker, gamma)
+            self._check_worker(worker)
+            v, shift = matvec(point).tolist(), shifts[worker - 1]
+            if sample is None:
+                return [p - ((a - c) + s) * gamma for p, a, c, s in zip(prev, v, cross, shift)]
+            return [p - (((a - c) + s) + e) * gamma
+                    for p, a, c, s, e in zip(prev, v, cross, shift, sample)]
+        return step
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

@@ -137,6 +137,13 @@ SIMULATE = {   # name: (config, also run with --diagnostics)
                 horizon=40, schedule={"kind": "constant", "step": 1e160},
                 x0={"kind": "offset"}), False)
        for name, seconds in (("one-worker", [1.0]), ("four-workers", [1.0] * 4))},
+    # at d = 7, past _FLOAT_DIM (6), the one worker's scalar loop keeps numpy
+    # rows, and a step of 1.7e308 puts gamma_1 g_1 itself past the float range
+    "overflowing-step-numpy-rows": (
+        _config(seed=1, problem={**OVERFLOW, "dim": 7}, speed_model={"kind": "fixed",
+                                                                     "seconds": [1.0]},
+                horizon=40, schedule={"kind": "constant", "step": 1.7e308},
+                x0={"kind": "offset"}), False),
 }
 
 SWEEP_BASE = _config(problem=LS, speed_model=FIXED, horizons=[60, 120], repetitions=2,

@@ -4,6 +4,7 @@ their definition, stepsize columns against per-rule scalar formulas, and
 run_async against eager evaluation and the per-step replay, all bit for bit."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -330,6 +331,11 @@ PROBLEM_KINDS = {
 NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
 
 
+# an explicit order whose ready blocks alternate between batched blocks of
+# four arrivals and scalar runs, the last arrival being in one of those
+MIXED = (1, 2, 3, 4, 1, 1, 2, 1, 3, 4, 2, 1, 1, 1, 3, 2, 4, 1)
+
+
 # the scalar loop keeps its iterate as Python floats up to _FLOAT_DIM, and
 # as a numpy row past it
 EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
@@ -346,6 +352,10 @@ EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
 @example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, True, 3)
 @example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, False, 3)
 @example("rows", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 1024, True, 3)
+@example("additive", 3, 4, MIXED, len(MIXED), 1024, True, 3)
+@example("rows", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 1024, True, 3)
+@example("heterogeneous", 3, 4, MIXED, len(MIXED), 7, True, 3)
+@example("nonconvex-additive", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 7, True, 3)
 def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon, chunk,
                                              diagnostics, seed):
     # small chunks put chunk edges inside blocks and between them; a tuple
@@ -474,23 +484,28 @@ def test_largest_limit_stops_at_a_finite_or_infinite_iterate_past_it(m_count, di
 @pytest.mark.parametrize("dim", [3, optimizers._FLOAT_DIM + 1])
 def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim):
     # a step of 1e160 puts x_1 near 1e160, a finite point whose squared norm
-    # overflows: one worker replays it on the scalar loop, on Python floats
-    # at d = 3 and on numpy rows past _FLOAT_DIM, four on the batched path.
-    # Least squares has its own list oracle and the nonconvex problem the
-    # default. Each raises the same DivergedError, and none warns
+    # overflows, and a step of 1.7e308 puts gamma_1 g_1 itself past the float
+    # range (a gradient entry past 1.06 does, as least squares' first one
+    # has from two units away and the additive nonconvex one by its noise):
+    # one worker replays it on the scalar loop, on Python floats at d = 3
+    # and on numpy rows past _FLOAT_DIM, four on the batched path. Least
+    # squares has its own step oracle and the nonconvex problem the default.
+    # Each raises the same DivergedError, and none warns
     errors = []
     for problem, x0 in ((ls := least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1),
-                         offset_start(ls)),
-                        (bounded_nonconvex(dim=dim, seed=1), np.full(dim, 0.5))):
-        for m_count in (1, 4):
+                         offset_start(ls, 2.0)),
+                        (bounded_nonconvex(dim=dim, seed=1), np.full(dim, 0.5)),
+                        (bounded_nonconvex(dim=dim, noise="additive", sigma=5.0, seed=1),
+                         np.full(dim, 0.5))):
+        for m_count, step in itertools.product((1, 4), (1e160, 1.7e308)):
             trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
-            schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), 1e160)
+            schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), step)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DivergedError) as exc:
                     run_async(problem, trace, schedule, x0, seed=1)
             errors.append((exc.value.iteration, exc.value.norm))
-    assert errors == [(1, math.inf)] * 4
+    assert errors == [(1, math.inf)] * 12
 
 
 def test_block_check_reports_the_first_row_past_the_limit():
@@ -544,7 +559,7 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     base = least_squares(dim=3, num_samples=12, noise="rows", seed=4)
     problem = Doubled(base.mat, base.rhs, noise="rows")
     assert Doubled.sample_grads is Problem.sample_grads
-    assert Doubled.sample_grad_values is Problem.sample_grad_values
+    assert Doubled.step_oracle is Problem.step_oracle
     trace = simulate_trace(FixedSpeeds((1.0,) * 6), 300)
     x0 = np.full(3, 0.5)
     schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 6, 300))

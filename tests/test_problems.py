@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,49 +363,55 @@ def test_default_sample_grads_stacks_sample_grad():
 
 
 # ---------------------------------------------------------------------------
-# list-valued gradients
+# the scalar replay's step oracle
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(KINDS)), st.sampled_from([1, 3, optimizers._FLOAT_DIM]),
-       st.floats(min_value=-5.0, max_value=5.0), st.integers(min_value=0, max_value=2**16))
-def test_sample_grad_values_equal_sample_grad_as_a_list(kind, dim, scale, seed):
+       st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=0.0, max_value=1e160),
+       st.integers(min_value=0, max_value=2**16))
+def test_step_oracle_equals_a_numpy_step(kind, dim, scale, gamma, seed):
     m_count = 4
     problem = KINDS[kind](dim, m_count, seed)
     rng = np.random.default_rng(seed)
-    # a row of a larger array, as the replay passes its table rows, scaled by
-    # up to e^5 either way
-    x = (rng.standard_normal(dim + 1) * math.exp(scale))[1:]
+    # a row of a larger array, as the replay passes its table rows, and the
+    # previous iterate as a list, both scaled by up to e^5 either way
+    point = (rng.standard_normal(dim + 1) * math.exp(scale))[1:]
+    prev = (rng.standard_normal(dim) * math.exp(scale)).tolist()
     samples = problem.draw(rng, 3)
     # the replay hands a row index over as an int, and a Gaussian row as a
-    # list to an override of the list oracle; the nonconvex problem has none
-    own = type(problem).sample_grad_values is not Problem.sample_grad_values
+    # list to an override of the step oracle; the nonconvex problem has none
+    own = type(problem).step_oracle is not Problem.step_oracle
     assert own == (not kind.startswith("nonconvex"))
+    step = problem.step_oracle()
     for j in range(3):
         sample = None if samples is None else samples[j]
         passed = sample if sample is None or (sample.ndim and not own) else sample.tolist()
-        for worker in (None, *range(1, m_count + 1)):
-            values = problem.sample_grad_values(x, passed, worker)
-            expected = problem.sample_grad(x, sample, worker)
+        for worker in range(1, m_count + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = step(prev, point, passed, worker, gamma)
+            expected = np.array(prev) - gamma * problem.sample_grad(point, sample, worker)
             assert type(values) is list and all(type(v) is float for v in values)
             assert np.array(values).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("hook", ["sample_grad", "_grad", "_row_grad"])
-def test_a_subclass_that_changes_the_gradient_gets_the_default_list_oracle(hook):
+def test_a_subclass_that_changes_the_gradient_gets_the_default_step_oracle(hook):
     def doubled(self, *args):
         return 2.0 * getattr(LeastSquares, hook)(self, *args)
 
     Changed = type("Changed", (LeastSquares,), {hook: doubled})
-    assert Changed.sample_grad_values is Problem.sample_grad_values
+    assert Changed.step_oracle is Problem.step_oracle
     assert Changed.sample_grads is Problem.sample_grads
     base = least_squares(dim=3, noise="rows" if hook == "_row_grad" else "additive", seed=2)
     problem = Changed(base.mat, base.rhs, noise=base.noise, sigma=0.5)
-    x = np.array([0.5, -1.0, 2.0])
+    x, prev = np.array([0.5, -1.0, 2.0]), [1.0, 0.25, -3.0]
     sample = problem.draw(np.random.default_rng(1), 1)[0]
-    values = problem.sample_grad_values(x, sample, 1)
-    assert np.array(values).tobytes() == problem.sample_grad(x, sample, 1).tobytes()
-    assert values != base.sample_grad_values(x, sample.tolist(), 1)
-    # a subclass that brings its own list oracle keeps it
-    Kept = type("Kept", (Changed,), {"sample_grad_values": lambda self, *a: []})
-    assert Kept.sample_grad_values is not Problem.sample_grad_values
+    values = problem.step_oracle()(prev, x, sample, 1, 0.1)
+    expected = np.array(prev) - 0.1 * problem.sample_grad(x, sample, 1)
+    assert np.array(values).tobytes() == expected.tobytes()
+    assert values != base.step_oracle()(prev, x, sample.tolist(), 1, 0.1)
+    # a subclass that brings its own step oracle keeps it
+    Kept = type("Kept", (Changed,), {"step_oracle": lambda self: None})
+    assert Kept.step_oracle is not Problem.step_oracle

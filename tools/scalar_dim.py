@@ -2,20 +2,24 @@
 dimension.
 
     python3 tools/scalar_dim.py --pairs 7
-    python3 tools/scalar_dim.py --dims 2,8,16 --horizon 20000 --src ../other-checkout/src
+    python3 tools/scalar_dim.py --problem bounded-nonconvex --dims 2,8 --horizon 20000
+    python3 tools/scalar_dim.py --dims 2,8,16 --src ../other-checkout/src
 
-For each d, one worker replays K arrivals of a least-squares problem with
-additive noise (sigma 1), so every ready block is one arrival long and the
-whole run goes through `run_async`'s scalar loop. Least squares has its own
-list oracle, which the float loop needs. The run is timed with
-`optimizers._FLOAT_DIM` set so that the loop keeps its iterate as Python
-floats, through the list oracle, and set so that it keeps it as a numpy row,
-alternating which goes first, for --pairs pairs after one untimed warm-up
-of each. Both loops must give the same final iterate bit for bit, or the
-script stops. It prints, per d, each loop's median time per arrival and
-the median of the float/numpy ratios taken pair by pair. `_FLOAT_DIM`
-belongs at the largest d at which the float loop still wins. The package
-is imported from --src, by default the `src/` next to this script.
+For each d, one worker replays K arrivals of the chosen problem, so every
+ready block is one arrival long and the whole run goes through `run_async`'s
+scalar loop. The problems: least squares with additive noise (sigma 1) and
+the heterogeneous quadratics (one worker, so no dissimilarity, sigma 1),
+which both have their own step oracle, and the bounded nonconvex problem
+with row noise, which takes the default one, built on `sample_grad`. The
+run is timed with `optimizers._FLOAT_DIM` set so that the loop keeps its
+iterate as Python floats, through the step oracle, and set so that it keeps
+it as a numpy row, alternating which goes first, for --pairs pairs after
+one untimed warm-up of each. Both loops must give the same final iterate
+bit for bit, or the script stops. It prints, per d, each loop's median time
+per arrival and the median of the float/numpy ratios taken pair by pair.
+`_FLOAT_DIM` belongs at the largest d at which the float loop still wins.
+The package is imported from --src, by default the `src/` next to this
+script.
 """
 
 from __future__ import annotations
@@ -26,13 +30,28 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 DIMS = (1, 2, 4, 8, 12, 16, 32, 50)
+
+# --problem: (builder of a one-worker problem of dimension d, schedule tag)
+PROBLEMS = {
+    "least-squares": (lambda asyncsgd, d: asyncsgd.least_squares(dim=d, sigma=1.0, seed=0),
+                      "adaptive-convex"),
+    "heterogeneous-quadratics": (
+        lambda asyncsgd, d: asyncsgd.heterogeneous_quadratics(d, 1, 0.0, sigma=1.0, seed=0),
+        "adaptive-heterogeneous"),
+    "bounded-nonconvex": (lambda asyncsgd, d: asyncsgd.bounded_nonconvex(dim=d, seed=0),
+                          "adaptive-nonconvex"),
+}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dims", default=",".join(map(str, DIMS)),
                         help="comma-separated dimensions")
+    parser.add_argument("--problem", choices=sorted(PROBLEMS), default="least-squares",
+                        help="the objective replayed (default least-squares)")
     parser.add_argument("--horizon", type=int, default=20000, help="arrivals per run")
     parser.add_argument("--pairs", type=int, default=7, help="timed float/numpy pairs per d")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -47,16 +66,18 @@ def main() -> int:
     loops = {"float": sys.maxsize, "numpy": 0}   # the _FLOAT_DIM each loop runs under
     kept = optimizers._FLOAT_DIM
     print(f"source: {args.src}")
-    print(f"one worker, K = {args.horizon}, {args.pairs} pairs; "
+    print(f"{args.problem}, one worker, K = {args.horizon}, {args.pairs} pairs; "
           f"_FLOAT_DIM is {kept} in this source")
     print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {'float/numpy':>12}")
+    build, tag = PROBLEMS[args.problem]
     try:
         for dim in map(int, args.dims.split(",")):
-            problem = asyncsgd.least_squares(dim=dim, sigma=1.0, seed=0)
-            x0 = offset_start(problem)
+            problem = build(asyncsgd, dim)
+            # a unit away from the minimizer, where the problem knows it
+            x0 = np.full(dim, 0.5) if problem.xstar is None else offset_start(problem)
             trace = asyncsgd.simulate_trace(asyncsgd.FixedSpeeds((1.0,)), args.horizon)
             schedule = asyncsgd.make_schedule(
-                "adaptive-convex", problem.constants_for(x0, 1, args.horizon))
+                tag, problem.constants_for(x0, 1, args.horizon))
 
             def run(loop: str):
                 optimizers._FLOAT_DIM = loops[loop]
