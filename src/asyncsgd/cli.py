@@ -531,15 +531,18 @@ def cmd_sweep(args) -> int:
     if len(set(horizons)) != len(horizons):
         raise ConfigError(f"config.horizons must not repeat a horizon, got {horizons}")
     # parallel: true is a pool of up to 8 processes, an integer an explicit
-    # pool size; neither exceeds the CPU count or the number of (horizon,
-    # batch) pairs. A job is one batch of repetitions that share a trace, at
-    # the horizons dealt to it: one job per batch in a single process, and
-    # enough jobs per batch to keep a pool busy
+    # pool size; neither exceeds the CPUs the process may run on (its
+    # affinity set where the platform has one, which taskset and cpusets
+    # narrow) or the number of (horizon, batch) pairs. A job is one batch of
+    # repetitions that share a trace, at the horizons dealt to it: one job
+    # per batch in a single process, and enough jobs per batch to keep a
+    # pool busy
     groups = _batches(cmd, range(repetitions))
     parallel, workers = cmd["parallel"], 1
     if parallel is not False:
-        workers = min(8 if parallel is True else parallel, os.cpu_count() or 1,
-                      len(horizons) * len(groups))
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(8 if parallel is True else parallel, cpus, len(horizons) * len(groups))
     parts = -(-workers // len(groups))
     jobs = [(part, reps) for reps in groups for part in _deal(horizons, parts)]
     if workers == 1:

@@ -55,6 +55,13 @@ per-step metric columns, filled only on request (`metrics=True`), and the
 iterate history, kept only on request. Under diagnostics the gradients of
 the chunk's scalar arrivals enter the store then too, from one
 `sample_grads` call at their dispatch points, which the table still holds.
+Samples are drawn a span of whole chunks at a time, one `draw` call per
+worker arriving in it. The engine learns a problem's sample size only from
+a draw, so the first span holds as many arrivals as a chunk, and each later
+one as many as fit in the bytes of that first span as d-float samples, never
+fewer: d-float samples (additive noise) keep the chunk's span, and one
+integer per arrival (a row index) is drawn d times as far ahead within the
+same bytes, in fewer calls.
 
 Seeds are a batch axis. The seeds of repetitions that replay one trace
 differ only in their gradient noise, so `run_async(..., seeds=[...])`
@@ -90,9 +97,8 @@ and its columns leave the table and the running sums. Runs are kept
 longest first, so the runs still in the batch are always the first ones.
 A chunk holds at most 2 * _CHUNK // (H*R) arrivals for the H runs still in
 it, so a batch's working memory stays about that of a seed batch. The
-samples are drawn once for every run, a span of whole chunks at a time that
-holds as many arrivals as a chunk of the seeds alone, so H runs make the
-draw calls of one. The engine
+samples are drawn once for every run, in spans sized as for the seeds
+alone, so H runs make the draw calls of one. The engine
 checks in O(K) that each trace is a prefix of the longest rather than
 assume it, and takes diagnostics of one run only: a run that left would
 draw its in-flight samples from streams the others still read.
@@ -225,11 +231,11 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
     return [np.random.default_rng([seed, m]) for m in range(1, num_workers + 1)]
 
 
-# arrivals replayed as one chunk: their gradient samples are drawn as one
-# block, their iterates fill one (_CHUNK + 1, d) buffer, and the running sums
-# and the metric columns read that buffer once. Bounds the working memory
-# to a few _CHUNK x dim arrays however long the trace is (a batch of R seeds
-# takes 2 * _CHUNK // R arrivals per chunk, and H runs over one trace
+# arrivals replayed as one chunk: their iterates fill one (_CHUNK + 1, d)
+# buffer, and the running sums and the metric columns read that buffer once;
+# sample draws span whole chunks. Bounds the working memory to a few
+# _CHUNK x dim arrays however long the trace is (a batch of R seeds takes
+# 2 * _CHUNK // R arrivals per chunk, and H runs over one trace
 # 2 * _CHUNK // (H*R), when that is fewer).
 _CHUNK = 1024
 
@@ -540,9 +546,11 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # starts; rows M, M+1, ...: the chunk's iterates x_start, x_start+1, ...,
     # so that the dispatch point of each of the chunk's arrivals is one row
     table = None
-    # samples are drawn a span of whole chunks at a time, as many arrivals as
-    # a chunk of the seeds alone holds, for every run at once: the arrivals
-    # drawn_from..drawn-1
+    # samples are drawn a span of whole chunks at a time, for every run at
+    # once: the arrivals drawn_from..drawn-1. The first span holds as many
+    # arrivals as a chunk of the seeds alone; each later one as many as fit
+    # in the bytes the first would take as d-float samples, never fewer, so a
+    # sample of one integer per arrival is drawn d times as far ahead
     span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
     drawn = 0
     # the scalar loop on Python floats, through the problem's step oracle, or
@@ -630,6 +638,8 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             drawn_from, drawn = start, min(start + chunk * max(1, span // chunk),
                                            horizons[active - 1])
             drawn_samples = _draw_chunk(problem, streams, seeds, trace.workers[start:drawn])
+            if start == 0 and drawn_samples is not None:   # the sample size is known now
+                span = max(span, span * dim * 8 // max(1, drawn_samples[0].nbytes))
         # row i*H*R + h*R + r of the samples and the workers belongs to
         # arrival i of run h and seed r; every run has the same samples
         samples = (None if drawn_samples is None else

@@ -15,11 +15,17 @@ _BLOCK iterations with no per-step Python work. The virtual iterates are one
 np.subtract.accumulate per block. Each block prices its rows once, in one
 scratch array: the M rows the workers hold at its start, its own dispatches
 and a zero row. The row each worker holds at each arrival is a forward fill
-of the block's arrivals, with the arriving worker pointed at the zero row, so
-the in-flight sum is a plain add of one gathered row per worker, in id order,
-which is the order a per-step loop adds in. The residuals take every row's
-squared norm as one stacked row dot, equal to a.dot(a). The output therefore
-equals that loop (`reference_track` in tests/reference.py) bit for bit.
+of the block's arrivals, with the arriving worker pointed at the zero row,
+so the in-flight sum is a plain add of one gathered row per worker, in id
+order, which is the order a per-step loop adds in. The fill is one scatter
+and one in-place np.maximum.accumulate in an (M, _BLOCK + 1) index buffer
+allocated once per call: each block resets its first column to codes above
+every index the previous block left there, so no other reset is needed.
+_BLOCK = 256 keeps the scratch arrays within a few hundred KiB at M = 64,
+d = 50 (tools/track_block.py times the block sizes). The residuals take
+every row's squared norm as one stacked row dot, equal to a.dot(a). The
+output therefore equals that loop (`reference_track` in tests/reference.py)
+bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ class DiagnosticsError(ValueError):
 INJECTABLE_BUGS = ("prev-off-by-one",)
 
 # iterations per block of the tracker; bounds its scratch arrays to a few
-# (_BLOCK, d), (_BLOCK, M) and (M + _BLOCK + 1, d) arrays however long the run is
-_BLOCK = 128
+# (_BLOCK, d), (M, _BLOCK + 1) and (M + _BLOCK + 1, d) arrays however long
+# the run is
+_BLOCK = 256
 
 
 @dataclass
@@ -99,11 +106,19 @@ def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
     head = np.concatenate([record.x0[None], price[:m_count, None] * store[:m_count]])
     virtual[0] = np.subtract.accumulate(head, axis=0)[-1]
 
-    ids = np.arange(1, m_count + 1)[:, None]
     held = np.arange(m_count)         # store row each worker holds in flight
     # held rows, then the block's own dispatches, then the zero row, all priced
     priced = np.zeros((m_count + _BLOCK + 1, dim))
     zero = m_count + _BLOCK
+    # local[m, i], the row of `priced` worker m+1 holds at arrival i, is a
+    # forward fill in one buffer that every block reuses: column 0 codes the
+    # held rows, column i+1 arrival i's own dispatch, and one maximum
+    # accumulate carries each code forward. Codes are rows plus `zero`, so a
+    # block's codes pass every row the previous block left behind
+    index = np.zeros((m_count, _BLOCK + 1), dtype=np.intp)
+    held_codes = zero + np.arange(m_count)
+    own_codes = zero + m_count + np.arange(_BLOCK)
+    columns = np.arange(_BLOCK + 1)
     for start in range(0, horizon, _BLOCK):
         stop = min(start + _BLOCK, horizon)
         n = stop - start
@@ -119,21 +134,21 @@ def track(record: RunRecord, inject: str | None = None) -> VirtualTrack:
         own = slice(m_count + start, m_count + stop - 1)
         np.multiply(recon_price[held, None], store[held], out=priced[:m_count])
         np.multiply(recon_price[own, None], store[own], out=priced[m_count:m_count + n - 1])
-        arriving = record.workers[start:stop]
-        # local[m, i]: the row worker m+1 holds at arrival i. Each arrival moves
-        # its worker to its own local row; the rest carry forward
-        moved = np.where(ids == arriving, m_count + np.arange(n), -1)
-        local = np.maximum.accumulate(
-            np.concatenate([np.arange(m_count)[:, None], moved], axis=1), axis=1)
-        held = np.concatenate([held, m_count + np.arange(start, stop)])[local[:, -1]]
-        local = local[:, :-1]
-        local[arriving - 1, np.arange(n)] = zero
+        arriving = record.workers[start:stop] - 1
+        local = index[:, :n + 1]
+        local[:, 0] = held_codes
+        local[arriving, columns[1:n + 1]] = own_codes[:n]
+        np.maximum.accumulate(local, axis=1, out=local)
+        local -= zero
+        held = np.concatenate([held, np.arange(m_count + start, m_count + stop)])[local[:, n]]
+        # the worker arriving at i holds nothing in flight there
+        local[arriving, columns[:n]] = zero
         # in-flight sum added worker by worker in id order, as the per-step loop
         # adds (a reduce over a gathered (n, M, d) block adds pairwise and differs
         # in the last bits); recon starts at +0.0 and never becomes -0.0, so
         # adding the zero row is the same as skipping the term
         recon = np.zeros((n, dim))
-        for rows in local:
+        for rows in local[:, :n]:
             recon += priced.take(rows, axis=0)
         gap = np.subtract(record.iterates[start + 1:stop + 1], virtual[start:stop],
                           out=gaps[start:stop])

@@ -600,6 +600,13 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert out_a["runs"] == out_b["runs"]
 
 
+def usable_cpus(monkeypatch, count):
+    """Lets the sweep see `count` CPUs that the process may run on."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
 
@@ -629,7 +636,7 @@ class FakePool:
 ])
 def test_sweep_pool_size(tmp_path, capsys, monkeypatch, parallel, cpus, horizons, size):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(FakePool, "sizes", [])
     pooled = write_config(tmp_path, sweep_config(parallel=parallel, horizons=horizons),
                           name="pooled.json")
@@ -637,6 +644,21 @@ def test_sweep_pool_size(tmp_path, capsys, monkeypatch, parallel, cpus, horizons
     code, stdout, _ = run_cli(capsys, ["sweep", "--config", pooled])
     assert code == 0 and FakePool.sizes == [size]
     assert stdout == run_cli(capsys, ["sweep", "--config", serial])[1]
+
+
+def test_sweep_pool_counts_only_the_cpus_the_process_may_run_on(tmp_path, capsys,
+                                                                 monkeypatch):
+    # an affinity set of one CPU (taskset, a cpuset) on a machine of 16
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep on one usable CPU started a process pool")
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    pooled = write_config(tmp_path, sweep_config(parallel=True), name="pooled.json")
+    serial = write_config(tmp_path, sweep_config(), name="serial.json")
+    code, stdout, _ = run_cli(capsys, ["sweep", "--config", pooled])
+    assert code == 0 and stdout == run_cli(capsys, ["sweep", "--config", serial])[1]
 
 
 def test_sweep_final_metrics_do_not_depend_on_the_metric_columns(tmp_path, capsys):
@@ -729,7 +751,7 @@ class RecordingPool(FakePool):
 def test_sweep_jobs_are_batches_of_repetitions_that_share_a_trace(
         tmp_path, capsys, monkeypatch, speed_model, shared):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(RecordingPool, "jobs", [])
     monkeypatch.setattr(cli, "_SEED_BATCH", 2)
     fields = {"speed_model": speed_model, "repetitions": 3}
@@ -815,7 +837,7 @@ def test_each_batch_builds_its_trace_once(tmp_path, capsys, monkeypatch, command
 def test_a_diverging_pooled_sweep_fails_as_the_serial_one(tmp_path, capsys, monkeypatch):
     # a run's DivergedError comes back from a pool process pickled, and must
     # keep its iteration and norm there rather than break the pool
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     fields = {"problem": {"kind": "least-squares", "dim": 3, "sigma": 0.5},
               "schedule": {"kind": "constant", "step": 100.0},
               "speed_model": {"kind": "random", "means": [1, 2]},
@@ -853,7 +875,7 @@ def test_a_failing_sweep_reports_the_first_failure_in_horizon_order(
         tmp_path, capsys, monkeypatch, fields, code, err):
     # a job replays a batch at several horizons, but the error reported is
     # the first that one job per (horizon, batch), horizon by horizon, meets
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     for parallel in (False, 2):
         cfg = write_config(tmp_path, sweep_config(parallel=parallel, **fields))
         assert run_cli(capsys, ["sweep", "--config", cfg]) == (code, "", err)

@@ -824,6 +824,76 @@ def test_seed_batch_working_memory():
     assert peaks[1] <= peaks[0] + 256 * 1024
 
 
+def test_draw_spans_keep_a_bounded_working_memory():
+    # after a first span of one chunk, a draw span holds as many arrivals as
+    # fit in the bytes of that span as d-float samples: row samples, one
+    # integer each, are drawn d times as far ahead and still peak within the
+    # same run with additive samples, and past one span neither run's peak
+    # grows with K by more than its O(K) columns
+    m_count, dim, long = 8, 50, 20000
+    short = 2 * optimizers._CHUNK
+    x0 = np.zeros(dim)
+    peaks = {}
+    for noise in ("additive", "rows"):
+        problem = least_squares(dim=dim, num_samples=200, noise=noise, sigma=1.0, seed=13)
+        for horizon in (short, long):
+            trace = simulate_trace(FixedSpeeds(tuple(np.linspace(1.0, 2.0, m_count))), horizon)
+            schedule = make_schedule("adaptive-convex",
+                                     problem.constants_for(x0, m_count, horizon))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_async(problem, trace, schedule, x0, seed=1)
+                peaks[noise, horizon] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+    assert peaks["rows", long] <= peaks["additive", long]
+    for noise in ("additive", "rows"):
+        assert peaks[noise, long] <= peaks[noise, short] + 32 * (long - short)
+
+
+class CountedDraws(LeastSquares):
+    """Least squares that counts its draw calls; overriding `draw` keeps the
+    batched and step forms."""
+
+    calls = 0
+
+    def draw(self, rng, count):
+        CountedDraws.calls += 1
+        return super().draw(rng, count)
+
+
+def _distinct(workers, spans) -> int:
+    """Draw calls of one run whose samples are drawn in these spans: one
+    per worker arriving in a span."""
+    return sum(len(np.unique(workers[a:b])) for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("noise", ["rows", "additive"])
+def test_draw_calls_per_span(monkeypatch, noise):
+    # the diagnostics-wide shape: d = 50, M = 64, K = 5000, lognormal speeds
+    m_count, horizon, chunk = 64, 5000, optimizers._CHUNK
+    base = least_squares(dim=50, num_samples=500, noise=noise, seed=3)
+    problem = CountedDraws(base.mat, base.rhs, noise=noise, sigma=base.sigma, probe_seed=3)
+    trace = simulate_trace(RandomSpeeds("lognormal", tuple(np.linspace(1.0, 2.0, m_count)),
+                                        sigma=1.0, seed=3), horizon)
+    x0 = np.zeros(50)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, m_count, horizon))
+    monkeypatch.setattr(CountedDraws, "calls", 0)
+    record = run_async(problem, trace, schedule, x0, seed=3, diagnostics=True)
+    assert same_bits(record.gradients,
+                     run_async(base, trace, schedule, x0, seed=3, diagnostics=True).gradients)
+    # each worker still in flight at K draws once more, when the run ends
+    pending = m_count - 1
+    if noise == "rows":
+        # a first span of one chunk, then the rest of the run in one
+        assert CountedDraws.calls == _distinct(trace.workers, [0, chunk, horizon]) + pending
+        assert CountedDraws.calls <= 2 * m_count + m_count - 1
+    else:   # d floats a sample: one call per drawing worker per chunk
+        spans = list(range(0, horizon, chunk)) + [horizon]
+        assert CountedDraws.calls == _distinct(trace.workers, spans) + pending
+
+
 # ---------------------------------------------------------------------------
 # the run axis: several runs over prefixes of one trace
 

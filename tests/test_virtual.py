@@ -123,6 +123,12 @@ def test_track_requires_diagnostics_mode():
 # block sizes the bit-for-bit test patches into the tracker
 BLOCKS = (1, 2, 3, 7, virtual._BLOCK)
 
+# ten workers over more than three blocks of the tracker, each block's first
+# arrival by the worker that arrived last in the block before: the reused
+# index buffer must not carry a block's rows into the next
+EDGE_REPEATS = [(k - (k > 0 and k % virtual._BLOCK == 0)) * 7 % 10 + 1
+                for k in range(3 * virtual._BLOCK + 2)]
+
 
 @st.composite
 def tracker_cases(draw):
@@ -149,6 +155,7 @@ def tracker_cases(draw):
 @example((50, 4, [k % 3 + 1 for k in range(40)], 4, 7))
 # worker 3 is a straggler that arrives only at K
 @example((3, 3, [1, 2] * 20 + [3], 5, 3))
+@example((3, 10, EDGE_REPEATS, 6, virtual._BLOCK))
 def test_track_equals_per_step_reference_bit_for_bit(case):
     dim, m_count, workers, seed, block = case
     problem = least_squares(dim=dim, num_samples=12, sigma=0.7, seed=seed % 97)
