@@ -26,20 +26,22 @@ block, so it holds at most M arrivals. A block costs one batched
 `sample_grads` call at its dispatch points and one `np.subtract.accumulate`
 over [x_a; gamma_k g_k], which subtracts in the order of k, so each iterate
 equals the per-step one bit for bit. That is about 20 numpy calls per
-block, more than a block of two arrivals saves, so a single run replays
-its blocks of at most _SCALAR_BLOCK arrivals one arrival at a time
-instead, into the same buffer: one scalar loop over each run of
-consecutive short blocks (every block of a trace with one straggler has
-length 1, and two equal workers make every block two long). Per arrival,
-that loop reads the table row of its dispatch point, its worker, stepsize
-and sample from lists built once per chunk. Up to _FLOAT_DIM dimensions it
-keeps x_{k-1} as Python floats and makes one call per arrival: the step
-function the problem's `step_oracle` gave for the run returns x_k =
-[p - g_i * gamma_k ...] as a list, in numpy's order (an override of the
-oracle gets a sample block's rows as lists, made once per chunk too). The
-loop writes x_k into its table row once and screens it with math.hypot.
-Past _FLOAT_DIM, where that O(d) interpreted arithmetic costs more than
-numpy's per-call floor, it takes g_k from `sample_grad`, forms gamma_k g_k
+block, more than a short block saves, so a single run replays its short
+blocks one arrival at a time instead, into the same buffer: one scalar
+loop over each run of consecutive short blocks (every block of a trace
+with one straggler has length 1, and M equal workers make every block M
+long). Per arrival, that loop reads the table row of its dispatch point,
+its worker, stepsize and sample from lists built once per chunk. Up to
+_FLOAT_DIM dimensions it keeps x_{k-1} as Python floats and makes one call
+per arrival: the step function the problem's `step_oracle` gave for the
+run returns x_k = [p - g_i * gamma_k ...] as a list, in numpy's order (an
+override of the oracle gets a sample block's rows as lists, made once per
+chunk too). The loop writes x_k into its table row once and screens it
+with math.hypot. That costs less per arrival than the batched path up to
+blocks of _FLOAT_BLOCK arrivals, so there a block is short up to that
+length. Past _FLOAT_DIM, where that O(d) interpreted arithmetic costs more
+than numpy's per-call floor, a block is short up to _SCALAR_BLOCK
+arrivals, and the loop takes g_k from `sample_grad`, forms gamma_k g_k
 in one scratch row, so it never writes into the array the problem
 returned, and screens x_k with np.vdot, one call whatever d is; a step
 gamma_k ||g_k|| past half the float range is formed with numpy's overflow
@@ -239,14 +241,20 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # 2 * _CHUNK // (H*R), when that is fewer).
 _CHUNK = 1024
 
-# a single run replays its ready blocks of at most this many arrivals one
-# arrival at a time (blocks of three gain at d = 50 and lose at d = 10)
+# past _FLOAT_DIM, a single run replays its ready blocks of at most this many
+# arrivals one arrival at a time (blocks of three gain at d = 50 and lose at
+# d = 10)
 _SCALAR_BLOCK = 2
 
 # up to this dimension the scalar loop keeps its iterate as Python floats;
 # past it, its O(d) interpreted arithmetic costs more than numpy's per-call
 # floor (tools/scalar_dim.py times both loops per d)
 _FLOAT_DIM = 6
+
+# up to _FLOAT_DIM, a single run replays its ready blocks of at most this
+# many arrivals on the float loop (tools/scalar_dim.py --blocks times the
+# float loop against the batched path per block length)
+_FLOAT_BLOCK = 6
 
 
 def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
@@ -381,7 +389,8 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     iterate, and LedgerError before any work if divergence_norm is not
     positive or its square is not finite. The engine's own arithmetic does
     not warn on the way to that error. A block on the batched path (a
-    batch's, or a single run's block of more than _SCALAR_BLOCK arrivals)
+    batch's, or a single run's block of more than _FLOAT_BLOCK arrivals up
+    to _FLOAT_DIM dimensions and of more than _SCALAR_BLOCK past it)
     computes its later rows from gradients at earlier points before the test
     sees a diverged row, with numpy's overflow warnings off. The scalar loop
     screens each iterate with math.hypot or np.vdot, neither of which warns,
@@ -554,9 +563,10 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
     drawn = 0
     # the scalar loop on Python floats, through the problem's step oracle, or
-    # on numpy rows; an override of the step oracle takes a sample block's
-    # rows as lists
+    # on numpy rows, and the longest block it takes; an override of the step
+    # oracle takes a sample block's rows as lists
     floats = dim <= _FLOAT_DIM
+    short = _FLOAT_BLOCK if floats else _SCALAR_BLOCK
     listed = floats and type(problem).step_oracle is not Problem.step_oracle
     step = problem.step_oracle() if floats else None
     sample_grad = problem.sample_grad
@@ -653,7 +663,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
         store = _slot(chunk_prevs, workers, m_count) if diagnostics else None
         # a single run replays its short blocks in runs, one arrival at a time
         bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
-                                      _SCALAR_BLOCK if rows == 1 else 0)
+                                      short if rows == 1 else 0)
         if any(scalar):
             # per arrival of lo..hi-1, the span of the scalar runs, as Python
             # lists: its dispatch point's table row, its worker, stepsize and

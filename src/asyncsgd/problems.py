@@ -120,17 +120,14 @@ class Problem:
         sample as `sample_grad` does. An override takes a row of a
         two-dimensional sample block as its `tolist()`, which the replay makes
         once per chunk. Least squares and the heterogeneous quadratics
-        override it with a closure that makes the same numpy matrix-vector
-        call as `sample_grad`, then forms the gradient and the step in one
-        Python float expression per coordinate, in numpy's order, so it never
-        warns past that call. A subclass that changes how one gradient is
-        evaluated gets this default back."""
-        sample_grad = self.sample_grad
-
-        def step(prev, point, sample, worker, gamma):
-            g = sample_grad(point, sample, worker).tolist()
-            return [p - v * gamma for p, v in zip(prev, g)]
-        return step
+        override it with a form that makes the same numpy matrix-vector call
+        as `sample_grad`, then forms the gradient and the step in one Python
+        float expression per coordinate, in numpy's order, so it never warns
+        past that call. Every built-in form, this default too, is
+        straight-line code generated once per dimension (see `_step_form`).
+        A subclass that changes how one gradient is evaluated gets this
+        default back."""
+        return _step_form("default", self.dim)(self.sample_grad)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -165,6 +162,93 @@ class Problem:
             num_workers=num_workers,
             horizon=horizon,
         )
+
+
+# The step forms of the float scalar loop (see Problem.step_oracle), each the
+# source of a factory make(constants...) that returns step(prev, point,
+# sample, worker, gamma). A step unpacks its lists into locals ({a} stands
+# for the target [a0, a1, ...]) and returns x_k as one list display ({pae}
+# for [p0 - ((a0 - c0) + e0) * gamma, ...]): the float operations of the
+# numpy form it equals, in its order.
+_STEP_FORMS = {
+    # any problem: on sample_grad(...).tolist()
+    "default": """
+def make(sample_grad):
+    def step(prev, point, sample, worker, gamma):
+        {g} = sample_grad(point, sample, worker).tolist()
+        {p} = prev
+        return {pg}
+    return step
+""",
+    # least squares with additive noise or exact gradients: _grad's matvec,
+    # then its elementwise rest in Python floats
+    "additive": """
+def make(matvec, cross):
+    {c} = cross
+
+    def step(prev, point, sample, worker, gamma):
+        {a} = matvec(point).tolist()
+        {p} = prev
+        if sample is None:
+            return {pa}
+        {e} = sample
+        return {pae}
+    return step
+""",
+    # least squares with row noise: _row_grad with t a Python float, as a
+    # numpy scalar could warn
+    "rows": """
+def make(mat, rhs):
+    def step(prev, point, sample, worker, gamma):
+        row = mat[sample]
+        t = float(row @ point) - rhs.item(sample)
+        {r} = row.tolist()
+        {p} = prev
+        return {pr}
+    return step
+""",
+    # the heterogeneous quadratics: _grad with worker m's shift
+    "heterogeneous": """
+def make(matvec, cross, shifts, check):
+    {c} = cross
+
+    def step(prev, point, sample, worker, gamma):
+        {p} = prev
+        if worker is None:   # the mean objective's gradient; no replay asks for it
+            {a} = matvec(point).tolist()
+            if sample is None:
+                return {pa}
+            {e} = sample
+            return {pae}
+        check(worker)
+        {a} = matvec(point).tolist()
+        {s} = shifts[worker - 1]
+        if sample is None:
+            return {pas}
+        {e} = sample
+        return {pase}
+    return step
+""",
+}
+
+# coordinate i of each form's gradient, in the order of its numpy form
+_STEP_TERMS = dict(pg="g{i}", pa="(a{i} - c{i})", pae="((a{i} - c{i}) + e{i})",
+                   pr="(r{i} * t)", pas="((a{i} - c{i}) + s{i})",
+                   pase="(((a{i} - c{i}) + s{i}) + e{i})")
+
+
+@functools.cache
+def _step_form(form: str, dim: int):
+    """The factory of _STEP_FORMS[form] at dimension dim, compiled once per
+    (form, dim) so that building a run's step compiles nothing. Only the
+    integers of range(dim) and fixed strings enter the source."""
+    names = {x: "[" + ", ".join(f"{x}{i}" for i in range(dim)) + "]" for x in "acegprs"}
+    updates = {key: "[" + ", ".join(f"p{i} - {term.format(i=i)} * gamma" for i in range(dim)) + "]"
+               for key, term in _STEP_TERMS.items()}
+    namespace = {}
+    exec(compile(_STEP_FORMS[form].format(**names, **updates), f"<{form} step, d = {dim}>",
+                 "exec"), namespace)
+    return namespace["make"]
 
 
 def _gap(problem, x: np.ndarray) -> float:
@@ -255,10 +339,6 @@ class _Quadratic(Problem):
     def _grad(self, x, worker=None):
         return self._gram.dot(x) - self._cross
 
-    @functools.cached_property
-    def _cross_values(self) -> list[float]:
-        return self._cross.tolist()
-
     def _mean_grads(self, xs: np.ndarray) -> np.ndarray:
         """_grad at the rows of xs. A stacked matvec equals gram.dot(x) row
         for row; xs @ gram.T (a matrix product) does not."""
@@ -308,23 +388,8 @@ class LeastSquares(_Quadratic):
 
     def step_oracle(self):
         if self.noise == "rows":
-            mat, rhs = self.mat, self.rhs
-
-            def step(prev, point, sample, worker, gamma):
-                row = mat[sample]
-                # a Python float t, as a numpy scalar could warn
-                t = float(row @ point) - rhs.item(sample)
-                return [p - (r * t) * gamma for p, r in zip(prev, row.tolist())]
-            return step
-        # _grad's matvec, then its elementwise rest and the step in Python floats
-        matvec, cross = self._gram.dot, self._cross_values
-
-        def step(prev, point, sample, worker, gamma):
-            v = matvec(point).tolist()
-            if sample is None:
-                return [p - (a - c) * gamma for p, a, c in zip(prev, v, cross)]
-            return [p - ((a - c) + e) * gamma for p, a, c, e in zip(prev, v, cross, sample)]
-        return step
+            return _step_form("rows", self.dim)(self.mat, self.rhs)
+        return _step_form("additive", self.dim)(self._gram.dot, self._cross.tolist())
 
     def row_noise_power(self, x) -> float:
         """Exact E||g - grad F(x)||^2 under row sampling, by summing all rows."""
@@ -458,19 +523,8 @@ class HeterogeneousQuadratics(_Quadratic):
         return grads if samples is None else grads + samples
 
     def step_oracle(self):
-        mean_step = super().step_oracle()
-        matvec, cross, shifts = self._gram.dot, self._cross_values, self.shifts.tolist()
-
-        def step(prev, point, sample, worker, gamma):
-            if worker is None:   # the mean objective's gradient; no replay asks for it
-                return mean_step(prev, point, sample, worker, gamma)
-            self._check_worker(worker)
-            v, shift = matvec(point).tolist(), shifts[worker - 1]
-            if sample is None:
-                return [p - ((a - c) + s) * gamma for p, a, c, s in zip(prev, v, cross, shift)]
-            return [p - (((a - c) + s) + e) * gamma
-                    for p, a, c, s, e in zip(prev, v, cross, shift, sample)]
-        return step
+        return _step_form("heterogeneous", self.dim)(
+            self._gram.dot, self._cross.tolist(), self.shifts.tolist(), self._check_worker)
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

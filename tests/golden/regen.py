@@ -130,8 +130,8 @@ SIMULATE = {   # name: (config, also run with --diagnostics)
         _config(problem=LS, speed_model=EQUAL_PAIR, horizon=400,
                 schedule={"kind": "constant", "step": 3.0}), False),
     # a step of 1e160 puts x_1 past the range of its squared norm: one worker
-    # replays it on the scalar loop, four on the batched path, and both print
-    # one `run failed` line and no warning
+    # and four both replay it on the scalar loop, and both print one `run
+    # failed` line and no warning
     **{f"overflowing-step-{name}": (
         _config(seed=1, problem=OVERFLOW, speed_model={"kind": "fixed", "seconds": seconds},
                 horizon=40, schedule={"kind": "constant", "step": 1e160},

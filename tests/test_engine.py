@@ -331,9 +331,15 @@ PROBLEM_KINDS = {
 NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
 
 
-# an explicit order whose ready blocks alternate between batched blocks of
-# four arrivals and scalar runs, the last arrival being in one of those
+# an explicit order whose ready blocks alternate between blocks of four
+# arrivals and runs of shorter ones, the last arrival being in one of those:
+# past _FLOAT_DIM, batched blocks and scalar runs
 MIXED = (1, 2, 3, 4, 1, 1, 2, 1, 3, 4, 2, 1, 1, 1, 3, 2, 4, 1)
+
+# eight workers in ready blocks of 7, 1, 2, 7, 3, 7 and 1 arrivals: up to
+# _FLOAT_DIM, blocks past _FLOAT_BLOCK (6) between runs of float-loop ones
+MIXED_LONG = (1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 1, 2, 3, 4, 5, 6, 6, 7, 8,
+              8, 1, 2, 3, 4, 5, 6, 6)
 
 
 # the scalar loop keeps its iterate as Python floats up to _FLOAT_DIM, and
@@ -356,6 +362,22 @@ EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
 @example("rows", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 1024, True, 3)
 @example("heterogeneous", 3, 4, MIXED, len(MIXED), 7, True, 3)
 @example("nonconvex-additive", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 7, True, 3)
+@example("heterogeneous", 3, 8, MIXED_LONG, len(MIXED_LONG), 1024, True, 3)
+@example("rows", optimizers._FLOAT_DIM, 8, MIXED_LONG, len(MIXED_LONG), 7, True, 3)
+# M equal workers over 12 rounds, so every block holds M arrivals: up to
+# _FLOAT_BLOCK the float loop takes them, and one more the batched path
+@example("additive", 2, 3, "equal", 36, 1024, True, 1)
+@example("heterogeneous", 2, 5, "equal", 60, 1024, True, 2)
+@example("rows", 2, optimizers._FLOAT_BLOCK + 1, "equal", 12 * (optimizers._FLOAT_BLOCK + 1),
+         1024, True, 3)
+@example("heterogeneous-exact", 4, 3, "equal", 36, 1024, True, 4)
+@example("rows", 4, 5, "equal", 60, 1024, True, 5)
+@example("nonconvex-rows", 4, optimizers._FLOAT_BLOCK + 1, "equal",
+         12 * (optimizers._FLOAT_BLOCK + 1), 1024, True, 6)
+@example("exact", optimizers._FLOAT_DIM, 3, "equal", 36, 1024, True, 7)
+@example("nonconvex-additive", optimizers._FLOAT_DIM, 5, "equal", 60, 1024, True, 8)
+@example("heterogeneous", optimizers._FLOAT_DIM, optimizers._FLOAT_BLOCK + 1, "equal",
+         12 * (optimizers._FLOAT_BLOCK + 1), 1024, True, 9)
 def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon, chunk,
                                              diagnostics, seed):
     # small chunks put chunk edges inside blocks and between them; a tuple
@@ -488,16 +510,18 @@ def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim)
     # range (a gradient entry past 1.06 does, as least squares' first one
     # has from two units away and the additive nonconvex one by its noise):
     # one worker replays it on the scalar loop, on Python floats at d = 3
-    # and on numpy rows past _FLOAT_DIM, four on the batched path. Least
-    # squares has its own step oracle and the nonconvex problem the default.
-    # Each raises the same DivergedError, and none warns
+    # and on numpy rows past _FLOAT_DIM, four on the float loop at d = 3 and
+    # the batched path past _FLOAT_DIM, and _FLOAT_BLOCK + 1 on the batched
+    # path. Least squares has its own step oracle and the nonconvex problem
+    # the default. Each raises the same DivergedError, and none warns
     errors = []
     for problem, x0 in ((ls := least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1),
                          offset_start(ls, 2.0)),
                         (bounded_nonconvex(dim=dim, seed=1), np.full(dim, 0.5)),
                         (bounded_nonconvex(dim=dim, noise="additive", sigma=5.0, seed=1),
                          np.full(dim, 0.5))):
-        for m_count, step in itertools.product((1, 4), (1e160, 1.7e308)):
+        for m_count, step in itertools.product((1, 4, optimizers._FLOAT_BLOCK + 1),
+                                               (1e160, 1.7e308)):
             trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
             schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), step)
             with warnings.catch_warnings():
@@ -505,7 +529,7 @@ def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim)
                 with pytest.raises(DivergedError) as exc:
                     run_async(problem, trace, schedule, x0, seed=1)
             errors.append((exc.value.iteration, exc.value.norm))
-    assert errors == [(1, math.inf)] * 12
+    assert errors == [(1, math.inf)] * 18
 
 
 def test_block_check_reports_the_first_row_past_the_limit():
@@ -570,11 +594,12 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     assert not same_bits(record.x_final, plain.x_final)
 
 
-@pytest.mark.parametrize("speeds", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.3, 1.7)])
+@pytest.mark.parametrize("speeds", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.3, 1.7),
+                                    (1.0,) * (optimizers._FLOAT_BLOCK + 1)])
 def test_a_gradient_array_the_problem_keeps_is_never_written(speeds):
     # a problem whose sample_grad returns one array it keeps: the replay
-    # must read it, on the scalar loop and the batched path alike, and
-    # never scale or subtract in place into it
+    # must read it, on the scalar loop and the batched path alike (blocks
+    # past _FLOAT_BLOCK arrivals), and never scale or subtract in place into it
     class Cached(LeastSquares):
         def sample_grad(self, x, sample, worker=None):
             return self.cached
@@ -702,8 +727,9 @@ def block_orders(draw, m_count=4):
        st.sampled_from([1, 2, 3, 7, 1024]), st.booleans(),
        st.integers(min_value=0, max_value=2**16))
 def test_single_run_equals_its_seed_in_a_batch(order, kind, dim, chunk, metrics, seed):
-    # the single run takes the scalar loop on its blocks of one or two
-    # arrivals, the batch the batched path on every block
+    # the single run takes the scalar loop on its blocks of up to
+    # _FLOAT_BLOCK arrivals at d = 1 and 3 and of one or two at d = 50, the
+    # batch the batched path on every block
     order, lengths = order
     m_count = 4
     trace = trace_from_workers(order, m_count)
@@ -810,6 +836,9 @@ def test_seed_batch_working_memory():
     batch = optimizers._SEED_BATCH
     chunk = 2 * optimizers._CHUNK // batch
     table = (m_count + chunk + 1) * batch * 50 * 8
+    # one untimed batch first, so that what a first call in the process
+    # allocates once falls outside the measured window
+    run_async(problem, trace, schedule, x0, seeds=list(range(batch)))
     peaks = []
     for n_seeds in (batch, 2 * batch):
         tracemalloc.start()

@@ -18,7 +18,7 @@ from asyncsgd import (
 )
 from asyncsgd import optimizers
 from asyncsgd.problems import (RHO_CURV_MAX, RHO_GRAD_MAX, Problem, _rho, _rho_prime,
-                               point_metrics)
+                               _step_form, point_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -366,34 +366,65 @@ def test_default_sample_grads_stacks_sample_grad():
 # the scalar replay's step oracle
 
 
+# every dimension a run asks a step form for, two past them and a wide one:
+# each dimension has its own generated code
+STEP_DIMS = [*range(1, optimizers._FLOAT_DIM + 3), 50]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(KINDS)), st.sampled_from([1, 3, optimizers._FLOAT_DIM]),
-       st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=0.0, max_value=1e160),
-       st.integers(min_value=0, max_value=2**16))
-def test_step_oracle_equals_a_numpy_step(kind, dim, scale, gamma, seed):
+@given(st.sampled_from(sorted(KINDS)), st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=0.0, max_value=1e160), st.integers(min_value=0, max_value=2**16))
+def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
     m_count = 4
-    problem = KINDS[kind](dim, m_count, seed)
-    rng = np.random.default_rng(seed)
-    # a row of a larger array, as the replay passes its table rows, and the
-    # previous iterate as a list, both scaled by up to e^5 either way
-    point = (rng.standard_normal(dim + 1) * math.exp(scale))[1:]
-    prev = (rng.standard_normal(dim) * math.exp(scale)).tolist()
-    samples = problem.draw(rng, 3)
-    # the replay hands a row index over as an int, and a Gaussian row as a
-    # list to an override of the step oracle; the nonconvex problem has none
-    own = type(problem).step_oracle is not Problem.step_oracle
-    assert own == (not kind.startswith("nonconvex"))
-    step = problem.step_oracle()
-    for j in range(3):
-        sample = None if samples is None else samples[j]
-        passed = sample if sample is None or (sample.ndim and not own) else sample.tolist()
-        for worker in range(1, m_count + 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = step(prev, point, passed, worker, gamma)
-            expected = np.array(prev) - gamma * problem.sample_grad(point, sample, worker)
-            assert type(values) is list and all(type(v) is float for v in values)
-            assert np.array(values).tobytes() == expected.tobytes()
+    for dim in STEP_DIMS:
+        problem = KINDS[kind](dim, m_count, seed)
+        rng = np.random.default_rng(seed)
+        # a row of a larger array, as the replay passes its table rows, and
+        # the previous iterate as a list, both scaled by up to e^5 either way
+        point = (rng.standard_normal(dim + 1) * math.exp(scale))[1:]
+        prev = (rng.standard_normal(dim) * math.exp(scale)).tolist()
+        samples = problem.draw(rng, 3)
+        # the replay hands a row index over as an int, and a Gaussian row as
+        # a list to an override of the step oracle; the nonconvex problem has none
+        own = type(problem).step_oracle is not Problem.step_oracle
+        assert own == (not kind.startswith("nonconvex"))
+        # two problems of one kind and dimension share one compiled form
+        _step_form.cache_clear()
+        step = problem.step_oracle()
+        KINDS[kind](dim, m_count, seed + 1).step_oracle()
+        assert _step_form.cache_info().misses == 1
+        # a subclass that overrides sample_grad gets the default form, which
+        # calls the subclass's sample_grad
+        calls = []
+
+        def counted(self, x, sample, worker=None):
+            calls.append(worker)
+            return type(problem).sample_grad(self, x, sample, worker)
+
+        Counted = type("Counted", (type(problem),), {"sample_grad": counted})
+        assert Counted.step_oracle is Problem.step_oracle
+        clone = object.__new__(Counted)
+        vars(clone).update(vars(problem))
+        default = clone.step_oracle()
+        for j in range(3):
+            sample = None if samples is None else samples[j]
+            passed = sample if sample is None or (sample.ndim and not own) else sample.tolist()
+            # the default form takes the sample as sample_grad does
+            plain = sample if sample is None or sample.ndim else sample.tolist()
+            for worker in range(1, m_count + 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    values = step(prev, point, passed, worker, gamma)
+                    by_default = default(prev, point, plain, worker, gamma)
+                expected = np.array(prev) - gamma * problem.sample_grad(point, sample, worker)
+                assert type(values) is list and all(type(v) is float for v in values)
+                assert np.array(values).tobytes() == expected.tobytes()
+                assert np.array(by_default).tobytes() == expected.tobytes()
+        assert calls == [*range(1, m_count + 1)] * 3
+        if kind.startswith("heterogeneous"):
+            for worker in (0, m_count + 1):
+                with pytest.raises(ProblemError, match=f"unknown worker id {worker} "):
+                    step(prev, point, passed, worker, gamma)
 
 
 @pytest.mark.parametrize("hook", ["sample_grad", "_grad", "_row_grad"])

@@ -1,9 +1,10 @@
 """Time the single-run scalar loop on Python floats and on numpy rows, per
-dimension.
+dimension, or the float loop against the batched path, per block length.
 
     python3 tools/scalar_dim.py --pairs 7
     python3 tools/scalar_dim.py --problem bounded-nonconvex --dims 2,8 --horizon 20000
     python3 tools/scalar_dim.py --dims 2,8,16 --src ../other-checkout/src
+    python3 tools/scalar_dim.py --blocks 3,4,5,6,7,8,9 --dims 2,4,6
 
 For each d, one worker replays K arrivals of the chosen problem, so every
 ready block is one arrival long and the whole run goes through `run_async`'s
@@ -18,6 +19,16 @@ one untimed warm-up of each. Both loops must give the same final iterate
 bit for bit, or the script stops. It prints, per d, each loop's median time
 per arrival and the median of the float/numpy ratios taken pair by pair.
 `_FLOAT_DIM` belongs at the largest d at which the float loop still wins.
+
+With --blocks, M equal workers replay K arrivals for each M listed, so every
+ready block is M arrivals long, at each d of --dims (which should be at most
+`_FLOAT_DIM`), with diagnostics off and on. The run is timed with
+`optimizers._FLOAT_BLOCK` set so that the float loop takes every block and
+set so that the batched path does, in pairs as above, and must end at the
+same iterate, gradient store included. It prints each path's median time
+per arrival and the float/batched ratio; `_FLOAT_BLOCK` belongs at the
+longest block the float loop still wins at.
+
 The package is imported from --src, by default the `src/` next to this
 script.
 """
@@ -33,71 +44,110 @@ from pathlib import Path
 import numpy as np
 
 DIMS = (1, 2, 4, 8, 12, 16, 32, 50)
+BLOCK_DIMS = (2, 4, 6)
 
-# --problem: (builder of a one-worker problem of dimension d, schedule tag)
+# --problem: (builder of an M-worker problem of dimension d, schedule tag)
 PROBLEMS = {
-    "least-squares": (lambda asyncsgd, d: asyncsgd.least_squares(dim=d, sigma=1.0, seed=0),
+    "least-squares": (lambda asyncsgd, d, m: asyncsgd.least_squares(dim=d, sigma=1.0, seed=0),
                       "adaptive-convex"),
     "heterogeneous-quadratics": (
-        lambda asyncsgd, d: asyncsgd.heterogeneous_quadratics(d, 1, 0.0, sigma=1.0, seed=0),
+        lambda asyncsgd, d, m: asyncsgd.heterogeneous_quadratics(d, m, 0.0, sigma=1.0, seed=0),
         "adaptive-heterogeneous"),
-    "bounded-nonconvex": (lambda asyncsgd, d: asyncsgd.bounded_nonconvex(dim=d, seed=0),
+    "bounded-nonconvex": (lambda asyncsgd, d, m: asyncsgd.bounded_nonconvex(dim=d, seed=0),
                           "adaptive-nonconvex"),
 }
 
 
+def _pairs(run, loops: dict, pairs: int, horizon: int):
+    """Time run(loop) for both loops in `pairs` alternating pairs, after one
+    untimed run of each that must give the same result. Returns each loop's
+    median time per arrival in us and the median of the first/second ratios
+    taken pair by pair, or None if the results differ."""
+    first, second = loops
+    if run(first)[1] != run(second)[1]:   # warm-up
+        return None
+    times = {first: [], second: []}
+    for pair in range(pairs):
+        for loop in (first, second) if pair % 2 == 0 else (second, first):
+            times[loop].append(run(loop)[0])
+    per_arrival = {loop: statistics.median(t) / horizon * 1e6 for loop, t in times.items()}
+    ratio = statistics.median(a / b for a, b in zip(times[first], times[second]))
+    return per_arrival, ratio
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--dims", default=",".join(map(str, DIMS)),
-                        help="comma-separated dimensions")
+    parser.add_argument("--dims", default=None,
+                        help=f"comma-separated dimensions (default {','.join(map(str, DIMS))}, "
+                             f"or {','.join(map(str, BLOCK_DIMS))} with --blocks)")
+    parser.add_argument("--blocks", default=None,
+                        help="comma-separated worker counts M: time the float loop against "
+                             "the batched path on blocks of M arrivals instead")
     parser.add_argument("--problem", choices=sorted(PROBLEMS), default="least-squares",
                         help="the objective replayed (default least-squares)")
     parser.add_argument("--horizon", type=int, default=20000, help="arrivals per run")
-    parser.add_argument("--pairs", type=int, default=7, help="timed float/numpy pairs per d")
+    parser.add_argument("--pairs", type=int, default=7, help="timed pairs per measurement")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="directory the asyncsgd package is imported from")
     args = parser.parse_args()
+    dims = args.dims or ",".join(map(str, DIMS if args.blocks is None else BLOCK_DIMS))
 
     sys.path.insert(0, args.src)
     import asyncsgd
     from asyncsgd import optimizers
     from asyncsgd.problems import offset_start
 
-    loops = {"float": sys.maxsize, "numpy": 0}   # the _FLOAT_DIM each loop runs under
-    kept = optimizers._FLOAT_DIM
-    print(f"source: {args.src}")
-    print(f"{args.problem}, one worker, K = {args.horizon}, {args.pairs} pairs; "
-          f"_FLOAT_DIM is {kept} in this source")
-    print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {'float/numpy':>12}")
     build, tag = PROBLEMS[args.problem]
+    # the value each loop runs under: _FLOAT_DIM per d, or _FLOAT_BLOCK per M
+    name, loops = (("_FLOAT_DIM", {"float": sys.maxsize, "numpy": 0}) if args.blocks is None
+                   else ("_FLOAT_BLOCK", {"float": sys.maxsize, "batched": 0}))
+    kept = getattr(optimizers, name)
+    print(f"source: {args.src}")
+    print(f"{args.problem}, K = {args.horizon}, {args.pairs} pairs; _FLOAT_DIM is "
+          f"{optimizers._FLOAT_DIM} and _FLOAT_BLOCK {optimizers._FLOAT_BLOCK} in this source")
+    ratio_name = "/".join(loops)
+    if args.blocks is None:
+        print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {ratio_name:>12}")
+    else:
+        print(f"{'d':>4} {'diag':>5} {'M':>4} {'float us':>9} {'batched us':>11} "
+              f"{ratio_name:>14}")
+    shapes = ([(d, 1, False) for d in map(int, dims.split(","))] if args.blocks is None else
+              [(d, m, diag) for d in map(int, dims.split(",")) for diag in (False, True)
+               for m in map(int, args.blocks.split(","))])
     try:
-        for dim in map(int, args.dims.split(",")):
-            problem = build(asyncsgd, dim)
+        for dim, m_count, diagnostics in shapes:
+            if args.blocks is not None and dim > optimizers._FLOAT_DIM:
+                raise SystemExit(f"d = {dim} is past _FLOAT_DIM, where no block takes "
+                                 "the float loop")
+            problem = build(asyncsgd, dim, m_count)
             # a unit away from the minimizer, where the problem knows it
             x0 = np.full(dim, 0.5) if problem.xstar is None else offset_start(problem)
-            trace = asyncsgd.simulate_trace(asyncsgd.FixedSpeeds((1.0,)), args.horizon)
+            trace = asyncsgd.simulate_trace(asyncsgd.FixedSpeeds((1.0,) * m_count),
+                                            args.horizon)
             schedule = asyncsgd.make_schedule(
-                tag, problem.constants_for(x0, 1, args.horizon))
+                tag, problem.constants_for(x0, m_count, args.horizon))
 
             def run(loop: str):
-                optimizers._FLOAT_DIM = loops[loop]
+                setattr(optimizers, name, loops[loop])
                 start = time.perf_counter()
-                record = asyncsgd.run_async(problem, trace, schedule, x0, seed=1)
-                return time.perf_counter() - start, record.x_final.tobytes()
+                record = asyncsgd.run_async(problem, trace, schedule, x0, seed=1,
+                                            diagnostics=diagnostics)
+                elapsed = time.perf_counter() - start
+                store = b"" if record.gradients is None else record.gradients.tobytes()
+                return elapsed, record.x_final.tobytes() + store
 
-            if run("float")[1] != run("numpy")[1]:   # warm-up
-                raise SystemExit(f"d = {dim}: the two loops end at different iterates")
-            times = {"float": [], "numpy": []}
-            for pair in range(args.pairs):
-                for loop in ("float", "numpy") if pair % 2 == 0 else ("numpy", "float"):
-                    times[loop].append(run(loop)[0])
-            per_arrival = {loop: statistics.median(t) / args.horizon * 1e6
-                           for loop, t in times.items()}
-            ratio = statistics.median(f / n for f, n in zip(times["float"], times["numpy"]))
-            print(f"{dim:>4} {per_arrival['float']:>9.2f} {per_arrival['numpy']:>9.2f} "
-                  f"{ratio:>12.3f}")
+            timed = _pairs(run, loops, args.pairs, args.horizon)
+            if timed is None:
+                raise SystemExit(f"d = {dim}, M = {m_count}: the two paths end differently")
+            per_arrival, ratio = timed
+            first, second = (per_arrival[loop] for loop in loops)
+            if args.blocks is None:
+                print(f"{dim:>4} {first:>9.2f} {second:>9.2f} {ratio:>12.3f}")
+            else:
+                print(f"{dim:>4} {'on' if diagnostics else 'off':>5} {m_count:>4} "
+                      f"{first:>9.2f} {second:>11.2f} {ratio:>14.3f}")
     finally:
-        optimizers._FLOAT_DIM = kept
+        setattr(optimizers, name, kept)
     return 0
 
 
