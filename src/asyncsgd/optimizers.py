@@ -37,11 +37,13 @@ per arrival: the step function the problem's `step_oracle` gave for the
 run returns x_k = [p - g_i * gamma_k ...] as a list, in numpy's order (an
 override of the oracle gets a sample block's rows as lists, made once per
 chunk too). The loop writes x_k into its table row once and screens it
-with math.hypot. That costs less per arrival than the batched path up to
-blocks of _FLOAT_BLOCK arrivals, so there a block is short up to that
-length. Past _FLOAT_DIM, where that O(d) interpreted arithmetic costs more
-than numpy's per-call floor, a block is short up to _SCALAR_BLOCK
-arrivals, and the loop takes g_k from `sample_grad`, forms gamma_k g_k
+with math.hypot. Through a problem's own step oracle that costs less per
+arrival than the batched path up to blocks of _FLOAT_BLOCK arrivals, so
+there a block is short up to that length; the default oracle, one
+`sample_grad` call and a list per arrival, keeps _SCALAR_BLOCK. Past
+_FLOAT_DIM, where that O(d) interpreted arithmetic costs more than
+numpy's per-call floor, a block is short up to _SCALAR_BLOCK arrivals,
+and the loop takes g_k from `sample_grad`, forms gamma_k g_k
 in one scratch row, so it never writes into the array the problem
 returned, and screens x_k with np.vdot, one call whatever d is; a step
 gamma_k ||g_k|| past half the float range is formed with numpy's overflow
@@ -241,9 +243,9 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # 2 * _CHUNK // (H*R), when that is fewer).
 _CHUNK = 1024
 
-# past _FLOAT_DIM, a single run replays its ready blocks of at most this many
-# arrivals one arrival at a time (blocks of three gain at d = 50 and lose at
-# d = 10)
+# past _FLOAT_DIM, and up to it on the default step oracle, a single run
+# replays its ready blocks of at most this many arrivals one arrival at a
+# time (blocks of three gain at d = 50 and lose at d = 10)
 _SCALAR_BLOCK = 2
 
 # up to this dimension the scalar loop keeps its iterate as Python floats;
@@ -251,9 +253,10 @@ _SCALAR_BLOCK = 2
 # floor (tools/scalar_dim.py times both loops per d)
 _FLOAT_DIM = 6
 
-# up to _FLOAT_DIM, a single run replays its ready blocks of at most this
-# many arrivals on the float loop (tools/scalar_dim.py --blocks times the
-# float loop against the batched path per block length)
+# up to _FLOAT_DIM, a single run through the problem's own step oracle
+# replays its ready blocks of at most this many arrivals on the float loop
+# (tools/scalar_dim.py --blocks times the float loop against the batched
+# path per block length)
 _FLOAT_BLOCK = 6
 
 
@@ -390,7 +393,8 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     positive or its square is not finite. The engine's own arithmetic does
     not warn on the way to that error. A block on the batched path (a
     batch's, or a single run's block of more than _FLOAT_BLOCK arrivals up
-    to _FLOAT_DIM dimensions and of more than _SCALAR_BLOCK past it)
+    to _FLOAT_DIM dimensions through the problem's own step oracle, and of
+    more than _SCALAR_BLOCK otherwise)
     computes its later rows from gradients at earlier points before the test
     sees a diverged row, with numpy's overflow warnings off. The scalar loop
     screens each iterate with math.hypot or np.vdot, neither of which warns,
@@ -564,10 +568,10 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     drawn = 0
     # the scalar loop on Python floats, through the problem's step oracle, or
     # on numpy rows, and the longest block it takes; an override of the step
-    # oracle takes a sample block's rows as lists
+    # oracle takes a sample block's rows as lists, and longer blocks
     floats = dim <= _FLOAT_DIM
-    short = _FLOAT_BLOCK if floats else _SCALAR_BLOCK
     listed = floats and type(problem).step_oracle is not Problem.step_oracle
+    short = _FLOAT_BLOCK if listed else _SCALAR_BLOCK
     step = problem.step_oracle() if floats else None
     sample_grad = problem.sample_grad
     # the numpy loop's scratch row for gamma_k g_k, and the scalar loops'

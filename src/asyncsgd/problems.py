@@ -207,21 +207,18 @@ def make(mat, rhs):
         return {pr}
     return step
 """,
-    # the heterogeneous quadratics: _grad with worker m's shift
+    # the heterogeneous quadratics: _grad with worker m's shift, and the
+    # additive step for the mean objective
     "heterogeneous": """
-def make(matvec, cross, shifts, check):
+def make(matvec, cross, shifts, check, mean_step):
     {c} = cross
 
     def step(prev, point, sample, worker, gamma):
-        {p} = prev
         if worker is None:   # the mean objective's gradient; no replay asks for it
-            {a} = matvec(point).tolist()
-            if sample is None:
-                return {pa}
-            {e} = sample
-            return {pae}
+            return mean_step(prev, point, sample, worker, gamma)
         check(worker)
         {a} = matvec(point).tolist()
+        {p} = prev
         {s} = shifts[worker - 1]
         if sample is None:
             return {pas}
@@ -523,8 +520,10 @@ class HeterogeneousQuadratics(_Quadratic):
         return grads if samples is None else grads + samples
 
     def step_oracle(self):
+        matvec, cross = self._gram.dot, self._cross.tolist()
         return _step_form("heterogeneous", self.dim)(
-            self._gram.dot, self._cross.tolist(), self.shifts.tolist(), self._check_worker)
+            matvec, cross, self.shifts.tolist(), self._check_worker,
+            _step_form("additive", self.dim)(matvec, cross))
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

@@ -130,13 +130,15 @@ SIMULATE = {   # name: (config, also run with --diagnostics)
         _config(problem=LS, speed_model=EQUAL_PAIR, horizon=400,
                 schedule={"kind": "constant", "step": 3.0}), False),
     # a step of 1e160 puts x_1 past the range of its squared norm: one worker
-    # and four both replay it on the scalar loop, and both print one `run
-    # failed` line and no warning
+    # and four replay it on the scalar loop, and seven equal workers, one past
+    # _FLOAT_BLOCK (6), on the batched path; each prints one `run failed` line
+    # and no warning
     **{f"overflowing-step-{name}": (
         _config(seed=1, problem=OVERFLOW, speed_model={"kind": "fixed", "seconds": seconds},
                 horizon=40, schedule={"kind": "constant", "step": 1e160},
                 x0={"kind": "offset"}), False)
-       for name, seconds in (("one-worker", [1.0]), ("four-workers", [1.0] * 4))},
+       for name, seconds in (("one-worker", [1.0]), ("four-workers", [1.0] * 4),
+                             ("batched", [1.0] * 7))},
     # at d = 7, past _FLOAT_DIM (6), the one worker's scalar loop keeps numpy
     # rows, and a step of 1.7e308 puts gamma_1 g_1 itself past the float range
     "overflowing-step-numpy-rows": (

@@ -337,7 +337,8 @@ NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
 MIXED = (1, 2, 3, 4, 1, 1, 2, 1, 3, 4, 2, 1, 1, 1, 3, 2, 4, 1)
 
 # eight workers in ready blocks of 7, 1, 2, 7, 3, 7 and 1 arrivals: up to
-# _FLOAT_DIM, blocks past _FLOAT_BLOCK (6) between runs of float-loop ones
+# _FLOAT_DIM, on a problem's own step oracle, blocks past _FLOAT_BLOCK (6)
+# between runs of float-loop ones
 MIXED_LONG = (1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 1, 2, 3, 4, 5, 6, 6, 7, 8,
               8, 1, 2, 3, 4, 5, 6, 6)
 
@@ -364,8 +365,10 @@ EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
 @example("nonconvex-additive", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 7, True, 3)
 @example("heterogeneous", 3, 8, MIXED_LONG, len(MIXED_LONG), 1024, True, 3)
 @example("rows", optimizers._FLOAT_DIM, 8, MIXED_LONG, len(MIXED_LONG), 7, True, 3)
-# M equal workers over 12 rounds, so every block holds M arrivals: up to
-# _FLOAT_BLOCK the float loop takes them, and one more the batched path
+# M equal workers over 12 rounds, so every block holds M arrivals: on a
+# problem's own step oracle the float loop takes them up to _FLOAT_BLOCK, and
+# one more the batched path; on the default oracle (the nonconvex kinds) the
+# batched path takes every block past _SCALAR_BLOCK
 @example("additive", 2, 3, "equal", 36, 1024, True, 1)
 @example("heterogeneous", 2, 5, "equal", 60, 1024, True, 2)
 @example("rows", 2, optimizers._FLOAT_BLOCK + 1, "equal", 12 * (optimizers._FLOAT_BLOCK + 1),
@@ -375,7 +378,8 @@ EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
 @example("nonconvex-rows", 4, optimizers._FLOAT_BLOCK + 1, "equal",
          12 * (optimizers._FLOAT_BLOCK + 1), 1024, True, 6)
 @example("exact", optimizers._FLOAT_DIM, 3, "equal", 36, 1024, True, 7)
-@example("nonconvex-additive", optimizers._FLOAT_DIM, 5, "equal", 60, 1024, True, 8)
+@example("additive", optimizers._FLOAT_DIM, 5, "equal", 60, 1024, True, 8)
+@example("nonconvex-additive", 4, 3, "equal", 36, 1024, True, 8)
 @example("heterogeneous", optimizers._FLOAT_DIM, optimizers._FLOAT_BLOCK + 1, "equal",
          12 * (optimizers._FLOAT_BLOCK + 1), 1024, True, 9)
 def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon, chunk,
@@ -510,10 +514,11 @@ def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim)
     # range (a gradient entry past 1.06 does, as least squares' first one
     # has from two units away and the additive nonconvex one by its noise):
     # one worker replays it on the scalar loop, on Python floats at d = 3
-    # and on numpy rows past _FLOAT_DIM, four on the float loop at d = 3 and
-    # the batched path past _FLOAT_DIM, and _FLOAT_BLOCK + 1 on the batched
-    # path. Least squares has its own step oracle and the nonconvex problem
-    # the default. Each raises the same DivergedError, and none warns
+    # and on numpy rows past _FLOAT_DIM; four on the float loop at d = 3
+    # through least squares' own step oracle, and on the batched path past
+    # _FLOAT_DIM and through the nonconvex problem's default oracle; and
+    # _FLOAT_BLOCK + 1 on the batched path. Each raises the same
+    # DivergedError, and none warns
     errors = []
     for problem, x0 in ((ls := least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1),
                          offset_start(ls, 2.0)),
@@ -594,12 +599,11 @@ def test_subclass_that_overrides_sample_grad_keeps_its_override():
     assert not same_bits(record.x_final, plain.x_final)
 
 
-@pytest.mark.parametrize("speeds", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.3, 1.7),
-                                    (1.0,) * (optimizers._FLOAT_BLOCK + 1)])
+@pytest.mark.parametrize("speeds", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.3, 1.7)])
 def test_a_gradient_array_the_problem_keeps_is_never_written(speeds):
     # a problem whose sample_grad returns one array it keeps: the replay
-    # must read it, on the scalar loop and the batched path alike (blocks
-    # past _FLOAT_BLOCK arrivals), and never scale or subtract in place into it
+    # must read it, on the scalar loop and the batched path alike, and
+    # never scale or subtract in place into it
     class Cached(LeastSquares):
         def sample_grad(self, x, sample, worker=None):
             return self.cached
@@ -728,8 +732,9 @@ def block_orders(draw, m_count=4):
        st.integers(min_value=0, max_value=2**16))
 def test_single_run_equals_its_seed_in_a_batch(order, kind, dim, chunk, metrics, seed):
     # the single run takes the scalar loop on its blocks of up to
-    # _FLOAT_BLOCK arrivals at d = 1 and 3 and of one or two at d = 50, the
-    # batch the batched path on every block
+    # _FLOAT_BLOCK arrivals at d = 1 and 3 through a problem's own step
+    # oracle, and otherwise of one or two, the batch the batched path on
+    # every block
     order, lengths = order
     m_count = 4
     trace = trace_from_workers(order, m_count)

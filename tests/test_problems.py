@@ -388,11 +388,13 @@ def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
         # a list to an override of the step oracle; the nonconvex problem has none
         own = type(problem).step_oracle is not Problem.step_oracle
         assert own == (not kind.startswith("nonconvex"))
-        # two problems of one kind and dimension share one compiled form
+        # two problems of one kind and dimension share one compiled form (the
+        # heterogeneous quadratics a second one, the additive form, for the
+        # mean objective)
         _step_form.cache_clear()
         step = problem.step_oracle()
         KINDS[kind](dim, m_count, seed + 1).step_oracle()
-        assert _step_form.cache_info().misses == 1
+        assert _step_form.cache_info().misses == (2 if kind.startswith("heterogeneous") else 1)
         # a subclass that overrides sample_grad gets the default form, which
         # calls the subclass's sample_grad
         calls = []
@@ -422,6 +424,9 @@ def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
                 assert np.array(by_default).tobytes() == expected.tobytes()
         assert calls == [*range(1, m_count + 1)] * 3
         if kind.startswith("heterogeneous"):
+            # no worker: the mean objective's step
+            expected = np.array(prev) - gamma * problem.sample_grad(point, sample, None)
+            assert np.array(step(prev, point, passed, None, gamma)).tobytes() == expected.tobytes()
             for worker in (0, m_count + 1):
                 with pytest.raises(ProblemError, match=f"unknown worker id {worker} "):
                     step(prev, point, passed, worker, gamma)

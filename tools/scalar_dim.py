@@ -23,11 +23,13 @@ per arrival and the median of the float/numpy ratios taken pair by pair.
 With --blocks, M equal workers replay K arrivals for each M listed, so every
 ready block is M arrivals long, at each d of --dims (which should be at most
 `_FLOAT_DIM`), with diagnostics off and on. The run is timed with
-`optimizers._FLOAT_BLOCK` set so that the float loop takes every block and
-set so that the batched path does, in pairs as above, and must end at the
-same iterate, gradient store included. It prints each path's median time
-per arrival and the float/batched ratio; `_FLOAT_BLOCK` belongs at the
-longest block the float loop still wins at.
+`optimizers._FLOAT_BLOCK` and `_SCALAR_BLOCK` set so that the float loop
+takes every block and set so that the batched path does, in pairs as above,
+and must end at the same iterate, gradient store included. It prints each
+path's median time per arrival and the float/batched ratio. The longest
+block the float loop still wins at is where `_FLOAT_BLOCK` belongs for the
+problems with their own step oracle; for bounded nonconvex, on the default
+oracle, the float loop takes the blocks of up to `_SCALAR_BLOCK` arrivals.
 
 The package is imported from --src, by default the `src/` next to this
 script.
@@ -98,13 +100,16 @@ def main() -> int:
     from asyncsgd.problems import offset_start
 
     build, tag = PROBLEMS[args.problem]
-    # the value each loop runs under: _FLOAT_DIM per d, or _FLOAT_BLOCK per M
-    name, loops = (("_FLOAT_DIM", {"float": sys.maxsize, "numpy": 0}) if args.blocks is None
-                   else ("_FLOAT_BLOCK", {"float": sys.maxsize, "batched": 0}))
-    kept = getattr(optimizers, name)
+    # the values each loop runs under: _FLOAT_DIM per d, or both block limits
+    # per M (up to _FLOAT_DIM, the default oracle's is _SCALAR_BLOCK)
+    names, loops = ((("_FLOAT_DIM",), {"float": sys.maxsize, "numpy": 0})
+                    if args.blocks is None else
+                    (("_FLOAT_BLOCK", "_SCALAR_BLOCK"), {"float": sys.maxsize, "batched": 0}))
+    kept = {name: getattr(optimizers, name) for name in names}
     print(f"source: {args.src}")
     print(f"{args.problem}, K = {args.horizon}, {args.pairs} pairs; _FLOAT_DIM is "
-          f"{optimizers._FLOAT_DIM} and _FLOAT_BLOCK {optimizers._FLOAT_BLOCK} in this source")
+          f"{optimizers._FLOAT_DIM}, _FLOAT_BLOCK {optimizers._FLOAT_BLOCK} and _SCALAR_BLOCK "
+          f"{optimizers._SCALAR_BLOCK} in this source")
     ratio_name = "/".join(loops)
     if args.blocks is None:
         print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {ratio_name:>12}")
@@ -128,7 +133,8 @@ def main() -> int:
                 tag, problem.constants_for(x0, m_count, args.horizon))
 
             def run(loop: str):
-                setattr(optimizers, name, loops[loop])
+                for name in names:
+                    setattr(optimizers, name, loops[loop])
                 start = time.perf_counter()
                 record = asyncsgd.run_async(problem, trace, schedule, x0, seed=1,
                                             diagnostics=diagnostics)
@@ -147,7 +153,8 @@ def main() -> int:
                 print(f"{dim:>4} {'on' if diagnostics else 'off':>5} {m_count:>4} "
                       f"{first:>9.2f} {second:>11.2f} {ratio:>14.3f}")
     finally:
-        setattr(optimizers, name, kept)
+        for name, value in kept.items():
+            setattr(optimizers, name, value)
     return 0
 
 
