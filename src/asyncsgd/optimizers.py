@@ -2,110 +2,25 @@
 baseline, and a thread-backed live executor whose realized arrival order is
 replayed through the same engine.
 
-The asynchronous replay is a column engine. The arrival trace is fixed
-before a run starts, and with it everything that depends only on the trace:
-the dispatch iteration p_k of every arriving gradient and its delay (the
-trace's `prevs` and `taus` columns, derived once when the trace was built),
-its stepsize gamma_k = gamma(tau_k), every gradient's eventual stepsize (the
-stepsize it is consumed with, or the terminal-delay stepsize if it is still
-in flight when the run ends; one column over the dispatch slots), and the
-gradient noise. The noise comes from the problem's split oracle: `draw`
-takes a worker's samples from its own seed substream as one block, sized
-from the worker's arrival count, and `sample_grad` evaluates one gradient
-given its sample. Block draws equal one-at-a-time draws, so a gradient
-evaluated lazily at arrival time against the iterate stored at dispatch is
-identical to eager evaluation at dispatch time, and runs are reproducible
-regardless of interleaving; the gradients still in flight at the end are
-evaluated, when asked for, by the same draws and batched calls.
+`run_async` replays a fixed arrival trace through the delayed update
+x_k = x_{k-1} - gamma(tau_k) g(x_{p_k}): a ready block at a time, on a
+batched path or, for a single run's short blocks, on one scalar loop whose
+step `problems.scalar_step` chooses; a chunk of _CHUNK arrivals at a time;
+and over a batch of seeds and of runs over prefixes of one trace at once.
+README's `run_async` paragraphs describe that mechanism. Its contracts:
 
-The loop then applies the updates x_k = x_{k-1} - gamma_k g(x_{p_k}) a ready
-block at a time. A ready block is a greedy run of arrivals a+1..b whose
-dispatch iterations are all at most a, so every gradient in it is taken at
-an iterate that exists before the block; a worker arrives at most once in a
-block, so it holds at most M arrivals. A block costs one batched
-`sample_grads` call at its dispatch points and one `np.subtract.accumulate`
-over [x_a; gamma_k g_k], which subtracts in the order of k, so each iterate
-equals the per-step one bit for bit. That is about 20 numpy calls per
-block, more than a short block saves, so a single run replays its short
-blocks one arrival at a time instead, into the same buffer: one scalar
-loop over each run of consecutive short blocks (every block of a trace
-with one straggler has length 1, and M equal workers make every block M
-long). Per arrival, that loop reads the table row of its dispatch point,
-its worker, stepsize and sample from lists built once per chunk. Up to
-_FLOAT_DIM dimensions it keeps x_{k-1} as Python floats and makes one call
-per arrival: the step function the problem's `step_oracle` gave for the
-run returns x_k = [p - g_i * gamma_k ...] as a list, in numpy's order (an
-override of the oracle gets a sample block's rows as lists, made once per
-chunk too). The loop writes x_k into its table row once and screens it
-with math.hypot. Through a problem's own step oracle that costs less per
-arrival than the batched path up to blocks of _FLOAT_BLOCK arrivals, so
-there a block is short up to that length; the default oracle, one
-`sample_grad` call and a list per arrival, keeps _SCALAR_BLOCK. Past
-_FLOAT_DIM, where that O(d) interpreted arithmetic costs more than
-numpy's per-call floor, a block is short up to _SCALAR_BLOCK arrivals,
-and the loop takes g_k from `sample_grad`, forms gamma_k g_k
-in one scratch row, so it never writes into the array the problem
-returned, and screens x_k with np.vdot, one call whatever d is; a step
-gamma_k ||g_k|| past half the float range is formed with numpy's overflow
-warnings off. Neither screen warns, and a point that fails one is tested
-exactly. Each block's iterates pass the divergence test before the next
-block takes a gradient, so no gradient is ever taken at a point that
-failed it. The iterates of a chunk of _CHUNK arrivals fill one buffer, and
-a table of dispatch points holds every worker's point at the chunk's start
-followed by that buffer (O((M + _CHUNK) d) memory). Once per chunk, the
-buffer gives the running sums for the averaged outputs (added row by row
-in the order of k, so no iterate history is needed for them), the
-per-step metric columns, filled only on request (`metrics=True`), and the
-iterate history, kept only on request. Under diagnostics the gradients of
-the chunk's scalar arrivals enter the store then too, from one
-`sample_grads` call at their dispatch points, which the table still holds.
-Samples are drawn a span of whole chunks at a time, one `draw` call per
-worker arriving in it. The engine learns a problem's sample size only from
-a draw, so the first span holds as many arrivals as a chunk, and each later
-one as many as fit in the bytes of that first span as d-float samples, never
-fewer: d-float samples (additive noise) keep the chunk's span, and one
-integer per arrival (a row index) is drawn d times as far ahead within the
-same bytes, in fewer calls.
-
-Seeds are a batch axis. The seeds of repetitions that replay one trace
-differ only in their gradient noise, so `run_async(..., seeds=[...])`
-replays the trace once for all of them, arrival-major: a row of the chunk
-table, (M + chunk + 1, R*d) for R seeds, holds one point per seed side by
-side, so a block's dispatch points are one `take` reshaped to (L*R, d) rows
-for one `sample_grads` call (row-independent stacked matvecs and row dots,
-so the same arithmetic as R separate calls), its iterates are one slice
-accumulated along the arrival axis, and the running sums are R*d wide. Each
-seed's record is bit-identical to its own run; a single run is the R = 1
-case of the same loop. A batch's chunk holds at most 2 * _CHUNK rows of
-seeds, and long seed lists go in batches of at most _SEED_BATCH seeds, so
-the working memory stays within about twice a single run's. Each per-seed
-output (metric columns, iterate history, gradient store) is one seed-major
-array, filled once per chunk or block, whose row r is seed r's record. One
-sum of squares screens a block's rows of every seed for divergence
-(`_check_rows` holds the one test); a batch that fails it is replayed seed
-by seed, so a diverging seed raises what its own run raises, and still no
-gradient is taken at a point that failed the test.
-
-Runs over prefixes of one trace are a second batch axis, beside the seeds.
-A sweep replays one speed model at several horizons, and the trace of
-horizon K is then the first K arrivals of the longest trace, as a seed's
-gradient samples are the first ones of its longer run. So
-`run_async(problem, [trace_1, ...], [schedule_1, ...], x0, ...)` replays the
-longest trace once for H runs, each with its own schedule and horizon:
-run h's seed r is point h*R + r of a table row, the runs' stepsizes are one
-column each, broadcast over their seeds, and the runs share every ready
-block, sample draw, `sample_grads` call and divergence screen. A run leaves
-the batch at a chunk boundary placed at its horizon: its in-flight
-gradients are priced at its terminal stepsizes there, its record is built,
-and its columns leave the table and the running sums. Runs are kept
-longest first, so the runs still in the batch are always the first ones.
-A chunk holds at most 2 * _CHUNK // (H*R) arrivals for the H runs still in
-it, so a batch's working memory stays about that of a seed batch. The
-samples are drawn once for every run, in spans sized as for the seeds
-alone, so H runs make the draw calls of one. The engine
-checks in O(K) that each trace is a prefix of the longest rather than
-assume it, and takes diagnostics of one run only: a run that left would
-draw its in-flight samples from streams the others still read.
+- Bit identity. Every record equals, bit for bit, the per-step loop that
+  evaluates each gradient at its dispatch iterate with samples drawn one at
+  a time from the worker's own substream; each seed of a batch and each run
+  of a prefix batch equals its own call.
+- Divergence. DivergedError is raised at the first iterate whose norm
+  passes the limit or is not finite, before any gradient is taken there,
+  and the engine's own arithmetic does not warn on the way. A batch that
+  fails its screen is replayed run by run and seed by seed, so a diverging
+  list raises what its first diverging run and seed raise alone.
+- Memory. A run works in O((M + _CHUNK) d) whatever its length, and a batch
+  of seeds or runs in about twice that, seed lists going in batches of at
+  most _SEED_BATCH.
 
 The minibatch baseline returns only its final iterate, and the live executor
 records only the arrival order, the delays and the arrival times, which its
@@ -115,14 +30,13 @@ replay through `run_async` checks and turns into a RunRecord.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Problem, point_metrics
+from .problems import point_metrics, scalar_step
 from .scheduler import ArrivalTrace, LedgerError, _fits, _write_csv
 from .schedules import StepSchedule
 
@@ -243,22 +157,6 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # 2 * _CHUNK // (H*R), when that is fewer).
 _CHUNK = 1024
 
-# past _FLOAT_DIM, and up to it on the default step oracle, a single run
-# replays its ready blocks of at most this many arrivals one arrival at a
-# time (blocks of three gain at d = 50 and lose at d = 10)
-_SCALAR_BLOCK = 2
-
-# up to this dimension the scalar loop keeps its iterate as Python floats;
-# past it, its O(d) interpreted arithmetic costs more than numpy's per-call
-# floor (tools/scalar_dim.py times both loops per d)
-_FLOAT_DIM = 6
-
-# up to _FLOAT_DIM, a single run through the problem's own step oracle
-# replays its ready blocks of at most this many arrivals on the float loop
-# (tools/scalar_dim.py --blocks times the float loop against the batched
-# path per block length)
-_FLOAT_BLOCK = 6
-
 
 def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
     """The gradient samples consumed by a run of arrivals, one row per
@@ -374,58 +272,34 @@ _DIVERGENCE_NORM = 1e12
 def run_async(problem, trace, schedule, x0, seed: int = 0,
               *, seeds=None, keep_iterates: bool = False, diagnostics: bool = False,
               metrics: bool = False, divergence_norm: float = _DIVERGENCE_NORM):
-    """Replay an arrival trace through the delayed-update loop.
+    """Replay an arrival trace through the delayed-update loop (see the
+    module docstring for the contracts and README for the mechanism).
 
-    Everything the trace fixes is computed as a column before the loop: the
-    dispatch iteration of every arriving gradient, its stepsize and
-    eventual stepsize, and its gradient sample. The updates are then applied
-    a ready block at a time (see the module docstring). The fgaps and
-    gradnorms2 columns are None unless metrics=True asks for them, which
-    costs one `point_metrics` call (a `value` and a full `grad`) per update.
-    diagnostics=True keeps every dispatched gradient in one (M+K-1, d) array
-    indexed by slot: row m-1 for worker m's dispatch at iteration 0, row M+k-1
-    for the dispatch at iteration k < K, the rows still in flight at the end
-    evaluated then, by one draw and one batched call. The virtual-iterate
-    checker reads this store; diagnostics implies keep_iterates. Raises
-    DivergedError at the first iteration whose iterate norm passes
-    divergence_norm or goes non-finite, before any gradient is taken at that
-    iterate, and LedgerError before any work if divergence_norm is not
-    positive or its square is not finite. The engine's own arithmetic does
-    not warn on the way to that error. A block on the batched path (a
-    batch's, or a single run's block of more than _FLOAT_BLOCK arrivals up
-    to _FLOAT_DIM dimensions through the problem's own step oracle, and of
-    more than _SCALAR_BLOCK otherwise)
-    computes its later rows from gradients at earlier points before the test
-    sees a diverged row, with numpy's overflow warnings off. The scalar loop
-    screens each iterate with math.hypot or np.vdot, neither of which warns,
-    and tests a point that fails the screen with the warnings off. Up to
-    _FLOAT_DIM dimensions its updates come from the problem's step oracle,
-    whose built-in forms do Python float arithmetic after their numpy
-    matrix-vector call and never warn past it; past _FLOAT_DIM it forms a
-    step gamma_k g_k that may pass the float range with the warnings off.
-    The problem's own code runs with the caller's settings. Under
-    diagnostics, the scalar loop's gradients enter the store once per chunk,
-    from one `sample_grads` call, after its updates.
+    The fgaps and gradnorms2 columns are None unless metrics=True asks for
+    them, which costs one `point_metrics` call per update. diagnostics=True
+    keeps every dispatched gradient in one (M+K-1, d) array indexed by slot:
+    row m-1 for worker m's dispatch at iteration 0, row M+k-1 for the
+    dispatch at iteration k < K, the rows still in flight at the end
+    evaluated then. The virtual-iterate checker reads this store;
+    diagnostics implies keep_iterates. Raises DivergedError at the first
+    iteration whose iterate norm passes divergence_norm or goes non-finite,
+    and LedgerError before any work if divergence_norm is not positive or
+    its square is not finite. The problem's own code runs with the caller's
+    numpy warning settings.
 
-    seeds=[s1, s2, ...] replays the trace once for all of them, in batches of
-    at most _SEED_BATCH, and returns a list of RunRecords (see _Records), the
-    one of seed s equal bit for bit to run_async(..., seed=s); `seed` is then
-    left at 0. The records share the arrays the trace fixes, and those of one
-    batch share its seed-major outputs row by row. A diverging list raises
-    the error its first diverging seed raises on its own.
+    seeds=[s1, s2, ...] replays the trace once for all of them and returns a
+    list of RunRecords (see _Records), the one of seed s equal to
+    run_async(..., seed=s); `seed` is then left at 0. The records share the
+    arrays the trace fixes, and those of one batch its seed-major outputs.
 
     A list of traces with a list of as many schedules makes several runs
     over prefixes of one trace, run h replaying traces[h] with schedules[h]
-    (a sweep's horizons): they share every ready block, sample draw,
-    gradient call and divergence screen up to each one's horizon, and a
-    chunk holds at most 2 * _CHUNK // rows arrivals, rows being the runs
-    still in the batch times the seeds. The result is a list with one entry
-    per run, each what the call with that run's trace and schedule alone
-    returns, bit for bit; a diverging list raises what its first diverging
-    run raises alone. Raises LedgerError if a trace is not a prefix of the
-    longest, naming the first row that differs, or if diagnostics are asked
-    of several runs: a run that ended would draw its in-flight samples from
-    streams the others still read.
+    (a sweep's horizons). The result is a list with one entry per run, each
+    what the call with that run's trace and schedule alone returns. Raises
+    LedgerError if a trace is not a prefix of the longest, naming the first
+    row that differs, or if diagnostics are asked of several runs: a run
+    that ended would draw its in-flight samples from streams the others
+    still read.
     """
     options = dict(keep_iterates=keep_iterates or diagnostics, diagnostics=diagnostics,
                    metrics=metrics, divergence_norm=divergence_norm)
@@ -435,29 +309,25 @@ def run_async(problem, trace, schedule, x0, seed: int = 0,
     runs = list(zip(trace, schedule)) if several else [(trace, schedule)]
     if not runs:
         return _Records()
-    if seeds is None:
-        try:
-            records = [own[0] for own in _replay(problem, runs, x0, [seed], **options)]
-        except _Unscreened:   # several runs: each replayed on its own, in order
-            records = [run_async(problem, t, s, x0, seed, **options) for t, s in runs]
-        return _Records(records) if several else records[0]
-    if seed != 0:
+    if seeds is not None and seed != 0:
         raise TypeError("pass either seed or seeds, not both")
-    seeds = list(seeds)
-    records = [_Records() for _ in runs]
-    try:
-        for i in range(0, len(seeds), _SEED_BATCH):
-            batch = seeds[i:i + _SEED_BATCH]
-            try:
-                done = _replay(problem, runs, x0, batch, **options)
-            except _Unscreened:
-                if several:
-                    raise
-                done = [[_replay(problem, runs, x0, [s], **options)[0][0] for s in batch]]
-            for kept, new in zip(records, done):
-                kept += new
-    except _Unscreened:   # several runs: each replayed on its own, in order
-        records = [run_async(problem, t, s, x0, seeds=seeds, **options) for t, s in runs]
+    batch_seeds = [seed] if seeds is None else list(seeds)
+    records, i = [_Records() for _ in runs], 0
+    while i < len(batch_seeds):
+        batch = batch_seeds[i:i + _SEED_BATCH]
+        try:
+            done = _replay(problem, runs, x0, batch, **options)
+        except _Unscreened:
+            # from this batch on, each run and each seed on its own, in order,
+            # so that the first to diverge raises
+            batch = batch_seeds[i:]
+            done = [[_replay(problem, [run], x0, [s], **options)[0][0] for s in batch]
+                    for run in runs]
+        for kept, new in zip(records, done):
+            kept += new
+        i += len(batch)
+    if seeds is None:
+        records = [kept[0] for kept in records]
     return _Records(records) if several else records[0]
 
 
@@ -506,19 +376,10 @@ def _chunks(horizons: list[int], n_seeds: int):
         start = max(start, end)
 
 
-def _table(first: np.ndarray, m_count: int, size: int) -> np.ndarray:
-    """A chunk table whose M + 1 first rows are `first` (the workers'
-    dispatch points and x_start; or `first` in each, if it is one row),
-    followed by `size` rows for a chunk's iterates."""
-    table = np.empty((m_count + 1 + size, first.shape[-1]))
-    table[:m_count + 1] = first
-    return table
-
-
 def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             diagnostics: bool, metrics: bool, divergence_norm: float) -> list[list[RunRecord]]:
     """run_async's engine: one replay of H runs over prefixes of one trace
-    for R seeds at once, laid out arrival-major (see the module docstring);
+    for R seeds at once, laid out arrival-major (see README);
     runs[h] is (trace, schedule) and the result's [h][r] the record of run h
     and seeds[r]. H = R = 1 is a single run."""
     # longest first: the runs still in the batch are always the first ones
@@ -566,22 +427,14 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # sample of one integer per arrival is drawn d times as far ahead
     span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
     drawn = 0
-    # the scalar loop on Python floats, through the problem's step oracle, or
-    # on numpy rows, and the longest block it takes; an override of the step
-    # oracle takes a sample block's rows as lists, and longer blocks
-    floats = dim <= _FLOAT_DIM
-    listed = floats and type(problem).step_oracle is not Problem.step_oracle
-    short = _FLOAT_BLOCK if listed else _SCALAR_BLOCK
-    step = problem.step_oracle() if floats else None
-    sample_grad = problem.sample_grad
-    # the numpy loop's scratch row for gamma_k g_k, and the scalar loops'
-    # screens: a point whose norm or square sum is within them passes the
-    # test (see _check_rows); neither math.hypot nor np.vdot warns. A step
-    # gamma_k ||g_k|| within half the float range cannot overflow
-    scaled = np.empty(dim)
+    # a single run's scalar step, the longest block it takes, whether it
+    # takes a sample block's rows as lists and whether its iterate is Python
+    # floats; and its screen, math.hypot on floats and np.vdot on a numpy
+    # row: a point whose norm or square sum is within it passes the test
+    # (see _check_rows), and neither warns
+    step, short, listed, floats = scalar_step(problem)
     screen, hypot = divergence_norm * math.sqrt(0.5), math.hypot
-    square, vdot, sqrt = 0.5 * divergence_norm * divergence_norm, np.vdot, math.sqrt
-    safe = 0.5 * sys.float_info.max
+    square, vdot = 0.5 * divergence_norm * divergence_norm, np.vdot
     records = [None] * n_runs
 
     def leave(first: int, stop: int) -> None:
@@ -633,9 +486,11 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             if live < active:
                 leave(live, active)
             rows, active = live * n_seeds, live
-            table = _table(np.tile(x0, rows) if table is None
-                           else table[:m_count + 1, :rows * dim],
-                           m_count, min(chunk, horizon - start))
+            # (the workers' dispatch points and x_start, then the chunk's rows)
+            first = np.tile(x0, rows) if table is None else table[:m_count + 1, :rows * dim]
+            table = np.empty((m_count + 1 + min(chunk, horizon - start), rows * dim))
+            table[:m_count + 1] = first
+            del first   # a view of the old table would keep it alive
             points, buf = table[:m_count], table[m_count:]
             by_run = buf.reshape(len(buf), live, -1)   # a row's points, run by run
             uniform_sum, weighted_sum = uniform_sum[:live], weighted_sum[:live]
@@ -669,50 +524,29 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
         bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
                                       short if rows == 1 else 0)
         if any(scalar):
-            # per arrival of lo..hi-1, the span of the scalar runs, as Python
-            # lists: its dispatch point's table row, its worker, stepsize and
-            # sample (a row of a 2-D block as a list, or as a row view)
-            lo = bounds[scalar.index(True)]
-            hi = bounds[len(scalar) - scalar[::-1].index(True)]
-            src_list, worker_list = src[lo:hi].tolist(), workers[lo:hi].tolist()
-            gamma_list = gammas[0][start + lo:start + hi].tolist()
-            sample_rows = ([None] * (hi - lo) if samples is None
-                           else samples[lo:hi].tolist() if samples.ndim == 1 or listed
-                           else samples[lo:hi])
+            # per arrival of the chunk, as Python lists: its dispatch point's
+            # table row, its worker, stepsize and sample (a row of a 2-D block
+            # as a list, or as a row view)
+            src_list, worker_list = src.tolist(), workers.tolist()
+            gamma_list = gammas[0][start:stop].tolist()
+            sample_rows = ([None] * n if samples is None
+                           else samples.tolist() if samples.ndim == 1 or listed else samples)
         # every block is checked before the next one takes gradients, so no
         # gradient is taken at a point that failed the divergence test
         for a, b, alone in zip(bounds, bounds[1:], scalar):
             if alone:
                 # x_k = x_{k-1} - gamma_k g_k, each k tested before the next,
-                # by a screen that never warns; only a point that fails it is
-                # tested exactly, with numpy's overflow warnings off
-                run = slice(a - lo, b - lo)
-                if floats:   # Python float arithmetic never warns
-                    x = buf[a].tolist()
-                    for k, point, sample, m, gamma in zip(
-                            range(a + 1, b + 1), src_list[run], sample_rows[run],
-                            worker_list[run], gamma_list[run]):
-                        x = step(x, table[point], sample, m, gamma)
-                        buf[k] = x
-                        if not hypot(*x) <= screen:
-                            with np.errstate(over="ignore", invalid="ignore"):
-                                _check_rows(buf[k:k + 1], start + k, divergence_norm)
-                    continue
-                for k, x_prev, x, point, sample, m, gamma in zip(
-                        range(a + 1, b + 1), buf[a:b], buf[a + 1:b + 1], src_list[run],
-                        sample_rows[run], worker_list[run], gamma_list[run]):
-                    g = sample_grad(table[point], sample, m)   # read, never written
-                    if sqrt(vdot(g, g)) * gamma <= safe:
-                        np.multiply(g, gamma, out=scaled)
-                    else:   # gamma_k g_k may pass the float range
+                # by the form's screen; only a point that fails it is tested
+                # exactly, with numpy's overflow warnings off
+                x = buf[a].tolist() if floats else buf[a]
+                for k, point, sample, m, gamma in zip(
+                        range(a + 1, b + 1), src_list[a:b], sample_rows[a:b],
+                        worker_list[a:b], gamma_list[a:b]):
+                    x = step(x, table[point], sample, m, gamma)
+                    buf[k] = x
+                    if not (hypot(*x) <= screen if floats else vdot(x, x) <= square):
                         with np.errstate(over="ignore", invalid="ignore"):
-                            np.multiply(g, gamma, out=scaled)
-                    # x_{k-1} is within the limit, far inside the float range,
-                    # so the difference overflows no more than gamma_k g_k did
-                    np.subtract(x_prev, scaled, out=x)
-                    if not vdot(x, x) <= square:
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            _check_rows(x[None], start + k, divergence_norm)
+                            _check_rows(buf[k:k + 1], start + k, divergence_norm)
                 continue
             block = slice(a * rows, b * rows)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
@@ -729,7 +563,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
                 _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, rows)
 
         if diagnostics and any(scalar):
-            # the scalar loops' gradients go into the store at once, after
+            # the scalar loop's gradients go into the store at once, after
             # every point they were taken at passed the test: one batched
             # call over those arrivals, equal to sample_grad row for row
             alone = np.flatnonzero(np.repeat(scalar, np.diff(bounds)))

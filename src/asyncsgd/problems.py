@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -109,7 +110,8 @@ class Problem:
                          for x, sample, m in zip(xs, samples, workers.tolist())])
 
     def step_oracle(self):
-        """The scalar replay's step: a function step(prev, point, sample,
+        """The scalar replay's step up to _FLOAT_DIM dimensions (see
+        `scalar_step`): a function step(prev, point, sample,
         worker, gamma) that returns the next iterate [p - g_i * gamma ...] as
         a list of Python floats, prev being the previous iterate as a list and
         g the stochastic gradient `sample_grad(point, sample, worker)`. It
@@ -162,6 +164,57 @@ class Problem:
             num_workers=num_workers,
             horizon=horizon,
         )
+
+
+# up to this dimension a single run's scalar loop keeps its iterate as Python
+# floats, through the problem's step oracle; past it, that O(d) interpreted
+# arithmetic costs more than numpy's per-call floor, and the loop takes the
+# numpy form (tools/scalar_dim.py times both per d)
+_FLOAT_DIM = 6
+
+# up to _FLOAT_DIM, the longest ready block a single run replays on the
+# scalar loop through a problem's own step oracle (tools/scalar_dim.py
+# --blocks times it against the batched path per block length) ...
+_FLOAT_BLOCK = 6
+
+# ... and through the default oracle, and past _FLOAT_DIM (blocks of three
+# gain at d = 50 and lose at d = 10)
+_SCALAR_BLOCK = 2
+
+
+def scalar_step(problem):
+    """A single run's scalar step and how the replay calls it: the step, the
+    longest ready block it replays, whether it takes a row of a 2-D sample
+    block as a list, and whether its iterate is a list of Python floats (the
+    problem's step oracle, up to _FLOAT_DIM) or a numpy row (the numpy form,
+    past it)."""
+    if problem.dim > _FLOAT_DIM:
+        return _numpy_step(problem.sample_grad, problem.dim), _SCALAR_BLOCK, False, False
+    listed = type(problem).step_oracle is not Problem.step_oracle
+    return problem.step_oracle(), _FLOAT_BLOCK if listed else _SCALAR_BLOCK, listed, True
+
+
+def _numpy_step(sample_grad, dim: int):
+    """The scalar step past _FLOAT_DIM: step(prev, point, sample, worker,
+    gamma) returns prev - gamma * sample_grad(point, sample, worker), bit for
+    bit, in a scratch row that the next call overwrites unless it takes that
+    row as prev. It never writes into the gradient, and forms a step
+    gamma ||g|| past half the float range with numpy's overflow warnings off."""
+    first, second, safe = np.empty(dim), np.empty(dim), 0.5 * sys.float_info.max
+    sqrt, vdot, multiply, subtract = math.sqrt, np.vdot, np.multiply, np.subtract
+
+    def step(prev, point, sample, worker, gamma):
+        out = second if prev is first else first
+        g = sample_grad(point, sample, worker)   # read, never written
+        if sqrt(vdot(g, g)) * gamma <= safe:
+            multiply(g, gamma, out)
+        else:   # gamma g may pass the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                multiply(g, gamma, out)
+        # the replay's prev is within the divergence limit, far inside the
+        # float range, so the difference overflows no more than gamma g did
+        return subtract(prev, out, out)
+    return step
 
 
 # The step forms of the float scalar loop (see Problem.step_oracle), each the

@@ -91,18 +91,18 @@ def test_benchmark_workloads_run_traced(tmp_path, monkeypatch):
         assert counters["optimizers.grad_evals"] >= unit.updates, name
 
 
-def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    return bench_pairs
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.mark.parametrize("stdout", ["", 'print(\'{"metrics": {}, "failed": 1}\')'],
                          ids=["no-output", "metrics"])
 def test_bench_pairs_stops_on_a_failed_run(tmp_path, stdout):
     # a run that exits 1 is no measurement, whether or not it printed metrics
-    bench_pairs = load_bench_pairs()
+    bench_pairs = load_tool("bench_pairs")
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         f"import sys\n{stdout}\nprint('check failed: residual', file=sys.stderr)\nsys.exit(1)\n")
@@ -125,7 +125,7 @@ def test_bench_pairs_stops_when_the_parent_is_not_a_git_checkout(tmp_path):
     (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     out = tmp_path / "BENCH.json"
     with pytest.raises(SystemExit) as stopped:
-        load_bench_pairs().main(["--parent", str(parent), "--change", str(change),
+        load_tool("bench_pairs").main(["--parent", str(parent), "--change", str(change),
                                  "--out", str(out)])
     assert str(parent) in str(stopped.value) and "not a git checkout" in str(stopped.value)
     assert not out.exists()
@@ -149,7 +149,7 @@ def test_bench_pairs_stops_when_the_benchmarks_differ(tmp_path, edit):
     subprocess.run(["git", "init", "-q"], cwd=parent, check=True)
     subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
                     "commit", "-q", "--allow-empty", "-m", "parent"], cwd=parent, check=True)
-    bench_pairs = load_bench_pairs()
+    bench_pairs = load_tool("bench_pairs")
     assert bench_pairs.first_difference(parent, change) is None
     with open(change / edit, "a") as fh:
         fh.write("\n")
@@ -176,7 +176,7 @@ def test_bench_pairs_compares_each_seed_with_its_pair():
     def results(values):
         return [{"metrics": {name: {"value": v} for name in spec}} for v in values]
 
-    out = load_bench_pairs().compare(results(parent), results(change), spec)
+    out = load_tool("bench_pairs").compare(results(parent), results(change), spec)
     lower, higher = out["run_ms_p90"], out["updates_per_s"]
     assert (lower["wins"], higher["wins"]) == (4, 0)
     assert lower["ratio_of_medians"] == pytest.approx(0.8)
@@ -188,7 +188,7 @@ def test_bench_pairs_compares_each_seed_with_its_pair():
         assert paired[key] == pytest.approx(0.8)
     assert higher["paired_ratio"] == paired
     # seeds on which the change ran slower and faster than its pair
-    out = load_bench_pairs().compare(results(parent), results([12.0, 18.0, 30.0, 44.0]),
+    out = load_tool("bench_pairs").compare(results(parent), results([12.0, 18.0, 30.0, 44.0]),
                                      spec)
     paired = out["run_ms_p90"]["paired_ratio"]
     assert paired["values"] == pytest.approx([1.2, 0.9, 1.0, 1.1])
@@ -198,9 +198,13 @@ def test_bench_pairs_compares_each_seed_with_its_pair():
 
 def test_bench_pairs_counts_each_trees_source_lines(tmp_path):
     # the counts are those of `wc -l src/asyncsgd/*.py`: newlines per file,
-    # so a last line without one is not counted, and files outside are not
+    # so a last line without one is not counted, and files outside are not;
+    # and the code lines: not blank, comment or docstring lines, but every
+    # line of a string that is code (lines 5, 7 and 8 of d.py)
+    code = ('"""A module\ndocstring."""\n\n# a comment\ndef f():\n    """Its docstring."""\n'
+            '    return """a\nb"""   # two lines\n')
     trees = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
-             "change": {"a.py": "x = 1\n", "c.py": "\n\n\n"}}
+             "change": {"a.py": "x = 1\n", "c.py": "\n\n\n", "d.py": code}}
     for side, files in trees.items():
         package = tmp_path / side / "src" / "asyncsgd"
         package.mkdir(parents=True)
@@ -208,6 +212,29 @@ def test_bench_pairs_counts_each_trees_source_lines(tmp_path):
             (package / name).write_text(text)
         (package / "notes.txt").write_text("not\ncounted\n")
         (tmp_path / side / "src" / "other.py").write_text("not counted\n")
-    src_lines = load_bench_pairs().src_lines
-    assert src_lines(tmp_path / "parent") == {"files": {"a.py": 2, "b.py": 0}, "total": 2}
-    assert src_lines(tmp_path / "change") == {"files": {"a.py": 1, "c.py": 3}, "total": 4}
+    src_lines = load_tool("bench_pairs").src_lines
+    assert src_lines(tmp_path / "parent") == {
+        "files": {"a.py": 2, "b.py": 0}, "total": 2,
+        "code": {"files": {"a.py": 2, "b.py": 1}, "total": 3}}
+    assert src_lines(tmp_path / "change") == {
+        "files": {"a.py": 1, "c.py": 3, "d.py": 8}, "total": 12,
+        "code": {"files": {"a.py": 1, "c.py": 0, "d.py": 3}, "total": 4}}
+
+
+def test_scalar_dim_times_each_path_and_restores_the_constants(monkeypatch, capsys):
+    # both modes at a small scale: per d, the float loop against the numpy
+    # form (past _FLOAT_DIM too), and per M the float loop against the
+    # batched path; the tool stops if two paths end apart
+    from asyncsgd import problems
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool puts its --src first
+    constants = (problems._FLOAT_DIM, problems._FLOAT_BLOCK, problems._SCALAR_BLOCK)
+    scalar_dim = load_tool("scalar_dim")
+    assert scalar_dim.main(["--pairs", "1", "--horizon", "200", "--dims", "2,7"]) == 0
+    assert scalar_dim.main(["--pairs", "1", "--horizon", "200", "--blocks", "2,7",
+                            "--dims", "2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[0].isdigit()]
+    assert [row[0] for row in rows] == ["2", "7", "2", "2", "2", "2"]
+    assert [row[1:3] for row in rows[2:]] == [["off", "2"], ["off", "7"], ["on", "2"],
+                                              ["on", "7"]]
+    assert (problems._FLOAT_DIM, problems._FLOAT_BLOCK, problems._SCALAR_BLOCK) == constants

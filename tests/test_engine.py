@@ -33,7 +33,7 @@ from asyncsgd import (
     simulate_trace,
     trace_from_workers,
 )
-from asyncsgd import optimizers
+from asyncsgd import optimizers, problems
 from asyncsgd.optimizers import _ready_blocks
 from asyncsgd.problems import Problem, offset_start
 from asyncsgd.scheduler import dispatch_iterations
@@ -333,19 +333,20 @@ NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
 
 # an explicit order whose ready blocks alternate between blocks of four
 # arrivals and runs of shorter ones, the last arrival being in one of those:
-# past _FLOAT_DIM, batched blocks and scalar runs
+# past problems._FLOAT_DIM, batched blocks and scalar runs
 MIXED = (1, 2, 3, 4, 1, 1, 2, 1, 3, 4, 2, 1, 1, 1, 3, 2, 4, 1)
 
 # eight workers in ready blocks of 7, 1, 2, 7, 3, 7 and 1 arrivals: up to
-# _FLOAT_DIM, on a problem's own step oracle, blocks past _FLOAT_BLOCK (6)
+# _FLOAT_DIM, on a problem's own step oracle, blocks past
+# problems._FLOAT_BLOCK (6)
 # between runs of float-loop ones
 MIXED_LONG = (1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 1, 2, 3, 4, 5, 6, 6, 7, 8,
               8, 1, 2, 3, 4, 5, 6, 6)
 
 
-# the scalar loop keeps its iterate as Python floats up to _FLOAT_DIM, and
-# as a numpy row past it
-EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
+# the scalar loop keeps its iterate as Python floats up to
+# problems._FLOAT_DIM, and takes the numpy form past it
+EDGE_DIMS = [1, 3, problems._FLOAT_DIM, problems._FLOAT_DIM + 1, 50]
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,28 +361,29 @@ EDGE_DIMS = [1, 3, optimizers._FLOAT_DIM, optimizers._FLOAT_DIM + 1, 50]
 @example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, False, 3)
 @example("rows", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 1024, True, 3)
 @example("additive", 3, 4, MIXED, len(MIXED), 1024, True, 3)
-@example("rows", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 1024, True, 3)
+@example("rows", problems._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 1024, True, 3)
 @example("heterogeneous", 3, 4, MIXED, len(MIXED), 7, True, 3)
-@example("nonconvex-additive", optimizers._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 7, True, 3)
+@example("nonconvex-additive", problems._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 7, True, 3)
 @example("heterogeneous", 3, 8, MIXED_LONG, len(MIXED_LONG), 1024, True, 3)
-@example("rows", optimizers._FLOAT_DIM, 8, MIXED_LONG, len(MIXED_LONG), 7, True, 3)
+@example("rows", problems._FLOAT_DIM, 8, MIXED_LONG, len(MIXED_LONG), 7, True, 3)
 # M equal workers over 12 rounds, so every block holds M arrivals: on a
-# problem's own step oracle the float loop takes them up to _FLOAT_BLOCK, and
-# one more the batched path; on the default oracle (the nonconvex kinds) the
-# batched path takes every block past _SCALAR_BLOCK
+# problem's own step oracle the float loop takes them up to
+# problems._FLOAT_BLOCK, and one more the batched path; on the default oracle
+# (the nonconvex kinds) the batched path takes every block past
+# problems._SCALAR_BLOCK
 @example("additive", 2, 3, "equal", 36, 1024, True, 1)
 @example("heterogeneous", 2, 5, "equal", 60, 1024, True, 2)
-@example("rows", 2, optimizers._FLOAT_BLOCK + 1, "equal", 12 * (optimizers._FLOAT_BLOCK + 1),
+@example("rows", 2, problems._FLOAT_BLOCK + 1, "equal", 12 * (problems._FLOAT_BLOCK + 1),
          1024, True, 3)
 @example("heterogeneous-exact", 4, 3, "equal", 36, 1024, True, 4)
 @example("rows", 4, 5, "equal", 60, 1024, True, 5)
-@example("nonconvex-rows", 4, optimizers._FLOAT_BLOCK + 1, "equal",
-         12 * (optimizers._FLOAT_BLOCK + 1), 1024, True, 6)
-@example("exact", optimizers._FLOAT_DIM, 3, "equal", 36, 1024, True, 7)
-@example("additive", optimizers._FLOAT_DIM, 5, "equal", 60, 1024, True, 8)
+@example("nonconvex-rows", 4, problems._FLOAT_BLOCK + 1, "equal",
+         12 * (problems._FLOAT_BLOCK + 1), 1024, True, 6)
+@example("exact", problems._FLOAT_DIM, 3, "equal", 36, 1024, True, 7)
+@example("additive", problems._FLOAT_DIM, 5, "equal", 60, 1024, True, 8)
 @example("nonconvex-additive", 4, 3, "equal", 36, 1024, True, 8)
-@example("heterogeneous", optimizers._FLOAT_DIM, optimizers._FLOAT_BLOCK + 1, "equal",
-         12 * (optimizers._FLOAT_BLOCK + 1), 1024, True, 9)
+@example("heterogeneous", problems._FLOAT_DIM, problems._FLOAT_BLOCK + 1, "equal",
+         12 * (problems._FLOAT_BLOCK + 1), 1024, True, 9)
 def test_block_engine_equals_per_step_replay(kind, dim, m_count, speeds, horizon, chunk,
                                              diagnostics, seed):
     # small chunks put chunk edges inside blocks and between them; a tuple
@@ -475,13 +477,13 @@ def test_divergence_mid_block_and_mid_chunk(m_count, step, limit, horizon):
 
 @pytest.mark.parametrize("m_count, dim", [
     *(pytest.param(m, 3, id=str(m)) for m in (1, 2, 8)),
-    *(pytest.param(m, optimizers._FLOAT_DIM + 1, id=f"{m}-past-float-dim") for m in (1, 2, 8))])
+    *(pytest.param(m, problems._FLOAT_DIM + 1, id=f"{m}-past-float-dim") for m in (1, 2, 8))])
 def test_largest_limit_stops_at_a_finite_or_infinite_iterate_past_it(m_count, dim):
     # step 1 and a constant gradient of -L/2 put x_2 on the largest limit L,
     # where it passes, and x_3 = 1.5 L past it, a finite point whose squared
     # norm overflows; a gradient of -inf makes x_1 itself infinite. One or
-    # two workers take the scalar loop, on Python floats at d = 3 and on
-    # numpy rows past _FLOAT_DIM, eight the batched path, whose screen fails
+    # two workers take the scalar loop, on Python floats at d = 3 and on the
+    # numpy form past problems._FLOAT_DIM, eight the batched path, whose screen fails
     # on the overflowing sum of squares of rows within the limit. No path
     # warns, and the tests run with RuntimeWarnings as errors
     above = math.nextafter(LARGEST_LIMIT, math.inf)
@@ -507,17 +509,17 @@ def test_largest_limit_stops_at_a_finite_or_infinite_iterate_past_it(m_count, di
         run_async(problem, trace, schedule, x0, seed=1, divergence_norm=above)
 
 
-@pytest.mark.parametrize("dim", [3, optimizers._FLOAT_DIM + 1])
+@pytest.mark.parametrize("dim", [3, problems._FLOAT_DIM + 1])
 def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim):
     # a step of 1e160 puts x_1 near 1e160, a finite point whose squared norm
     # overflows, and a step of 1.7e308 puts gamma_1 g_1 itself past the float
     # range (a gradient entry past 1.06 does, as least squares' first one
     # has from two units away and the additive nonconvex one by its noise):
     # one worker replays it on the scalar loop, on Python floats at d = 3
-    # and on numpy rows past _FLOAT_DIM; four on the float loop at d = 3
-    # through least squares' own step oracle, and on the batched path past
-    # _FLOAT_DIM and through the nonconvex problem's default oracle; and
-    # _FLOAT_BLOCK + 1 on the batched path. Each raises the same
+    # and on the numpy form past problems._FLOAT_DIM; four on the float loop
+    # at d = 3 through least squares' own step oracle, and on the batched
+    # path past _FLOAT_DIM and through the nonconvex problem's default oracle;
+    # and problems._FLOAT_BLOCK + 1 on the batched path. Each raises the same
     # DivergedError, and none warns
     errors = []
     for problem, x0 in ((ls := least_squares(dim=dim, num_samples=10, sigma=1.0, seed=1),
@@ -525,7 +527,7 @@ def test_an_overflowing_step_diverges_alike_on_every_path_without_a_warning(dim)
                         (bounded_nonconvex(dim=dim, seed=1), np.full(dim, 0.5)),
                         (bounded_nonconvex(dim=dim, noise="additive", sigma=5.0, seed=1),
                          np.full(dim, 0.5))):
-        for m_count, step in itertools.product((1, 4, optimizers._FLOAT_BLOCK + 1),
+        for m_count, step in itertools.product((1, 4, problems._FLOAT_BLOCK + 1),
                                                (1e160, 1.7e308)):
             trace = simulate_trace(FixedSpeeds((1.0,) * m_count), 40)
             schedule = make_schedule("constant", problem.constants_for(x0, m_count, 40), step)
@@ -732,7 +734,7 @@ def block_orders(draw, m_count=4):
        st.integers(min_value=0, max_value=2**16))
 def test_single_run_equals_its_seed_in_a_batch(order, kind, dim, chunk, metrics, seed):
     # the single run takes the scalar loop on its blocks of up to
-    # _FLOAT_BLOCK arrivals at d = 1 and 3 through a problem's own step
+    # problems._FLOAT_BLOCK arrivals at d = 1 and 3 through a problem's own step
     # oracle, and otherwise of one or two, the batch the batched path on
     # every block
     order, lengths = order
@@ -1043,3 +1045,41 @@ def test_several_runs_raise_the_error_of_the_first_diverging_run_in_order():
                 run_async(problem, traces, [schedule, schedule], x0, seeds=[late, early],
                           divergence_norm=limit)
             assert (exc.value.iteration, exc.value.norm) == outcomes[expected]
+
+
+@pytest.mark.parametrize("batch", [16, 3])
+def test_several_runs_whose_batch_fails_the_screen_return_their_own_records(batch):
+    # two runs over the seeds that never pass the limit: a batch of their
+    # points side by side fails the screen with no point past the limit, so
+    # from that batch on each run and seed is replayed on its own, in order,
+    # and returns its own run's record
+    problem, long, x0, schedule, limit, outcomes = _noisy_divergence()
+    fine = [s for s, out in outcomes.items() if out is None]
+    short = simulate_trace(FixedSpeeds((1.0, 1.0, 1.0, 1.3)), long.horizon - 1)
+    calls, replay = [], optimizers._replay
+
+    def counted(problem, runs, x0, seeds, **options):
+        calls.append((len(runs), len(seeds)))
+        return replay(problem, runs, x0, seeds, **options)
+
+    with mock.patch.object(optimizers, "_replay", counted), \
+            mock.patch.object(optimizers, "_SEED_BATCH", batch):
+        runs = run_async(problem, [long, short], [schedule, schedule], x0, seeds=fine,
+                         divergence_norm=limit)
+        first = calls.index((1, 1))
+        done = sum(n for _, n in calls[:first - 1])   # the batches that passed
+        assert calls[first:] == [(1, 1)] * (2 * (len(fine) - done))
+        # the single-seed form takes the same path, on the seed that comes
+        # nearest the limit while both runs are in the batch
+        calls.clear()
+        peak = max(fine, key=lambda s: np.linalg.norm(run_async(
+            problem, short, schedule, x0, seed=s, keep_iterates=True).iterates, axis=1).max())
+        single = run_async(problem, [long, short], [schedule, schedule], x0, seed=peak,
+                           divergence_norm=limit)
+    assert len(runs) == len(single) == 2 and calls[-2:] == [(1, 1)] * 2
+    for trace, run, one in zip((long, short), runs, single):
+        assert len(run) == len(fine)
+        for s, record in zip(fine, run):
+            _same_record(record, run_async(problem, trace, schedule, x0, seed=s,
+                                           divergence_norm=limit))
+        _same_record(one, run[fine.index(peak)])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,9 +18,9 @@ from asyncsgd import (
     least_squares,
     least_squares_from_csv,
 )
-from asyncsgd import optimizers
-from asyncsgd.problems import (RHO_CURV_MAX, RHO_GRAD_MAX, Problem, _rho, _rho_prime,
-                               _step_form, point_metrics)
+from asyncsgd.problems import (_FLOAT_BLOCK, _FLOAT_DIM, _SCALAR_BLOCK, RHO_CURV_MAX,
+                               RHO_GRAD_MAX, Problem, _rho, _rho_prime, _step_form,
+                               point_metrics, scalar_step)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +369,9 @@ def test_default_sample_grads_stacks_sample_grad():
 
 
 # every dimension a run asks a step form for, two past them and a wide one:
-# each dimension has its own generated code
-STEP_DIMS = [*range(1, optimizers._FLOAT_DIM + 3), 50]
+# each dimension has its own generated code, and past _FLOAT_DIM a run takes
+# the numpy form
+STEP_DIMS = [*range(1, _FLOAT_DIM + 3), 50]
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,6 +426,25 @@ def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
                 assert np.array(values).tobytes() == expected.tobytes()
                 assert np.array(by_default).tobytes() == expected.tobytes()
         assert calls == [*range(1, m_count + 1)] * 3
+        _, longest, listed, floats = scalar_step(problem)
+        assert (listed, floats) == (own and dim <= _FLOAT_DIM, dim <= _FLOAT_DIM)
+        assert longest == (_FLOAT_BLOCK if listed else _SCALAR_BLOCK)
+        if dim > _FLOAT_DIM:
+            # the numpy form, each call taking the row the one before returned
+            # (it returns a scratch row), and a step past half the float range
+            step_row = scalar_step(problem)[0]
+            x = np.array(prev)
+            for j, worker in itertools.product(range(3), range(1, m_count + 1)):
+                sample = None if samples is None else samples[j]
+                plain = sample if sample is None or sample.ndim else sample.tolist()
+                for rate in (sys.float_info.max, gamma):   # gamma's row is the next prev
+                    with np.errstate(over="ignore"):
+                        expected = x - rate * problem.sample_grad(point, sample, worker)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        values = step_row(x, point, plain, worker, rate)
+                    assert values.tobytes() == expected.tobytes()
+                x = values
         if kind.startswith("heterogeneous"):
             # no worker: the mean objective's step
             expected = np.array(prev) - gamma * problem.sample_grad(point, sample, None)

@@ -17,16 +17,19 @@ summarizes change/parent per seed: each pair ran back to back, so the
 ratio cancels the drift that moves one tree's unpaired medians between
 minutes. Every workload also gets one traced run (`--trace 1`,
 seed 1) per tree, for the per-layer metrics. `src_lines` records each
-tree's `wc -l src/asyncsgd/*.py`, per file and in total.
+tree's `wc -l src/asyncsgd/*.py`, and its code lines by `tokenize`, per file
+and in total.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +80,34 @@ def first_difference(parent: Path, change: Path) -> str | None:
                  if ours.get(name) != theirs.get(name)), None)
 
 
+# tokens that hold no code: layout, comments and the end of the file
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """The lines of Python source that hold a token other than a comment or
+    a docstring, every line of a multi-line token counted. A docstring is
+    here any string that makes up a whole statement."""
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+              if t.type not in _LAYOUT or t.type == tokenize.NEWLINE]
+    lines = set()
+    for before, token, after in zip([None, *tokens], tokens, [*tokens[1:], None]):
+        alone = before is None or before.type == tokenize.NEWLINE
+        if token.type != tokenize.NEWLINE and not (
+                token.type == tokenize.STRING and alone and after.type == tokenize.NEWLINE):
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
 def src_lines(tree: Path) -> dict:
-    """What `wc -l src/asyncsgd/*.py` counts in a tree: newlines per file, and their total."""
-    files = {p.name: p.read_bytes().count(b"\n")
-             for p in sorted((tree / "src" / "asyncsgd").glob("*.py"))}
-    return {"files": files, "total": sum(files.values())}
+    """What `wc -l src/asyncsgd/*.py` counts in a tree, newlines per file and
+    their total, and under "code" the same for `code_lines`."""
+    paths = sorted((tree / "src" / "asyncsgd").glob("*.py"))
+    files = {p.name: p.read_bytes().count(b"\n") for p in paths}
+    code = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in paths}
+    return {"files": files, "total": sum(files.values()),
+            "code": {"files": code, "total": sum(code.values())}}
 
 
 def summary(values: list[float]) -> dict:

@@ -1,5 +1,5 @@
-"""Time the single-run scalar loop on Python floats and on numpy rows, per
-dimension, or the float loop against the batched path, per block length.
+"""Time the single-run scalar loop on Python floats and on the numpy form,
+per dimension, or the float loop against the batched path, per block length.
 
     python3 tools/scalar_dim.py --pairs 7
     python3 tools/scalar_dim.py --problem bounded-nonconvex --dims 2,8 --horizon 20000
@@ -12,9 +12,9 @@ scalar loop. The problems: least squares with additive noise (sigma 1) and
 the heterogeneous quadratics (one worker, so no dissimilarity, sigma 1),
 which both have their own step oracle, and the bounded nonconvex problem
 with row noise, which takes the default one, built on `sample_grad`. The
-run is timed with `optimizers._FLOAT_DIM` set so that the loop keeps its
-iterate as Python floats, through the step oracle, and set so that it keeps
-it as a numpy row, alternating which goes first, for --pairs pairs after
+run is timed with `problems._FLOAT_DIM` set so that the loop keeps its
+iterate as Python floats, through the step oracle, and set so that it takes
+the numpy form, alternating which goes first, for --pairs pairs after
 one untimed warm-up of each. Both loops must give the same final iterate
 bit for bit, or the script stops. It prints, per d, each loop's median time
 per arrival and the median of the float/numpy ratios taken pair by pair.
@@ -23,7 +23,7 @@ per arrival and the median of the float/numpy ratios taken pair by pair.
 With --blocks, M equal workers replay K arrivals for each M listed, so every
 ready block is M arrivals long, at each d of --dims (which should be at most
 `_FLOAT_DIM`), with diagnostics off and on. The run is timed with
-`optimizers._FLOAT_BLOCK` and `_SCALAR_BLOCK` set so that the float loop
+`problems._FLOAT_BLOCK` and `_SCALAR_BLOCK` set so that the float loop
 takes every block and set so that the batched path does, in pairs as above,
 and must end at the same iterate, gradient store included. It prints each
 path's median time per arrival and the float/batched ratio. The longest
@@ -77,7 +77,7 @@ def _pairs(run, loops: dict, pairs: int, horizon: int):
     return per_arrival, ratio
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dims", default=None,
                         help=f"comma-separated dimensions (default {','.join(map(str, DIMS))}, "
@@ -91,12 +91,12 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=7, help="timed pairs per measurement")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="directory the asyncsgd package is imported from")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     dims = args.dims or ",".join(map(str, DIMS if args.blocks is None else BLOCK_DIMS))
 
     sys.path.insert(0, args.src)
     import asyncsgd
-    from asyncsgd import optimizers
+    from asyncsgd import problems
     from asyncsgd.problems import offset_start
 
     build, tag = PROBLEMS[args.problem]
@@ -105,11 +105,11 @@ def main() -> int:
     names, loops = ((("_FLOAT_DIM",), {"float": sys.maxsize, "numpy": 0})
                     if args.blocks is None else
                     (("_FLOAT_BLOCK", "_SCALAR_BLOCK"), {"float": sys.maxsize, "batched": 0}))
-    kept = {name: getattr(optimizers, name) for name in names}
+    kept = {name: getattr(problems, name) for name in names}
     print(f"source: {args.src}")
     print(f"{args.problem}, K = {args.horizon}, {args.pairs} pairs; _FLOAT_DIM is "
-          f"{optimizers._FLOAT_DIM}, _FLOAT_BLOCK {optimizers._FLOAT_BLOCK} and _SCALAR_BLOCK "
-          f"{optimizers._SCALAR_BLOCK} in this source")
+          f"{problems._FLOAT_DIM}, _FLOAT_BLOCK {problems._FLOAT_BLOCK} and _SCALAR_BLOCK "
+          f"{problems._SCALAR_BLOCK} in this source")
     ratio_name = "/".join(loops)
     if args.blocks is None:
         print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {ratio_name:>12}")
@@ -121,7 +121,7 @@ def main() -> int:
                for m in map(int, args.blocks.split(","))])
     try:
         for dim, m_count, diagnostics in shapes:
-            if args.blocks is not None and dim > optimizers._FLOAT_DIM:
+            if args.blocks is not None and dim > problems._FLOAT_DIM:
                 raise SystemExit(f"d = {dim} is past _FLOAT_DIM, where no block takes "
                                  "the float loop")
             problem = build(asyncsgd, dim, m_count)
@@ -134,7 +134,7 @@ def main() -> int:
 
             def run(loop: str):
                 for name in names:
-                    setattr(optimizers, name, loops[loop])
+                    setattr(problems, name, loops[loop])
                 start = time.perf_counter()
                 record = asyncsgd.run_async(problem, trace, schedule, x0, seed=1,
                                             diagnostics=diagnostics)
@@ -154,7 +154,7 @@ def main() -> int:
                       f"{first:>9.2f} {second:>11.2f} {ratio:>14.3f}")
     finally:
         for name, value in kept.items():
-            setattr(optimizers, name, value)
+            setattr(problems, name, value)
     return 0
 
 
