@@ -4,9 +4,10 @@ replayed through the same engine.
 
 `run_async` replays a fixed arrival trace through the delayed update
 x_k = x_{k-1} - gamma(tau_k) g(x_{p_k}): a ready block at a time, on a
-batched path or, for a single run's short blocks, on one scalar loop whose
-step `problems.scalar_step` chooses; a chunk of _CHUNK arrivals at a time;
-and over a batch of seeds and of runs over prefixes of one trace at once.
+batched path or, for a single run's short blocks, in one call of the
+compiled scalar run that `problems.scalar_step` gives; a chunk of _CHUNK
+arrivals at a time; and over a batch of seeds and of runs over prefixes of
+one trace at once.
 README's `run_async` paragraphs describe that mechanism. Its contracts:
 
 - Bit identity. Every record equals, bit for bit, the per-step loop that
@@ -29,6 +30,7 @@ replay through `run_async` checks and turns into a RunRecord.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time as _time
@@ -188,36 +190,29 @@ def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
     return samples.reshape((-1,) + samples.shape[2:])
 
 
-def _ready_blocks(prevs: list[int], start: int) -> list[int]:
-    """Bounds, relative to `start`, of the ready blocks of the arrivals
-    start, start+1, ...: greedy runs of arrivals whose dispatch iterations
-    are all at most the run's first index, so that every gradient of a run
-    is taken at an iterate that exists before the run starts.
-
-    A block's arrivals were dispatched no later than its start, so the
-    prefix maximum of `prevs` before a block starting at s stays below
-    start + s, and the next block starts at the first arrival whose prefix
-    maximum passes start + s."""
+def _runs(prevs: np.ndarray, start: int, longest: int) -> tuple[list[int], list[bool]]:
+    """The arrivals start, start+1, ... cut into runs: returns their bounds,
+    relative to `start`, and a flag per run, True for a scalar run and False
+    for a ready block. The ready block that opens at s is the greedy run of
+    arrivals whose dispatch iterations are all at most start + s, so that
+    every gradient of the block is taken at an iterate that exists before it
+    starts; every arrival before s was dispatched earlier than that, so the
+    prefix maximum of `prevs` finds its end. Each block longer than
+    `longest` is a run of its own, found where the previous run ends, and
+    the arrivals between two such blocks are one scalar run: none of them
+    opens a block longer than `longest`. With longest = 0 the runs are the
+    greedy chain of ready blocks from the first arrival."""
     n = len(prevs)
     ends = np.searchsorted(np.maximum.accumulate(prevs), np.arange(start, start + n),
-                           side="right").tolist()
-    bounds, s = [0], 0
-    while s < n:
-        s = ends[s]
-        bounds.append(s)
-    return bounds
-
-
-def _scalar_runs(bounds: list[int], longest: int) -> tuple[list[int], list[bool]]:
-    """The blocks of `bounds` regrouped as runs: each maximal run of
-    consecutive blocks of at most `longest` arrivals is one run, flagged
-    True, and each longer block is a run of its own, flagged False. Returns
-    the runs' bounds and flags."""
-    bounds = np.asarray(bounds)
-    short = np.diff(bounds) <= longest
-    keep = np.ones(len(bounds), dtype=bool)
-    keep[1:-1] = ~(short[:-1] & short[1:])   # a bound between two short blocks goes
-    return bounds[keep].tolist(), short[keep[:-1]].tolist()
+                           side="right")
+    at = np.arange(n)
+    # the first arrival at or after each s that opens a block longer than `longest`
+    opens = np.minimum.accumulate(np.where(ends - at > longest, at, n)[::-1])[::-1].tolist()
+    ends, bounds, scalar = ends.tolist(), [0], []
+    while (s := bounds[-1]) < n:
+        scalar.append(opens[s] > s)
+        bounds.append(opens[s] if opens[s] > s else ends[s])
+    return bounds, scalar
 
 
 def _slot(dispatch: np.ndarray, workers: np.ndarray, m_count: int) -> np.ndarray:
@@ -427,14 +422,9 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # sample of one integer per arrival is drawn d times as far ahead
     span = max(1, min(_CHUNK, 2 * _CHUNK // n_seeds))
     drawn = 0
-    # a single run's scalar step, the longest block it takes, whether it
-    # takes a sample block's rows as lists and whether its iterate is Python
-    # floats; and its screen, math.hypot on floats and np.vdot on a numpy
-    # row: a point whose norm or square sum is within it passes the test
-    # (see _check_rows), and neither warns
-    step, short, listed, floats = scalar_step(problem)
-    screen, hypot = divergence_norm * math.sqrt(0.5), math.hypot
-    square, vdot = 0.5 * divergence_norm * divergence_norm, np.vdot
+    # a single run's scalar run, the longest block it takes, and whether it
+    # takes a 2-D sample block's rows as tuples
+    run, short, listed = scalar_step(problem)
     records = [None] * n_runs
 
     def leave(first: int, stop: int) -> None:
@@ -520,33 +510,37 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
         point_workers = workers if rows == 1 else np.repeat(workers, rows)
         src = np.where(chunk_prevs >= start, m_count + chunk_prevs - start, workers - 1)
         store = _slot(chunk_prevs, workers, m_count) if diagnostics else None
-        # a single run replays its short blocks in runs, one arrival at a time
-        bounds, scalar = _scalar_runs(_ready_blocks(chunk_prevs, start),
-                                      short if rows == 1 else 0)
+        # a single run replays its short blocks in scalar runs
+        bounds, scalar = _runs(chunk_prevs, start, short if rows == 1 else 0)
         if any(scalar):
             # per arrival of the chunk, as Python lists: its dispatch point's
-            # table row, its worker, stepsize and sample (a row of a 2-D block
-            # as a list, or as a row view)
+            # table row, its worker and stepsize; and its sample, None, an item
+            # of a 1-D block, or a row of a 2-D block, as a numpy row or, to a
+            # problem's own oracle, a tuple made as the run takes it from one
+            # flat list: never a list per row
             src_list, worker_list = src.tolist(), workers.tolist()
             gamma_list = gammas[0][start:stop].tolist()
-            sample_rows = ([None] * n if samples is None
-                           else samples.tolist() if samples.ndim == 1 or listed else samples)
+            flat = (samples.ravel().tolist()
+                    if samples is not None and (listed or samples.ndim == 1) else None)
+
+            def sample_rows(a: int, b: int):
+                if flat is None:
+                    return itertools.repeat(None) if samples is None else samples[a:b]
+                if samples.ndim == 1:
+                    return flat[a:b]
+                return zip(*[iter(flat[a * dim:b * dim])] * dim)
         # every block is checked before the next one takes gradients, so no
         # gradient is taken at a point that failed the divergence test
         for a, b, alone in zip(bounds, bounds[1:], scalar):
             if alone:
-                # x_k = x_{k-1} - gamma_k g_k, each k tested before the next,
-                # by the form's screen; only a point that fails it is tested
-                # exactly, with numpy's overflow warnings off
-                x = buf[a].tolist() if floats else buf[a]
-                for k, point, sample, m, gamma in zip(
-                        range(a + 1, b + 1), src_list[a:b], sample_rows[a:b],
-                        worker_list[a:b], gamma_list[a:b]):
-                    x = step(x, table[point], sample, m, gamma)
-                    buf[k] = x
-                    if not (hypot(*x) <= screen if floats else vdot(x, x) <= square):
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            _check_rows(buf[k:k + 1], start + k, divergence_norm)
+                # x_k = x_{k-1} - gamma_k g_k, each k screened before the
+                # next; a point that fails the screen is tested exactly, with
+                # numpy's overflow warnings off, and the run resumes after it
+                while k := run(buf, a, table, src_list[a:b], sample_rows(a, b),
+                               worker_list[a:b], gamma_list[a:b], divergence_norm):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        _check_rows(buf[k:k + 1], start + k, divergence_norm)
+                    a = k
                 continue
             block = slice(a * rows, b * rows)
             g = problem.sample_grads(table.take(src[a:b], axis=0).reshape(-1, dim),
@@ -570,7 +564,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             gradients[0][store[alone]] = problem.sample_grads(
                 table.take(src[alone], axis=0), None if samples is None else samples[alone],
                 workers[alone])
-        samples = sample_rows = None
+        samples = flat = None
         if stop == drawn:   # freed before the running sums and the next draw
             drawn_samples = None
 

@@ -110,30 +110,34 @@ class Problem:
                          for x, sample, m in zip(xs, samples, workers.tolist())])
 
     def step_oracle(self):
-        """The scalar replay's step up to _FLOAT_DIM dimensions (see
-        `scalar_step`): a function step(prev, point, sample,
-        worker, gamma) that returns the next iterate [p - g_i * gamma ...] as
-        a list of Python floats, prev being the previous iterate as a list and
-        g the stochastic gradient `sample_grad(point, sample, worker)`. It
-        must equal (prev - gamma * sample_grad(point, sample, worker)).tolist()
-        bit for bit. A run asks for it once and calls it once per arrival.
+        """The scalar replay's run up to _FLOAT_DIM dimensions (see
+        `scalar_step`): a function run(buf, first, table, points, samples,
+        workers, gammas, limit) that replays a run of arrivals from the
+        iterate buf[first]. Arrival j takes the gradient
+        `sample_grad(table[points[j]], samples[j], workers[j])` and writes
+        x_k = x_{k-1} - gammas[j] * g into buf[k], k = first + 1 + j, equal
+        to that numpy expression bit for bit; it keeps the iterate as Python
+        floats between arrivals, so nothing it does warns past the gradient.
+        Each x_k is screened (math.hypot within limit * sqrt(0.5)) before
+        the next gradient, and the run returns the first k that fails the
+        screen, or 0 once every arrival is done. A run asks for it once and
+        calls it once per scalar run.
 
         This default builds on `sample_grad(...).tolist()` and takes the
-        sample as `sample_grad` does. An override takes a row of a
-        two-dimensional sample block as its `tolist()`, which the replay makes
-        once per chunk. Least squares and the heterogeneous quadratics
-        override it with a form that makes the same numpy matrix-vector call
-        as `sample_grad`, then forms the gradient and the step in one Python
-        float expression per coordinate, in numpy's order, so it never warns
-        past that call. Every built-in form, this default too, is
-        straight-line code generated once per dimension (see `_step_form`).
-        A subclass that changes how one gradient is evaluated gets this
-        default back."""
+        samples as `sample_grad` does. An override takes the rows of a
+        two-dimensional sample block as tuples. Least squares and the
+        heterogeneous quadratics override it with a form that makes the same
+        numpy matrix-vector call as `sample_grad`, then forms the gradient
+        and the step in one Python float expression per coordinate, in
+        numpy's order. Every built-in form, this default too, is the
+        per-arrival loop of one template with the form's body, compiled once
+        per dimension (see `_step_form`). A subclass that changes how one
+        gradient is evaluated gets this default back."""
         return _step_form("default", self.dim)(self.sample_grad)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the batched and step forms are written for one way of evaluating a
+        # the batched and run forms are written for one way of evaluating a
         # gradient: a subclass that changes that way without bringing its own
         # form gets the default, which calls sample_grad, back
         own = vars(cls)
@@ -175,7 +179,7 @@ _FLOAT_DIM = 6
 # up to _FLOAT_DIM, the longest ready block a single run replays on the
 # scalar loop through a problem's own step oracle (tools/scalar_dim.py
 # --blocks times it against the batched path per block length) ...
-_FLOAT_BLOCK = 6
+_FLOAT_BLOCK = 8
 
 # ... and through the default oracle, and past _FLOAT_DIM (blocks of three
 # gain at d = 50 and lose at d = 10)
@@ -183,121 +187,127 @@ _SCALAR_BLOCK = 2
 
 
 def scalar_step(problem):
-    """A single run's scalar step and how the replay calls it: the step, the
-    longest ready block it replays, whether it takes a row of a 2-D sample
-    block as a list, and whether its iterate is a list of Python floats (the
-    problem's step oracle, up to _FLOAT_DIM) or a numpy row (the numpy form,
-    past it)."""
+    """A single run's scalar run and how the replay calls it: the run, the
+    longest ready block it replays, and whether it takes the rows of a 2-D
+    sample block as tuples. Up to _FLOAT_DIM it is the problem's step
+    oracle, which keeps the iterate as Python floats; past it, the numpy
+    form: run(...) as in `Problem.step_oracle`, on sample_grad, its iterate
+    a row of buf, screened by np.vdot within limit^2 / 2. The numpy form
+    never writes into a gradient and forms a step gamma ||g|| past half the
+    float range with numpy's overflow warnings off."""
     if problem.dim > _FLOAT_DIM:
-        return _numpy_step(problem.sample_grad, problem.dim), _SCALAR_BLOCK, False, False
+        return _step_form("numpy", problem.dim)(problem.sample_grad), _SCALAR_BLOCK, False
     listed = type(problem).step_oracle is not Problem.step_oracle
-    return problem.step_oracle(), _FLOAT_BLOCK if listed else _SCALAR_BLOCK, listed, True
+    return problem.step_oracle(), _FLOAT_BLOCK if listed else _SCALAR_BLOCK, listed
 
 
-def _numpy_step(sample_grad, dim: int):
-    """The scalar step past _FLOAT_DIM: step(prev, point, sample, worker,
-    gamma) returns prev - gamma * sample_grad(point, sample, worker), bit for
-    bit, in a scratch row that the next call overwrites unless it takes that
-    row as prev. It never writes into the gradient, and forms a step
-    gamma ||g|| past half the float range with numpy's overflow warnings off."""
-    first, second, safe = np.empty(dim), np.empty(dim), 0.5 * sys.float_info.max
-    sqrt, vdot, multiply, subtract = math.sqrt, np.vdot, np.multiply, np.subtract
+# The scalar run of every form (see Problem.step_oracle): the source of a
+# factory make(constants...) that returns run(...). A form fills in the
+# factory's arguments and setup, how the run loads x_first, the per-arrival
+# body that forms x_k, and the screen of x_k.
+_RUN = """
+def make({args}):
+    {setup}
 
-    def step(prev, point, sample, worker, gamma):
-        out = second if prev is first else first
-        g = sample_grad(point, sample, worker)   # read, never written
-        if sqrt(vdot(g, g)) * gamma <= safe:
-            multiply(g, gamma, out)
-        else:   # gamma g may pass the float range
-            with np.errstate(over="ignore", invalid="ignore"):
-                multiply(g, gamma, out)
-        # the replay's prev is within the divergence limit, far inside the
-        # float range, so the difference overflows no more than gamma g did
-        return subtract(prev, out, out)
-    return step
+    def run(buf, first, table, points, samples, workers, gammas, limit):
+        k = first
+        {load}
+        for point, sample, worker, gamma in zip(points, samples, workers, gammas):
+            k += 1
+{body}
+            if not {screen}:
+                return k
+        return 0
+    return run
+"""
 
+# How a form loads x_first, stores x_k and screens it. The Python float
+# forms keep x in p0, p1, ... ({p} stands for the target [p0, p1, ...]) and
+# store it through a memoryview of buf; the numpy form keeps x as a row of
+# buf. In a float form's body, {pae} stands for p0 = p0 - ((a0 - c0) + e0) *
+# gamma; ..., the float operations of the numpy expression it equals, in its
+# order.
+_FLOAT_PARTS = ('out, screen = memoryview(buf).cast("B").cast("d"), limit * sqrt(0.5)\n'
+                "        {p} = buf[first].tolist()",
+                "\n            at = k * {dim}\n            {store}", "hypot({xs}) <= screen")
+_NUMPY_PARTS = ("x, square = buf[first], 0.5 * limit * limit", "", "vdot(x, x) <= square")
 
-# The step forms of the float scalar loop (see Problem.step_oracle), each the
-# source of a factory make(constants...) that returns step(prev, point,
-# sample, worker, gamma). A step unpacks its lists into locals ({a} stands
-# for the target [a0, a1, ...]) and returns x_k as one list display ({pae}
-# for [p0 - ((a0 - c0) + e0) * gamma, ...]): the float operations of the
-# numpy form it equals, in its order.
+# per form: the factory's arguments, its setup, and the body of one arrival
 _STEP_FORMS = {
     # any problem: on sample_grad(...).tolist()
-    "default": """
-def make(sample_grad):
-    def step(prev, point, sample, worker, gamma):
-        {g} = sample_grad(point, sample, worker).tolist()
-        {p} = prev
-        return {pg}
-    return step
-""",
+    "default": ("sample_grad", "pass", """
+            {g} = sample_grad(table[point], sample, worker).tolist()
+            {pg}"""),
     # least squares with additive noise or exact gradients: _grad's matvec,
     # then its elementwise rest in Python floats
-    "additive": """
-def make(matvec, cross):
-    {c} = cross
-
-    def step(prev, point, sample, worker, gamma):
-        {a} = matvec(point).tolist()
-        {p} = prev
-        if sample is None:
-            return {pa}
-        {e} = sample
-        return {pae}
-    return step
-""",
+    "additive": ("matvec, cross", "{c} = cross; scratch = empty({dim})", """
+            {a} = matvec(table[point], scratch).tolist()
+            if sample is None:
+                {pa}
+            else:
+                {e} = sample
+                {pae}"""),
     # least squares with row noise: _row_grad with t a Python float, as a
     # numpy scalar could warn
-    "rows": """
-def make(mat, rhs):
-    def step(prev, point, sample, worker, gamma):
-        row = mat[sample]
-        t = float(row @ point) - rhs.item(sample)
-        {r} = row.tolist()
-        {p} = prev
-        return {pr}
-    return step
-""",
-    # the heterogeneous quadratics: _grad with worker m's shift, and the
-    # additive step for the mean objective
-    "heterogeneous": """
-def make(matvec, cross, shifts, check, mean_step):
-    {c} = cross
-
-    def step(prev, point, sample, worker, gamma):
-        if worker is None:   # the mean objective's gradient; no replay asks for it
-            return mean_step(prev, point, sample, worker, gamma)
-        check(worker)
-        {a} = matvec(point).tolist()
-        {p} = prev
-        {s} = shifts[worker - 1]
-        if sample is None:
-            return {pas}
-        {e} = sample
-        return {pase}
-    return step
-""",
+    "rows": ("mat, rhs", "pass", """
+            row = mat[sample]
+            t = float(row @ table[point]) - rhs.item(sample)
+            {r} = row.tolist()
+            {pr}"""),
+    # the heterogeneous quadratics: _grad with worker m's shift
+    "heterogeneous": ("matvec, cross, shifts, check",
+                      "{c} = cross; scratch = empty({dim}); count = len(shifts)", """
+            if not 0 < worker <= count:
+                check(worker)
+            {a} = matvec(table[point], scratch).tolist()
+            {s} = shifts[worker - 1]
+            if sample is None:
+                {pas}
+            else:
+                {e} = sample
+                {pase}"""),
+    # past _FLOAT_DIM (see scalar_step): x_k written into buf[k] through
+    # numpy; the replay's x_{k-1} is within the divergence limit, far inside
+    # the float range, so the difference overflows no more than gamma g did
+    "numpy": ("sample_grad", "pass", """
+            g = sample_grad(table[point], sample, worker)   # read, never written
+            prev, x = x, buf[k]
+            if sqrt(vdot(g, g)) * gamma <= SAFE:
+                multiply(g, gamma, x)
+            else:   # gamma g may pass the float range
+                with errstate(over="ignore", invalid="ignore"):
+                    multiply(g, gamma, x)
+            subtract(prev, x, x)"""),
 }
 
-# coordinate i of each form's gradient, in the order of its numpy form
+# coordinate i of each float form's gradient, in the order of its numpy form
 _STEP_TERMS = dict(pg="g{i}", pa="(a{i} - c{i})", pae="((a{i} - c{i}) + e{i})",
                    pr="(r{i} * t)", pas="((a{i} - c{i}) + s{i})",
                    pase="(((a{i} - c{i}) + s{i}) + e{i})")
 
+# the names the generated source reads besides its arguments
+_RUN_GLOBALS = dict(hypot=math.hypot, sqrt=math.sqrt, empty=np.empty, vdot=np.vdot,
+                    multiply=np.multiply, subtract=np.subtract, errstate=np.errstate,
+                    SAFE=0.5 * sys.float_info.max)
+
 
 @functools.cache
 def _step_form(form: str, dim: int):
-    """The factory of _STEP_FORMS[form] at dimension dim, compiled once per
-    (form, dim) so that building a run's step compiles nothing. Only the
-    integers of range(dim) and fixed strings enter the source."""
+    """The factory of form's scalar run at dimension dim, compiled once per
+    (form, dim) so that building a run compiles nothing. Only the integers
+    of range(dim) and fixed strings enter the source."""
+    args, setup, body = _STEP_FORMS[form]
+    load, store, screen = _NUMPY_PARTS if form == "numpy" else _FLOAT_PARTS
     names = {x: "[" + ", ".join(f"{x}{i}" for i in range(dim)) + "]" for x in "acegprs"}
-    updates = {key: "[" + ", ".join(f"p{i} - {term.format(i=i)} * gamma" for i in range(dim)) + "]"
-               for key, term in _STEP_TERMS.items()}
-    namespace = {}
-    exec(compile(_STEP_FORMS[form].format(**names, **updates), f"<{form} step, d = {dim}>",
-                 "exec"), namespace)
+    names.update({key: "; ".join(f"p{i} = p{i} - {term.format(i=i)} * gamma" for i in range(dim))
+                  for key, term in _STEP_TERMS.items()},
+                 dim=dim, xs=", ".join(f"p{i}" for i in range(dim)),
+                 store="; ".join(f"out[at + {i}] = p{i}" if i else "out[at] = p0"
+                                 for i in range(dim)))
+    source = _RUN.format(args=args, setup=setup, load=load, body=body.strip("\n") + store,
+                         screen=screen).format(**names)
+    namespace = dict(_RUN_GLOBALS)
+    exec(compile(source, f"<{form} run, d = {dim}>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -573,10 +583,8 @@ class HeterogeneousQuadratics(_Quadratic):
         return grads if samples is None else grads + samples
 
     def step_oracle(self):
-        matvec, cross = self._gram.dot, self._cross.tolist()
         return _step_form("heterogeneous", self.dim)(
-            matvec, cross, self.shifts.tolist(), self._check_worker,
-            _step_form("additive", self.dim)(matvec, cross))
+            self._gram.dot, self._cross.tolist(), self.shifts.tolist(), self._check_worker)
 
 
 def _unit_circle_shifts(dim: int, num_workers: int, zeta: float,

@@ -161,6 +161,34 @@ def store_row(num_workers, dispatch, worker):
     return worker - 1 if dispatch == 0 else num_workers + dispatch - 1
 
 
+def ready_runs(prevs, start, longest):
+    """The runs a replay cuts the arrivals start, start+1, ... into, by a
+    walk over them in order. Arrival s opens the ready block of the arrivals
+    s, s+1, ... up to the first whose dispatch iteration passes start + s.
+    A block longer than `longest` is a run of its own, after which the walk
+    goes on at its end; any other arrival joins the scalar run the one
+    before it is in, or opens one. Returns the runs' bounds, relative to
+    start, and their flags, True for a scalar run."""
+    prevs = [int(p) for p in prevs]
+    bounds, scalar, s = [0], [], 0
+    while s < len(prevs):
+        end = s + 1
+        while end < len(prevs) and prevs[end] <= start + s:
+            end += 1
+        if end - s > longest:
+            bounds.append(end)
+            scalar.append(False)
+            s = end
+            continue
+        s += 1
+        if scalar and scalar[-1]:
+            bounds[-1] = s
+        else:
+            bounds.append(s)
+            scalar.append(True)
+    return bounds, scalar
+
+
 def naive_virtual(x0, workers, gradients, hats, initial, horizon):
     """Virtual sequence straight from its definition."""
     num_workers = len(initial)

@@ -4,6 +4,7 @@ their definition, stepsize columns against per-rule scalar formulas, and
 run_async against eager evaluation and the per-step replay, all bit for bit."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import sys
@@ -34,10 +35,10 @@ from asyncsgd import (
     trace_from_workers,
 )
 from asyncsgd import optimizers, problems
-from asyncsgd.optimizers import _ready_blocks
+from asyncsgd.optimizers import _runs
 from asyncsgd.problems import Problem, offset_start
 from asyncsgd.scheduler import dispatch_iterations
-from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival,
+from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival, ready_runs,
                        reference_gamma, replay_async, same_bits, store_row)
 
 
@@ -292,22 +293,51 @@ def _block_speeds(m_count, kind, seed):
 @given(st.integers(min_value=1, max_value=16),
        st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
        st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**16),
-       st.integers(min_value=1, max_value=40))
-def test_ready_blocks_are_greedy_runs_of_ready_arrivals(m_count, kind, horizon, seed, start):
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=8))
+def test_runs_are_greedy_ready_blocks_and_scalar_runs(m_count, kind, horizon, seed, start,
+                                                      longest):
     trace = simulate_trace(_block_speeds(m_count, kind, seed), horizon + start)
-    prevs = trace.prevs[start:].tolist()
-    bounds = _ready_blocks(prevs, start)
-    assert bounds[0] == 0 and bounds[-1] == len(prevs)
-    for a, b in zip(bounds, bounds[1:]):
+    prevs = trace.prevs[start:]
+    bounds, scalar = _runs(prevs, start, longest)
+    assert (bounds, scalar) == ready_runs(prevs, start, longest)
+    prevs = prevs.tolist()
+    assert bounds[0] == 0 and bounds[-1] == len(prevs) and len(scalar) == len(bounds) - 1
+    for a, b, alone in zip(bounds, bounds[1:], scalar):
         assert b > a
+        if alone:
+            # no arrival of a scalar run opens a block longer than `longest`
+            for s in range(a, b):
+                end = next((i for i in range(s + 1, len(prevs)) if prevs[i] > start + s),
+                           len(prevs))
+                assert end - s <= longest
+            continue
         # ready: every gradient is taken at an iterate that exists at the block's start
         assert all(p <= start + a for p in prevs[a:b])
         # greedy: the next arrival needs an iterate of this block
         assert b == len(prevs) or prevs[b] > start + a
+        assert b - a > longest
         # so no worker arrives twice in a block
         assert len(set(trace.workers[start + a:start + b].tolist())) == b - a
-    if kind == "equal" and start % m_count == 0:
-        assert set(np.diff(bounds[1:-1]).tolist()) <= {m_count}
+    # runs part at every long block, so two scalar runs never meet
+    assert not any(x and y for x, y in zip(scalar, scalar[1:]))
+    if longest == 0:
+        assert not any(scalar)
+        if kind == "equal" and start % m_count == 0:
+            assert set(np.diff(bounds[1:-1]).tolist()) <= {m_count}
+
+
+def test_runs_group_short_blocks_into_scalar_runs():
+    # four workers in a greedy chain of ready blocks of 1, 2, 3, 1, 1, 4 and
+    # 2 arrivals, each opening with a worker of the block before it
+    trace = trace_from_workers((1, 1, 2, 2, 3, 4, 3, 3, 3, 1, 2, 4, 4, 1), 4)
+    bounds = [0, 1, 3, 6, 7, 8, 12, 14]
+    assert _runs(trace.prevs, 0, 0) == (bounds, [False] * 7)
+    # the blocks of at most two arrivals go to scalar runs, the others are
+    # batched
+    assert _runs(trace.prevs, 0, 2) == ([0, 3, 6, 8, 12, 14], [True, False, True, False, True])
+    assert _runs(trace.prevs, 0, 3) == ([0, 8, 12, 14], [True, False, True])
+    assert _runs(trace.prevs, 0, 4) == ([0, 14], [True])
+    assert _runs(trace_from_workers((1, 2, 3, 4, 5), 5).prevs, 0, 2) == ([0, 5], [False])
 
 
 PROBLEM_KINDS = {
@@ -336,12 +366,11 @@ NEVER_ARRIVE = (1, 2, 1, 1, 2, 1, 2, 2, 1)
 # past problems._FLOAT_DIM, batched blocks and scalar runs
 MIXED = (1, 2, 3, 4, 1, 1, 2, 1, 3, 4, 2, 1, 1, 1, 3, 2, 4, 1)
 
-# eight workers in ready blocks of 7, 1, 2, 7, 3, 7 and 1 arrivals: up to
+# ten workers in ready blocks of 9, 1, 2, 9, 3, 9 and 1 arrivals: up to
 # _FLOAT_DIM, on a problem's own step oracle, blocks past
-# problems._FLOAT_BLOCK (6)
-# between runs of float-loop ones
-MIXED_LONG = (1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 8, 1, 2, 3, 4, 5, 6, 6, 7, 8,
-              8, 1, 2, 3, 4, 5, 6, 6)
+# problems._FLOAT_BLOCK (8) between runs of float-loop ones
+MIXED_LONG = (10, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 1, 2, 2, 1,
+              3, 4, 5, 6, 7, 8, 9, 9)
 
 
 # the scalar loop keeps its iterate as Python floats up to
@@ -364,8 +393,8 @@ EDGE_DIMS = [1, 3, problems._FLOAT_DIM, problems._FLOAT_DIM + 1, 50]
 @example("rows", problems._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 1024, True, 3)
 @example("heterogeneous", 3, 4, MIXED, len(MIXED), 7, True, 3)
 @example("nonconvex-additive", problems._FLOAT_DIM + 1, 4, MIXED, len(MIXED), 7, True, 3)
-@example("heterogeneous", 3, 8, MIXED_LONG, len(MIXED_LONG), 1024, True, 3)
-@example("rows", problems._FLOAT_DIM, 8, MIXED_LONG, len(MIXED_LONG), 7, True, 3)
+@example("heterogeneous", 3, 10, MIXED_LONG, len(MIXED_LONG), 1024, True, 3)
+@example("rows", problems._FLOAT_DIM, 10, MIXED_LONG, len(MIXED_LONG), 7, True, 3)
 # M equal workers over 12 rounds, so every block holds M arrivals: on a
 # problem's own step oracle the float loop takes them up to
 # problems._FLOAT_BLOCK, and one more the batched path; on the default oracle
@@ -647,14 +676,31 @@ def test_scalar_loop_reports_the_first_iterate_past_the_limit(m_count):
         assert (exc.value.iteration, exc.value.norm) == (expected, float(expected))
 
 
-def test_short_blocks_are_grouped_into_scalar_runs():
-    # blocks of 1, 2, 3, 1, 1, 4 and 2 arrivals: each maximal run of blocks
-    # of at most two is one run, and each longer block a run of its own
-    bounds = [0, 1, 3, 6, 7, 8, 12, 14]
-    assert optimizers._scalar_runs(bounds, 2) == (
-        [0, 3, 6, 8, 12, 14], [True, False, True, False, True])
-    assert optimizers._scalar_runs(bounds, 0) == (bounds, [False] * 7)
-    assert optimizers._scalar_runs([0, 5], 2) == ([0, 5], [False])
+def test_a_long_scalar_run_starts_no_garbage_collection():
+    # the scalar loop keeps no object per arrival alive: a chunk's samples
+    # reach it as one flat list, not a list per row, so the cyclic collector
+    # never runs while a 20,000-arrival single run replays at d = 2
+    problem = least_squares(dim=2, sigma=0.6, seed=4)
+    trace = simulate_trace(FixedSpeeds((1.0,)), 20_000)
+    x0 = offset_start(problem)
+    schedule = make_schedule("adaptive-convex", problem.constants_for(x0, 1, 20_000))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_async(problem, trace, schedule, x0, seed=1)
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert starts == [], starts
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +786,7 @@ def test_single_run_equals_its_seed_in_a_batch(order, kind, dim, chunk, metrics,
     order, lengths = order
     m_count = 4
     trace = trace_from_workers(order, m_count)
-    assert np.diff(_ready_blocks(trace.prevs.tolist(), 0)).tolist() == lengths
+    assert np.diff(_runs(trace.prevs, 0, 0)[0]).tolist() == lengths
     problem = PROBLEM_KINDS[kind](dim, m_count)
     x0 = np.full(dim, 0.5)
     tag = ("adaptive-heterogeneous" if kind.startswith("heterogeneous")

@@ -365,41 +365,90 @@ def test_default_sample_grads_stacks_sample_grad():
 
 
 # ---------------------------------------------------------------------------
-# the scalar replay's step oracle
+# the scalar replay's run oracle
 
 
-# every dimension a run asks a step form for, two past them and a wide one:
-# each dimension has its own generated code, and past _FLOAT_DIM a run takes
-# the numpy form
+# every dimension a run asks a form for, two past them and a wide one: each
+# dimension has its own generated code, and past _FLOAT_DIM a run takes the
+# numpy form
 STEP_DIMS = [*range(1, _FLOAT_DIM + 3), 50]
+
+
+def _run_samples(samples, listed: bool):
+    """A block's samples as the replay hands them to a run: the items of a
+    1-D block as ints, and the rows of a 2-D block as tuples to a problem's
+    own oracle or as numpy rows to the default and numpy forms."""
+    if samples.ndim == 1:
+        return samples.tolist()
+    return [tuple(row) for row in samples.tolist()] if listed else list(samples)
+
+
+def _replay_run(run, table, m_count, points, samples, workers, gammas, limit, floats):
+    """Replay one scalar run into table[m_count:] as the replay does,
+    resuming after each iterate that fails the screen; checks that each
+    returned k is the first row past the resumed one whose screen fails, and
+    returns how many times the run stopped."""
+    buf, first, stops = table[m_count:], 0, 0
+
+    def passes(row):
+        return (math.hypot(*row.tolist()) <= limit * math.sqrt(0.5) if floats
+                else np.vdot(row, row) <= 0.5 * limit * limit)
+
+    while True:
+        rest = slice(first, len(workers))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = run(buf, first, table, points[rest], [None] * (len(workers) - first)
+                    if samples is None else samples[rest], workers[rest], gammas[rest], limit)
+        done = k or len(workers)
+        assert all(passes(buf[i]) for i in range(first + 1, done))
+        if not k:
+            return stops
+        assert first < k <= len(workers) and not passes(buf[k])
+        first, stops = k, stops + 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(KINDS)), st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=0.0, max_value=1e160), st.integers(min_value=0, max_value=2**16))
 def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
-    m_count = 4
+    m_count, arrivals = 4, 12
+    limit = 1e12
     for dim in STEP_DIMS:
         problem = KINDS[kind](dim, m_count, seed)
         rng = np.random.default_rng(seed)
-        # a row of a larger array, as the replay passes its table rows, and
-        # the previous iterate as a list, both scaled by up to e^5 either way
-        point = (rng.standard_normal(dim + 1) * math.exp(scale))[1:]
-        prev = (rng.standard_normal(dim) * math.exp(scale)).tolist()
-        samples = problem.draw(rng, 3)
-        # the replay hands a row index over as an int, and a Gaussian row as
-        # a list to an override of the step oracle; the nonconvex problem has none
+        # the table of the replay: M dispatch points and x_first scaled by up
+        # to e^5 either way, then the rows the run writes; every gradient is
+        # taken at one of the first M + 1 rows, and the last step is at
+        # float max, the others at gamma
+        start = rng.standard_normal((m_count + 1 + arrivals, dim)) * math.exp(scale)
+        points = rng.integers(0, m_count + 1, arrivals).tolist()
+        workers = [1 + j % m_count for j in range(arrivals)]
+        gammas = [gamma] * (arrivals - 1) + [sys.float_info.max]
+        samples = problem.draw(rng, arrivals)
+        plain = [None] * arrivals if samples is None else list(
+            samples.tolist() if samples.ndim == 1 else samples)
+        expected, x = [], start[m_count].copy()
+        for point, sample, worker, rate in zip(points, plain, workers, gammas):
+            g = problem.sample_grad(start[point], sample, worker)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x - rate * g
+            expected.append(x)
+        expected = np.array(expected).tobytes()
         own = type(problem).step_oracle is not Problem.step_oracle
         assert own == (not kind.startswith("nonconvex"))
-        # two problems of one kind and dimension share one compiled form (the
-        # heterogeneous quadratics a second one, the additive form, for the
-        # mean objective)
+        # two problems of one kind and dimension share one compiled form, and
+        # past _FLOAT_DIM scalar_step compiles the numpy form once
         _step_form.cache_clear()
-        step = problem.step_oracle()
+        run = problem.step_oracle()
         KINDS[kind](dim, m_count, seed + 1).step_oracle()
-        assert _step_form.cache_info().misses == (2 if kind.startswith("heterogeneous") else 1)
+        numpy_run, longest, listed = scalar_step(problem)
+        scalar_step(problem)
+        assert _step_form.cache_info().misses == (2 if dim > _FLOAT_DIM else 1)
+        assert listed == (own and dim <= _FLOAT_DIM)
+        assert longest == (_FLOAT_BLOCK if listed else _SCALAR_BLOCK)
         # a subclass that overrides sample_grad gets the default form, which
-        # calls the subclass's sample_grad
+        # calls the subclass's sample_grad once per arrival
         calls = []
 
         def counted(self, x, sample, worker=None):
@@ -410,48 +459,25 @@ def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
         assert Counted.step_oracle is Problem.step_oracle
         clone = object.__new__(Counted)
         vars(clone).update(vars(problem))
-        default = clone.step_oracle()
-        for j in range(3):
-            sample = None if samples is None else samples[j]
-            passed = sample if sample is None or (sample.ndim and not own) else sample.tolist()
-            # the default form takes the sample as sample_grad does
-            plain = sample if sample is None or sample.ndim else sample.tolist()
-            for worker in range(1, m_count + 1):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    values = step(prev, point, passed, worker, gamma)
-                    by_default = default(prev, point, plain, worker, gamma)
-                expected = np.array(prev) - gamma * problem.sample_grad(point, sample, worker)
-                assert type(values) is list and all(type(v) is float for v in values)
-                assert np.array(values).tobytes() == expected.tobytes()
-                assert np.array(by_default).tobytes() == expected.tobytes()
-        assert calls == [*range(1, m_count + 1)] * 3
-        _, longest, listed, floats = scalar_step(problem)
-        assert (listed, floats) == (own and dim <= _FLOAT_DIM, dim <= _FLOAT_DIM)
-        assert longest == (_FLOAT_BLOCK if listed else _SCALAR_BLOCK)
+        # every float form at every d (the oracle, own or default), and the
+        # numpy form past _FLOAT_DIM
+        forms = [(run, own, True), (clone.step_oracle(), False, True)]
         if dim > _FLOAT_DIM:
-            # the numpy form, each call taking the row the one before returned
-            # (it returns a scratch row), and a step past half the float range
-            step_row = scalar_step(problem)[0]
-            x = np.array(prev)
-            for j, worker in itertools.product(range(3), range(1, m_count + 1)):
-                sample = None if samples is None else samples[j]
-                plain = sample if sample is None or sample.ndim else sample.tolist()
-                for rate in (sys.float_info.max, gamma):   # gamma's row is the next prev
-                    with np.errstate(over="ignore"):
-                        expected = x - rate * problem.sample_grad(point, sample, worker)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        values = step_row(x, point, plain, worker, rate)
-                    assert values.tobytes() == expected.tobytes()
-                x = values
-        if kind.startswith("heterogeneous"):
-            # no worker: the mean objective's step
-            expected = np.array(prev) - gamma * problem.sample_grad(point, sample, None)
-            assert np.array(step(prev, point, passed, None, gamma)).tobytes() == expected.tobytes()
-            for worker in (0, m_count + 1):
-                with pytest.raises(ProblemError, match=f"unknown worker id {worker} "):
-                    step(prev, point, passed, worker, gamma)
+            forms.append((numpy_run, False, False))
+        for form, takes_tuples, floats in forms:
+            table = start.copy()
+            stops = _replay_run(form, table, m_count, points, None if samples is None else
+                                _run_samples(samples, takes_tuples), workers, gammas, limit,
+                                floats)
+            assert table[m_count + 1:].tobytes() == expected
+            # the step at float max leaves the screen, unless its gradient is 0
+            assert stops >= (math.hypot(*table[-1].tolist()) > limit)
+            if kind.startswith("heterogeneous"):
+                for worker in (0, m_count + 1):
+                    with pytest.raises(ProblemError, match=f"unknown worker id {worker} "):
+                        form(table[m_count:], 0, table, [0], [None] if samples is None else
+                             _run_samples(samples, takes_tuples)[:1], [worker], [gamma], limit)
+        assert calls == workers + ([0, m_count + 1] if kind.startswith("heterogeneous") else [])
 
 
 @pytest.mark.parametrize("hook", ["sample_grad", "_grad", "_row_grad"])
@@ -464,12 +490,15 @@ def test_a_subclass_that_changes_the_gradient_gets_the_default_step_oracle(hook)
     assert Changed.sample_grads is Problem.sample_grads
     base = least_squares(dim=3, noise="rows" if hook == "_row_grad" else "additive", seed=2)
     problem = Changed(base.mat, base.rhs, noise=base.noise, sigma=0.5)
-    x, prev = np.array([0.5, -1.0, 2.0]), [1.0, 0.25, -3.0]
+    table = np.array([[0.5, -1.0, 2.0], [1.0, 0.25, -3.0], [0.0, 0.0, 0.0]])
     sample = problem.draw(np.random.default_rng(1), 1)[0]
-    values = problem.step_oracle()(prev, x, sample, 1, 0.1)
-    expected = np.array(prev) - 0.1 * problem.sample_grad(x, sample, 1)
-    assert np.array(values).tobytes() == expected.tobytes()
-    assert values != base.step_oracle()(prev, x, sample.tolist(), 1, 0.1)
+    assert problem.step_oracle()(table[1:], 0, table, [0], [sample], [1], [0.1], 1e12) == 0
+    expected = table[1] - 0.1 * problem.sample_grad(table[0], sample, 1)
+    assert table[2].tobytes() == expected.tobytes()
+    listed = sample.tolist() if sample.ndim else sample.item()
+    base.step_oracle()(table[1:], 0, table, [0], [tuple(listed) if sample.ndim else listed],
+                       [1], [0.1], 1e12)
+    assert table[2].tobytes() != expected.tobytes()
     # a subclass that brings its own step oracle keeps it
     Kept = type("Kept", (Changed,), {"step_oracle": lambda self: None})
     assert Kept.step_oracle is not Problem.step_oracle

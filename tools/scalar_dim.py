@@ -12,12 +12,14 @@ scalar loop. The problems: least squares with additive noise (sigma 1) and
 the heterogeneous quadratics (one worker, so no dissimilarity, sigma 1),
 which both have their own step oracle, and the bounded nonconvex problem
 with row noise, which takes the default one, built on `sample_grad`. The
-run is timed with `problems._FLOAT_DIM` set so that the loop keeps its
-iterate as Python floats, through the step oracle, and set so that it takes
-the numpy form, alternating which goes first, for --pairs pairs after
-one untimed warm-up of each. Both loops must give the same final iterate
-bit for bit, or the script stops. It prints, per d, each loop's median time
-per arrival and the median of the float/numpy ratios taken pair by pair.
+run is timed with `problems._FLOAT_DIM` set so that the scalar run is the
+problem's step oracle, which keeps its iterate as Python floats, and set so
+that it is the numpy form (see `problems.scalar_step`; both are compiled
+runs, one call per run of arrivals), alternating which goes first, for
+--pairs pairs after one untimed warm-up of each. Both loops must give the
+same final iterate bit for bit, or the script stops. It prints, per d, each
+loop's median time per arrival and the median of the float/numpy ratios
+taken pair by pair.
 `_FLOAT_DIM` belongs at the largest d at which the float loop still wins.
 
 With --blocks, M equal workers replay K arrivals for each M listed, so every
@@ -27,9 +29,10 @@ ready block is M arrivals long, at each d of --dims (which should be at most
 takes every block and set so that the batched path does, in pairs as above,
 and must end at the same iterate, gradient store included. It prints each
 path's median time per arrival and the float/batched ratio. The longest
-block the float loop still wins at is where `_FLOAT_BLOCK` belongs for the
-problems with their own step oracle; for bounded nonconvex, on the default
-oracle, the float loop takes the blocks of up to `_SCALAR_BLOCK` arrivals.
+block the float loop still wins at, by the mean ratio over the d and
+diagnostics rows, is where `_FLOAT_BLOCK` belongs for the problems with
+their own step oracle; for bounded nonconvex, on the default oracle, the
+float loop takes the blocks of up to `_SCALAR_BLOCK` arrivals.
 
 The package is imported from --src, by default the `src/` next to this
 script.
