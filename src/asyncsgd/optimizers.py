@@ -159,6 +159,11 @@ def worker_streams(seed: int, num_workers: int) -> list[np.random.Generator]:
 # 2 * _CHUNK // (H*R), when that is fewer).
 _CHUNK = 1024
 
+# values per row from which a running sum is one np.add.reduce, and a ready
+# block's update one np.subtract per row; placed by tools/batch_width.py
+_SUM_WIDTH = 8
+_UPDATE_WIDTH = 144
+
 
 def _draw_chunk(problem, streams: dict, seeds: list, workers: np.ndarray):
     """The gradient samples consumed by a run of arrivals, one row per
@@ -222,14 +227,26 @@ def _slot(dispatch: np.ndarray, workers: np.ndarray, m_count: int) -> np.ndarray
 
 def _running_sum(total: np.ndarray, rows: np.ndarray, scale=None) -> np.ndarray:
     """total + rows[0] + rows[1] + ..., each row times `scale` if given, added
-    one row at a time in that order. Works in `rows`, which it overwrites
-    (rows[0] + total equals total + rows[0] bit for bit)."""
+    one row at a time in that order, in `rows`, which it overwrites. From
+    _SUM_WIDTH values a row (a row of one it would sum pairwise) that is one
+    np.add.reduce, which starts from +0.0 and so turns a first row of -0.0 to
+    +0.0: exact as a running sum starts at +0.0, never -0.0, nor is rows[0]."""
     if not len(rows):
         return total
     if scale is not None:
         rows *= scale
     rows[0] += total
+    if rows[0].size >= _SUM_WIDTH:
+        return np.add.reduce(rows, axis=0)
     return np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
+
+
+def _update(block: np.ndarray):
+    """block[i] = block[i-1] - block[i] for i = 1, 2, ..., in that order."""
+    if block.shape[1] < _UPDATE_WIDTH:
+        return np.subtract.accumulate(block, axis=0, out=block)
+    for prev, row in itertools.pairwise(block):
+        np.subtract(prev, row, row)
 
 
 class _Unscreened(Exception):
@@ -553,7 +570,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(g.reshape(b - a, active, -1), gamma_rows[a:b],
                             out=by_run[a + 1:b + 1])
-                np.subtract.accumulate(buf[a:b + 1], axis=0, out=buf[a:b + 1])
+                _update(buf[a:b + 1])
                 _check_rows(buf[a + 1:b + 1], start + a + 1, divergence_norm, rows)
 
         if diagnostics and any(scalar):

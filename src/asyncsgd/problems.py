@@ -87,7 +87,8 @@ class Problem:
         if self.sigma == 0.0:
             return None
         # per-coordinate std sigma/sqrt(dim) makes E||noise||^2 = sigma^2 exactly
-        return rng.standard_normal((count, self.dim)) * (self.sigma / math.sqrt(self.dim))
+        normals = rng.standard_normal((count, self.dim))
+        return np.multiply(normals, self.sigma / math.sqrt(self.dim), out=normals)
 
     def sample_grad(self, x: np.ndarray, sample, worker: int | None = None) -> np.ndarray:
         """Stochastic gradient at x given one sample from `draw`."""
@@ -402,7 +403,8 @@ class _Quadratic(Problem):
     def _mean_grads(self, xs: np.ndarray) -> np.ndarray:
         """_grad at the rows of xs. A stacked matvec equals gram.dot(x) row
         for row; xs @ gram.T (a matrix product) does not."""
-        return np.matmul(self._gram, xs[:, :, None])[:, :, 0] - self._cross
+        grads = np.matmul(self._gram, xs[:, :, None])[:, :, 0]
+        return np.subtract(grads, self._cross, out=grads)
 
 
 def _row_dots(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -444,7 +446,7 @@ class LeastSquares(_Quadratic):
             rows = self.mat[samples]
             return rows * (_row_dots(rows, xs) - self.rhs[samples])[:, None]
         grads = self._mean_grads(xs)
-        return grads if samples is None else grads + samples
+        return grads if samples is None else np.add(grads, samples, out=grads)
 
     def step_oracle(self):
         if self.noise == "rows":
@@ -579,8 +581,9 @@ class HeterogeneousQuadratics(_Quadratic):
         return mean + self.shifts[worker - 1]
 
     def sample_grads(self, xs, samples, workers):
-        grads = self._mean_grads(xs) + self.shifts[workers - 1]
-        return grads if samples is None else grads + samples
+        grads = self._mean_grads(xs)
+        grads += self.shifts[workers - 1]
+        return grads if samples is None else np.add(grads, samples, out=grads)
 
     def step_oracle(self):
         return _step_form("heterogeneous", self.dim)(

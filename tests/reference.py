@@ -189,6 +189,27 @@ def ready_runs(prevs, start, longest):
     return bounds, scalar
 
 
+def row_running_sum(total, rows, scale=None):
+    """total + rows[0] + rows[1] + ..., row j times scale[j] if given, one
+    row at a time in that order: the first product added to total, and each
+    later one to the sum so far."""
+    acc = np.array(total, dtype=np.float64)
+    for j, row in enumerate(rows):
+        term = row if scale is None else row * scale[j]
+        acc = term + acc if j == 0 else acc + term
+    return acc
+
+
+def row_block_update(block):
+    """A ready block's iterates: row 0 is the iterate the block starts from
+    and row i > 0 the step of its i-th arrival; row i of the result is row
+    i-1 of the result less that step, one row at a time."""
+    out = np.array(block, dtype=np.float64)
+    for i in range(1, len(out)):
+        out[i] = out[i - 1] - out[i]
+    return out
+
+
 def naive_virtual(x0, workers, gradients, hats, initial, horizon):
     """Virtual sequence straight from its definition."""
     num_workers = len(initial)

@@ -238,3 +238,21 @@ def test_scalar_dim_times_each_path_and_restores_the_constants(monkeypatch, caps
     assert [row[1:3] for row in rows[2:]] == [["off", "2"], ["off", "7"], ["on", "2"],
                                               ["on", "7"]]
     assert (problems._FLOAT_DIM, problems._FLOAT_BLOCK, problems._SCALAR_BLOCK) == constants
+
+
+def test_batch_width_times_each_form_and_restores_the_constants(monkeypatch, capsys):
+    # both steps at a small scale, a one-value row skipped for the sum; the
+    # tool stops if the two forms of a step give different bits
+    from asyncsgd import optimizers
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool puts its --src first
+    constants = (optimizers._SUM_WIDTH, optimizers._UPDATE_WIDTH)
+    assert load_tool("batch_width").main(["--rounds", "1", "--number", "2", "--widths",
+                                          "1,8,200", "--sum-lengths", "85",
+                                          "--update-lengths", "2,7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split()[:3] for line in lines if line.split()[0] in ("sum", "update")]
+    assert rows == [["sum", "8", "85"], ["sum", "200", "85"], ["update", "1", "2"],
+                    ["update", "1", "7"], ["update", "8", "2"], ["update", "8", "7"],
+                    ["update", "200", "2"], ["update", "200", "7"]]
+    assert [line.split(":")[0] for line in lines[-2:]] == ["_SUM_WIDTH", "_UPDATE_WIDTH"]
+    assert (optimizers._SUM_WIDTH, optimizers._UPDATE_WIDTH) == constants

@@ -39,7 +39,8 @@ from asyncsgd.optimizers import _runs
 from asyncsgd.problems import Problem, offset_start
 from asyncsgd.scheduler import dispatch_iterations
 from reference import (eager_async_run, heap_trace, naive_delays, prev_arrival, ready_runs,
-                       reference_gamma, replay_async, same_bits, store_row)
+                       reference_gamma, replay_async, row_block_update, row_running_sum,
+                       same_bits, store_row)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,75 @@ def test_runs_group_short_blocks_into_scalar_runs():
     assert _runs(trace.prevs, 0, 3) == ([0, 8, 12, 14], [True, False, True])
     assert _runs(trace.prevs, 0, 4) == ([0, 14], [True])
     assert _runs(trace_from_workers((1, 2, 3, 4, 5), 5).prevs, 0, 2) == ([0, 5], [False])
+
+
+
+def _order_sensitive_rows(seed, shape, specials):
+    """Normal values of magnitudes 1e-8 to 1e8, whose sums depend on the
+    order they are added in, a share `specials` of them -0.0, +-inf or nan."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    hit = rng.random(shape) < specials
+    rows[hit] = rng.choice([-0.0, np.inf, -np.inf, np.nan], int(hit.sum()))
+    return rows
+
+
+# values per row on either side of _SUM_WIDTH (8) and _UPDATE_WIDTH (144)
+ROW_WIDTHS = st.one_of(st.integers(1, 20), st.integers(60, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@example(width=1, runs=1, length=2100, scaled=False, fresh=True, specials=0.0, seed=0)
+@example(width=1, runs=1, length=64, scaled=True, fresh=False, specials=0.0, seed=1)
+@given(width=ROW_WIDTHS, runs=st.integers(1, 3), length=st.integers(1, 2100),
+       scaled=st.booleans(), fresh=st.booleans(), specials=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(0, 2**16))
+def test_running_sum_adds_one_row_at_a_time(width, runs, length, scaled, fresh, specials,
+                                             seed):
+    # a chunk's running sum, over rows of one run (leave's in-flight sum) or
+    # of several side by side, from a sum that starts at +0.0 or one that
+    # earlier chunks made: on either side of _SUM_WIDTH, row by row bit for
+    # bit, -0.0, inf and nan included. A one-value row takes the accumulate,
+    # as np.add.reduce would sum it pairwise
+    shape = (length, width) if runs == 1 else (length, runs, width)
+    rows = _order_sensitive_rows(seed, shape, specials)
+    scale = abs(_order_sensitive_rows(seed + 1, shape[:-1] + (1,), 0.0)) if scaled else None
+    total = np.zeros(shape[1:]) if fresh else _order_sensitive_rows(seed + 2, shape[1:], 0.0)
+    kept = total.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = row_running_sum(total, rows, scale)
+        got = optimizers._running_sum(total, rows, scale)
+    assert same_bits(got, want)
+    assert same_bits(total, kept)   # it works in `rows` only
+
+
+def test_a_running_sum_is_never_negative_zero():
+    # np.add.reduce starts from +0.0, so a first row of -0.0 comes out +0.0,
+    # where the accumulate keeps it; the running sums take the reduce anyway,
+    # as a sum that starts at +0.0 is never -0.0, nor then is rows[0] + total
+    rows = np.full((5, 16), -0.0)
+    assert same_bits(np.add.reduce(rows, axis=0), np.zeros(16))
+    assert same_bits(np.add.accumulate(rows, axis=0)[-1], rows[0])
+    for width in (2, optimizers._SUM_WIDTH, 16):
+        total = np.zeros(width)
+        got = optimizers._running_sum(total, np.full((5, width), -0.0))
+        assert same_bits(got, row_running_sum(total, np.full((5, width), -0.0)))
+        assert not np.signbit(got).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=ROW_WIDTHS, length=st.integers(1, 30),
+       specials=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**16))
+def test_block_update_subtracts_one_row_at_a_time(width, length, specials, seed):
+    # a ready block's update in the chunk buffer, on either side of
+    # _UPDATE_WIDTH: row by row bit for bit, -0.0, inf and nan included,
+    # and no row of the buffer outside the block written
+    buf = _order_sensitive_rows(seed, (length + 5, width), specials)
+    want = buf.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want[2:length + 3] = row_block_update(buf[2:length + 3])
+        optimizers._update(buf[2:length + 3])
+    assert same_bits(buf, want)
 
 
 PROBLEM_KINDS = {

@@ -19,8 +19,11 @@ runs, one call per run of arrivals), alternating which goes first, for
 --pairs pairs after one untimed warm-up of each. Both loops must give the
 same final iterate bit for bit, or the script stops. It prints, per d, each
 loop's median time per arrival and the median of the float/numpy ratios
-taken pair by pair.
-`_FLOAT_DIM` belongs at the largest d at which the float loop still wins.
+taken pair by pair, with their quartiles. The float loop may win well past
+`_FLOAT_DIM` on single arrivals (through d = 16 on both problems in one
+run); `_FLOAT_DIM` stays at 6 because past it the float loop would also
+take blocks of 3-6 arrivals, where it loses to the batched path, and that
+would need a block limit that falls with d.
 
 With --blocks, M equal workers replay K arrivals for each M listed, so every
 ready block is M arrivals long, at each d of --dims (which should be at most
@@ -28,11 +31,13 @@ ready block is M arrivals long, at each d of --dims (which should be at most
 `problems._FLOAT_BLOCK` and `_SCALAR_BLOCK` set so that the float loop
 takes every block and set so that the batched path does, in pairs as above,
 and must end at the same iterate, gradient store included. It prints each
-path's median time per arrival and the float/batched ratio. The longest
-block the float loop still wins at, by the mean ratio over the d and
-diagnostics rows, is where `_FLOAT_BLOCK` belongs for the problems with
-their own step oracle; for bounded nonconvex, on the default oracle, the
-float loop takes the blocks of up to `_SCALAR_BLOCK` arrivals.
+path's median time per arrival and the float/batched ratio with its
+quartiles. The longest block the float loop still wins at, by the mean
+ratio over the d and diagnostics rows, is where `_FLOAT_BLOCK` belongs for
+the problems with their own step oracle; for bounded nonconvex, on the
+default oracle, the float loop takes the blocks of up to `_SCALAR_BLOCK`
+arrivals. Where the quartiles of the ratios at a block length lie on both
+sides of 1, the runs place the limit only to within about one block length.
 
 The package is imported from --src, by default the `src/` next to this
 script.
@@ -66,8 +71,9 @@ PROBLEMS = {
 def _pairs(run, loops: dict, pairs: int, horizon: int):
     """Time run(loop) for both loops in `pairs` alternating pairs, after one
     untimed run of each that must give the same result. Returns each loop's
-    median time per arrival in us and the median of the first/second ratios
-    taken pair by pair, or None if the results differ."""
+    median time per arrival in us and the median and quartiles (linear
+    interpolation) of the first/second ratios taken pair by pair, or None if
+    the results differ."""
     first, second = loops
     if run(first)[1] != run(second)[1]:   # warm-up
         return None
@@ -76,8 +82,8 @@ def _pairs(run, loops: dict, pairs: int, horizon: int):
         for loop in (first, second) if pair % 2 == 0 else (second, first):
             times[loop].append(run(loop)[0])
     per_arrival = {loop: statistics.median(t) / horizon * 1e6 for loop, t in times.items()}
-    ratio = statistics.median(a / b for a, b in zip(times[first], times[second]))
-    return per_arrival, ratio
+    ratios = [a / b for a, b in zip(times[first], times[second])]
+    return per_arrival, np.percentile(ratios, [50, 25, 75]).tolist()
 
 
 def main(argv=None) -> int:
@@ -115,10 +121,10 @@ def main(argv=None) -> int:
           f"{problems._SCALAR_BLOCK} in this source")
     ratio_name = "/".join(loops)
     if args.blocks is None:
-        print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {ratio_name:>12}")
+        print(f"{'d':>4} {'float us':>9} {'numpy us':>9} {ratio_name:>12} {'q1':>6} {'q3':>6}")
     else:
         print(f"{'d':>4} {'diag':>5} {'M':>4} {'float us':>9} {'batched us':>11} "
-              f"{ratio_name:>14}")
+              f"{ratio_name:>14} {'q1':>6} {'q3':>6}")
     shapes = ([(d, 1, False) for d in map(int, dims.split(","))] if args.blocks is None else
               [(d, m, diag) for d in map(int, dims.split(",")) for diag in (False, True)
                for m in map(int, args.blocks.split(","))])
@@ -148,13 +154,14 @@ def main(argv=None) -> int:
             timed = _pairs(run, loops, args.pairs, args.horizon)
             if timed is None:
                 raise SystemExit(f"d = {dim}, M = {m_count}: the two paths end differently")
-            per_arrival, ratio = timed
+            per_arrival, (ratio, low, high) = timed
             first, second = (per_arrival[loop] for loop in loops)
+            quartiles = f"{low:>6.3f} {high:>6.3f}"
             if args.blocks is None:
-                print(f"{dim:>4} {first:>9.2f} {second:>9.2f} {ratio:>12.3f}")
+                print(f"{dim:>4} {first:>9.2f} {second:>9.2f} {ratio:>12.3f} {quartiles}")
             else:
                 print(f"{dim:>4} {'on' if diagnostics else 'off':>5} {m_count:>4} "
-                      f"{first:>9.2f} {second:>11.2f} {ratio:>14.3f}")
+                      f"{first:>9.2f} {second:>11.2f} {ratio:>14.3f} {quartiles}")
     finally:
         for name, value in kept.items():
             setattr(problems, name, value)
