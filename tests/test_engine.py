@@ -341,7 +341,6 @@ def test_runs_group_short_blocks_into_scalar_runs():
     assert _runs(trace_from_workers((1, 2, 3, 4, 5), 5).prevs, 0, 2) == ([0, 5], [False])
 
 
-
 def _order_sensitive_rows(seed, shape, specials):
     """Normal values of magnitudes 1e-8 to 1e8, whose sums depend on the
     order they are added in, a share `specials` of them -0.0, +-inf or nan."""
