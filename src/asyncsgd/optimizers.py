@@ -205,15 +205,18 @@ def _runs(prevs: np.ndarray, start: int, longest: int) -> tuple[list[int], list[
     prefix maximum of `prevs` finds its end. Each block longer than
     `longest` is a run of its own, found where the previous run ends, and
     the arrivals between two such blocks are one scalar run: none of them
-    opens a block longer than `longest`. With longest = 0 the runs are the
-    greedy chain of ready blocks from the first arrival."""
+    opens a block longer than `longest` (if none at all does, that one run
+    is returned before any column is listed). With longest = 0 the runs are
+    the greedy chain of ready blocks from the first arrival."""
     n = len(prevs)
     ends = np.searchsorted(np.maximum.accumulate(prevs), np.arange(start, start + n),
                            side="right")
     at = np.arange(n)
     # the first arrival at or after each s that opens a block longer than `longest`
-    opens = np.minimum.accumulate(np.where(ends - at > longest, at, n)[::-1])[::-1].tolist()
-    ends, bounds, scalar = ends.tolist(), [0], []
+    opens = np.minimum.accumulate(np.where(ends - at > longest, at, n)[::-1])[::-1]
+    if opens[0] == n:
+        return [0, n], [True]
+    opens, ends, bounds, scalar = opens.tolist(), ends.tolist(), [0], []
     while (s := bounds[-1]) < n:
         scalar.append(opens[s] > s)
         bounds.append(opens[s] if opens[s] > s else ends[s])
@@ -431,7 +434,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
     # rows 0..M-1 of the table: every worker's dispatch point when a chunk
     # starts; rows M, M+1, ...: the chunk's iterates x_start, x_start+1, ...,
     # so that the dispatch point of each of the chunk's arrivals is one row
-    table = None
+    table = views = None
     # samples are drawn a span of whole chunks at a time, for every run at
     # once: the arrivals drawn_from..drawn-1. The first span holds as many
     # arrivals as a chunk of the seeds alone; each later one as many as fit
@@ -497,7 +500,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
             first = np.tile(x0, rows) if table is None else table[:m_count + 1, :rows * dim]
             table = np.empty((m_count + 1 + min(chunk, horizon - start), rows * dim))
             table[:m_count + 1] = first
-            del first   # a view of the old table would keep it alive
+            first = views = None   # views of the old table would keep it alive
             points, buf = table[:m_count], table[m_count:]
             by_run = buf.reshape(len(buf), live, -1)   # a row's points, run by run
             uniform_sum, weighted_sum = uniform_sum[:live], weighted_sum[:live]
@@ -530,6 +533,10 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
         # a single run replays its short blocks in scalar runs
         bounds, scalar = _runs(chunk_prevs, start, short if rows == 1 else 0)
         if any(scalar):
+            # a table that outlasts this chunk is read through a list of its
+            # row views, made once, which indexes faster per arrival
+            if views is None:
+                views = list(table) if stop < horizon else table
             # per arrival of the chunk, as Python lists: its dispatch point's
             # table row, its worker and stepsize; and its sample, None, an item
             # of a 1-D block, or a row of a 2-D block, as a numpy row or, to a
@@ -553,7 +560,7 @@ def _replay(problem, runs: list, x0, seeds: list, *, keep_iterates: bool,
                 # x_k = x_{k-1} - gamma_k g_k, each k screened before the
                 # next; a point that fails the screen is tested exactly, with
                 # numpy's overflow warnings off, and the run resumes after it
-                while k := run(buf, a, table, src_list[a:b], sample_rows(a, b),
+                while k := run(buf, a, views, src_list[a:b], sample_rows(a, b),
                                worker_list[a:b], gamma_list[a:b], divergence_norm):
                     with np.errstate(over="ignore", invalid="ignore"):
                         _check_rows(buf[k:k + 1], start + k, divergence_norm)

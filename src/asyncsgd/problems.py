@@ -114,15 +114,16 @@ class Problem:
         """The scalar replay's run up to _FLOAT_DIM dimensions (see
         `scalar_step`): a function run(buf, first, table, points, samples,
         workers, gammas, limit) that replays a run of arrivals from the
-        iterate buf[first]. Arrival j takes the gradient
+        iterate buf[first]. `table` is the replay's table of dispatch points
+        or a list of its rows' views. Arrival j takes the gradient
         `sample_grad(table[points[j]], samples[j], workers[j])` and writes
         x_k = x_{k-1} - gammas[j] * g into buf[k], k = first + 1 + j, equal
         to that numpy expression bit for bit; it keeps the iterate as Python
         floats between arrivals, so nothing it does warns past the gradient.
-        Each x_k is screened (math.hypot within limit * sqrt(0.5)) before
-        the next gradient, and the run returns the first k that fails the
-        screen, or 0 once every arrival is done. A run asks for it once and
-        calls it once per scalar run.
+        Each x_k is screened (its sum of squares in Python floats within
+        limit^2 / 2) before the next gradient, and the run returns the first
+        k that fails the screen, or 0 once every arrival is done. A run asks
+        for it once and calls it once per scalar run.
 
         This default builds on `sample_grad(...).tolist()` and takes the
         samples as `sample_grad` does. An override takes the rows of a
@@ -205,7 +206,8 @@ def scalar_step(problem):
 # The scalar run of every form (see Problem.step_oracle): the source of a
 # factory make(constants...) that returns run(...). A form fills in the
 # factory's arguments and setup, how the run loads x_first, the per-arrival
-# body that forms x_k, and the screen of x_k.
+# body that forms x_k, and the screen of x_k. The loop zips the worker
+# column only for a body that reads it.
 _RUN = """
 def make({args}):
     {setup}
@@ -213,7 +215,7 @@ def make({args}):
     def run(buf, first, table, points, samples, workers, gammas, limit):
         k = first
         {load}
-        for point, sample, worker, gamma in zip(points, samples, workers, gammas):
+        for {columns} in zip({lists}):
             k += 1
 {body}
             if not {screen}:
@@ -223,14 +225,15 @@ def make({args}):
 """
 
 # How a form loads x_first, stores x_k and screens it. The Python float
-# forms keep x in p0, p1, ... ({p} stands for the target [p0, p1, ...]) and
-# store it through a memoryview of buf; the numpy form keeps x as a row of
-# buf. In a float form's body, {pae} stands for p0 = p0 - ((a0 - c0) + e0) *
-# gamma; ..., the float operations of the numpy expression it equals, in its
-# order.
-_FLOAT_PARTS = ('out, screen = memoryview(buf).cast("B").cast("d"), limit * sqrt(0.5)\n'
+# forms keep x in p0, p1, ... ({p} stands for the target [p0, p1, ...]),
+# store it through a memoryview of buf and screen p0 * p0 + p1 * p1 + ...
+# (a square past the float range is inf, silently, and fails); the numpy
+# form keeps x as a row of buf. In a float form's body, {pae} stands for
+# p0 = p0 - ((a0 - c0) + e0) * gamma; ..., the float operations of the
+# numpy expression it equals, in its order.
+_FLOAT_PARTS = ('out, square = memoryview(buf).cast("B").cast("d"), 0.5 * limit * limit\n'
                 "        {p} = buf[first].tolist()",
-                "\n            at = k * {dim}\n            {store}", "hypot({xs}) <= screen")
+                "\n            at = k * {dim}\n            {store}", "{squares} <= square")
 _NUMPY_PARTS = ("x, square = buf[first], 0.5 * limit * limit", "", "vdot(x, x) <= square")
 
 # per form: the factory's arguments, its setup, and the body of one arrival
@@ -240,9 +243,11 @@ _STEP_FORMS = {
             {g} = sample_grad(table[point], sample, worker).tolist()
             {pg}"""),
     # least squares with additive noise or exact gradients: _grad's matvec,
-    # then its elementwise rest in Python floats
-    "additive": ("matvec, cross", "{c} = cross; scratch = empty({dim})", """
-            {a} = matvec(table[point], scratch).tolist()
+    # read through a memoryview of its output, then its elementwise rest in
+    # Python floats
+    "additive": ("matvec, cross", "{c} = cross; sv = memoryview(scratch := empty({dim}))", """
+            matvec(table[point], scratch)
+            {a} = sv
             if sample is None:
                 {pa}
             else:
@@ -256,11 +261,12 @@ _STEP_FORMS = {
             {r} = row.tolist()
             {pr}"""),
     # the heterogeneous quadratics: _grad with worker m's shift
-    "heterogeneous": ("matvec, cross, shifts, check",
-                      "{c} = cross; scratch = empty({dim}); count = len(shifts)", """
+    "heterogeneous": ("matvec, cross, shifts, check", "count = len(shifts); {c} = cross; "
+                      "sv = memoryview(scratch := empty({dim}))", """
             if not 0 < worker <= count:
                 check(worker)
-            {a} = matvec(table[point], scratch).tolist()
+            matvec(table[point], scratch)
+            {a} = sv
             {s} = shifts[worker - 1]
             if sample is None:
                 {pas}
@@ -287,7 +293,7 @@ _STEP_TERMS = dict(pg="g{i}", pa="(a{i} - c{i})", pae="((a{i} - c{i}) + e{i})",
                    pase="(((a{i} - c{i}) + s{i}) + e{i})")
 
 # the names the generated source reads besides its arguments
-_RUN_GLOBALS = dict(hypot=math.hypot, sqrt=math.sqrt, empty=np.empty, vdot=np.vdot,
+_RUN_GLOBALS = dict(sqrt=math.sqrt, empty=np.empty, vdot=np.vdot,
                     multiply=np.multiply, subtract=np.subtract, errstate=np.errstate,
                     SAFE=0.5 * sys.float_info.max)
 
@@ -299,14 +305,16 @@ def _step_form(form: str, dim: int):
     of range(dim) and fixed strings enter the source."""
     args, setup, body = _STEP_FORMS[form]
     load, store, screen = _NUMPY_PARTS if form == "numpy" else _FLOAT_PARTS
+    columns = ["point", "sample"] + (["worker"] if "worker" in body else []) + ["gamma"]
     names = {x: "[" + ", ".join(f"{x}{i}" for i in range(dim)) + "]" for x in "acegprs"}
     names.update({key: "; ".join(f"p{i} = p{i} - {term.format(i=i)} * gamma" for i in range(dim))
                   for key, term in _STEP_TERMS.items()},
-                 dim=dim, xs=", ".join(f"p{i}" for i in range(dim)),
+                 dim=dim, squares=" + ".join(f"p{i} * p{i}" for i in range(dim)),
                  store="; ".join(f"out[at + {i}] = p{i}" if i else "out[at] = p0"
                                  for i in range(dim)))
     source = _RUN.format(args=args, setup=setup, load=load, body=body.strip("\n") + store,
-                         screen=screen).format(**names)
+                         screen=screen, columns=", ".join(columns),
+                         lists="s, ".join(columns) + "s").format(**names)
     namespace = dict(_RUN_GLOBALS)
     exec(compile(source, f"<{form} run, d = {dim}>", "exec"), namespace)
     return namespace["make"]

@@ -295,6 +295,7 @@ def _block_speeds(m_count, kind, seed):
        st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
        st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**16),
        st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=8))
+@example(1, "equal", 50, 0, 3, 2)   # one worker: every block is one arrival, one scalar run
 def test_runs_are_greedy_ready_blocks_and_scalar_runs(m_count, kind, horizon, seed, start,
                                                       longest):
     trace = simulate_trace(_block_speeds(m_count, kind, seed), horizon + start)
@@ -453,8 +454,12 @@ EDGE_DIMS = [1, 3, problems._FLOAT_DIM, problems._FLOAT_DIM + 1, 50]
        st.sampled_from(["equal", "fixed", "straggler", "exponential", "lognormal"]),
        st.integers(min_value=1, max_value=120), st.sampled_from([1, 2, 3, 7, 16, 1024]),
        st.booleans(), st.integers(min_value=0, max_value=2**16))
-@example("additive", 3, 1, "equal", 40, 7, True, 5)   # one worker: nothing in flight
+# one worker: nothing in flight, and every arrival on the float loop, which
+# reads the table past one chunk through a list of its row views and within
+# one chunk the table itself
+@example("additive", 3, 1, "equal", 40, 7, True, 5)
 @example("additive", 3, 1, "equal", 40, 7, False, 5)
+@example("rows", 2, 1, "equal", 40, 1024, False, 5)
 @example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, True, 3)
 @example("heterogeneous", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 2, False, 3)
 @example("rows", 3, 4, NEVER_ARRIVE, len(NEVER_ARRIVE), 1024, True, 3)
@@ -1001,6 +1006,51 @@ def test_draw_spans_keep_a_bounded_working_memory():
     assert peaks["rows", long] <= peaks["additive", long]
     for noise in ("additive", "rows"):
         assert peaks[noise, long] <= peaks[noise, short] + 32 * (long - short)
+
+
+def test_a_long_single_run_lists_its_table_rows_once():
+    # a single run that outlasts its chunk reads its dispatch points through
+    # a list of the table's row views, made once per table: the list costs
+    # O(M + _CHUNK) rows, and from 2 to 4 chunks the peak grows by no more
+    # than the O(K) columns. A run within one chunk reads the table itself
+    problem = least_squares(dim=2, num_samples=20, sigma=1.0, seed=5)
+    m_count, chunk = 256, optimizers._CHUNK
+    x0 = np.zeros(2)
+    # one fast worker: nearly every arrival is a block of one, on the float loop
+    speeds = FixedSpeeds((1.0,) + tuple(np.linspace(300.0, 600.0, m_count - 1)))
+    run, longest, listed = problems.scalar_step(problem)
+    tables = []
+
+    def recorded(buf, first, table, *rest):
+        tables.append(table)
+        return run(buf, first, table, *rest)
+
+    peaks = {}
+    with mock.patch.object(optimizers, "scalar_step", lambda p: (recorded, longest, listed)):
+        for chunks in (1, 2, 4):
+            trace = simulate_trace(speeds, chunks * chunk)
+            schedule = make_schedule("adaptive-convex",
+                                     problem.constants_for(x0, m_count, trace.horizon))
+            # one untimed run first, as in the tests above
+            run_async(problem, trace, schedule, x0, seed=1)
+            tables.clear()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_async(problem, trace, schedule, x0, seed=1)
+                peaks[chunks] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(tables) >= chunks
+            if chunks == 1:
+                assert all(isinstance(t, np.ndarray) for t in tables)
+            else:
+                assert isinstance(tables[0], list) and len(tables[0]) == m_count + 1 + chunk
+                assert all(t is tables[0] for t in tables)
+            tables.clear()
+    # a row view takes about 120 B
+    assert peaks[2] <= peaks[1] + 160 * (m_count + 1 + chunk) + 32 * chunk
+    assert peaks[4] <= peaks[2] + 32 * 2 * chunk
 
 
 class CountedDraws(LeastSquares):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncsgd import (
@@ -383,6 +383,15 @@ def _run_samples(samples, listed: bool):
     return [tuple(row) for row in samples.tolist()] if listed else list(samples)
 
 
+def _squares(row) -> float:
+    """p0 * p0 + p1 * p1 + ... in Python floats, left to right, as the float
+    forms screen an iterate: a square past the float range is inf."""
+    total = 0.0
+    for p in row.tolist():
+        total += p * p
+    return total
+
+
 def _replay_run(run, table, m_count, points, samples, workers, gammas, limit, floats):
     """Replay one scalar run into table[m_count:] as the replay does,
     resuming after each iterate that fails the screen; checks that each
@@ -391,8 +400,7 @@ def _replay_run(run, table, m_count, points, samples, workers, gammas, limit, fl
     buf, first, stops = table[m_count:], 0, 0
 
     def passes(row):
-        return (math.hypot(*row.tolist()) <= limit * math.sqrt(0.5) if floats
-                else np.vdot(row, row) <= 0.5 * limit * limit)
+        return (_squares(row) if floats else np.vdot(row, row)) <= 0.5 * limit * limit
 
     while True:
         rest = slice(first, len(workers))
@@ -408,12 +416,30 @@ def _replay_run(run, table, m_count, points, samples, workers, gammas, limit, fl
         first, stops = k, stops + 1
 
 
+# the largest divergence limit whose square is finite
+LARGEST_LIMIT = math.sqrt(sys.float_info.max)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(KINDS)), st.floats(min_value=-5.0, max_value=5.0),
-       st.floats(min_value=0.0, max_value=1e160), st.integers(min_value=0, max_value=2**16))
-def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
+       st.floats(min_value=0.0, max_value=1e160), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([1e12, LARGEST_LIMIT]), st.none() | st.floats(min_value=1.0,
+                                                                      max_value=1.41))
+# ratio r sets the limit to r ||x_1||, which puts x_1's norm between
+# limit * sqrt(0.5) and limit: the screen (within limit^2 / 2) fails there,
+# a screen within limit^2 would not
+@example("additive", 0.0, 0.5, 3, 1e12, 1.2)
+@example("exact", 2.0, 0.1, 4, 1e12, 1.4)
+@example("rows", -1.0, 0.5, 5, 1e12, 1.2)
+@example("heterogeneous", 0.0, 0.5, 6, 1e12, 1.2)
+@example("nonconvex-additive", 1.0, 0.5, 7, 1e12, 1.3)
+@example("additive", 1.0, 1e152, 8, 1e12, 1.2)   # a limit near 1e153
+# at the largest limit, a step of 1e156 squares a coordinate past the float
+# range: the float screen reads inf, without a warning, and fails
+@example("additive", 0.0, 1e156, 3, LARGEST_LIMIT, None)
+@example("heterogeneous-exact", 0.0, 1e156, 4, LARGEST_LIMIT, None)
+def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed, limit, ratio):
     m_count, arrivals = 4, 12
-    limit = 1e12
     for dim in STEP_DIMS:
         problem = KINDS[kind](dim, m_count, seed)
         rng = np.random.default_rng(seed)
@@ -434,6 +460,8 @@ def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
             with np.errstate(over="ignore", invalid="ignore"):
                 x = x - rate * g
             expected.append(x)
+        if ratio is not None:
+            limit = ratio * math.hypot(*expected[0].tolist())
         expected = np.array(expected).tobytes()
         own = type(problem).step_oracle is not Problem.step_oracle
         assert own == (not kind.startswith("nonconvex"))
@@ -471,7 +499,7 @@ def test_step_oracle_equals_a_numpy_step(kind, scale, gamma, seed):
                                 floats)
             assert table[m_count + 1:].tobytes() == expected
             # the step at float max leaves the screen, unless its gradient is 0
-            assert stops >= (math.hypot(*table[-1].tolist()) > limit)
+            assert stops >= (_squares(table[-1]) > limit * limit)
             if kind.startswith("heterogeneous"):
                 for worker in (0, m_count + 1):
                     with pytest.raises(ProblemError, match=f"unknown worker id {worker} "):
